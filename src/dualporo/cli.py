@@ -118,8 +118,8 @@ def cmd_effective_run(args) -> int:
             overrides[name] = val
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    os.makedirs(args.outdir, exist_ok=True)
     solver, times, snaps = hz.build_flood(cfg)
+    os.makedirs(args.outdir, exist_ok=True)
     result = solver.run(cfg.s_init, cfg.pn_init, times, snapshot_times=snaps)
     outputs = []
     for epoch in sorted(result.snapshots):

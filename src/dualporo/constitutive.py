@@ -53,7 +53,7 @@ class FluidPair:
     mu_n: float
 
     def __post_init__(self) -> None:
-        if self.mu_w <= 0.0 or self.mu_n <= 0.0:
+        if not (self.mu_w > 0.0 and self.mu_n > 0.0):
             raise ValueError("viscosities must be positive")
 
 
@@ -68,7 +68,7 @@ class MediumProps:
     def __post_init__(self) -> None:
         if not 0.0 < self.porosity < 1.0:
             raise ValueError("porosity must lie in (0, 1)")
-        if self.permeability <= 0.0:
+        if not self.permeability > 0.0:
             raise ValueError("permeability must be positive")
 
 

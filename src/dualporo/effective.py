@@ -15,17 +15,29 @@ that width converges to a convolution source. Two forms are used:
     of the diffusivity and C = 2 d sqrt(phi_m k_m / pi).
 
 The quadrature integrates the kernel exactly against piecewise-constant
-data on arbitrary strictly increasing grids:
+data on arbitrary strictly increasing grids.  Both forms are one scheme:
+with the clock weights w_l = alpha^l dt^{l-1} (alpha = 1 for the fixed
+kernel) and suffix sums U^n_k = sum_{l=k}^n w_l,
 
-    I^n_k = int_{t_k-1}^{t_k} C du / sqrt(t_n - u)
-          = 2 C (sqrt(t_n - t_{k-1}) - sqrt(t_n - t_k))
-          = 2 C dt^{k-1} / (sqrt(t_n - t_{k-1}) + sqrt(t_n - t_k));
+    I^n_k = 2 C w_k / (sqrt(U^n_k) + sqrt(U^n_{k+1})),   U^n_{n+1} = 0,
 
-the rationalized form avoids cancellation deep in the history. On a
-uniform grid I^n_k depends only on n - k (shift invariance), giving the
-weights J_l = 2 C sqrt(dt) / (sqrt(l+1) + sqrt(l)). The history weights
-D^n_k = I^n_k - I^{n+1}_k (k >= 1) are positive, and with the closing
-weight D^n_0 they satisfy sum_k D^n_k = I^{n+1}_{n+1} = 2 C sqrt(dt^n).
+which for alpha = 1 is the interval integral int_{t_k-1}^{t_k} C du /
+sqrt(t_n - u) = 2 C (sqrt(t_n - t_{k-1}) - sqrt(t_n - t_k)) in
+rationalized form (no cancellation deep in the history).  One step of
+the source separates the newest term,
+
+    Q^{n+1/2} = -(impl / dt^n) (p^{n+1} - p^0) + expl,
+    impl = I^{n+1}_{n+1} = 2 C sqrt(w_{n+1}),
+    expl = (1/dt^n) sum_{k=1}^n D^n_k (p^k - p^0),  D^n_k = I^n_k - I^{n+1}_k,
+
+and sqrt_kernel_step is the only evaluation of it: the 0-d series below
+and the flood solver's per-cell source both call it.  On a uniform grid
+with alpha = 1, I^n_k depends only on n - k (shift invariance), giving
+the weights J_l = 2 C sqrt(dt) / (sqrt(l+1) + sqrt(l)).  The history
+weights D^n_k (k >= 1) are positive, and with the closing weight D^n_0
+they satisfy sum_k D^n_k = I^{n+1}_{n+1} = 2 C sqrt(dt^n).
+QuadratureTable and history_sum evaluate the fixed-clock weights row by
+row; they are kept as an independent reference for the shared step.
 """
 from __future__ import annotations
 
@@ -117,26 +129,63 @@ def history_sum(wall_history: np.ndarray, table: QuadratureTable,
     return np.tensordot(d, p[: n + 1], axes=(0, 0))
 
 
+def sqrt_kernel_step(times, wall_hist, alpha, constant: float):
+    """(impl, expl) of the next source step, Q^{n+1/2} = -(impl/dt^n)
+    (p^{n+1} - p^0) + expl, with the weights of the module docstring.
+
+    times holds t_0..t_{n+1}, wall_hist p^0..p^n and alpha the clock rates
+    alpha^0..alpha^{n+1}, or a scalar for a constant clock.  Axis 0 is
+    time; trailing axes are cells, and alpha's broadcast against
+    wall_hist's (shape (n+2, 1) is one clock for all cells).
+    """
+    t = np.asarray(times, dtype=float)
+    p = np.asarray(wall_hist, dtype=float)
+    a = np.asarray(alpha, dtype=float)
+    n = len(t) - 2
+    dts = np.diff(t).reshape((-1,) + (1,) * (p.ndim - 1))
+    w = (a[1:] if a.ndim else a) * dts      # w_l, l = 1..n+1
+    impl = 2.0 * constant * np.sqrt(w[n])
+
+    def weight_over_denominators(w_hist):
+        # w_k / (sqrt(U_k) + sqrt(U_{k+1})), k = 1..n, where U_k are the
+        # suffix sums of w_hist and U past its end is 0
+        root = np.zeros((len(w_hist) + 1,) + w.shape[1:])
+        np.cumsum(w_hist[::-1], axis=0, out=root[-2::-1])
+        np.sqrt(root, out=root)
+        den = root[:n] + root[1:n + 1]
+        return np.divide(w[:n], den, out=np.zeros_like(den),
+                         where=den > 0.0)
+
+    d = weight_over_denominators(w[:n]) - weight_over_denominators(w)
+    expl = 2.0 * constant * np.einsum("k...,k...->...", d, p[1:] - p[0]) \
+        / dts[n]
+    return impl, expl
+
+
+def _kernel_series(wall_values, alpha_values, times, constant):
+    """Q^{n+1/2} for every interval, one sqrt_kernel_step per n."""
+    p = np.asarray(wall_values, dtype=float)
+    out = np.empty(len(times) - 1)
+    for n in range(len(out)):
+        impl, expl = sqrt_kernel_step(times[:n + 2], p[:n + 1],
+                                      alpha_values[:n + 2], constant)
+        out[n] = -impl / (times[n + 1] - times[n]) * (p[n + 1] - p[0]) + expl
+    return out
+
+
 def exchange_fixed_kernel(wall_values: np.ndarray, times: np.ndarray,
                           constant: float) -> np.ndarray:
     """Per-interval source values Q^{n+1/2} of the fixed sqrt-kernel model.
 
     Q^{n+1/2} = -(1/dt^n) [ sum_{k=1}^{n+1} (p^k - p^0) I^{n+1}_k
-                           - sum_{k=1}^{n}   (p^k - p^0) I^n_k ].
+                           - sum_{k=1}^{n}   (p^k - p^0) I^n_k ],
+
+    the warped model with alpha = 1, where U^n_k = t_n - t_{k-1}.
     """
     times = np.asarray(times, dtype=float)
-    p = np.asarray(wall_values, dtype=float)
-    if len(p) != len(times):
+    if len(wall_values) != len(times):
         raise ValueError("wall_values must be sampled on the time grid")
-    table = QuadratureTable(times, constant)
-    inc = p[1:] - p[0]
-    out = np.empty(len(times) - 1)
-    prev = 0.0
-    for n in range(1, len(times)):
-        cur = float(np.dot(inc[:n], table.row(n)))
-        out[n - 1] = -(cur - prev) / (times[n] - times[n - 1])
-        prev = cur
-    return out
+    return _kernel_series(wall_values, np.ones(len(times)), times, constant)
 
 
 def running_range_alpha(wall_values: np.ndarray, vg: VanGenuchtenParams,
@@ -165,30 +214,9 @@ def exchange_warped_kernel(wall_values: np.ndarray, alpha_values: np.ndarray,
                            - same sum up to n with U^n ].
     """
     times = np.asarray(times, dtype=float)
-    p = np.asarray(wall_values, dtype=float)
     alpha = np.asarray(alpha_values, dtype=float)
-    if len(p) != len(times) or len(alpha) != len(times):
+    if len(wall_values) != len(times) or len(alpha) != len(times):
         raise ValueError("wall and alpha values must sit on the time grid")
     if (alpha < 0.0).any():
         raise ValueError("alpha values must be nonnegative")
-    dts = np.diff(times)
-    w = alpha[1:] * dts                      # weight of interval l (l = 1..N)
-    num = alpha[1:] * (p[1:] - p[0]) * dts   # numerators, k = 1..N
-
-    def partial(n: int) -> float:
-        if n == 0:
-            return 0.0
-        u = np.zeros(n + 1)
-        u[:n] = np.cumsum(w[:n][::-1])[::-1]  # U^n_k, k = 1..n; U^n_{n+1} = 0
-        denom = np.sqrt(u[:-1]) + np.sqrt(u[1:])
-        terms = np.divide(num[:n], denom, out=np.zeros(n),
-                          where=denom > 0.0)
-        return float(terms.sum())
-
-    out = np.empty(len(times) - 1)
-    prev = 0.0
-    for n in range(1, len(times)):
-        cur = partial(n)
-        out[n - 1] = -2.0 * constant * (cur - prev) / dts[n - 1]
-        prev = cur
-    return out
+    return _kernel_series(wall_values, alpha, times, constant)

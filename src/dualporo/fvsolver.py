@@ -15,19 +15,18 @@ upwinded phase by phase on the sign of the phase-pressure difference
 Jacobian is analytic with the upwind choice held fixed per iteration.
 
 The matrix-exchange source Q_w is the sqrt-kernel convolution of the
-cell's own wall-value history p^k = transfer(S^k).  Writing the quadrature
-with the newest term separated gives
+cell's own wall-value history p^k = transfer(S^k).  One step of it is
+effective.sqrt_kernel_step on the per-cell histories:
 
-    Q_w = -(impl / dt) (p(S_new) - p^0) + expl,
+    Q_w = -(impl / dt) (p(S_new) - p^0) + expl,   impl = 2 C sqrt(alpha dt),
 
-where for the fixed kernel impl = 2 C sqrt(dt) and expl collects the
-history through the difference weights D^n_k, while for the time-warped
-kernel impl = 2 C sqrt(alpha_hat dt) with alpha_hat frozen at its
-beginning-of-step value (running extrema of the wall history), which
-keeps the Newton system well defined; the frozen value is committed to
-the history once the step is accepted.  Histories live on the realized
-(possibly substepped) time grid, so step halving stays consistent with
-the convolution.
+with expl collecting the history.  The fixed kernel is the case alpha = 1
+(one shared clock for all cells); the time-warped kernel uses
+alpha = alpha_hat per cell, frozen at its beginning-of-step value
+(running extrema of the wall history), which keeps the Newton system
+well defined; the frozen value is committed to the history once the
+step is accepted.  Histories live on the realized (possibly substepped)
+time grid, so step halving stays consistent with the convolution.
 """
 from __future__ import annotations
 
@@ -39,7 +38,7 @@ from scipy.sparse.linalg import splu
 
 from . import constitutive as con
 from .constitutive import ConstitutiveSet
-from .effective import QuadratureTable
+from .effective import sqrt_kernel_step
 from .imbibition import NewtonFailure
 
 
@@ -407,46 +406,22 @@ class FractureFlowSolver:
         """(impl, expl, wall_ref, alpha_new) such that the step's source is
         Q_w = -(impl/dt) (transfer(S_new) - wall_ref) + expl."""
         par = self.params
-        m = self.grid.n_cells
         src = par.source
-        zeros = np.zeros(m)
         if src.model == "none":
+            zeros = np.zeros(self.grid.n_cells)
             return zeros, zeros, zeros, None
         times = np.array(state.times_hist + [state.t + dt])
-        n = len(times) - 2                     # completed steps
         p_hist = np.stack(state.wall_hist)     # (n+1, m)
-        p0 = p_hist[0]
         if src.model == "fixed":
-            impl = np.full(m, 2.0 * src.constant * np.sqrt(dt))
-            if n == 0:
-                return impl, zeros, p0, None
-            d = QuadratureTable(times, src.constant).d_row(n)
-            expl = np.tensordot(d, p_hist - p0[None, :], axes=(0, 0)) / dt
-            return impl, expl, p0, None
-
-        # warped kernel: freeze alpha-hat at beginning-of-step extrema
-        a_new = np.asarray(con.range_diffusivity(
-            state.run_min, state.run_max, par.cset.matrix.vg,
-            par.cset.fluids, par.cset.matrix_table()), dtype=float)
-        impl = 2.0 * src.constant * np.sqrt(a_new * dt)
-        if n == 0:
-            return impl, zeros, p0, a_new
-        alpha = np.stack(state.alpha_hist + [a_new])     # (n+2, m)
-        dts = np.diff(times)
-        w = alpha[1:] * dts[:, None]                     # w_l, l = 1..n+1
-        dnum = w[:n] * (p_hist[1:] - p0[None, :])        # k = 1..n
-        u_next = np.vstack((np.cumsum(w[::-1], axis=0)[::-1],
-                            np.zeros((1, m))))           # U^{n+1}_k
-        u_prev = np.vstack((np.cumsum(w[:n][::-1], axis=0)[::-1],
-                            np.zeros((1, m))))           # U^n_k
-        den_next = np.sqrt(u_next[:n]) + np.sqrt(u_next[1:n + 1])
-        den_prev = np.sqrt(u_prev[:n]) + np.sqrt(u_prev[1:n + 1])
-        term_next = np.divide(dnum, den_next, out=np.zeros_like(dnum),
-                              where=den_next > 0.0).sum(axis=0)
-        term_prev = np.divide(dnum, den_prev, out=np.zeros_like(dnum),
-                              where=den_prev > 0.0).sum(axis=0)
-        expl = -2.0 * src.constant * (term_next - term_prev) / dt
-        return impl, expl, p0, a_new
+            alpha, a_new = 1.0, None
+        else:
+            # warped kernel: freeze alpha-hat at beginning-of-step extrema
+            a_new = np.asarray(con.range_diffusivity(
+                state.run_min, state.run_max, par.cset.matrix.vg,
+                par.cset.fluids, par.cset.matrix_table()), dtype=float)
+            alpha = np.stack(state.alpha_hist + [a_new])  # (n+2, m)
+        impl, expl = sqrt_kernel_step(times, p_hist, alpha, src.constant)
+        return impl, expl, p_hist[0], a_new
 
     def _try_step(self, state: FlowState, dt: float):
         par = self.params

@@ -152,7 +152,7 @@ def load_config(path: str) -> ScenarioConfig:
     configuration and the remaining keys override its fields."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh) or {}
-    base = PRESETS[raw.pop("preset")] if "preset" in raw else \
+    base = get_preset(raw.pop("preset")) if "preset" in raw else \
         ScenarioConfig(name=raw.get("name", "custom"))
     known = {f.name for f in dataclasses.fields(ScenarioConfig)}
     unknown = set(raw) - known
@@ -161,7 +161,9 @@ def load_config(path: str) -> ScenarioConfig:
     for key in ("deltas", "methods"):
         if key in raw:
             raw[key] = tuple(raw[key])
-    return dataclasses.replace(base, **raw)
+    cfg = dataclasses.replace(base, **raw)
+    cfg.cset()                          # reject invalid media at load time
+    return cfg
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
@@ -257,6 +259,8 @@ def compare_series(a: ExchangeSeries, b: ExchangeSeries,
     bw = bv.restricted(lo, hi)
     if len(bw.times) < 2:
         raise ValueError("comparison window holds fewer than two samples")
+    if not np.any(bw.values):
+        raise ValueError("reference series is zero on the comparison window")
     ai = np.interp(bw.times, av.times, av.values)
     diff = ai - bw.values
     if norm == "sup":
@@ -336,20 +340,16 @@ def build_flood(cfg: FloodConfig):
     scen = get_preset(cfg.scenario)
     cset = scen.cset()
     grid = fv.build_grid(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
-    if cfg.source_model == "none":
-        source = fv.SourceSpec(model="none")
-    elif cfg.source_model == "fixed":
-        source = fv.SourceSpec(model="fixed", constant=eff.fixed_kernel_constant(
-            grid.dimension, cset.matrix.porosity,
-            cset.matrix.permeability, cset.alpha_bar()))
-    else:
-        source = fv.SourceSpec(model="warped", constant=eff.warped_kernel_constant(
-            grid.dimension, cset.matrix.porosity, cset.matrix.permeability))
+    phi_m, k_m = cset.matrix.porosity, cset.matrix.permeability
+    constant = (eff.fixed_kernel_constant(grid.dimension, phi_m, k_m,
+                                          cset.alpha_bar())
+                if cfg.source_model == "fixed" else
+                eff.warped_kernel_constant(grid.dimension, phi_m, k_m))
     params = fv.FlowParams(
         cset=cset, phi_f=cset.fracture.porosity,
         k_star=fv.effective_permeability(cset.fracture.permeability,
                                          grid.dimension),
-        source=source)
+        source=fv.SourceSpec(model=cfg.source_model, constant=constant))
     bcs = {"xmin": fv.BoundarySpec(kind="inflow",
                                    wetting_rate=cfg.inflow_rate),
            "xmax": fv.BoundarySpec(kind="dirichlet",

@@ -5,10 +5,10 @@ equation. Two linearizations are provided:
 
   * constant ("clin"): the saturation average alpha_bar = int_0^1 alpha;
   * variable ("vlin"): a time-dependent scalar, the average of alpha over
-    the saturation range the wall value has visited so far; a change of
-    time variable tau(t) = int_0^t alpha_hat maps this to the unit
-    coefficient problem, and the exchange obeys
-    Q_vlin(t) = alpha_hat(t) * Q_unit(tau(t)).
+    the saturation range the wall value has visited so far, frozen per
+    step in physical time.  (The change of time variable tau(t) =
+    int_0^t alpha_hat maps it to the unit-coefficient problem, with
+    Q_vlin(t) = alpha_hat(t) * Q_unit(tau(t)).)
 
 For the constant problem on the cube the step response has the classical
 odd-mode sine series; the block-averaged saturation after a unit wall step
@@ -24,14 +24,13 @@ recorded tail bound makes visible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .blockmesh import BlockMesh
 from .constitutive import range_diffusivity
 from .imbibition import (BlockProblem, BlockSolution, ExchangeSeries,
-                         exchange_from_flux, exchange_from_volume, run_linear)
+                         run_linear)
 
 
 @dataclass(frozen=True)
@@ -145,19 +144,6 @@ def exchange_by_convolution(wall_values: np.ndarray, times: np.ndarray,
     return ExchangeSeries(0.5 * (times[:-1] + times[1:]), out, "clin", delta)
 
 
-@dataclass(frozen=True)
-class TimeChange:
-    """Discrete change of time variable tau(t) = int_0^t alpha_hat.
-
-    alpha_steps[k] is the scalar diffusivity frozen on interval k, tau the
-    left-endpoint cumulative integral on the grid nodes.
-    """
-
-    times: np.ndarray
-    tau: np.ndarray
-    alpha_steps: np.ndarray
-
-
 def variable_coefficients(problem: BlockProblem,
                           sampling: str = "start") -> np.ndarray:
     """Per-interval scalar diffusivity: average of alpha over the wall-value
@@ -176,13 +162,6 @@ def variable_coefficients(problem: BlockProblem,
                                         problem.cset.matrix_table()))
 
 
-def build_time_change(problem: BlockProblem,
-                      sampling: str = "start") -> TimeChange:
-    alpha = variable_coefficients(problem, sampling)
-    tau = np.concatenate(([0.0], np.cumsum(alpha * np.diff(problem.times))))
-    return TimeChange(times=problem.times.copy(), tau=tau, alpha_steps=alpha)
-
-
 def run_constant_linearized(problem: BlockProblem,
                             mesh: BlockMesh | None = None,
                             coefficient: float | None = None,
@@ -195,65 +174,8 @@ def run_constant_linearized(problem: BlockProblem,
 def run_variable_linearized(problem: BlockProblem,
                             mesh: BlockMesh | None = None,
                             sampling: str = "start",
-                            via: str = "direct",
                             store_fields: bool = False):
-    """Block solve with the range-averaged diffusivity.
-
-    via="direct" freezes the coefficient per step and steps in physical
-    time; via="timechange" solves the unit-coefficient problem on the tau
-    grid and rescales the exchange by alpha_hat. Returns (solution,
-    coefficients); for via="timechange" the solution's time axis is the
-    physical grid but its per-interval flux integrals are already the
-    rescaled physical ones.
-    """
-    if via == "direct":
-        coeff = variable_coefficients(problem, sampling)
-        return run_linear(problem, coeff, mesh, store_fields), coeff
-    if via != "timechange":
-        raise ValueError("via must be 'direct' or 'timechange'")
-
-    change = build_time_change(problem, sampling)
-    frac = np.array([float(problem.boundary(tk)) for tk in problem.times])
-    if not (np.diff(change.tau) > 0.0).all():
-        raise ValueError("tau grid is not strictly increasing")
-    tau_problem = BlockProblem(
-        delta=problem.delta, dimension=problem.dimension, cset=problem.cset,
-        boundary=_TabulatedBoundary(change.tau, frac), times=change.tau,
-        initial_saturation=problem.s_init, mesh_cells=problem.mesh_cells,
-        grading=problem.grading)
-    # grade the mesh for the physical run, not the tau horizon
-    mesh = mesh or problem.build_mesh()
-    sol = run_linear(tau_problem, 1.0, mesh, store_fields)
-    # rescale: physical per-interval flux integral = unit-run integral
-    # (d tau = alpha_hat dt makes the time-rescaling cancel)
-    return BlockSolution(times=problem.times.copy(),
-                         mean_saturation=sol.mean_saturation,
-                         flux_integrals=sol.flux_integrals,
-                         final_field=sol.final_field,
-                         newton_iterations=sol.newton_iterations,
-                         substeps=sol.substeps,
-                         fields=sol.fields), change.alpha_steps
-
-
-class _TabulatedBoundary:
-    """Fracture-saturation trajectory backed by node samples, linear in
-    between. The tau-grid linear solve queries the boundary only at grid
-    nodes, where this reproduces the original samples exactly (the wall
-    transfer map is then applied to them as usual)."""
-
-    def __init__(self, times: np.ndarray, values: np.ndarray):
-        self.times = times
-        self.values = values
-
-    def __call__(self, t: float) -> float:
-        return float(np.interp(t, self.times, self.values))
-
-
-def vlin_exchange(problem: BlockProblem, mesh: BlockMesh | None = None,
-                  sampling: str = "start", via: str = "direct",
-                  use_flux: bool = False):
-    """Convenience: run vlin and return its exchange series."""
-    sol, coeff = run_variable_linearized(problem, mesh, sampling, via)
-    make = exchange_from_flux if use_flux else exchange_from_volume
-    series = make(sol, problem, method="vlin")
-    return series, sol, coeff
+    """Block solve with the range-averaged diffusivity, frozen per step in
+    physical time. Returns (solution, coefficients)."""
+    coeff = variable_coefficients(problem, sampling)
+    return run_linear(problem, coeff, mesh, store_fields), coeff

@@ -9,6 +9,9 @@ Oracles used here:
     any strictly increasing grid;
   * the scheme form assembled from history_sum must reproduce the direct
     evaluation of the source (two independent routes to Q^{n+1/2});
+  * one step of the shared kernel equals the difference of two
+    QuadratureTable rows on the warped clock tau_k = sum_l alpha^l dt^{l-1}
+    (on t itself for the fixed clock);
   * with constant alpha the warped model collapses to the fixed model
     with constant C sqrt(alpha); with variable alpha it equals the fixed
     model evaluated on the rescaled grid tau = cumsum(alpha dt), scaled
@@ -16,11 +19,13 @@ Oracles used here:
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualporo.effective import (QuadratureTable, exchange_fixed_kernel,
                                 exchange_warped_kernel, fixed_kernel_constant,
                                 history_sum, running_range_alpha,
-                                warped_kernel_constant)
+                                sqrt_kernel_step, warped_kernel_constant)
 from dualporo.timegrid import blocked_geometric_times
 
 
@@ -106,6 +111,57 @@ def test_table_validation_errors():
         table.row(3)
     with pytest.raises(ValueError):
         history_sum(np.zeros(2), table, 2)
+
+
+# ---------------------------------------------------- shared kernel step
+
+@st.composite
+def kernel_step_cases(draw):
+    """Grid t_0..t_{n+1}, wall values p^0..p^{n+1} and clock rates
+    alpha^0..alpha^{n+1} on m cells; alpha is None for the fixed clock."""
+    n = draw(st.integers(0, 30))
+    m = draw(st.sampled_from((1, 3)))
+
+    def array(shape, lo, hi):
+        size = int(np.prod(shape))
+        values = draw(st.lists(st.floats(lo, hi), min_size=size,
+                               max_size=size))
+        return np.array(values).reshape(shape)
+
+    t0 = draw(st.floats(0.0, 10.0))
+    times = t0 + np.concatenate(([0.0], np.cumsum(array(n + 1, 0.05, 1.0))))
+    wall = array((n + 2, m), 0.0, 1.0)
+    alpha = None if draw(st.booleans()) else array((n + 2, m), 0.2, 5.0)
+    return times, wall, alpha
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_step_cases())
+def test_sqrt_kernel_step_matches_quadrature_rows(case):
+    times, wall, alpha = case
+    n, m = len(times) - 2, wall.shape[1]
+    c = 0.8
+    impl, expl = sqrt_kernel_step(times, wall[:n + 1],
+                                  1.0 if alpha is None else alpha, c)
+    dt = times[n + 1] - times[n]
+    q = -impl / dt * (wall[n + 1] - wall[0]) + expl
+    for j in range(m):
+        if alpha is None:
+            tau = times
+        else:
+            tau = np.concatenate(([0.0], np.cumsum(alpha[1:, j]
+                                                   * np.diff(times))))
+        table = QuadratureTable(tau, c)
+        inc = np.abs(wall[1:, j] - wall[0, j])
+        row_next = table.row(n + 1)
+        row = table.row(n) if n else np.empty(0)
+        ref = -(np.dot(wall[1:, j] - wall[0, j], row_next)
+                - np.dot(wall[1:n + 1, j] - wall[0, j], row)) / dt
+        # relative to the size of the two history sums that are differenced
+        scale = (np.dot(inc, row_next) + np.dot(inc[:n], row)) / dt
+        assert abs(q[j] - ref) <= 1e-12 * scale
+        assert np.broadcast_to(impl, (m,))[j] \
+            == pytest.approx(row_next[n], rel=1e-12)
 
 
 # ------------------------------------------------------- fixed kernel

@@ -211,6 +211,14 @@ def test_compare_series_disjoint_windows_raise():
         hz.compare_series(a, b)
 
 
+def test_compare_series_rejects_all_zero_reference():
+    a = series_of([1.0, 2.0, 3.0])
+    zero = series_of([0.0, 0.0, 0.0])
+    for norm in ("l2", "sup"):
+        with pytest.raises(ValueError, match="zero"):
+            hz.compare_series(a, zero, norm=norm)
+
+
 def test_comparison_rows_families():
     times = np.linspace(0.5, 9.5, 19) * DAY
     results = {
@@ -384,3 +392,23 @@ def test_cli_error_paths_exit_nonzero(tmp_path, capsys):
     junk.write_text("nope\n")
     assert main(["compare", str(junk), str(junk)]) == 1
     assert "dualporo:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, config", [
+    ("effective-run", {"nx": 4, "ny": 4, "n_steps": 2,
+                       "source_model": "bogus"}),
+    ("run", {"preset": "nosuch"}),
+    ("run", {"preset": "sim1", "matrix_permeability": float("nan"),
+             "methods": ["effective-I"]}),
+], ids=["bogus-source-model", "unknown-preset", "nan-permeability"])
+def test_cli_config_errors_exit_with_one_line(tmp_path, capsys, verb,
+                                              config):
+    cfgfile = tmp_path / "config.yaml"
+    cfgfile.write_text(yaml.safe_dump(config))
+    outdir = tmp_path / "out"
+    assert main([verb, str(cfgfile), "--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dualporo: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not outdir.exists()

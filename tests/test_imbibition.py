@@ -21,8 +21,7 @@ from dualporo import timegrid
 from dualporo.imbibition import (BlockProblem, ExchangeSeries, NewtonFailure,
                                  NewtonOptions, exchange_from_flux,
                                  exchange_from_volume, run_trajectory)
-from dualporo.linearized import (run_constant_linearized,
-                                 run_variable_linearized)
+from dualporo.linearized import run_constant_linearized
 
 DAY = 86400.0
 
@@ -160,20 +159,6 @@ def test_linear_solve_volume_flux_identity_is_exact(sim1_cset):
     qf = exchange_from_flux(sol, p, method="clin")
     scale = np.abs(qv.values).max()
     assert np.abs(qv.values - qf.values).max() <= 1e-10 * scale
-
-
-def test_variable_linearization_routes_agree(sim1_cset):
-    p = make_problem(sim1_cset, n_steps=24)
-    mesh = p.build_mesh()
-    sol_d, coeff_d = run_variable_linearized(p, mesh, via="direct")
-    sol_t, coeff_t = run_variable_linearized(p, mesh, via="timechange")
-    assert np.array_equal(coeff_d, coeff_t)
-    qd = exchange_from_volume(sol_d, p, method="vlin")
-    qt = exchange_from_volume(sol_t, p, method="vlin")
-    scale = np.abs(qd.values).max()
-    assert np.abs(qd.values - qt.values).max() <= 1e-10 * scale
-    assert np.allclose(sol_d.flux_integrals, sol_t.flux_integrals,
-                       rtol=1e-9, atol=0.0)
 
 
 def test_newton_failure_surfaces_after_dt_halvings(sim1_cset):

@@ -17,10 +17,9 @@ import numpy as np
 import pytest
 
 from dualporo.imbibition import BlockProblem
-from dualporo.linearized import (build_kernel, build_time_change,
-                                 exchange_by_convolution, kernel_from_scales,
-                                 run_constant_linearized, run_linear,
-                                 run_variable_linearized,
+from dualporo.linearized import (build_kernel, exchange_by_convolution,
+                                 kernel_from_scales, run_constant_linearized,
+                                 run_linear, run_variable_linearized,
                                  variable_coefficients)
 
 DAY = 86400.0
@@ -181,13 +180,16 @@ def test_sampling_end_shifts_the_running_range_by_one(sim1_cset):
         variable_coefficients(p, sampling="mid")
 
 
-def test_build_time_change_structure(sim1_cset):
-    p = ramp_problem(sim1_cset)
-    change = build_time_change(p)
-    assert change.tau[0] == 0.0
-    assert np.allclose(np.diff(change.tau),
-                       change.alpha_steps * np.diff(p.times), rtol=1e-15)
-    assert (np.diff(change.tau) > 0.0).all()
+def test_variable_linearized_freezes_positive_coefficients(sim1_cset):
+    # alpha_hat > 0 on every step, so the clock tau = cumsum(alpha_hat dt)
+    # is strictly increasing
+    p = ramp_problem(sim1_cset, n_steps=8)
+    mesh = p.build_mesh()
+    sol, coeff = run_variable_linearized(p, mesh)
+    assert np.array_equal(coeff, variable_coefficients(p))
+    assert (coeff > 0.0).all()
+    assert np.array_equal(sol.flux_integrals,
+                          run_linear(p, coeff, mesh).flux_integrals)
 
 
 def test_constant_linearized_default_coefficient_is_alpha_bar(sim1_cset):
@@ -199,9 +201,3 @@ def test_constant_linearized_default_coefficient_is_alpha_bar(sim1_cset):
                           sol_explicit.mean_saturation)
     assert np.array_equal(sol_default.flux_integrals,
                           sol_explicit.flux_integrals)
-
-
-def test_variable_linearized_rejects_unknown_route(sim1_cset):
-    p = ramp_problem(sim1_cset, n_steps=4)
-    with pytest.raises(ValueError):
-        run_variable_linearized(p, via="bogus")
