@@ -14,30 +14,58 @@ that width converges to a convolution source. Two forms are used:
     tau(t) = int_0^t alpha_hat, with alpha_hat the running-range average
     of the diffusivity and C = 2 d sqrt(phi_m k_m / pi).
 
-The quadrature integrates the kernel exactly against piecewise-constant
-data on arbitrary strictly increasing grids.  Both forms are one scheme:
-with the clock weights w_l = alpha^l dt^{l-1} (alpha = 1 for the fixed
-kernel) and suffix sums U^n_k = sum_{l=k}^n w_l,
-
-    I^n_k = 2 C w_k / (sqrt(U^n_k) + sqrt(U^n_{k+1})),   U^n_{n+1} = 0,
-
-which for alpha = 1 is the interval integral int_{t_k-1}^{t_k} C du /
-sqrt(t_n - u) = 2 C (sqrt(t_n - t_{k-1}) - sqrt(t_n - t_k)) in
-rationalized form (no cancellation deep in the history).  One step of
-the source separates the newest term,
+Both are one scheme on the clock increments w_l = alpha^l dt^{l-1}
+(alpha = 1 for the fixed kernel), tau_n = sum_{l<=n} w_l, with wall
+data piecewise constant in time.  One step separates the newest term,
 
     Q^{n+1/2} = -(impl / dt^n) (p^{n+1} - p^0) + expl,
-    impl = I^{n+1}_{n+1} = 2 C sqrt(w_{n+1}),
-    expl = (1/dt^n) sum_{k=1}^n D^n_k (p^k - p^0),  D^n_k = I^n_k - I^{n+1}_k,
+    expl = (1/dt^n) sum_{k=1}^n D^n_k (p^k - p^0),
 
-and sqrt_kernel_step is the only evaluation of it: the 0-d series below
-and the flood solver's per-cell source both call it.  On a uniform grid
-with alpha = 1, I^n_k depends only on n - k (shift invariance), giving
-the weights J_l = 2 C sqrt(dt) / (sqrt(l+1) + sqrt(l)).  The history
-weights D^n_k (k >= 1) are positive, and with the closing weight D^n_0
-they satisfy sum_k D^n_k = I^{n+1}_{n+1} = 2 C sqrt(dt^n).
-QuadratureTable and history_sum evaluate the fixed-clock weights row by
-row; they are kept as an independent reference for the shared step.
+where D^n_k = int over interval k of C (x^{-1/2} - (x + w_{n+1})^{-1/2}),
+x = tau_n - u, is the weight by which interval k's memory fades over the
+step.  MemorySource evaluates it in constant work per step:
+
+  * impl = 2 C sqrt(w_{n+1}) and the newest history interval,
+    D^n_n = 2 C (sqrt(w_n) - w_n / (sqrt(w_n + w_{n+1}) + sqrt(w_{n+1}))),
+    are exact;
+  * the older intervals (k <= n-1, lags x >= w_n) use a sum of
+    exponentials, 1/sqrt(x) ~ sum_j c_j exp(-s_j x), from the trapezoid
+    rule with step h in y of 1/sqrt(x) = pi^{-1/2} int exp(y/2 - x e^y) dy:
+    s_j = e^{y_j}, c_j = h e^{y_j/2} / sqrt(pi).  Then
+
+        D^n_k = C sum_j c_j (1 - e^{-s_j w_{n+1}}) e^{-s_j (tau_n - tau_k)}
+                (1 - e^{-s_j w_k}) / s_j,
+
+    a positive sum with no cancellation, and one decaying state per
+    exponential carries the whole older history:
+
+        H_j <- e^{-s_j w_{n+1}} (H_j + g_j(w_n) (p^n - p^0)),
+        g_j(w) = (1 - e^{-s_j w}) / s_j.
+
+The nodes are built once per run for a clock range [x_lo, x_hi]: the
+shortest increment a step may commit and the longest elapsed clock.  The
+rates run from s = tol^{2/3} / x_hi, below which a rate's share of any
+D^n_k is at most (s x_hi)^{3/2}, up to s = log(1/tol) / x_lo, above
+which exp(-s x) has decayed below tol on every older lag.  A step that
+commits an increment below x_lo, or a clock beyond x_hi, raises.  With
+h = 0.3 the aliasing error of the rule, 2 sqrt(2) exp(-pi^2 / h), is
+about 1.5e-14 relative, and a run costs O(N J) for N steps and J nodes
+(J ~ (log(x_hi / x_lo) + 25) / h).
+
+sqrt_kernel_step is the exact product quadrature of the same step: it
+integrates the kernel exactly against piecewise-constant data with the
+suffix sums U^n_k = sum_{l=k}^n w_l,
+
+    I^n_k = 2 C w_k / (sqrt(U^n_k) + sqrt(U^n_{k+1})),   U^n_{n+1} = 0,
+    D^n_k = I^n_k - I^{n+1}_k,
+
+rebuilding the history in O(n) per step.  It is kept as the reference
+that MemorySource is tested against, with QuadratureTable and
+history_sum as its own row-by-row oracle.  On a uniform grid with
+alpha = 1, I^n_k depends only on n - k (shift invariance), giving the
+weights J_l = 2 C sqrt(dt) / (sqrt(l+1) + sqrt(l)).  The history weights
+D^n_k (k >= 1) are positive, and with the closing weight D^n_0 they
+satisfy sum_k D^n_k = I^{n+1}_{n+1} = 2 C sqrt(dt^n).
 """
 from __future__ import annotations
 
@@ -162,14 +190,92 @@ def sqrt_kernel_step(times, wall_hist, alpha, constant: float):
     return impl, expl
 
 
+# Sum-of-exponentials rule: trapezoid step in y = log(rate), and the
+# neglected share of a weight at either end of the rates.
+_SOE_STEP = 0.3
+_SOE_TOL = 1.0e-14
+
+
+class MemorySource:
+    """Sum-of-exponentials state of the sqrt-kernel memory of a set of
+    cells; see the module docstring for the recursion.
+
+    step(dt, alpha) evaluates a trial step and commit(wall) accepts the
+    last trial with wall values p^{n+1}.  Both cost O(J m) for J nodes and
+    m cells, however long the history.  wall0 holds p^0 (a scalar or one
+    value per cell); [x_lo, x_hi] is the clock range the nodes cover.
+    """
+
+    def __init__(self, constant: float, wall0, x_lo: float, x_hi: float):
+        if not 0.0 < x_lo <= x_hi < np.inf:
+            raise ValueError(f"memory clock range [{x_lo!r}, {x_hi!r}] must "
+                             "satisfy 0 < x_lo <= x_hi < inf")
+        self.constant = float(constant)
+        self.wall0 = np.array(wall0, dtype=float)
+        self.x_lo, self.x_hi = float(x_lo), float(x_hi)
+        y_lo = np.log(_SOE_TOL ** (2.0 / 3.0) / x_hi)
+        y_hi = np.log(np.log(1.0 / _SOE_TOL) / x_lo)
+        y = y_lo + _SOE_STEP * np.arange(
+            int(np.ceil((y_hi - y_lo) / _SOE_STEP)) + 1)
+        self.rates = np.exp(y)
+        self.weights = _SOE_STEP * np.exp(0.5 * y) / np.sqrt(np.pi)
+        # H_j per cell, nodes last: shape wall0.shape + (J,)
+        self.state = np.zeros(self.wall0.shape + self.rates.shape)
+        self._clock = np.zeros(self.wall0.shape)
+        self._newest = None     # (w_n, p^n - p^0, g(w_n)) of interval n
+        self._trial = None      # (w_{n+1}, expm1(-s w_{n+1})) of the trial
+
+    def step(self, dt: float, alpha):
+        """(impl, expl) of the trial step with clock increment alpha dt,
+        as sqrt_kernel_step returns them for the same history."""
+        w = np.asarray(alpha, dtype=float) * dt
+        em1 = np.multiply.outer(w, -self.rates)
+        np.expm1(em1, out=em1)
+        self._trial = (w, em1)
+        c2 = 2.0 * self.constant
+        hist = -self.constant * np.einsum("...j,...j,j->...", em1,
+                                          self.state, self.weights)
+        if self._newest is not None:
+            w_n, dp_n, _ = self._newest
+            hist = hist + c2 * (np.sqrt(w_n) - w_n / (np.sqrt(w_n + w)
+                                                      + np.sqrt(w))) * dp_n
+        return c2 * np.sqrt(w), hist / dt
+
+    def commit(self, wall) -> None:
+        """Accept the last trial step, whose wall values are p^{n+1}."""
+        if self._trial is None:
+            raise ValueError("commit needs a trial step first")
+        w, em1 = self._trial
+        self._trial = None
+        clock = self._clock + w
+        if np.any(w < self.x_lo) or np.any(clock > self.x_hi):
+            raise ValueError(
+                f"clock increment {np.min(w):.6g} or elapsed clock "
+                f"{np.max(clock):.6g} outside the memory range "
+                f"[{self.x_lo:.6g}, {self.x_hi:.6g}]")
+        if self._newest is not None:
+            _, dp_n, gain = self._newest
+            self.state += gain * dp_n[..., None]
+        self.state *= em1 + 1.0
+        em1 /= -self.rates                      # now g(w_{n+1})
+        self._newest = (w, np.asarray(wall, dtype=float) - self.wall0, em1)
+        self._clock = clock
+
+
 def _kernel_series(wall_values, alpha_values, times, constant):
-    """Q^{n+1/2} for every interval, one sqrt_kernel_step per n."""
+    """Q^{n+1/2} for every interval, one MemorySource step per n."""
     p = np.asarray(wall_values, dtype=float)
-    out = np.empty(len(times) - 1)
-    for n in range(len(out)):
-        impl, expl = sqrt_kernel_step(times[:n + 2], p[:n + 1],
-                                      alpha_values[:n + 2], constant)
-        out[n] = -impl / (times[n + 1] - times[n]) * (p[n + 1] - p[0]) + expl
+    alpha = np.asarray(alpha_values, dtype=float)[1:]
+    dts = np.diff(times)
+    if not len(dts):
+        return np.empty(0)
+    w = alpha * dts
+    memory = MemorySource(constant, p[0], w.min(), np.cumsum(w)[-1])
+    out = np.empty(len(dts))
+    for n, dt in enumerate(dts):
+        impl, expl = memory.step(dt, alpha[n])
+        out[n] = -impl / dt * (p[n + 1] - p[0]) + expl
+        memory.commit(p[n + 1])
     return out
 
 
@@ -217,6 +323,6 @@ def exchange_warped_kernel(wall_values: np.ndarray, alpha_values: np.ndarray,
     alpha = np.asarray(alpha_values, dtype=float)
     if len(wall_values) != len(times) or len(alpha) != len(times):
         raise ValueError("wall and alpha values must sit on the time grid")
-    if (alpha < 0.0).any():
-        raise ValueError("alpha values must be nonnegative")
+    if not (alpha > 0.0).all():
+        raise ValueError("alpha values must be positive")
     return _kernel_series(wall_values, alpha, times, constant)

@@ -15,18 +15,30 @@ upwinded phase by phase on the sign of the phase-pressure difference
 Jacobian is analytic with the upwind choice held fixed per iteration.
 
 The matrix-exchange source Q_w is the sqrt-kernel convolution of the
-cell's own wall-value history p^k = transfer(S^k).  One step of it is
-effective.sqrt_kernel_step on the per-cell histories:
+cell's own wall-value history p^k = transfer(S^k), carried by one
+effective.MemorySource per run (one sum-of-exponentials state per node
+and cell, so a step costs the same however long the history):
 
     Q_w = -(impl / dt) (p(S_new) - p^0) + expl,   impl = 2 C sqrt(alpha dt),
 
-with expl collecting the history.  The fixed kernel is the case alpha = 1
-(one shared clock for all cells); the time-warped kernel uses
+with expl collecting the history: exact for the newest interval, from
+the decaying states for the older ones.  The fixed kernel is the case
+alpha = 1 (one shared clock for all cells); the time-warped kernel uses
 alpha = alpha_hat per cell, frozen at its beginning-of-step value
 (running extrema of the wall history), which keeps the Newton system
-well defined; the frozen value is committed to the history once the
-step is accepted.  Histories live on the realized (possibly substepped)
-time grid, so step halving stays consistent with the convolution.
+well defined.  _source_terms evaluates the trial step and _commit
+advances the memory once the step is accepted, so step halving stays
+consistent with the convolution.
+
+The memory's nodes cover the clock range [x_lo, x_hi] of the run: x_lo
+is half the shortest step a report interval can halve to (max_halvings
+times), x_hi twice the report span.  For the warped kernel both ends are
+scaled by the band alpha_hat can take: alpha_hat averages alpha over a
+range of wall values that contains the cell's p^0, so it lies between
+the extremes over x of range_diffusivity(min(x, p^0), max(x, p^0)) on
+the wall values the saturation clamp allows.  A step outside the range
+raises rather than losing accuracy.  The wall, alpha and saturation
+histories are kept as run outputs.
 """
 from __future__ import annotations
 
@@ -38,7 +50,7 @@ from scipy.sparse.linalg import splu
 
 from . import constitutive as con
 from .constitutive import ConstitutiveSet
-from .effective import sqrt_kernel_step
+from .effective import MemorySource
 from .imbibition import NewtonFailure
 
 
@@ -167,11 +179,13 @@ class FlowParams:
 
 @dataclass
 class FlowState:
-    """Current fields plus per-cell histories on the realized time grid."""
+    """Current fields, the source memory, and per-cell histories on the
+    realized time grid."""
 
     t: float
     saturation: np.ndarray
     pressure_n: np.ndarray
+    memory: MemorySource | None = None               # None without source
     times_hist: list = field(default_factory=list)
     wall_hist: list = field(default_factory=list)    # p^k = transfer(S^k)
     alpha_hist: list = field(default_factory=list)   # committed alpha-hat^k
@@ -404,24 +418,41 @@ class FractureFlowSolver:
 
     def _source_terms(self, state: FlowState, dt: float):
         """(impl, expl, wall_ref, alpha_new) such that the step's source is
-        Q_w = -(impl/dt) (transfer(S_new) - wall_ref) + expl."""
+        Q_w = -(impl/dt) (transfer(S_new) - wall_ref) + expl: the trial
+        step of state.memory, which _commit accepts."""
         par = self.params
         src = par.source
         if src.model == "none":
             zeros = np.zeros(self.grid.n_cells)
             return zeros, zeros, zeros, None
-        times = np.array(state.times_hist + [state.t + dt])
-        p_hist = np.stack(state.wall_hist)     # (n+1, m)
-        if src.model == "fixed":
-            alpha, a_new = 1.0, None
-        else:
-            # warped kernel: freeze alpha-hat at beginning-of-step extrema
-            a_new = np.asarray(con.range_diffusivity(
+        alpha, a_new = 1.0, None
+        if src.model == "warped":
+            # freeze alpha-hat at beginning-of-step extrema
+            a_new = alpha = np.asarray(con.range_diffusivity(
                 state.run_min, state.run_max, par.cset.matrix.vg,
                 par.cset.fluids, par.cset.matrix_table()), dtype=float)
-            alpha = np.stack(state.alpha_hist + [a_new])  # (n+2, m)
-        impl, expl = sqrt_kernel_step(times, p_hist, alpha, src.constant)
-        return impl, expl, p_hist[0], a_new
+        impl, expl = state.memory.step(dt, alpha)
+        return impl, expl, state.memory.wall0, a_new
+
+    def _memory(self, wall0, times) -> MemorySource | None:
+        """The run's source memory over the report grid times; see the
+        module docstring for its clock range."""
+        par = self.params
+        src = par.source
+        if src.model == "none":
+            return None
+        x_lo = 0.5 * np.diff(times).min() / 2 ** par.max_halvings
+        x_hi = 2.0 * (times[-1] - times[0])
+        if src.model == "warped":
+            cset = par.cset
+            x = np.asarray(cset.transfer(np.linspace(
+                par.s_clamp, 1.0 - par.s_clamp, 513)))
+            p0 = np.unique(wall0)[:, None]
+            band = np.asarray(con.range_diffusivity(
+                np.minimum(x, p0), np.maximum(x, p0), cset.matrix.vg,
+                cset.fluids, cset.matrix_table()))
+            x_lo, x_hi = x_lo * band.min(), x_hi * band.max()
+        return MemorySource(src.constant, wall0, x_lo, x_hi)
 
     def _try_step(self, state: FlowState, dt: float):
         par = self.params
@@ -472,11 +503,15 @@ class FractureFlowSolver:
         times = np.asarray(times, dtype=float)
         if s.shape != (m,) or pn.shape != (m,):
             raise ValueError("initial fields must match the cell count")
+        if len(times) < 2 or not (np.diff(times) > 0.0).all():
+            raise ValueError("report times must be strictly increasing, "
+                             "at least two")
 
         p_wall = np.asarray(par.cset.transfer(s))
         a0 = np.asarray(par.cset.matrix_alpha(p_wall), dtype=float)
         state = FlowState(
             t=float(times[0]), saturation=s, pressure_n=pn,
+            memory=self._memory(p_wall, times),
             times_hist=[float(times[0])], wall_hist=[p_wall],
             alpha_hist=[a0 * np.ones(m)],
             run_min=p_wall.copy(), run_max=p_wall.copy())
@@ -552,6 +587,8 @@ class FractureFlowSolver:
             sources.append(q_w)
         s_hist.append(s_new.copy())
 
+        if state.memory is not None:
+            state.memory.commit(p_wall)
         state.t += dt
         state.saturation = s_new
         state.pressure_n = pn_new

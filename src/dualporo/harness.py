@@ -14,6 +14,8 @@ configuration produce byte-identical files.
 from __future__ import annotations
 
 import dataclasses
+import math
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,13 +52,13 @@ class ScenarioConfig:
     mu_w: float = 1.0e-3
     mu_n: float = 2.0e-3
     dimension: int = 2
-    deltas: tuple = DEFAULT_DELTAS
+    deltas: tuple[float, ...] = DEFAULT_DELTAS
     trajectory: str = "ramp"
-    trajectory_args: dict = field(default_factory=dict)
+    trajectory_args: dict[str, float] = field(default_factory=dict)
     t_end_days: float = 10.0
     n_steps: int = 200
     mesh_cells: int = 64
-    methods: tuple = EXCHANGE_METHODS
+    methods: tuple[str, ...] = EXCHANGE_METHODS
 
     def cset(self) -> con.ConstitutiveSet:
         return con.ConstitutiveSet(
@@ -85,6 +87,14 @@ class ScenarioConfig:
                             mesh_cells=self.mesh_cells)
 
 
+# The parameters of each trajectory kind, with their defaults.
+TRAJECTORY_PARAMS = {
+    "ramp": {"start": 0.05, "slope_per_day": 0.1, "cap": 0.9},
+    "sine": {"mean": 0.5, "amp": 0.5, "period_days": 10.0},
+    "step": {"s_before": 0.05, "s_after": 0.95},
+}
+
+
 def make_trajectory(kind: str, **args):
     """Fracture-saturation drive S_f(t), t in seconds.
 
@@ -92,36 +102,39 @@ def make_trajectory(kind: str, **args):
     plateaus once the increment reaches cap.  "sine": mean + amp *
     sin(2 pi t_days / period_days), unclamped (endpoint saturations are
     handled by the constitutive clipping).  "step": jump at t = 0+.
+    Arguments not given take the defaults of TRAJECTORY_PARAMS; an
+    argument the kind does not take is rejected.
     """
+    if kind not in TRAJECTORY_PARAMS:
+        raise ValueError(f"unknown trajectory kind {kind!r}")
+    params = TRAJECTORY_PARAMS[kind]
+    unknown = set(args) - set(params)
+    if unknown:
+        raise ValueError(f"unknown trajectory_args for {kind!r}: "
+                         f"{sorted(unknown)}; it takes {sorted(params)}")
+    a = dict(params, **args)
     if kind == "ramp":
-        start = args.get("start", 0.05)
-        slope = args.get("slope_per_day", 0.1)
-        cap = args.get("cap", 0.9)
+        start, slope, cap = a["start"], a["slope_per_day"], a["cap"]
 
         def ramp(t):
             return start + min(slope * t / DAY, cap)
         return ramp
     if kind == "sine":
-        mean = args.get("mean", 0.5)
-        amp = args.get("amp", 0.5)
-        period_days = args.get("period_days", 10.0)
+        mean, amp, period_days = a["mean"], a["amp"], a["period_days"]
 
         def sine(t):
             return mean + amp * float(np.sin(2.0 * np.pi * t
                                              / (period_days * DAY)))
         return sine
-    if kind == "step":
-        s0 = args.get("s_before", 0.05)
-        s1 = args.get("s_after", 0.95)
+    s0, s1 = a["s_before"], a["s_after"]
 
-        def step(t):
-            return s1 if t > 0.0 else s0
-        return step
-    raise ValueError(f"unknown trajectory kind {kind!r}")
+    def step(t):
+        return s1 if t > 0.0 else s0
+    return step
 
 
-_RAMP_ARGS = {"start": 0.05, "slope_per_day": 0.1, "cap": 0.9}
-_SINE_ARGS = {"mean": 0.5, "amp": 0.5, "period_days": 10.0}
+_RAMP_ARGS = dict(TRAJECTORY_PARAMS["ramp"])
+_SINE_ARGS = dict(TRAJECTORY_PARAMS["sine"])
 
 PRESETS = {
     "sim1": ScenarioConfig(name="sim1", trajectory_args=_RAMP_ARGS),
@@ -147,23 +160,74 @@ def get_preset(name: str) -> ScenarioConfig:
                          f"{', '.join(list_presets())}") from None
 
 
+_TYPE_NAMES = {tuple: "a list", dict: "a mapping", float: "a finite number",
+               int: "an integer", str: "a string"}
+
+
+def _coerce(key: str, value, hint):
+    """value as the field type hint, or a one-line ValueError; an integer
+    is taken for a float."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        if isinstance(value, list):
+            return tuple(_coerce(key, v, args[0]) for v in value)
+    elif origin is dict:
+        if isinstance(value, dict):
+            return {k: _coerce(f"{key}.{k}", v, args[1])
+                    for k, v in value.items()}
+    elif isinstance(value, bool):
+        pass                            # YAML true/false is no number
+    elif hint is float:
+        if isinstance(value, (int, float)) and math.isfinite(value):
+            return float(value)
+    elif isinstance(value, hint):
+        return value
+    raise ValueError(f"{key} must be {_TYPE_NAMES[origin or hint]}, "
+                     f"not {value!r}")
+
+
+def _from_mapping(cls, raw):
+    """A ScenarioConfig or FloodConfig from a parsed YAML document.
+
+    The document is a mapping of field names to values of the field's
+    type.  A scenario may name a "preset" as its base; giving a trajectory
+    without trajectory_args resets them to that trajectory's defaults.
+    Everything else fails with a one-line ValueError, including
+    trajectory arguments the trajectory does not take and invalid media.
+    """
+    label = "config" if cls is ScenarioConfig else "flood config"
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        raise ValueError(f"{label} must be a mapping of keys, not a "
+                         f"{type(raw).__name__}")
+    raw = dict(raw)
+    base = cls(name="custom") if cls is ScenarioConfig else cls()
+    if cls is ScenarioConfig and "preset" in raw:
+        base = get_preset(_coerce("preset", raw.pop("preset"), str))
+    hints = typing.get_type_hints(cls)
+    unknown = set(raw) - set(hints)
+    if unknown:
+        raise ValueError(f"unknown {label} keys: {sorted(unknown)}")
+    values = {key: _coerce(key, value, hints[key])
+              for key, value in raw.items()}
+    if "trajectory" in values:
+        values.setdefault("trajectory_args", {})
+    cfg = dataclasses.replace(base, **values)
+    if cls is ScenarioConfig:
+        cfg.cset()                      # reject invalid media
+        cfg.boundary()                  # and trajectory arguments
+    return cfg
+
+
+def _read_yaml(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return yaml.safe_load(fh)
+
+
 def load_config(path: str) -> ScenarioConfig:
     """Build a scenario from a YAML file; a "preset" key selects the base
     configuration and the remaining keys override its fields."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
-    base = get_preset(raw.pop("preset")) if "preset" in raw else \
-        ScenarioConfig(name=raw.get("name", "custom"))
-    known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("deltas", "methods"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
-    cfg = dataclasses.replace(base, **raw)
-    cfg.cset()                          # reject invalid media at load time
-    return cfg
+    return _from_mapping(ScenarioConfig, _read_yaml(path))
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
@@ -332,7 +396,7 @@ class FloodConfig:
     pn_init: float = 1.0e6
     t_end_days: float = 10.0
     n_steps: int = 200
-    snapshot_days: tuple = (2.5, 5.0, 10.0)
+    snapshot_days: tuple[float, ...] = (2.5, 5.0, 10.0)
 
 
 def build_flood(cfg: FloodConfig):
@@ -364,15 +428,7 @@ def build_flood(cfg: FloodConfig):
 
 def load_flood_config(path: str) -> FloodConfig:
     """Build a flood configuration from a YAML file of FloodConfig keys."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
-    known = {f.name for f in dataclasses.fields(FloodConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown flood config keys: {sorted(unknown)}")
-    if "snapshot_days" in raw:
-        raw["snapshot_days"] = tuple(raw["snapshot_days"])
-    return dataclasses.replace(FloodConfig(), **raw)
+    return _from_mapping(FloodConfig, _read_yaml(path))
 
 
 def run_flood(cfg: FloodConfig, record_sources: bool = False) -> fv.FlowResult:

@@ -12,6 +12,8 @@ Oracles used here:
   * one step of the shared kernel equals the difference of two
     QuadratureTable rows on the warped clock tau_k = sum_l alpha^l dt^{l-1}
     (on t itself for the fixed clock);
+  * the sum-of-exponentials MemorySource reproduces that exact step over
+    a sequence of commits, on grids whose steps span six decades;
   * with constant alpha the warped model collapses to the fixed model
     with constant C sqrt(alpha); with variable alpha it equals the fixed
     model evaluated on the rescaled grid tau = cumsum(alpha dt), scaled
@@ -22,10 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualporo.effective import (QuadratureTable, exchange_fixed_kernel,
-                                exchange_warped_kernel, fixed_kernel_constant,
-                                history_sum, running_range_alpha,
-                                sqrt_kernel_step, warped_kernel_constant)
+from dualporo.effective import (MemorySource, QuadratureTable,
+                                exchange_fixed_kernel, exchange_warped_kernel,
+                                fixed_kernel_constant, history_sum,
+                                running_range_alpha, sqrt_kernel_step,
+                                warped_kernel_constant)
 from dualporo.timegrid import blocked_geometric_times
 
 
@@ -115,23 +118,24 @@ def test_table_validation_errors():
 
 # ---------------------------------------------------- shared kernel step
 
+def draw_array(draw, shape, lo, hi):
+    size = int(np.prod(shape))
+    values = draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size))
+    return np.array(values).reshape(shape)
+
+
 @st.composite
 def kernel_step_cases(draw):
     """Grid t_0..t_{n+1}, wall values p^0..p^{n+1} and clock rates
     alpha^0..alpha^{n+1} on m cells; alpha is None for the fixed clock."""
     n = draw(st.integers(0, 30))
     m = draw(st.sampled_from((1, 3)))
-
-    def array(shape, lo, hi):
-        size = int(np.prod(shape))
-        values = draw(st.lists(st.floats(lo, hi), min_size=size,
-                               max_size=size))
-        return np.array(values).reshape(shape)
-
     t0 = draw(st.floats(0.0, 10.0))
-    times = t0 + np.concatenate(([0.0], np.cumsum(array(n + 1, 0.05, 1.0))))
-    wall = array((n + 2, m), 0.0, 1.0)
-    alpha = None if draw(st.booleans()) else array((n + 2, m), 0.2, 5.0)
+    steps = draw_array(draw, n + 1, 0.05, 1.0)
+    times = t0 + np.concatenate(([0.0], np.cumsum(steps)))
+    wall = draw_array(draw, (n + 2, m), 0.0, 1.0)
+    alpha = None if draw(st.booleans()) \
+        else draw_array(draw, (n + 2, m), 0.2, 5.0)
     return times, wall, alpha
 
 
@@ -162,6 +166,65 @@ def test_sqrt_kernel_step_matches_quadrature_rows(case):
         assert abs(q[j] - ref) <= 1e-12 * scale
         assert np.broadcast_to(impl, (m,))[j] \
             == pytest.approx(row_next[n], rel=1e-12)
+
+
+# ------------------------------------------------ sum-of-exponentials
+
+@st.composite
+def memory_cases(draw):
+    """Grid t_0..t_N with steps over six decades, wall values p^0..p^N and
+    clock rates alpha^0..alpha^N on m cells; alpha is None for the fixed
+    clock."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.sampled_from((1, 3)))
+    steps = 10.0 ** draw_array(draw, n, -3.0, 3.0)
+    times = np.concatenate(([0.0], np.cumsum(steps)))
+    wall = draw_array(draw, (n + 1, m), 0.0, 1.0)
+    alpha = None if draw(st.booleans()) \
+        else draw_array(draw, (n + 1, m), 0.2, 5.0)
+    return times, wall, alpha
+
+
+@settings(max_examples=150, deadline=None)
+@given(memory_cases())
+def test_memory_source_matches_exact_step(case):
+    times, wall, alpha = case
+    c = 0.8
+    dts = np.diff(times)
+    rates = np.ones((len(times), 1)) if alpha is None else alpha
+    w = rates[1:] * dts[:, None]
+    memory = MemorySource(c, wall[0], w.min(), np.cumsum(w, axis=0)[-1].max())
+    got, ref = [], []
+    for n, dt in enumerate(dts):
+        impl, expl = memory.step(dt, 1.0 if alpha is None else alpha[n + 1])
+        impl_ref, expl_ref = sqrt_kernel_step(
+            times[:n + 2], wall[:n + 1],
+            1.0 if alpha is None else alpha[:n + 2], c)
+        assert np.allclose(impl, impl_ref, rtol=1e-15, atol=0.0)
+        got.append(expl)
+        ref.append(expl_ref)
+        memory.commit(wall[n + 1])
+    got, ref = np.array(got), np.array(ref)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_memory_source_rejects_steps_outside_its_range():
+    with pytest.raises(ValueError):
+        MemorySource(1.0, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        MemorySource(1.0, 0.0, 2.0, 1.0)
+    memory = MemorySource(1.0, np.zeros(2), 1.0, 10.0)
+    with pytest.raises(ValueError, match="trial step"):
+        memory.commit(np.ones(2))
+    memory.step(0.5, 1.0)                  # increment below x_lo
+    with pytest.raises(ValueError, match="outside the memory range"):
+        memory.commit(np.ones(2))
+    for _ in range(2):
+        memory.step(4.0, 1.0)
+        memory.commit(np.ones(2))
+    memory.step(1.0, np.array([1.0, 3.0]))   # second cell's clock: 11
+    with pytest.raises(ValueError, match="outside the memory range"):
+        memory.commit(np.ones(2))
 
 
 # ------------------------------------------------------- fixed kernel

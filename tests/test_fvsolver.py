@@ -8,8 +8,9 @@ Oracles used here:
     finite differences of the assembled residual, for all three source
     models, on a grid with mixed boundary conditions and a fabricated
     convolution history;
-  * the per-step sources realized by the solver must agree with the
-    standalone kernel evaluators applied to the recorded wall and alpha
+  * the per-step sources realized by the solver's sum-of-exponentials
+    memory must agree with the exact product quadrature
+    (effective.sqrt_kernel_step) applied to the recorded wall and alpha
     histories (dual route to the same convolution);
   * with a degenerate running range the warped source collapses onto the
     fixed source with matched constant C_fixed = C_warped sqrt(alpha);
@@ -25,8 +26,8 @@ import numpy as np
 import pytest
 
 from dualporo import constitutive as con
-from dualporo.effective import (exchange_fixed_kernel, exchange_warped_kernel,
-                                fixed_kernel_constant, warped_kernel_constant)
+from dualporo.effective import (MemorySource, fixed_kernel_constant,
+                                sqrt_kernel_step, warped_kernel_constant)
 from dualporo.fvsolver import (BoundarySpec, FlowParams, FlowState,
                                FractureFlowSolver, SourceSpec, build_grid,
                                effective_permeability, upwind_phase_mobility)
@@ -173,14 +174,26 @@ def test_zero_constant_source_matches_source_free_run(sim1_cset):
 
 # ---------------------------------------------------------------- Jacobian
 
-def fabricated_state(rng, cset, m, t_hist=(0.0, 600.0, 1250.0)):
+def fabricated_state(rng, cset, m, source, t_hist=(0.0, 600.0, 1250.0),
+                     alpha=None):
+    """A mid-run state whose source memory is built by committing its
+    random wall history; the warped clock runs at alpha (default: the
+    pointwise diffusivity of each wall value)."""
     walls = [np.asarray(cset.transfer(rng.uniform(0.2, 0.8, m)))
              for _ in t_hist]
-    alphas = [np.asarray(cset.matrix_alpha(w)) for w in walls]
+    alphas = [np.asarray(cset.matrix_alpha(w)) if alpha is None
+              else np.full(m, alpha) for w in walls]
+    memory = None
+    if source.model != "none":
+        memory = MemorySource(source.constant, walls[0], 1.0, 1e12)
+        for k in range(1, len(t_hist)):
+            memory.step(t_hist[k] - t_hist[k - 1],
+                        1.0 if source.model == "fixed" else alphas[k])
+            memory.commit(walls[k])
     return FlowState(t=t_hist[-1], saturation=rng.uniform(0.2, 0.8, m),
                      pressure_n=1e6 + rng.uniform(-1e5, 1e5, m),
-                     times_hist=list(t_hist), wall_hist=walls,
-                     alpha_hist=alphas,
+                     memory=memory, times_hist=list(t_hist),
+                     wall_hist=walls, alpha_hist=alphas,
                      run_min=np.minimum.reduce(walls),
                      run_max=np.maximum.reduce(walls))
 
@@ -200,7 +213,7 @@ def test_jacobian_matches_finite_differences(sim1_cset):
     for source in sources:
         solver = FractureFlowSolver(grid, make_params(sim1_cset, source),
                                     bcs)
-        state = fabricated_state(rng, sim1_cset, m)
+        state = fabricated_state(rng, sim1_cset, m, source)
         dt = 700.0
         impl, expl, wall_ref, _ = solver._source_terms(state, dt)
         s = rng.uniform(0.15, 0.85, m)
@@ -233,6 +246,19 @@ def test_jacobian_matches_finite_differences(sim1_cset):
 
 # ------------------------------------------------------------ source terms
 
+def exact_sources(wall, alpha, times, constant):
+    """Q^{n+1/2} per interval and cell from the exact product quadrature;
+    alpha is a scalar clock rate or one row per sample."""
+    out = np.empty((len(times) - 1,) + wall.shape[1:])
+    for n in range(len(out)):
+        a = alpha if np.isscalar(alpha) else alpha[:n + 2]
+        impl, expl = sqrt_kernel_step(times[:n + 2], wall[:n + 1], a,
+                                      constant)
+        out[n] = -impl / (times[n + 1] - times[n]) \
+            * (wall[n + 1] - wall[0]) + expl
+    return out
+
+
 def test_recorded_sources_match_standalone_evaluators(sim1_cset):
     grid = build_grid(6, 4, lx=10.0, ly=10.0)
     bcs = {"xmax": BoundarySpec("dirichlet", saturation=0.6,
@@ -243,21 +269,13 @@ def test_recorded_sources_match_standalone_evaluators(sim1_cset):
         solver = FractureFlowSolver(
             grid, make_params(sim1_cset, SourceSpec(model, cval)), bcs)
         res = solver.run(0.05, 1e6, times, record_sources=True)
-        th = res.times_hist
+        alpha = 1.0 if model == "fixed" else res.alpha_history
+        ref = exact_sources(res.wall_history, alpha, res.times_hist, cval)
         scale = np.abs(res.source_history).max()
-        for i in range(grid.n_cells):
-            if model == "fixed":
-                ref = exchange_fixed_kernel(res.wall_history[:, i], th, cval)
-            else:
-                ref = exchange_warped_kernel(res.wall_history[:, i],
-                                             res.alpha_history[:, i], th,
-                                             cval)
-            assert np.abs(res.source_history[:, i] - ref).max() \
-                <= 1e-12 * scale
+        assert np.abs(res.source_history - ref).max() <= 1e-12 * scale
 
 
 def test_warped_source_with_frozen_range_reduces_to_fixed(sim1_cset):
-    rng = np.random.default_rng(11)
     grid = build_grid(3, 2, lx=3.0, ly=2.0)
     m = grid.n_cells
     p_star = np.full(m, 0.55)
@@ -265,18 +283,21 @@ def test_warped_source_with_frozen_range_reduces_to_fixed(sim1_cset):
     c_warp = warped_constant(sim1_cset)
     c_fixed_matched = c_warp * np.sqrt(a)
 
-    state = fabricated_state(rng, sim1_cset, m)
-    state.run_min = p_star.copy()
-    state.run_max = p_star.copy()
-    state.alpha_hist = [np.full(m, a) for _ in state.times_hist]
+    warp_source = SourceSpec("warped", c_warp)
+    fixed_source = SourceSpec("fixed", c_fixed_matched)
+    # the same random history on the two clocks
+    states = [fabricated_state(np.random.default_rng(11), sim1_cset, m,
+                               source, alpha=a)
+              for source in (warp_source, fixed_source)]
+    for state in states:
+        state.run_min = p_star.copy()
+        state.run_max = p_star.copy()
 
     dt = 700.0
-    warp = FractureFlowSolver(
-        grid, make_params(sim1_cset, SourceSpec("warped", c_warp)))
-    fixed = FractureFlowSolver(
-        grid, make_params(sim1_cset, SourceSpec("fixed", c_fixed_matched)))
-    impl_w, expl_w, ref_w, a_new = warp._source_terms(state, dt)
-    impl_f, expl_f, ref_f, _ = fixed._source_terms(state, dt)
+    warp = FractureFlowSolver(grid, make_params(sim1_cset, warp_source))
+    fixed = FractureFlowSolver(grid, make_params(sim1_cset, fixed_source))
+    impl_w, expl_w, ref_w, a_new = warp._source_terms(states[0], dt)
+    impl_f, expl_f, ref_f, _ = fixed._source_terms(states[1], dt)
     assert np.allclose(a_new, a, rtol=1e-14)
     assert np.allclose(impl_w, impl_f, rtol=1e-13)
     assert np.array_equal(ref_w, ref_f)
@@ -351,6 +372,8 @@ def test_solver_validation_errors(sim1_cset):
     solver = FractureFlowSolver(grid, make_params(sim1_cset))
     with pytest.raises(ValueError):
         solver.run(np.zeros(3), 1e6, np.linspace(0.0, 1.0, 3))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        solver.run(0.4, 1e6, np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         BoundarySpec("osmosis")
     with pytest.raises(ValueError):

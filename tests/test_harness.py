@@ -400,7 +400,13 @@ def test_cli_error_paths_exit_nonzero(tmp_path, capsys):
     ("run", {"preset": "nosuch"}),
     ("run", {"preset": "sim1", "matrix_permeability": float("nan"),
              "methods": ["effective-I"]}),
-], ids=["bogus-source-model", "unknown-preset", "nan-permeability"])
+    ("run", ["sim1"]),
+    ("run", {"preset": "sim1", "deltas": "0.1"}),
+    ("run", {"preset": "sim1", "trajectory_args": {"slope": 5.0}}),
+    ("effective-run", {"nx": "12"}),
+], ids=["bogus-source-model", "unknown-preset", "nan-permeability",
+        "list-document", "string-deltas", "unknown-trajectory-arg",
+        "string-cell-count"])
 def test_cli_config_errors_exit_with_one_line(tmp_path, capsys, verb,
                                               config):
     cfgfile = tmp_path / "config.yaml"
