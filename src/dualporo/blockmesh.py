@@ -1,16 +1,24 @@
-"""Boundary-layer-graded tensor meshes for the matrix block problems.
+"""Tensor-product finite-volume meshes for the block and the flood.
+
+Both problems use cell-centred two-point flux finite volumes on tensor
+grids.  product_mesh builds the one mesh type, TensorMesh, from one 1D
+node array per axis: cell volumes and centres, the interior faces with
+their transmissibilities (face area / centre distance), and the named
+walls xmin .. zmax with their half-cell transmissibilities (face area /
+distance from centre to wall).  The flood mesh is the product of uniform
+axes; the block mesh is the d-fold product of one graded 1D grid.
 
 The imbibition solution lives in thin layers along the block walls (the
 diffusion length sqrt(a*t) is orders of magnitude below the block edge for
-small fracture widths), so the 1D node distribution is graded
+small fracture widths), so the block's 1D node distribution is graded
 exponentially toward both ends of the interval and uniform in the middle.
-Tensor products of one such 1D grid build the d-dimensional cube mesh,
-d in {1, 2, 3}, with two-point flux transmissibilities (Dirichlet walls
-handled through half-cell transmissibilities).
+tensor_mesh turns the faces and walls of the cube mesh, d in {1, 2, 3},
+into the block's BlockMesh: cells, diffusion operator and the weights of
+the Dirichlet value on all walls.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,10 +55,6 @@ class GradedGrid1D:
     @property
     def widths(self) -> np.ndarray:
         return np.diff(self.nodes)
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
 
 def graded_interval(n_cells: int, length: float, layer_width: float,
@@ -104,16 +108,107 @@ def layer_adapted_grid(n_cells: int, delta: float, diffusion_scale: float,
     return graded_interval(n_cells, length, sigma, grading)
 
 
-def dump_grid(grid: GradedGrid1D, path) -> None:
-    """Plain-text node dump, one coordinate per line."""
-    with open(path, "w") as fh:
-        for x in grid.nodes:
-            fh.write(f"{float(x)!r}\n")
+_AXES = "xyz"
 
 
-@dataclass
-class BlockMesh:
-    """Tensor-product cube mesh with two-point flux data.
+@dataclass(frozen=True)
+class _Cells:
+    """Cells of a tensor-product box mesh, numbered in C order over the
+    axes (the last axis fastest)."""
+
+    dimension: int
+    volumes: np.ndarray
+    centers: np.ndarray
+
+    @property
+    def n_cells(self) -> int:
+        return len(self.volumes)
+
+    @property
+    def total_volume(self) -> float:
+        return float(self.volumes.sum())
+
+
+@dataclass(frozen=True)
+class TensorMesh(_Cells):
+    """Two-point flux data of a tensor-product box mesh, shape cells per
+    axis.
+
+    Interior faces are listed axis by axis as (lower cell, higher cell,
+    area / centre distance).  boundary maps each wall, "xmin" .. "zmax",
+    to its cells, their half-cell transmissibilities (area / distance
+    from centre to wall) and their face areas.  A direction without an
+    axis has unit extent.
+    """
+
+    shape: tuple
+    face_left: np.ndarray
+    face_right: np.ndarray
+    face_trans: np.ndarray
+    boundary: dict
+
+
+def product_mesh(axes) -> TensorMesh:
+    """Tensor mesh of one strictly increasing node array per axis."""
+    nodes = [np.asarray(x, dtype=float) for x in axes]
+    if not 1 <= len(nodes) <= 3:
+        raise ValueError("a tensor mesh has one to three axes")
+    if any(x.ndim != 1 or len(x) < 2 or not (np.diff(x) > 0.0).all()
+           for x in nodes):
+        raise ValueError("each axis needs at least two increasing nodes")
+    dim = len(nodes)
+    widths = [np.diff(x) for x in nodes]
+    mids = [0.5 * (x[:-1] + x[1:]) for x in nodes]
+    shape = tuple(len(w) for w in widths)
+
+    vol = widths[0]
+    for w in widths[1:]:
+        vol = np.multiply.outer(vol, w)
+    idx = np.arange(vol.size).reshape(shape)
+
+    left, right, trans, boundary = [], [], [], {}
+    for axis in range(dim):
+        # cross-sectional area of a face normal to `axis`
+        cross = np.ones(shape)
+        for other in range(dim):
+            if other != axis:
+                sh = [1] * dim
+                sh[other] = shape[other]
+                cross = cross * widths[other].reshape(sh)
+
+        n = shape[axis]
+        lo = [slice(None)] * dim
+        hi = [slice(None)] * dim
+        lo[axis] = slice(0, n - 1)
+        hi[axis] = slice(1, n)
+        sh = [1] * dim
+        sh[axis] = n - 1
+        dist = (mids[axis][1:] - mids[axis][:-1]).reshape(sh)
+        left.append(idx[tuple(lo)].reshape(-1))
+        right.append(idx[tuple(hi)].reshape(-1))
+        trans.append((cross[tuple(lo)] / dist).reshape(-1))
+
+        for side, cell, half in (
+                ("min", 0, mids[axis][0] - nodes[axis][0]),
+                ("max", n - 1, nodes[axis][-1] - mids[axis][-1])):
+            sl = [slice(None)] * dim
+            sl[axis] = cell
+            area = cross[tuple(sl)].reshape(-1)
+            boundary[_AXES[axis] + side] = (idx[tuple(sl)].reshape(-1),
+                                            area / half, area)
+
+    grids = np.meshgrid(*mids, indexing="ij")
+    centers = np.stack([g.reshape(-1) for g in grids], axis=1)
+    return TensorMesh(dimension=dim, shape=shape, volumes=vol.reshape(-1),
+                      centers=centers, face_left=np.concatenate(left),
+                      face_right=np.concatenate(right),
+                      face_trans=np.concatenate(trans), boundary=boundary)
+
+
+@dataclass(frozen=True)
+class BlockMesh(_Cells):
+    """Cube mesh of one graded 1D grid with its diffusion operator, built
+    from the faces and walls of the cube's TensorMesh.
 
     diffusion_matrix applies sum_faces T*(v_nb - v_i) per cell for interior
     faces and subtracts the Dirichlet coupling T_b*v_i on wall cells;
@@ -123,73 +218,31 @@ class BlockMesh:
     """
 
     grid: GradedGrid1D
-    dimension: int
-    volumes: np.ndarray
-    centers: np.ndarray
     diffusion_matrix: sp.csr_matrix
     boundary_weights: np.ndarray
-    total_volume: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.total_volume = float(self.volumes.sum())
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.volumes)
 
 
 def tensor_mesh(grid: GradedGrid1D, dimension: int) -> BlockMesh:
     """Build the d-dimensional cube mesh from one 1D grid per axis."""
     if dimension not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2, or 3")
-    w = grid.widths
-    c = grid.centers
-    n = grid.n_cells
-    shape = (n,) * dimension
-
-    axes = [w] * dimension
-    vol = axes[0]
-    for a in axes[1:]:
-        vol = np.multiply.outer(vol, a)
-    volumes = vol.reshape(-1)
-
-    idx = np.arange(n ** dimension).reshape(shape)
+    mesh = product_mesh([grid.nodes] * dimension)
+    m = mesh.n_cells
+    per_axis = m // grid.n_cells * (grid.n_cells - 1)
     rows, cols, vals = [], [], []
-    bweights = np.zeros(n ** dimension)
-
+    bweights = np.zeros(m)
+    # entries axis by axis, interior faces before that axis's two walls:
+    # the order in which tocsr sums each diagonal
     for axis in range(dimension):
-        # cross-sectional area of a face normal to `axis`
-        cross = np.ones(shape)
-        for other in range(dimension):
-            if other == axis:
-                continue
-            sh = [1] * dimension
-            sh[other] = n
-            cross = cross * w.reshape(sh)
-
-        lo = [slice(None)] * dimension
-        hi = [slice(None)] * dimension
-        lo[axis] = slice(0, n - 1)
-        hi[axis] = slice(1, n)
-        left = idx[tuple(lo)].reshape(-1)
-        right = idx[tuple(hi)].reshape(-1)
-        dist = c[1:] - c[:-1]
-        sh = [1] * dimension
-        sh[axis] = n - 1
-        t_int = (cross[tuple(lo)] / np.broadcast_to(
-            dist.reshape(sh), cross[tuple(lo)].shape)).reshape(-1)
+        faces = slice(axis * per_axis, (axis + 1) * per_axis)
+        left = mesh.face_left[faces]
+        right = mesh.face_right[faces]
+        t_int = mesh.face_trans[faces]
         rows += [left, right, left, right]
         cols += [right, left, left, right]
         vals += [t_int, t_int, -t_int, -t_int]
-
-        # Dirichlet walls: half-cell transmissibility area/(w/2)
-        for side, cell_slice in ((0, 0), (1, n - 1)):
-            sl = [slice(None)] * dimension
-            sl[axis] = cell_slice
-            cells = idx[tuple(sl)].reshape(-1)
-            half = (c[cell_slice] - grid.nodes[cell_slice]) if side == 0 \
-                else (grid.nodes[-1] - c[cell_slice])
-            t_b = cross[tuple(sl)].reshape(-1) / half
+        for side in ("min", "max"):
+            cells, t_b, _ = mesh.boundary[_AXES[axis] + side]
             np.add.at(bweights, cells, t_b)
             rows.append(cells)
             cols.append(cells)
@@ -198,10 +251,9 @@ def tensor_mesh(grid: GradedGrid1D, dimension: int) -> BlockMesh:
     mat = sp.coo_matrix(
         (np.concatenate(vals),
          (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n ** dimension, n ** dimension)).tocsr()
-
-    grids = np.meshgrid(*([c] * dimension), indexing="ij")
-    centers = np.stack([g.reshape(-1) for g in grids], axis=1)
-    return BlockMesh(grid=grid, dimension=dimension, volumes=volumes,
-                     centers=centers, diffusion_matrix=mat,
+        shape=(m, m)).tocsr()
+    # the block keeps only what its solvers read: retaining the faces and
+    # walls of every block mesh raised the block runs' peak memory
+    return BlockMesh(dimension=dimension, volumes=mesh.volumes,
+                     centers=mesh.centers, grid=grid, diffusion_matrix=mat,
                      boundary_weights=bweights)

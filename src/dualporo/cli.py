@@ -70,8 +70,8 @@ def cmd_run(args) -> int:
         overrides["n_steps"] = args.steps
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    os.makedirs(args.outdir, exist_ok=True)
     results = hz.run_comparison(cfg)
+    os.makedirs(args.outdir, exist_ok=True)
     outputs = []
     for key in sorted(results):
         fname = _series_filename(*key)

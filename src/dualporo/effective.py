@@ -85,11 +85,9 @@ def fixed_kernel_constant(dimension: int, porosity: float,
 
 
 def warped_kernel_constant(dimension: int, porosity: float,
-                           permeability: float,
-                           dimension_factor: bool = True) -> float:
-    """C = 2 d sqrt(phi_m k_m / pi); dimension_factor=False drops the d."""
-    d = dimension if dimension_factor else 1
-    return 2.0 * d * np.sqrt(porosity * permeability / np.pi)
+                           permeability: float) -> float:
+    """C = 2 d sqrt(phi_m k_m / pi)."""
+    return 2.0 * dimension * np.sqrt(porosity * permeability / np.pi)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Finite-volume solver for the effective fracture-system two-phase flow.
 
-Cell-centered two-point flux scheme on a uniform structured grid (1D/2D)
+Cell-centered two-point flux scheme on a uniform tensor mesh (1D/2D)
 for
 
     phi_f dS/dt - div(k* lam_w(S) grad P_w) = Q_w,
@@ -13,6 +13,13 @@ capillary closure holds exactly by construction.  Face mobilities are
 upwinded phase by phase on the sign of the phase-pressure difference
 (ties take the lower cell index; the flux vanishes there anyway), and the
 Jacobian is analytic with the upwind choice held fixed per iteration.
+
+build_grid makes the mesh with blockmesh.product_mesh, the builder of
+the matrix block's mesh, so the two problems share one mesh type and one
+transmissibility rule.  Boundary conditions attach to the mesh's named
+walls (xmin .. ymax).  assemble returns the into-domain boundary rates
+with the residual, so an accepted step's mass balance reads the fluxes
+of its converged iterate from the one boundary-flux formula.
 
 The matrix-exchange source Q_w is the sqrt-kernel convolution of the
 cell's own wall-value history p^k = transfer(S^k), carried by one
@@ -49,6 +56,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import constitutive as con
+from .blockmesh import TensorMesh, product_mesh
 from .constitutive import ConstitutiveSet
 from .effective import MemorySource
 from .imbibition import NewtonFailure
@@ -59,74 +67,16 @@ def effective_permeability(k_f: float, dimension: int) -> float:
     return k_f * (dimension - 1) / dimension
 
 
-@dataclass(frozen=True)
-class StructuredGrid:
-    """Uniform cell-centered grid; unit thickness in suppressed directions.
-
-    Cells are numbered x-fastest-last: flat index = ix * ny + iy.  Interior
-    faces store (lower cell, higher cell, area / center distance); each
-    boundary side stores its cell row, the half-cell transmissibility
-    area / (h/2), and the per-cell face area.
-    """
-
-    dimension: int
-    shape: tuple
-    lengths: tuple
-    cell_volume: float
-    centers: np.ndarray
-    face_left: np.ndarray
-    face_right: np.ndarray
-    face_trans: np.ndarray
-    boundary: dict
-
-    @property
-    def n_cells(self) -> int:
-        return int(np.prod(self.shape))
-
-
 def build_grid(nx: int, ny: int = 1, lx: float = 1.0,
-               ly: float = 1.0) -> StructuredGrid:
-    dimension = 1 if ny == 1 else 2
+               ly: float = 1.0) -> TensorMesh:
+    """Uniform nx x ny mesh of [0, lx] x [0, ly]; ny = 1 gives the 1D
+    mesh of [0, lx], unit extent across."""
     if nx < 1 or ny < 1:
         raise ValueError("grid must have at least one cell per direction")
-    if dimension == 1:
-        ly = 1.0
-    hx, hy = lx / nx, ly / ny
-    idx = np.arange(nx * ny).reshape(nx, ny)
-
-    fl, fr, ft = [], [], []
-    if nx > 1:                                   # faces normal to x
-        fl.append(idx[:-1, :].reshape(-1))
-        fr.append(idx[1:, :].reshape(-1))
-        ft.append(np.full((nx - 1) * ny, hy / hx))
-    if ny > 1:                                   # faces normal to y
-        fl.append(idx[:, :-1].reshape(-1))
-        fr.append(idx[:, 1:].reshape(-1))
-        ft.append(np.full(nx * (ny - 1), hx / hy))
-    empty_i = np.empty(0, dtype=int)
-    face_left = np.concatenate(fl) if fl else empty_i
-    face_right = np.concatenate(fr) if fr else empty_i
-    face_trans = np.concatenate(ft) if ft else np.empty(0)
-
-    boundary = {
-        "xmin": (idx[0, :].copy(), 2.0 * hy / hx, hy),
-        "xmax": (idx[-1, :].copy(), 2.0 * hy / hx, hy),
-    }
+    axes = [np.linspace(0.0, lx, nx + 1)]
     if ny > 1:
-        boundary["ymin"] = (idx[:, 0].copy(), 2.0 * hx / hy, hx)
-        boundary["ymax"] = (idx[:, -1].copy(), 2.0 * hx / hy, hx)
-
-    xc = (np.arange(nx) + 0.5) * hx
-    yc = (np.arange(ny) + 0.5) * hy
-    gx, gy = np.meshgrid(xc, yc, indexing="ij")
-    centers = np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
-    if dimension == 1:
-        centers = centers[:, :1]
-    return StructuredGrid(dimension=dimension, shape=(nx, ny),
-                          lengths=(lx, ly), cell_volume=hx * hy,
-                          centers=centers, face_left=face_left,
-                          face_right=face_right, face_trans=face_trans,
-                          boundary=boundary)
+        axes.append(np.linspace(0.0, ly, ny + 1))
+    return product_mesh(axes)
 
 
 @dataclass(frozen=True)
@@ -213,7 +163,7 @@ class _DirichletGhost:
 class _Assembler:
     """Residuals and analytic Jacobian for one implicit step."""
 
-    def __init__(self, grid: StructuredGrid, params: FlowParams, bcs: dict):
+    def __init__(self, grid: TensorMesh, params: FlowParams, bcs: dict):
         unknown = set(bcs) - set(grid.boundary)
         if unknown:
             raise ValueError(f"boundary sides not on this grid: {unknown}")
@@ -233,7 +183,8 @@ class _Assembler:
                     lam_w=float(lw), lam_n=float(ln))
 
     def assemble(self, s, pn, s_old, dt, impl, expl, wall_ref):
-        """Residual vector (R_w, R_n) and Jacobian at the iterate (s, pn).
+        """Residual vector (R_w, R_n), Jacobian and the into-domain
+        boundary rates (wetting, nonwetting) at the iterate (s, pn).
 
         The source enters as Q_w = -(impl/dt) (transfer(s) - wall_ref)
         + expl, all per-cell arrays.
@@ -241,7 +192,7 @@ class _Assembler:
         g = self.grid
         par = self.params
         m = g.n_cells
-        vol = g.cell_volume
+        vol = g.volumes
         kst = par.k_star
         cset = par.cset
         vg = cset.fracture.vg
@@ -269,8 +220,8 @@ class _Assembler:
             vals.append(np.asarray(v, dtype=float).ravel())
 
         cells = np.arange(m)
-        add(cells, cells, np.full(m, acc) - vol * dq_w)       # dR_w/dS
-        add(cells + m, cells, np.full(m, -acc) + vol * dq_w)  # dR_n/dS
+        add(cells, cells, acc - vol * dq_w)                   # dR_w/dS
+        add(cells + m, cells, -acc + vol * dq_w)              # dR_n/dS
 
         kl, kr = g.face_left, g.face_right
         if len(kl):
@@ -300,12 +251,15 @@ class _Assembler:
                     add(kr + roff, kl, tk * lam_f * dpc[kl])
                     add(kr + roff, kr, -tk * lam_f * dpc[kr])
 
+        rates = [0.0, 0.0]             # into the domain: wetting, nonwetting
         for side, (bcells, btr, area) in g.boundary.items():
             bc = self.bcs[side]
             if bc.kind == "noflow":
                 continue
             if bc.kind == "inflow":
-                r_w[bcells] -= bc.wetting_rate * area
+                inflow = bc.wetting_rate * area
+                r_w[bcells] -= inflow
+                rates[0] += float(inflow.sum())
                 continue
             ghost = self.ghosts[side]
             tk = kst * btr
@@ -319,6 +273,7 @@ class _Assembler:
                 flux = tk * lam_f * dp                 # into the cell
                 r_ph = r_w if roff == 0 else r_n
                 np.add.at(r_ph, bcells, -flux)
+                rates[0 if roff == 0 else 1] += float(flux.sum())
                 add(bcells + roff, bcells + m, tk * lam_f)
                 add(bcells + roff, bcells,
                     -tk * np.where(cell_up, dlam[bcells], 0.0) * dp)
@@ -329,38 +284,7 @@ class _Assembler:
             (np.concatenate(vals), (np.concatenate(rows),
                                     np.concatenate(cols))),
             shape=(2 * m, 2 * m)).tocsc()
-        return np.concatenate((r_w, r_n)), jac
-
-    def boundary_rates(self, s, pn):
-        """Into-domain volumetric boundary rates (wetting, nonwetting),
-        evaluated with the same formulas the residual uses."""
-        g = self.grid
-        par = self.params
-        vg = par.cset.fracture.vg
-        pw = pn - np.asarray(con.capillary_pressure(s, vg))
-        lam_w, lam_n, _ = con.mobilities(s, vg, par.cset.fluids)
-        rate_w = rate_n = 0.0
-        for side, (bcells, btr, area) in g.boundary.items():
-            bc = self.bcs[side]
-            if bc.kind == "noflow":
-                continue
-            if bc.kind == "inflow":
-                rate_w += bc.wetting_rate * area * len(bcells)
-                continue
-            ghost = self.ghosts[side]
-            tk = par.k_star * btr
-            for pres, lam, lam_b, p_b, is_w in (
-                    (pw, lam_w, ghost.lam_w, ghost.pw, True),
-                    (pn, lam_n, ghost.lam_n, ghost.pn, False)):
-                lam_f, _ = upwind_phase_mobility(
-                    pres[bcells], p_b, lam[bcells],
-                    np.full(len(bcells), lam_b))
-                total = float((tk * lam_f * (p_b - pres[bcells])).sum())
-                if is_w:
-                    rate_w += total
-                else:
-                    rate_n += total
-        return rate_w, rate_n
+        return np.concatenate((r_w, r_n)), jac, tuple(rates)
 
 
 @dataclass
@@ -409,7 +333,7 @@ class FlowResult:
 
 
 class FractureFlowSolver:
-    def __init__(self, grid: StructuredGrid, params: FlowParams,
+    def __init__(self, grid: TensorMesh, params: FlowParams,
                  bcs: dict | None = None):
         self.grid = grid
         self.params = params
@@ -462,16 +386,16 @@ class FractureFlowSolver:
         s = state.saturation.copy()
         pn = state.pressure_n.copy()
         s_old = state.saturation
-        scale = par.phi_f * self.grid.cell_volume / dt
+        scale = par.phi_f * self.grid.total_volume / (m * dt)
         clamped = False
         res = np.inf
         for it in range(par.newton_max_iter + 1):
-            r, jac = self.assembler.assemble(s, pn, s_old, dt, impl, expl,
-                                             wall_ref)
+            r, jac, rates = self.assembler.assemble(s, pn, s_old, dt, impl,
+                                                    expl, wall_ref)
             res = float(np.abs(r).max()) / scale
             if res <= par.newton_rtol:
                 return (s, pn, it, res, clamped, impl, expl, wall_ref,
-                        alpha_new)
+                        alpha_new, rates)
             if it == par.newton_max_iter:
                 break
             try:
@@ -547,7 +471,7 @@ class FractureFlowSolver:
         return FlowResult(
             times=times.copy(), times_hist=np.array(state.times_hist),
             saturation=s_fin, pressure_n=pn_fin, pressure_w=pw_fin,
-            steps=steps, pore_volume=par.phi_f * g.cell_volume * m,
+            steps=steps, pore_volume=par.phi_f * g.total_volume,
             saturation_history=np.stack(s_hist),
             wall_history=np.stack(state.wall_hist),
             alpha_history=np.stack(state.alpha_hist),
@@ -563,16 +487,14 @@ class FractureFlowSolver:
     def _commit(self, state: FlowState, dt: float, accepted, steps,
                 s_hist, sources) -> None:
         (s_new, pn_new, iters, res, clamped, impl, expl, wall_ref,
-         alpha_new) = accepted
+         alpha_new, (rate_w, rate_n)) = accepted
         par = self.params
-        g = self.grid
+        vol = self.grid.volumes
         p_wall = np.asarray(par.cset.transfer(s_new))
         q_w = -(impl / dt) * (p_wall - wall_ref) + expl
 
-        water_accum = float(par.phi_f * g.cell_volume
-                            * (s_new - state.saturation).sum())
-        water_source = float(dt * g.cell_volume * q_w.sum())
-        rate_w, rate_n = self.assembler.boundary_rates(s_new, pn_new)
+        water_accum = float(par.phi_f * np.dot(vol, s_new - state.saturation))
+        water_source = float(dt * np.dot(vol, q_w))
         water_bdry = rate_w * dt
         nonwet_bdry = rate_n * dt
 

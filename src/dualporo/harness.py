@@ -25,6 +25,7 @@ from scipy.integrate import trapezoid
 from . import constitutive as con
 from . import effective as eff
 from . import fvsolver as fv
+from .blockmesh import TensorMesh
 from .imbibition import (EXCHANGE_METHODS, BlockProblem, ExchangeSeries,
                          exchange_from_flux, exchange_from_volume,
                          run_trajectory)
@@ -34,6 +35,13 @@ from .timegrid import midpoints, uniform_times
 DAY = 86400.0
 
 DEFAULT_DELTAS = (0.3, 0.2, 0.1, 0.05, 0.01, 0.001)
+
+
+def _check_methods(methods) -> None:
+    unknown = set(methods) - set(EXCHANGE_METHODS)
+    if unknown:
+        raise ValueError(f"unknown methods {sorted(unknown)}; choose from "
+                         f"{', '.join(EXCHANGE_METHODS)}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +67,9 @@ class ScenarioConfig:
     n_steps: int = 200
     mesh_cells: int = 64
     methods: tuple[str, ...] = EXCHANGE_METHODS
+
+    def __post_init__(self) -> None:
+        _check_methods(self.methods)
 
     def cset(self) -> con.ConstitutiveSet:
         return con.ConstitutiveSet(
@@ -292,10 +303,7 @@ def run_comparison(cfg: ScenarioConfig, methods: tuple | None = None,
     deltas = cfg.deltas if deltas is None else deltas
     if not methods:
         raise ValueError("no methods requested")
-    unknown = set(methods) - set(EXCHANGE_METHODS)
-    if unknown:
-        raise ValueError(f"unknown methods {sorted(unknown)}; choose from "
-                         f"{', '.join(EXCHANGE_METHODS)}")
+    _check_methods(methods)
     if not deltas and not set(methods) <= {"effective-I", "effective-II"}:
         raise ValueError("block methods need at least one delta")
     out: dict = {}
@@ -490,7 +498,7 @@ def write_comparison_csv(path: str, rows) -> None:
                 for c in cols) + "\n")
 
 
-def write_field_csv(path: str, grid: fv.StructuredGrid, saturation,
+def write_field_csv(path: str, grid: TensorMesh, saturation,
                     pressure_w, pressure_n) -> None:
     """Cell fields: cell,x,y,saturation,pressure_w,pressure_n."""
     centers = grid.centers

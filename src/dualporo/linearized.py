@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockmesh import BlockMesh
-from .constitutive import range_diffusivity
+from .effective import running_range_alpha
 from .imbibition import (BlockProblem, BlockSolution, ExchangeSeries,
                          run_linear)
 
@@ -144,22 +144,13 @@ def exchange_by_convolution(wall_values: np.ndarray, times: np.ndarray,
     return ExchangeSeries(0.5 * (times[:-1] + times[1:]), out, "clin", delta)
 
 
-def variable_coefficients(problem: BlockProblem,
-                          sampling: str = "start") -> np.ndarray:
+def variable_coefficients(problem: BlockProblem) -> np.ndarray:
     """Per-interval scalar diffusivity: average of alpha over the wall-value
-    range visited so far. sampling selects whether interval k uses the
-    running range through its start node (default) or its end node."""
-    if sampling not in ("start", "end"):
-        raise ValueError("sampling must be 'start' or 'end'")
-    t = problem.times
-    wall = np.array([problem.wall_value(tk) for tk in t])
-    run_min = np.minimum.accumulate(wall)
-    run_max = np.maximum.accumulate(wall)
-    sl = slice(0, -1) if sampling == "start" else slice(1, None)
-    vg = problem.cset.matrix.vg
-    return np.asarray(range_diffusivity(run_min[sl], run_max[sl], vg,
-                                        problem.cset.fluids,
-                                        problem.cset.matrix_table()))
+    range visited through the interval's start node."""
+    wall = np.array([problem.wall_value(tk) for tk in problem.times])
+    cset = problem.cset
+    return running_range_alpha(wall, cset.matrix.vg, cset.fluids,
+                               cset.matrix_table())[:-1]
 
 
 def run_constant_linearized(problem: BlockProblem,
@@ -173,9 +164,8 @@ def run_constant_linearized(problem: BlockProblem,
 
 def run_variable_linearized(problem: BlockProblem,
                             mesh: BlockMesh | None = None,
-                            sampling: str = "start",
                             store_fields: bool = False):
     """Block solve with the range-averaged diffusivity, frozen per step in
     physical time. Returns (solution, coefficients)."""
-    coeff = variable_coefficients(problem, sampling)
+    coeff = variable_coefficients(problem)
     return run_linear(problem, coeff, mesh, store_fields), coeff

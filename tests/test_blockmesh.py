@@ -1,7 +1,9 @@
 """Graded 1D grids and tensor-product block meshes.
 
 Checks exact mirror symmetry of the graded interval, wall refinement, the
-layer-width rule, and the two-point flux structure of the tensor mesh:
+layer-width rule, the face and wall layout of product_mesh against
+hand-computed transmissibilities, and the two-point flux structure of the
+block's tensor mesh:
 symmetry of the interior couplings and the discrete conservation identity
 diffusion_matrix @ 1 + boundary_weights = 0 (a constant field has zero
 flux divergence against a matching wall value).
@@ -71,14 +73,6 @@ def test_layer_adapted_grid_validation():
         bm.layer_adapted_grid(64, 0.1, -1.0)
 
 
-def test_dump_grid_round_trip(tmp_path):
-    grid = bm.graded_interval(16, 1.0, 0.2)
-    path = tmp_path / "grid.txt"
-    bm.dump_grid(grid, path)
-    back = np.array([float(line) for line in path.read_text().splitlines()])
-    assert np.array_equal(back, grid.nodes)
-
-
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_tensor_mesh_volume_and_conservation(dimension):
     delta = 0.05
@@ -114,3 +108,45 @@ def test_tensor_mesh_dimension_validation():
     grid = bm.graded_interval(8, 1.0, 0.2)
     with pytest.raises(ValueError):
         bm.tensor_mesh(grid, 4)
+
+
+def test_product_mesh_faces_and_walls():
+    # 2 x 3 cells, widths (1, 2) by (2, 0.5, 1.5); C order, y fastest
+    mesh = bm.product_mesh([[0.0, 1.0, 3.0], [0.0, 2.0, 2.5, 4.0]])
+    wx, wy = np.array([1.0, 2.0]), np.array([2.0, 0.5, 1.5])
+    assert mesh.dimension == 2 and mesh.shape == (2, 3)
+    assert np.array_equal(mesh.volumes, np.outer(wx, wy).reshape(-1))
+    assert mesh.total_volume == 12.0
+    assert np.array_equal(mesh.centers[4], [2.0, 2.25])
+    # x-normal faces first (area wy / distance 1.5), then y-normal
+    assert np.array_equal(mesh.face_left, [0, 1, 2, 0, 1, 3, 4])
+    assert np.array_equal(mesh.face_right, [3, 4, 5, 1, 2, 4, 5])
+    assert np.allclose(mesh.face_trans,
+                       np.concatenate((wy / 1.5, [1.0 / 1.25, 1.0,
+                                                  2.0 / 1.25, 2.0])),
+                       rtol=1e-15, atol=0.0)
+    assert list(mesh.boundary) == ["xmin", "xmax", "ymin", "ymax"]
+    cells, trans, area = mesh.boundary["xmax"]
+    assert np.array_equal(cells, [3, 4, 5])
+    assert np.array_equal(area, wy)
+    assert np.allclose(trans, wy / 1.0, rtol=1e-15, atol=0.0)
+    cells, trans, area = mesh.boundary["ymin"]
+    assert np.array_equal(cells, [0, 3])
+    assert np.array_equal(area, wx)
+    assert np.allclose(trans, wx / 1.0, rtol=1e-15, atol=0.0)
+    # one axis: unit extent across
+    line = bm.product_mesh([[0.0, 1.0, 3.0]])
+    assert set(line.boundary) == {"xmin", "xmax"}
+    assert np.array_equal(line.boundary["xmin"][2], [1.0])
+    assert np.array_equal(line.face_trans, [1.0 / 1.5])
+
+
+def test_product_mesh_validation():
+    with pytest.raises(ValueError):
+        bm.product_mesh([])
+    with pytest.raises(ValueError):
+        bm.product_mesh([[0.0, 1.0]] * 4)
+    with pytest.raises(ValueError):
+        bm.product_mesh([[0.0, 1.0, 1.0]])
+    with pytest.raises(ValueError):
+        bm.product_mesh([[0.0]])

@@ -11,7 +11,8 @@ Oracles used here:
   * the per-step sources realized by the solver's sum-of-exponentials
     memory must agree with the exact product quadrature
     (effective.sqrt_kernel_step) applied to the recorded wall and alpha
-    histories (dual route to the same convolution);
+    histories (dual route to the same convolution), also on a realized
+    grid where forced Newton failures halved some steps;
   * with a degenerate running range the warped source collapses onto the
     fixed source with matched constant C_fixed = C_warped sqrt(alpha);
   * per-step mass bookkeeping closes to Newton tolerance, saturations
@@ -31,6 +32,7 @@ from dualporo.effective import (MemorySource, fixed_kernel_constant,
 from dualporo.fvsolver import (BoundarySpec, FlowParams, FlowState,
                                FractureFlowSolver, SourceSpec, build_grid,
                                effective_permeability, upwind_phase_mobility)
+from dualporo.imbibition import NewtonFailure
 
 DAY = 86400.0
 
@@ -56,27 +58,27 @@ def test_build_grid_2d_layout():
     g = build_grid(4, 2, lx=2.0, ly=2.0)       # hx = 0.5, hy = 1.0
     assert g.dimension == 2
     assert g.n_cells == 8
-    assert g.cell_volume == pytest.approx(0.5)
+    assert np.allclose(g.volumes, 0.5)
     assert len(g.face_left) == (4 - 1) * 2 + 4 * (2 - 1)
     # x-normal faces first (area/distance = hy/hx), then y-normal
     assert np.allclose(g.face_trans[:6], 2.0)
     assert np.allclose(g.face_trans[6:], 0.5)
     cells, btr, area = g.boundary["xmin"]
     assert np.array_equal(cells, [0, 1])
-    assert btr == pytest.approx(4.0)           # 2 hy / hx
-    assert area == pytest.approx(1.0)
+    assert np.allclose(btr, 4.0)               # 2 hy / hx
+    assert np.allclose(area, 1.0)
     cells, btr, area = g.boundary["ymin"]
     assert np.array_equal(cells, [0, 2, 4, 6])
-    assert btr == pytest.approx(1.0)
-    assert area == pytest.approx(0.5)
+    assert np.allclose(btr, 1.0)
+    assert np.allclose(area, 0.5)
     assert np.allclose(g.centers[0], [0.25, 0.5])
 
 
 def test_build_grid_1d_suppresses_transverse_direction():
     g = build_grid(5, 1, lx=2.0, ly=7.0)
     assert g.dimension == 1
-    assert g.lengths == (2.0, 1.0)
-    assert g.cell_volume == pytest.approx(0.4)
+    assert np.allclose(g.volumes, 0.4)         # unit extent across
+    assert np.allclose(g.boundary["xmin"][2], 1.0)
     assert set(g.boundary) == {"xmin", "xmax"}
     assert g.centers.shape == (5, 1)
 
@@ -124,7 +126,8 @@ def test_boundary_counter_current_rates(sim1_cset):
                               pressure_n=0.995e6)})
     s = np.array([0.5])
     pn = np.array([1.0e6])
-    rate_w, rate_n = solver.assembler.boundary_rates(s, pn)
+    _, _, (rate_w, rate_n) = solver.assembler.assemble(
+        s, pn, s, 1.0, np.zeros(1), np.zeros(1), np.zeros(1))
     assert rate_w > 0.0
     assert rate_n < 0.0
 
@@ -135,10 +138,11 @@ def test_inflow_contributes_only_to_the_wetting_budget(sim1_cset):
     solver = FractureFlowSolver(
         grid, make_params(sim1_cset),
         {"xmin": BoundarySpec("inflow", wetting_rate=rate)})
-    rate_w, rate_n = solver.assembler.boundary_rates(
-        np.full(6, 0.3), np.full(6, 1e6))
-    cells, _, area = grid.boundary["xmin"]
-    assert rate_w == pytest.approx(rate * area * len(cells), rel=1e-15)
+    s, zeros = np.full(6, 0.3), np.zeros(6)
+    _, _, (rate_w, rate_n) = solver.assembler.assemble(
+        s, np.full(6, 1e6), s, 1.0, zeros, zeros, zeros)
+    _, _, area = grid.boundary["xmin"]
+    assert rate_w == pytest.approx(rate * area.sum(), rel=1e-15)
     assert rate_n == 0.0
 
 
@@ -220,12 +224,12 @@ def test_jacobian_matches_finite_differences(sim1_cset):
         pn = 1e6 + rng.uniform(-1e5, 1e5, m)
 
         def residual(sv, pv):
-            r, _ = solver.assembler.assemble(sv, pv, state.saturation, dt,
-                                             impl, expl, wall_ref)
+            r, _, _ = solver.assembler.assemble(sv, pv, state.saturation,
+                                                dt, impl, expl, wall_ref)
             return r
 
-        _, jac = solver.assembler.assemble(s, pn, state.saturation, dt,
-                                           impl, expl, wall_ref)
+        _, jac, _ = solver.assembler.assemble(s, pn, state.saturation, dt,
+                                              impl, expl, wall_ref)
         dense = jac.toarray()
         fd = np.zeros_like(dense)
         for i in range(m):
@@ -334,6 +338,40 @@ def test_flood_mass_balance_bounds_closure_and_snapshots(sim1_cset):
     assert list(res.snapshots) == [5.0 * DAY]
     s_snap, pw_snap, pn_snap = res.snapshots[5.0 * DAY]
     assert s_snap.shape == pw_snap.shape == pn_snap.shape == (64,)
+
+
+def test_halved_steps_keep_sources_and_balance(sim1_cset):
+    # report intervals 3-6 refuse their full step, so each is taken in
+    # two halves: 24 accepted steps on a realized grid the sources and
+    # the mass balance must follow
+    grid = build_grid(6, 4, lx=10.0, ly=10.0)
+    cval = warped_constant(sim1_cset)
+    bcs = {"xmin": BoundarySpec("inflow", wetting_rate=1.5e-6),
+           "xmax": BoundarySpec("dirichlet", saturation=0.05,
+                                pressure_n=1e6)}
+    solver = FractureFlowSolver(
+        grid, make_params(sim1_cset, SourceSpec("warped", cval)), bcs)
+    times = np.linspace(0.0, 2.0 * DAY, 21)
+    dt_report = times[1] - times[0]
+    try_step = solver._try_step
+
+    def failing(state, dt):
+        k = np.searchsorted(times, state.t, side="right") - 1
+        if 3 <= k <= 6 and dt > 0.6 * dt_report:
+            raise NewtonFailure("forced failure")
+        return try_step(state, dt)
+
+    solver._try_step = failing
+    res = solver.run(0.05, 1e6, times, record_sources=True)
+    assert len(res.steps) == 24
+    assert len(res.times_hist) == 25
+    ref = exact_sources(res.wall_history, res.alpha_history, res.times_hist,
+                        cval)
+    scale = np.abs(res.source_history).max()
+    assert np.abs(res.source_history - ref).max() <= 1e-12 * scale
+    dw, dv = res.max_defects()
+    assert dw <= 1e-10
+    assert dv <= 1e-12
 
 
 def test_one_dimensional_flood_self_convergence(sim1_cset):

@@ -404,9 +404,10 @@ def test_cli_error_paths_exit_nonzero(tmp_path, capsys):
     ("run", {"preset": "sim1", "deltas": "0.1"}),
     ("run", {"preset": "sim1", "trajectory_args": {"slope": 5.0}}),
     ("effective-run", {"nx": "12"}),
+    ("run", {"preset": "sim1", "methods": ["nlin", "bogus"]}),
 ], ids=["bogus-source-model", "unknown-preset", "nan-permeability",
         "list-document", "string-deltas", "unknown-trajectory-arg",
-        "string-cell-count"])
+        "string-cell-count", "unknown-method"])
 def test_cli_config_errors_exit_with_one_line(tmp_path, capsys, verb,
                                               config):
     cfgfile = tmp_path / "config.yaml"
@@ -417,4 +418,20 @@ def test_cli_config_errors_exit_with_one_line(tmp_path, capsys, verb,
     assert err.startswith("dualporo: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--methods", "nlin,bogus"),
+    ("--deltas", "1.5"),
+    ("--mesh-cells", "7"),
+], ids=["unknown-method", "delta-above-one", "odd-mesh-cells"])
+def test_cli_run_override_errors_leave_no_outdir(tmp_path, capsys, flag,
+                                                 value):
+    outdir = tmp_path / "out"
+    assert main(["run", "sim1", flag, value, "--steps", "4",
+                 "--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dualporo: ")
+    assert err.count("\n") == 1
     assert not outdir.exists()

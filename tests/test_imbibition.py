@@ -10,17 +10,22 @@ Oracles used here:
     to Newton tolerance for the nonlinear one;
   * a monotone wall drive keeps the exchange one-signed and the block
     mean monotone (discrete maximum principle of the M-matrix scheme);
+  * a step taken in two halves after a Newton failure equals a run on
+    the time grid refined there;
   * the variable linearization solved in physical time and through the
     change of time variable are the same linear systems up to scaling,
     so their histories agree to factorization roundoff.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dualporo import timegrid
-from dualporo.imbibition import (BlockProblem, ExchangeSeries, NewtonFailure,
-                                 NewtonOptions, exchange_from_flux,
-                                 exchange_from_volume, run_trajectory)
+from dualporo.imbibition import (BlockProblem, BlockStepper, ExchangeSeries,
+                                 NewtonFailure, NewtonOptions,
+                                 exchange_from_flux, exchange_from_volume,
+                                 run_trajectory)
 from dualporo.linearized import run_constant_linearized
 
 DAY = 86400.0
@@ -166,6 +171,39 @@ def test_newton_failure_surfaces_after_dt_halvings(sim1_cset):
     opts = NewtonOptions(rtol=1e-10, max_iter=0, max_halvings=2)
     with pytest.raises(NewtonFailure):
         run_trajectory(p, opts=opts)
+
+
+def test_halved_steps_match_the_refined_grid(sim1_cset, monkeypatch):
+    # report intervals 3-6 refuse their full step, so each is taken in
+    # two halves; the run must equal a run on the grid refined there
+    p = make_problem(sim1_cset, n_steps=10, mesh_cells=8)
+    mesh = p.build_mesh()
+    times = p.times
+    dt_report = times[1] - times[0]
+    clock = [float(times[0])]
+    newton_step = BlockStepper.newton_step
+
+    def failing(self, s_old, dt, *args):
+        k = np.searchsorted(times, clock[0] + 1e-6 * dt_report,
+                            side="right") - 1
+        if 3 <= k <= 6 and dt > 0.6 * dt_report:
+            raise NewtonFailure("forced failure")
+        out = newton_step(self, s_old, dt, *args)
+        clock[0] += dt
+        return out
+
+    refined = np.sort(np.concatenate(
+        (times, times[3:7] + 0.5 * (times[4:8] - times[3:7]))))
+    ref = run_trajectory(dataclasses.replace(p, times=refined), mesh)
+    plain = run_trajectory(p, mesh)
+    monkeypatch.setattr(BlockStepper, "newton_step", failing)
+    sol = run_trajectory(p, mesh)
+
+    assert sol.substeps == plain.substeps + 4 == ref.substeps
+    at_reports = np.isin(refined, times)
+    assert np.abs(sol.mean_saturation
+                  - ref.mean_saturation[at_reports]).max() <= 1e-12
+    assert np.abs(sol.final_field - ref.final_field).max() <= 1e-12
 
 
 # --------------------------------------------------------- series object

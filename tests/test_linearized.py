@@ -158,7 +158,7 @@ def ramp_problem(cset, n_steps=16):
 
 def test_variable_coefficients_are_kirchhoff_difference_quotients(sim1_cset):
     p = ramp_problem(sim1_cset)
-    coeff = variable_coefficients(p, sampling="start")
+    coeff = variable_coefficients(p)
     wall = np.array([p.wall_value(t) for t in p.times])
     lo = wall[0]
     # first interval sees a degenerate range: the pointwise diffusivity
@@ -169,15 +169,6 @@ def test_variable_coefficients_are_kirchhoff_difference_quotients(sim1_cset):
         expected = ((sim1_cset.matrix_beta(hi) - sim1_cset.matrix_beta(lo))
                     / (hi - lo))
         assert coeff[k] == pytest.approx(float(expected), rel=1e-12)
-
-
-def test_sampling_end_shifts_the_running_range_by_one(sim1_cset):
-    p = ramp_problem(sim1_cset)
-    start = variable_coefficients(p, sampling="start")
-    end = variable_coefficients(p, sampling="end")
-    assert np.array_equal(end[:-1], start[1:])
-    with pytest.raises(ValueError):
-        variable_coefficients(p, sampling="mid")
 
 
 def test_variable_linearized_freezes_positive_coefficients(sim1_cset):
