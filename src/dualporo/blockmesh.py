@@ -14,7 +14,15 @@ small fracture widths), so the block's 1D node distribution is graded
 exponentially toward both ends of the interval and uniform in the middle.
 tensor_mesh turns the faces and walls of the cube mesh, d in {1, 2, 3},
 into the block's BlockMesh: cells, diffusion operator and the weights of
-the Dirichlet value on all walls.
+the Dirichlet value on the walls.
+
+The block problem is mirror-symmetric about the cube's mid-planes (uniform
+wall value, uniform initial state), so it can be solved on one corner: the
+product of the left half of the 1D grid, which ends exactly at L/2.  The
+corner mesh keeps only the "min" walls as Dirichlet walls; its "max" faces
+are no-flux mirror planes, and BlockMesh.copies = 2^d counts the corners
+that make up the cube.  The full cube (corner=False) stays as the
+reference.
 """
 from __future__ import annotations
 
@@ -78,7 +86,8 @@ def graded_interval(n_cells: int, length: float, layer_width: float,
 
     n_half = n_cells // 2
     n_layer = int(round(grading.layer_fraction * n_half))
-    n_layer = min(max(n_layer, 2), n_half - 2)
+    # at least one layer cell, and two interior cells where there is room
+    n_layer = min(max(n_layer, 2), max(n_half - 2, 1))
     u = np.arange(n_layer + 1) / n_layer
     layer = layer_width * np.expm1(b * u) / np.expm1(b)
     interior = np.linspace(layer_width, length / 2.0,
@@ -207,32 +216,41 @@ def product_mesh(axes) -> TensorMesh:
 
 @dataclass(frozen=True)
 class BlockMesh(_Cells):
-    """Cube mesh of one graded 1D grid with its diffusion operator, built
-    from the faces and walls of the cube's TensorMesh.
+    """Cube mesh of one graded 1D grid, or of its mirror corner, with its
+    diffusion operator, built from the faces and walls of a TensorMesh.
 
     diffusion_matrix applies sum_faces T*(v_nb - v_i) per cell for interior
     faces and subtracts the Dirichlet coupling T_b*v_i on wall cells;
     boundary_weights holds those T_b, so the discrete flux divergence of a
     cell field v with uniform wall value g is
         diffusion_matrix @ v + boundary_weights * g.
+    copies is the number of such meshes that tile the cube: 1 for the
+    full cube, 2^d for the corner.
     """
 
     grid: GradedGrid1D
     diffusion_matrix: sp.csr_matrix
     boundary_weights: np.ndarray
+    copies: int
 
 
-def tensor_mesh(grid: GradedGrid1D, dimension: int) -> BlockMesh:
-    """Build the d-dimensional cube mesh from one 1D grid per axis."""
+def tensor_mesh(grid: GradedGrid1D, dimension: int,
+                corner: bool = False) -> BlockMesh:
+    """Build the d-dimensional cube mesh from one 1D grid per axis, or
+    with corner=True the mesh of its corner [0, L/2]^d, whose "max" faces
+    are mirror planes without flux."""
     if dimension not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2, or 3")
-    mesh = product_mesh([grid.nodes] * dimension)
+    nodes = grid.nodes[: grid.n_cells // 2 + 1] if corner else grid.nodes
+    sides = ("min",) if corner else ("min", "max")
+    mesh = product_mesh([nodes] * dimension)
     m = mesh.n_cells
-    per_axis = m // grid.n_cells * (grid.n_cells - 1)
+    n = len(nodes) - 1
+    per_axis = m // n * (n - 1)
     rows, cols, vals = [], [], []
     bweights = np.zeros(m)
-    # entries axis by axis, interior faces before that axis's two walls:
-    # the order in which tocsr sums each diagonal
+    # entries axis by axis, interior faces before that axis's walls: the
+    # order in which tocsr sums each diagonal
     for axis in range(dimension):
         faces = slice(axis * per_axis, (axis + 1) * per_axis)
         left = mesh.face_left[faces]
@@ -241,7 +259,7 @@ def tensor_mesh(grid: GradedGrid1D, dimension: int) -> BlockMesh:
         rows += [left, right, left, right]
         cols += [right, left, left, right]
         vals += [t_int, t_int, -t_int, -t_int]
-        for side in ("min", "max"):
+        for side in sides:
             cells, t_b, _ = mesh.boundary[_AXES[axis] + side]
             np.add.at(bweights, cells, t_b)
             rows.append(cells)
@@ -256,4 +274,5 @@ def tensor_mesh(grid: GradedGrid1D, dimension: int) -> BlockMesh:
     # walls of every block mesh raised the block runs' peak memory
     return BlockMesh(dimension=dimension, volumes=mesh.volumes,
                      centers=mesh.centers, grid=grid, diffusion_matrix=mat,
-                     boundary_weights=bweights)
+                     boundary_weights=bweights,
+                     copies=2 ** dimension if corner else 1)

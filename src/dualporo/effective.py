@@ -57,9 +57,13 @@ integrates the kernel exactly against piecewise-constant data with the
 suffix sums U^n_k = sum_{l=k}^n w_l,
 
     I^n_k = 2 C w_k / (sqrt(U^n_k) + sqrt(U^n_{k+1})),   U^n_{n+1} = 0,
-    D^n_k = I^n_k - I^{n+1}_k,
+    D^n_k = I^n_k - I^{n+1}_k
+          = 2 C w_k w_{n+1} (1/(r_k + q_k) + 1/(r_{k+1} + q_{k+1}))
+            / ((r_k + r_{k+1}) (q_k + q_{k+1})),
 
-rebuilding the history in O(n) per step.  It is kept as the reference
+with r_k = sqrt(U^n_k) and q_k = sqrt(U^n_k + w_{n+1}); the second form
+has no cancellation when w_{n+1} is small against the clock.  It
+rebuilds the history in O(n) per step.  It is kept as the reference
 that MemorySource is tested against, with QuadratureTable and
 history_sum as its own row-by-row oracle.  On a uniform grid with
 alpha = 1, I^n_k depends only on n - k (shift invariance), giving the
@@ -172,17 +176,19 @@ def sqrt_kernel_step(times, wall_hist, alpha, constant: float):
     w = (a[1:] if a.ndim else a) * dts      # w_l, l = 1..n+1
     impl = 2.0 * constant * np.sqrt(w[n])
 
-    def weight_over_denominators(w_hist):
-        # w_k / (sqrt(U_k) + sqrt(U_{k+1})), k = 1..n, where U_k are the
-        # suffix sums of w_hist and U past its end is 0
-        root = np.zeros((len(w_hist) + 1,) + w.shape[1:])
-        np.cumsum(w_hist[::-1], axis=0, out=root[-2::-1])
-        np.sqrt(root, out=root)
-        den = root[:n] + root[1:n + 1]
-        return np.divide(w[:n], den, out=np.zeros_like(den),
-                         where=den > 0.0)
+    # r_k = sqrt(U^n_k), k = 1..n+1 (U^n past its end is 0), and
+    # q_k = sqrt(U^n_k + w_{n+1})
+    r = np.zeros((n + 1,) + w.shape[1:])
+    np.cumsum(w[:n][::-1], axis=0, out=r[-2::-1])
+    q = np.sqrt(r + w[n])
+    np.sqrt(r, out=r)
 
-    d = weight_over_denominators(w[:n]) - weight_over_denominators(w)
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros_like(den), where=den > 0.0)
+
+    gap = ratio(1.0, r + q)
+    d = (ratio(w[:n], r[:n] + r[1:]) * ratio(w[n], q[:n] + q[1:])
+         * (gap[:n] + gap[1:]))
     expl = 2.0 * constant * np.einsum("k...,k...->...", d, p[1:] - p[0]) \
         / dts[n]
     return impl, expl

@@ -70,6 +70,15 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         _check_methods(self.methods)
+        if self.dimension not in (1, 2, 3):
+            raise ValueError("dimension must be 1, 2 or 3; got "
+                             f"{self.dimension}")
+        bad = [d for d in self.deltas if not 0.0 < d < 1.0]
+        if bad:
+            raise ValueError(f"deltas must lie in (0, 1); got {bad}")
+        if self.mesh_cells < 4 or self.mesh_cells % 2:
+            raise ValueError("mesh_cells must be an even number >= 4; got "
+                             f"{self.mesh_cells}")
 
     def cset(self) -> con.ConstitutiveSet:
         return con.ConstitutiveSet(
@@ -255,7 +264,7 @@ def _effective_series(cfg: ScenarioConfig, method: str) -> ExchangeSeries:
     cset = cfg.cset()
     times = cfg.times()
     boundary = cfg.boundary()
-    wall = np.array([float(cset.transfer(boundary(t))) for t in times])
+    wall = cset.transfer(np.array([boundary(t) for t in times]))
     phi_m = cset.matrix.porosity
     k_m = cset.matrix.permeability
     if method == "effective-I":

@@ -7,7 +7,12 @@ equilibrium with the fracture saturation at the wall. The block solves
     phi_m ds/dt = delta^2 k_m Lap(beta(s)),
 
 backward Euler in time, two-point flux in space on a wall-layer-graded
-tensor mesh, Newton with the analytic Jacobian d(beta)/ds = alpha.
+tensor mesh, Newton with the analytic Jacobian d(beta)/ds = alpha.  The
+wall drive and the initial state are uniform, so the solution is
+mirror-symmetric about the cube's mid-planes: BlockProblem.build_mesh
+returns the corner mesh (one 2^d-th of the cube, no-flux mirror faces),
+and the wall fluxes count all mesh.copies corners.  Every Jacobian of a
+run is written into one precomputed sparse pattern.
 
 The exchange rate (wetting-phase volume per unit time and bulk volume,
 negative while water imbibes into the block) is computed two ways:
@@ -87,12 +92,17 @@ class BlockProblem:
     def build_mesh(self) -> BlockMesh:
         grid = layer_adapted_grid(self.mesh_cells, self.delta,
                                   self.diffusion_scale(), self.grading)
-        return tensor_mesh(grid, self.dimension)
+        return tensor_mesh(grid, self.dimension, corner=True)
 
 
 @dataclass
 class BlockSolution:
-    """Report-grid history of one block run."""
+    """Report-grid history of one block run.
+
+    mean_saturation and flux_integrals describe the whole block;
+    final_field and fields hold the cells of the mesh the run used (the
+    corner mesh of build_mesh unless a mesh is passed in).
+    """
 
     times: np.ndarray
     mean_saturation: np.ndarray      # volume-weighted block average
@@ -140,6 +150,8 @@ class BlockStepper:
     solves (per-step scalar diffusivity, direct solve); keeps a factorization
     cache keyed by (dt, coefficient) so constant-coefficient runs on
     piecewise-uniform time grids refactorize only when the step changes.
+    Both build their matrices in one CSC pattern, that of the diffusion
+    matrix (its diagonal included), computed once per stepper.
     """
 
     def __init__(self, mesh: BlockMesh, porosity: float, k_eff: float):
@@ -148,14 +160,30 @@ class BlockStepper:
         self.k_eff = k_eff
         self._acc = porosity * mesh.volumes
         self._lu_cache: dict = {}
+        self._jac = mesh.diffusion_matrix.tocsc()
+        self._d_data = self._jac.data.copy()
+        self._cols = np.repeat(np.arange(mesh.n_cells),
+                               np.diff(self._jac.indptr))
+        # every cell has a face, so each column holds one diagonal entry
+        self._diag = np.flatnonzero(self._jac.indices == self._cols)
+
+    def jacobian(self, acc, alpha) -> sp.csc_matrix:
+        """diag(acc) - k_eff * diffusion_matrix @ diag(alpha), alpha per cell
+        or scalar, written into the stepper's one CSC matrix; the next call
+        overwrites it."""
+        alpha = np.broadcast_to(alpha, (self.mesh.n_cells,))
+        kd = self.k_eff * (self._d_data * alpha[self._cols])
+        jac = self._jac
+        np.negative(kd, out=jac.data)
+        jac.data[self._diag] = acc - kd[self._diag]
+        return jac
 
     def linear_step(self, s, dt: float, g: float, coeff: float):
         key = (dt, coeff)
         lu = self._lu_cache.get(key)
         if lu is None:
-            m = (sp.diags(self._acc / dt)
-                 - self.k_eff * coeff * self.mesh.diffusion_matrix).tocsc()
-            lu = self._lu_cache[key] = splu(m)
+            lu = self._lu_cache[key] = splu(
+                self.jacobian(self._acc / dt, coeff))
             if len(self._lu_cache) > 8:
                 self._lu_cache.pop(next(iter(self._lu_cache)))
         rhs = self._acc / dt * s \
@@ -183,9 +211,7 @@ class BlockStepper:
         if r0 <= tol:
             return s, 0
         for it in range(1, opts.max_iter + 1):
-            jac = (sp.diags(acc)
-                   - self.k_eff * mesh.diffusion_matrix.multiply(
-                       alpha(s)[None, :])).tocsc()
+            jac = self.jacobian(acc, alpha(s))
             s = np.clip(s - splu(jac).solve(r), 0.0, 1.0)
             r = residual(s)
             if np.abs(r).max() <= tol:
@@ -195,12 +221,13 @@ class BlockStepper:
             f"(residual {np.abs(r).max():.3e} vs tol {tol:.3e})")
 
     def wall_flux_nonlinear(self, s, g: float, beta) -> float:
-        """k_eff * sum of wall two-point fluxes of beta (into the block)."""
-        return self.k_eff * float(
+        """k_eff * sum of wall two-point fluxes of beta into the block,
+        all mesh.copies corners counted."""
+        return self.mesh.copies * self.k_eff * float(
             np.dot(self.mesh.boundary_weights, float(beta(g)) - beta(s)))
 
     def wall_flux_linear(self, s, g: float, coeff: float) -> float:
-        return self.k_eff * coeff * float(
+        return self.mesh.copies * self.k_eff * coeff * float(
             np.dot(self.mesh.boundary_weights, g - s))
 
     def mean(self, s) -> float:

@@ -147,8 +147,9 @@ def exchange_by_convolution(wall_values: np.ndarray, times: np.ndarray,
 def variable_coefficients(problem: BlockProblem) -> np.ndarray:
     """Per-interval scalar diffusivity: average of alpha over the wall-value
     range visited through the interval's start node."""
-    wall = np.array([problem.wall_value(tk) for tk in problem.times])
     cset = problem.cset
+    wall = cset.transfer(np.array([problem.boundary(float(t))
+                                   for t in problem.times]))
     return running_range_alpha(wall, cset.matrix.vg, cset.fluids,
                                cset.matrix_table())[:-1]
 

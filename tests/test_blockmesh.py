@@ -6,7 +6,8 @@ hand-computed transmissibilities, and the two-point flux structure of the
 block's tensor mesh:
 symmetry of the interior couplings and the discrete conservation identity
 diffusion_matrix @ 1 + boundary_weights = 0 (a constant field has zero
-flux divergence against a matching wall value).
+flux divergence against a matching wall value), on the full cube and on
+its mirror corner, whose operator is checked by hand in 1-D and 2-D.
 """
 import numpy as np
 import pytest
@@ -23,6 +24,14 @@ def test_graded_interval_symmetry_and_monotonicity():
     assert np.allclose(mirrored, 2.0, rtol=0.0, atol=1e-14)
     assert grid.n_cells == 32
     assert grid.widths.sum() == pytest.approx(2.0, rel=1e-14)
+
+
+def test_graded_interval_smallest_grids_keep_one_layer_cell():
+    for n_cells in (4, 6):
+        grid = bm.graded_interval(n_cells, 1.0, 0.1)
+        assert grid.nodes[1] == pytest.approx(0.1, rel=1e-15)  # one layer cell
+        assert (np.diff(grid.nodes) > 0.0).all()
+        assert grid.nodes[n_cells // 2] == 0.5
 
 
 def test_graded_interval_zero_strength_is_uniform():
@@ -108,6 +117,42 @@ def test_tensor_mesh_dimension_validation():
     grid = bm.graded_interval(8, 1.0, 0.2)
     with pytest.raises(ValueError):
         bm.tensor_mesh(grid, 4)
+
+
+def test_corner_mesh_walls_and_copies():
+    # uniform 4-cell grid on [0, 1]: the corner is [0, 1/2] in 2 cells of
+    # width 1/4; interior faces couple by 1/(1/4) = 4, the wall by 8
+    grid = bm.graded_interval(4, 1.0, 0.25, bm.GradingParams(strength=0.0))
+    line = bm.tensor_mesh(grid, 1, corner=True)
+    assert line.copies == 2 and line.n_cells == 2
+    assert np.array_equal(line.volumes, [0.25, 0.25])
+    assert np.array_equal(line.diffusion_matrix.toarray(),
+                          [[-12.0, 4.0], [4.0, -4.0]])
+    assert np.array_equal(line.boundary_weights, [8.0, 0.0])
+    # 2 x 2 corner cells (y fastest): faces of area 1/4 couple by 1, the
+    # xmin wall (cells 0, 1) and the ymin wall (cells 0, 2) by 2
+    square = bm.tensor_mesh(grid, 2, corner=True)
+    assert square.copies == 4 and square.n_cells == 4
+    assert np.array_equal(square.diffusion_matrix.toarray(),
+                          [[-6.0, 1.0, 1.0, 0.0], [1.0, -4.0, 0.0, 1.0],
+                           [1.0, 0.0, -4.0, 1.0], [0.0, 1.0, 1.0, -2.0]])
+    assert np.array_equal(square.boundary_weights, [4.0, 2.0, 2.0, 0.0])
+    assert bm.tensor_mesh(grid, 2).copies == 1
+
+    delta = 0.05
+    graded = bm.layer_adapted_grid(8, delta, 1e-3)
+    for dimension in (1, 2, 3):
+        mesh = bm.tensor_mesh(graded, dimension, corner=True)
+        assert mesh.copies == 2 ** dimension
+        assert mesh.n_cells == 4 ** dimension
+        assert mesh.total_volume == pytest.approx(
+            ((1.0 - delta) / 2.0) ** dimension, rel=1e-13)
+        # Dirichlet coupling exactly on the cells touching a min wall
+        on_min_wall = (mesh.centers < graded.nodes[1]).any(axis=1)
+        assert np.array_equal(mesh.boundary_weights > 0.0, on_min_wall)
+        ones = np.ones(mesh.n_cells)
+        div = mesh.diffusion_matrix @ ones + mesh.boundary_weights
+        assert np.abs(div).max() <= 1e-12 * mesh.boundary_weights.max()
 
 
 def test_product_mesh_faces_and_walls():

@@ -131,7 +131,10 @@ def test_run_method_effective_matches_inline_composition():
     cset = cfg.cset()
     times = cfg.times()
     boundary = cfg.boundary()
-    wall = np.array([float(cset.transfer(boundary(t))) for t in times])
+    wall = cset.transfer(np.array([boundary(t) for t in times]))
+    # one vectorized transfer: within one ulp of 1 of the scalar calls
+    scalar = np.array([float(cset.transfer(boundary(t))) for t in times])
+    assert np.abs(wall - scalar).max() <= np.spacing(1.0)
     c = eff.fixed_kernel_constant(cfg.dimension, cset.matrix.porosity,
                                   cset.matrix.permeability, cset.alpha_bar())
     assert np.array_equal(series.values,
@@ -418,6 +421,31 @@ def test_cli_config_errors_exit_with_one_line(tmp_path, capsys, verb,
     assert err.startswith("dualporo: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--deltas", "1.5"], "deltas"),
+    (["--mesh-cells", "7"], "mesh_cells"),
+    ({"preset": "sim1", "mesh_cells": 2}, "mesh_cells"),
+    ({"preset": "sim1", "dimension": 4}, "dimension"),
+], ids=["delta-above-one", "odd-mesh-cells", "yaml-two-mesh-cells",
+        "yaml-four-dimensions"])
+def test_cli_block_sizes_fail_at_load(tmp_path, capsys, args, field):
+    # an effective-only run never builds a block, so only the config
+    # layer can reject these block sizes and dimensions
+    if isinstance(args, dict):
+        cfgfile = tmp_path / "config.yaml"
+        cfgfile.write_text(yaml.safe_dump(args))
+        args = [str(cfgfile)]
+    else:
+        args = ["sim1"] + args
+    outdir = tmp_path / "out"
+    assert main(["run"] + args + ["--methods", "effective-I", "--steps",
+                                  "4", "--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"dualporo: {field} must ")
+    assert err.count("\n") == 1
     assert not outdir.exists()
 
 

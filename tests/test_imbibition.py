@@ -12,6 +12,10 @@ Oracles used here:
     mean monotone (discrete maximum principle of the M-matrix scheme);
   * a step taken in two halves after a Newton failure equals a run on
     the time grid refined there;
+  * the block solved on its mirror corner equals the full-cube solve to
+    roundoff, with the same Newton iterations and substeps, and the
+    Jacobian filled into the stepper's fixed pattern equals the one
+    sparse arithmetic builds, entry for entry;
   * the variable linearization solved in physical time and through the
     change of time variable are the same linear systems up to scaling,
     so their histories agree to factorization roundoff.
@@ -20,13 +24,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dualporo import blockmesh as bm
 from dualporo import timegrid
+from dualporo.harness import get_preset, list_presets
 from dualporo.imbibition import (BlockProblem, BlockStepper, ExchangeSeries,
                                  NewtonFailure, NewtonOptions,
                                  exchange_from_flux, exchange_from_volume,
                                  run_trajectory)
-from dualporo.linearized import run_constant_linearized
+from dualporo.linearized import (run_constant_linearized,
+                                 run_variable_linearized)
 
 DAY = 86400.0
 
@@ -204,6 +214,61 @@ def test_halved_steps_match_the_refined_grid(sim1_cset, monkeypatch):
     assert np.abs(sol.mean_saturation
                   - ref.mean_saturation[at_reports]).max() <= 1e-12
     assert np.abs(sol.final_field - ref.final_field).max() <= 1e-12
+
+
+@pytest.mark.parametrize("preset", list_presets())
+def test_corner_matches_full_cube(preset):
+    solvers = {
+        "nlin": run_trajectory,
+        "clin": run_constant_linearized,
+        "vlin": lambda p, mesh: run_variable_linearized(p, mesh)[0],
+    }
+    for dimension, cells in ((1, 16), (2, 16), (3, 8)):
+        for delta in (0.1, 0.001):
+            if dimension == 3 and (delta != 0.1 or preset != "sim1"):
+                continue
+            cfg = dataclasses.replace(get_preset(preset), n_steps=24,
+                                      dimension=dimension, mesh_cells=cells)
+            p = cfg.block_problem(delta)
+            corner = p.build_mesh()
+            assert corner.copies == 2 ** dimension
+            full = bm.tensor_mesh(corner.grid, dimension)
+            for method, solve in solvers.items():
+                a, b = solve(p, corner), solve(p, full)
+                assert a.newton_iterations == b.newton_iterations
+                assert a.substeps == b.substeps
+                for make in (exchange_from_volume, exchange_from_flux):
+                    qa = make(a, p, method).values
+                    qb = make(b, p, method).values
+                    err = np.abs(qa - qb).max() / np.abs(qb).max()
+                    assert err <= 1e-9, (method, dimension, delta, err)
+
+
+@st.composite
+def jacobian_cases(draw):
+    dimension = draw(st.integers(1, 3))
+    cells = draw(st.sampled_from((4, 6) if dimension == 3 else (4, 8, 12)))
+    grid = bm.layer_adapted_grid(cells, draw(st.floats(0.001, 0.5)),
+                                 draw(st.floats(1e-8, 1.0)))
+    mesh = bm.tensor_mesh(grid, dimension, corner=draw(st.booleans()))
+    positive = st.floats(1e-12, 1e3)
+    m = mesh.n_cells
+    alpha = np.array(draw(st.lists(positive, min_size=m, max_size=m)))
+    acc = np.array(draw(st.lists(positive, min_size=m, max_size=m)))
+    return mesh, draw(positive), acc, alpha
+
+
+@settings(max_examples=100, deadline=None)
+@given(jacobian_cases())
+def test_fixed_pattern_jacobian_matches_sparse_arithmetic(case):
+    mesh, k_eff, acc, alpha = case
+    stepper = BlockStepper(mesh, 0.3, k_eff)
+    d = mesh.diffusion_matrix
+    stepper.jacobian(2.0 * acc, 1.0 + alpha)     # overwritten below
+    jac = stepper.jacobian(acc, alpha)
+    ref = (sp.diags(acc) - k_eff * d.multiply(alpha[None, :])).tocsc()
+    assert jac.nnz == ref.nnz == d.nnz
+    assert np.array_equal(jac.toarray(), ref.toarray())
 
 
 # --------------------------------------------------------- series object
