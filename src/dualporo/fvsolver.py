@@ -13,6 +13,12 @@ capillary closure holds exactly by construction.  Face mobilities are
 upwinded phase by phase on the sign of the phase-pressure difference
 (ties take the lower cell index; the flux vanishes there anyway), and the
 Jacobian is analytic with the upwind choice held fixed per iteration.
+Its sparsity pattern does not depend on the iterate: each face's mobility
+slope has a slot in both cells' saturation columns, and the upwind choice
+only decides which one is zero.  So the pattern is built once per run
+(blockmesh.FixedPattern) and each Newton iteration writes values into
+it; the Newton steps factor it with the minimum-degree ordering of
+blockmesh.LU_OPTIONS, as the block solver does.
 
 build_grid makes the mesh with blockmesh.product_mesh, the builder of
 the matrix block's mesh, so the two problems share one mesh type and one
@@ -52,11 +58,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import constitutive as con
-from .blockmesh import TensorMesh, product_mesh
+from .blockmesh import LU_OPTIONS, FixedPattern, TensorMesh, product_mesh
 from .constitutive import ConstitutiveSet
 from .effective import MemorySource
 from .imbibition import NewtonFailure
@@ -161,7 +166,12 @@ class _DirichletGhost:
 
 
 class _Assembler:
-    """Residuals and analytic Jacobian for one implicit step."""
+    """Residuals and analytic Jacobian for one implicit step.
+
+    The Jacobian's slots are listed once, from the faces and the Dirichlet
+    walls; every assemble call writes their values, in the same order,
+    into one blockmesh.FixedPattern.
+    """
 
     def __init__(self, grid: TensorMesh, params: FlowParams, bcs: dict):
         unknown = set(bcs) - set(grid.boundary)
@@ -182,16 +192,37 @@ class _Assembler:
                     pw=bc.pressure_n - pc_b, pn=bc.pressure_n,
                     lam_w=float(lw), lam_n=float(ln))
 
+        # slots in the order assemble lists their values: the cells'
+        # accumulation and source; per phase, the faces' flux derivatives
+        # in the columns (S_l, S_r, P_l, P_r), for the rows of the lower
+        # and the higher cell; per Dirichlet wall and phase, the columns
+        # (S, P) of its cells
+        m = grid.n_cells
+        cells = np.arange(m)
+        kl, kr = grid.face_left, grid.face_right
+        rows, cols = [cells, cells + m], [cells, cells]
+        for roff in (0, m):
+            for col in (kl, kr, kl + m, kr + m):
+                rows += [kl + roff, kr + roff]
+                cols += [col, col]
+        for side in self.ghosts:
+            bcells = grid.boundary[side][0]
+            for roff in (0, m):
+                rows += [bcells + roff, bcells + roff]
+                cols += [bcells, bcells + m]
+        self.pattern = FixedPattern(np.concatenate(rows),
+                                    np.concatenate(cols), (2 * m, 2 * m))
+
     def assemble(self, s, pn, s_old, dt, impl, expl, wall_ref):
         """Residual vector (R_w, R_n), Jacobian and the into-domain
         boundary rates (wetting, nonwetting) at the iterate (s, pn).
 
         The source enters as Q_w = -(impl/dt) (transfer(s) - wall_ref)
-        + expl, all per-cell arrays.
+        + expl, all per-cell arrays.  The Jacobian is the assembler's one
+        CSC matrix; the next call overwrites it.
         """
         g = self.grid
         par = self.params
-        m = g.n_cells
         vol = g.volumes
         kst = par.k_star
         cset = par.cset
@@ -212,44 +243,29 @@ class _Assembler:
         r_w = acc * (s - s_old) - vol * q_w
         r_n = -acc * (s - s_old) + vol * q_w
 
-        rows, cols, vals = [], [], []
-
-        def add(r, c, v):
-            rows.append(np.asarray(r, dtype=int).ravel())
-            cols.append(np.asarray(c, dtype=int).ravel())
-            vals.append(np.asarray(v, dtype=float).ravel())
-
-        cells = np.arange(m)
-        add(cells, cells, acc - vol * dq_w)                   # dR_w/dS
-        add(cells + m, cells, -acc + vol * dq_w)              # dR_n/dS
+        vals = [acc - vol * dq_w, -acc + vol * dq_w]          # dR/dS
 
         kl, kr = g.face_left, g.face_right
-        if len(kl):
-            tk = kst * g.face_trans
-            for roff, pres, lam, dlam, with_pc in (
-                    (0, pw, lam_w, dlam_w, True),
-                    (m, pn, lam_n, dlam_n, False)):
-                lam_f, from_left = upwind_phase_mobility(
-                    pres[kl], pres[kr], lam[kl], lam[kr])
-                up = np.where(from_left, kl, kr)
-                dp = pres[kr] - pres[kl]
-                flux = tk * lam_f * dp                # into the lower cell
-                r_ph = r_w if roff == 0 else r_n
-                np.add.at(r_ph, kl, -flux)
-                np.add.at(r_ph, kr, flux)
-                # pressure coupling (dP_w/dP_n = dP_n/dP_n = 1)
-                add(kl + roff, kr + m, -tk * lam_f)
-                add(kl + roff, kl + m, tk * lam_f)
-                add(kr + roff, kl + m, -tk * lam_f)
-                add(kr + roff, kr + m, tk * lam_f)
-                # upwind mobility
-                add(kl + roff, up, -tk * dlam[up] * dp)
-                add(kr + roff, up, tk * dlam[up] * dp)
-                if with_pc:                            # dP_w/dS = -Pc'
-                    add(kl + roff, kr, tk * lam_f * dpc[kr])
-                    add(kl + roff, kl, -tk * lam_f * dpc[kl])
-                    add(kr + roff, kl, tk * lam_f * dpc[kl])
-                    add(kr + roff, kr, -tk * lam_f * dpc[kr])
+        tk = kst * g.face_trans
+        phases = ((pw, lam_w, dlam_w, r_w, True),
+                  (pn, lam_n, dlam_n, r_n, False))
+        for pres, lam, dlam, r_ph, with_pc in phases:
+            lam_f, from_left = upwind_phase_mobility(
+                pres[kl], pres[kr], lam[kl], lam[kr])
+            dp = pres[kr] - pres[kl]
+            t_f = tk * lam_f
+            flux = t_f * dp                           # into the lower cell
+            np.add.at(r_ph, kl, -flux)
+            np.add.at(r_ph, kr, flux)
+            # d flux / d(S_l, S_r): the upwind cell's mobility, and
+            # dP_w/dS = -Pc' in the wetting phase; dP/dP_n = 1
+            d_sl = np.where(from_left, tk * dlam[kl] * dp, 0.0)
+            d_sr = np.where(from_left, 0.0, tk * dlam[kr] * dp)
+            if with_pc:
+                d_sl += t_f * dpc[kl]
+                d_sr -= t_f * dpc[kr]
+            for d in (d_sl, d_sr, -t_f, t_f):
+                vals += [-d, d]
 
         rates = [0.0, 0.0]             # into the domain: wetting, nonwetting
         for side, (bcells, btr, area) in g.boundary.items():
@@ -263,27 +279,22 @@ class _Assembler:
                 continue
             ghost = self.ghosts[side]
             tk = kst * btr
-            for roff, pres, lam, dlam, lam_b, p_b, with_pc in (
-                    (0, pw, lam_w, dlam_w, ghost.lam_w, ghost.pw, True),
-                    (m, pn, lam_n, dlam_n, ghost.lam_n, ghost.pn, False)):
+            for k, (pres, lam, dlam, r_ph, with_pc) in enumerate(phases):
+                lam_b, p_b = ((ghost.lam_w, ghost.pw) if with_pc
+                              else (ghost.lam_n, ghost.pn))
                 lam_f, cell_up = upwind_phase_mobility(
                     pres[bcells], p_b, lam[bcells],
                     np.full(len(bcells), lam_b))
                 dp = p_b - pres[bcells]
                 flux = tk * lam_f * dp                 # into the cell
-                r_ph = r_w if roff == 0 else r_n
                 np.add.at(r_ph, bcells, -flux)
-                rates[0 if roff == 0 else 1] += float(flux.sum())
-                add(bcells + roff, bcells + m, tk * lam_f)
-                add(bcells + roff, bcells,
-                    -tk * np.where(cell_up, dlam[bcells], 0.0) * dp)
+                rates[k] += float(flux.sum())
+                d_s = -tk * np.where(cell_up, dlam[bcells], 0.0) * dp
                 if with_pc:
-                    add(bcells + roff, bcells, -tk * lam_f * dpc[bcells])
+                    d_s -= tk * lam_f * dpc[bcells]
+                vals += [d_s, tk * lam_f]
 
-        jac = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows),
-                                    np.concatenate(cols))),
-            shape=(2 * m, 2 * m)).tocsc()
+        jac = self.pattern.fill(np.concatenate(vals))
         return np.concatenate((r_w, r_n)), jac, tuple(rates)
 
 
@@ -399,7 +410,7 @@ class FractureFlowSolver:
             if it == par.newton_max_iter:
                 break
             try:
-                dx = splu(jac).solve(-r)
+                dx = splu(jac, **LU_OPTIONS).solve(-r)
             except RuntimeError as exc:        # singular factorization
                 raise NewtonFailure(str(exc)) from exc
             if not np.isfinite(dx).all():

@@ -415,6 +415,21 @@ class FloodConfig:
     n_steps: int = 200
     snapshot_days: tuple[float, ...] = (2.5, 5.0, 10.0)
 
+    def __post_init__(self) -> None:
+        for key, hint in typing.get_type_hints(FloodConfig).items():
+            value = getattr(self, key)
+            if hint is float and not math.isfinite(value):
+                raise ValueError(f"{key} must be a finite number; got "
+                                 f"{value!r}")
+        # ny = 1 would be a 1D flood, whose k* = k_f (d-1)/d vanishes
+        for key, least in (("nx", 1), ("ny", 2), ("n_steps", 1)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be at least {least}; got "
+                                 f"{getattr(self, key)}")
+        if not self.t_end_days > 0.0:
+            raise ValueError("t_end_days must be positive; got "
+                             f"{self.t_end_days!r}")
+
 
 def build_flood(cfg: FloodConfig):
     """(solver, times, snapshot_times) for a flood configuration."""

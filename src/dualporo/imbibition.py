@@ -12,7 +12,8 @@ wall drive and the initial state are uniform, so the solution is
 mirror-symmetric about the cube's mid-planes: BlockProblem.build_mesh
 returns the corner mesh (one 2^d-th of the cube, no-flux mirror faces),
 and the wall fluxes count all mesh.copies corners.  Every Jacobian of a
-run is written into one precomputed sparse pattern.
+run is written into one precomputed sparse pattern (blockmesh.FixedPattern)
+and factored with the ordering the flood uses, blockmesh.LU_OPTIONS.
 
 The exchange rate (wetting-phase volume per unit time and bulk volume,
 negative while water imbibes into the block) is computed two ways:
@@ -32,7 +33,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .blockmesh import BlockMesh, GradingParams, layer_adapted_grid, tensor_mesh
+from .blockmesh import (LU_OPTIONS, BlockMesh, FixedPattern, GradingParams,
+                        layer_adapted_grid, tensor_mesh)
 from .constitutive import ConstitutiveSet
 
 EXCHANGE_METHODS = ("nlin", "clin", "vlin", "effective-I", "effective-II")
@@ -147,11 +149,12 @@ class BlockStepper:
     """Backward-Euler steps on one block mesh.
 
     Shared by the nonlinear solve (beta through Newton) and the linearized
-    solves (per-step scalar diffusivity, direct solve); keeps a factorization
-    cache keyed by (dt, coefficient) so constant-coefficient runs on
+    solves (per-step scalar diffusivity, direct solve).  Both build their
+    matrices in one blockmesh.FixedPattern, that of the diffusion matrix
+    (its diagonal included), computed once per stepper, and factor them
+    with blockmesh.LU_OPTIONS.  linear_step keeps the factorization of its
+    last (dt, coefficient), so constant-coefficient runs on
     piecewise-uniform time grids refactorize only when the step changes.
-    Both build their matrices in one CSC pattern, that of the diffusion
-    matrix (its diagonal included), computed once per stepper.
     """
 
     def __init__(self, mesh: BlockMesh, porosity: float, k_eff: float):
@@ -159,36 +162,31 @@ class BlockStepper:
         self.phi = porosity
         self.k_eff = k_eff
         self._acc = porosity * mesh.volumes
-        self._lu_cache: dict = {}
-        self._jac = mesh.diffusion_matrix.tocsc()
-        self._d_data = self._jac.data.copy()
-        self._cols = np.repeat(np.arange(mesh.n_cells),
-                               np.diff(self._jac.indptr))
-        # every cell has a face, so each column holds one diagonal entry
-        self._diag = np.flatnonzero(self._jac.indices == self._cols)
+        self._lu_key = None
+        self._lu = None
+        d = mesh.diffusion_matrix.tocoo()
+        self._d_vals, self._d_cols = d.data, d.col
+        cells = np.arange(mesh.n_cells)
+        self._pattern = FixedPattern(np.concatenate((d.row, cells)),
+                                     np.concatenate((d.col, cells)),
+                                     d.shape)
 
     def jacobian(self, acc, alpha) -> sp.csc_matrix:
         """diag(acc) - k_eff * diffusion_matrix @ diag(alpha), alpha per cell
         or scalar, written into the stepper's one CSC matrix; the next call
         overwrites it."""
         alpha = np.broadcast_to(alpha, (self.mesh.n_cells,))
-        kd = self.k_eff * (self._d_data * alpha[self._cols])
-        jac = self._jac
-        np.negative(kd, out=jac.data)
-        jac.data[self._diag] = acc - kd[self._diag]
-        return jac
+        kd = self.k_eff * (self._d_vals * alpha[self._d_cols])
+        return self._pattern.fill(np.concatenate((-kd, acc)))
 
     def linear_step(self, s, dt: float, g: float, coeff: float):
-        key = (dt, coeff)
-        lu = self._lu_cache.get(key)
-        if lu is None:
-            lu = self._lu_cache[key] = splu(
-                self.jacobian(self._acc / dt, coeff))
-            if len(self._lu_cache) > 8:
-                self._lu_cache.pop(next(iter(self._lu_cache)))
+        if self._lu_key != (dt, coeff):
+            self._lu = splu(self.jacobian(self._acc / dt, coeff),
+                            **LU_OPTIONS)
+            self._lu_key = (dt, coeff)
         rhs = self._acc / dt * s \
             + self.k_eff * coeff * self.mesh.boundary_weights * g
-        return lu.solve(rhs)
+        return self._lu.solve(rhs)
 
     def newton_step(self, s_old, dt: float, g: float, beta, alpha,
                     opts: NewtonOptions):
@@ -212,7 +210,7 @@ class BlockStepper:
             return s, 0
         for it in range(1, opts.max_iter + 1):
             jac = self.jacobian(acc, alpha(s))
-            s = np.clip(s - splu(jac).solve(r), 0.0, 1.0)
+            s = np.clip(s - splu(jac, **LU_OPTIONS).solve(r), 0.0, 1.0)
             r = residual(s)
             if np.abs(r).max() <= tol:
                 return s, it

@@ -8,6 +8,11 @@ Oracles used here:
     finite differences of the assembled residual, for all three source
     models, on a grid with mixed boundary conditions and a fabricated
     convolution history;
+  * the fixed-pattern Jacobian equals the per-iteration COO assembly it
+    replaced (kept here as CooAssembler) entry for entry, with the same
+    residual and boundary rates, and its pattern does not move when the
+    upwind directions do; a flood's Jacobians factored with LU_OPTIONS
+    solve as with SuperLU's default ordering;
   * the per-step sources realized by the solver's sum-of-exponentials
     memory must agree with the exact product quadrature
     (effective.sqrt_kernel_step) applied to the recorded wall and alpha
@@ -25,13 +30,20 @@ Oracles used here:
 """
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from dualporo import constitutive as con
+from dualporo import fvsolver
+from dualporo.blockmesh import LU_OPTIONS
 from dualporo.effective import (MemorySource, fixed_kernel_constant,
                                 sqrt_kernel_step, warped_kernel_constant)
 from dualporo.fvsolver import (BoundarySpec, FlowParams, FlowState,
-                               FractureFlowSolver, SourceSpec, build_grid,
-                               effective_permeability, upwind_phase_mobility)
+                               FractureFlowSolver, SourceSpec, _Assembler,
+                               build_grid, effective_permeability,
+                               upwind_phase_mobility)
 from dualporo.imbibition import NewtonFailure
 
 DAY = 86400.0
@@ -246,6 +258,194 @@ def test_jacobian_matches_finite_differences(sim1_cset):
                                   - residual(sm, pm)) / (2.0 * h)
         scale = np.abs(dense).max()
         assert np.abs(dense - fd).max() <= 1e-8 * scale
+
+
+class CooAssembler(_Assembler):
+    """The flood's Jacobian assembly before the fixed pattern: about 20
+    COO pieces and one tocsc per call, the upwind slope in the column of
+    the iterate's upwind cell.  assemble is kept as it was."""
+
+    def assemble(self, s, pn, s_old, dt, impl, expl, wall_ref):
+        """Residual vector (R_w, R_n), Jacobian and the into-domain
+        boundary rates (wetting, nonwetting) at the iterate (s, pn).
+
+        The source enters as Q_w = -(impl/dt) (transfer(s) - wall_ref)
+        + expl, all per-cell arrays.
+        """
+        g = self.grid
+        par = self.params
+        m = g.n_cells
+        vol = g.volumes
+        kst = par.k_star
+        cset = par.cset
+        vg = cset.fracture.vg
+
+        pc = np.asarray(con.capillary_pressure(s, vg))
+        dpc = np.asarray(con.capillary_slope(s, vg))
+        pw = pn - pc
+        lam_w, lam_n, _ = con.mobilities(s, vg, cset.fluids)
+        dlam_w, dlam_n = con.mobility_slopes(s, vg, cset.fluids)
+
+        p_wall = np.asarray(cset.transfer(s))
+        dp_wall = np.asarray(con.transfer_slope(s, cset.matrix.vg, vg))
+        q_w = -(impl / dt) * (p_wall - wall_ref) + expl
+        dq_w = -(impl / dt) * dp_wall
+
+        acc = par.phi_f * vol / dt
+        r_w = acc * (s - s_old) - vol * q_w
+        r_n = -acc * (s - s_old) + vol * q_w
+
+        rows, cols, vals = [], [], []
+
+        def add(r, c, v):
+            rows.append(np.asarray(r, dtype=int).ravel())
+            cols.append(np.asarray(c, dtype=int).ravel())
+            vals.append(np.asarray(v, dtype=float).ravel())
+
+        cells = np.arange(m)
+        add(cells, cells, acc - vol * dq_w)                   # dR_w/dS
+        add(cells + m, cells, -acc + vol * dq_w)              # dR_n/dS
+
+        kl, kr = g.face_left, g.face_right
+        if len(kl):
+            tk = kst * g.face_trans
+            for roff, pres, lam, dlam, with_pc in (
+                    (0, pw, lam_w, dlam_w, True),
+                    (m, pn, lam_n, dlam_n, False)):
+                lam_f, from_left = upwind_phase_mobility(
+                    pres[kl], pres[kr], lam[kl], lam[kr])
+                up = np.where(from_left, kl, kr)
+                dp = pres[kr] - pres[kl]
+                flux = tk * lam_f * dp                # into the lower cell
+                r_ph = r_w if roff == 0 else r_n
+                np.add.at(r_ph, kl, -flux)
+                np.add.at(r_ph, kr, flux)
+                # pressure coupling (dP_w/dP_n = dP_n/dP_n = 1)
+                add(kl + roff, kr + m, -tk * lam_f)
+                add(kl + roff, kl + m, tk * lam_f)
+                add(kr + roff, kl + m, -tk * lam_f)
+                add(kr + roff, kr + m, tk * lam_f)
+                # upwind mobility
+                add(kl + roff, up, -tk * dlam[up] * dp)
+                add(kr + roff, up, tk * dlam[up] * dp)
+                if with_pc:                            # dP_w/dS = -Pc'
+                    add(kl + roff, kr, tk * lam_f * dpc[kr])
+                    add(kl + roff, kl, -tk * lam_f * dpc[kl])
+                    add(kr + roff, kl, tk * lam_f * dpc[kl])
+                    add(kr + roff, kr, -tk * lam_f * dpc[kr])
+
+        rates = [0.0, 0.0]             # into the domain: wetting, nonwetting
+        for side, (bcells, btr, area) in g.boundary.items():
+            bc = self.bcs[side]
+            if bc.kind == "noflow":
+                continue
+            if bc.kind == "inflow":
+                inflow = bc.wetting_rate * area
+                r_w[bcells] -= inflow
+                rates[0] += float(inflow.sum())
+                continue
+            ghost = self.ghosts[side]
+            tk = kst * btr
+            for roff, pres, lam, dlam, lam_b, p_b, with_pc in (
+                    (0, pw, lam_w, dlam_w, ghost.lam_w, ghost.pw, True),
+                    (m, pn, lam_n, dlam_n, ghost.lam_n, ghost.pn, False)):
+                lam_f, cell_up = upwind_phase_mobility(
+                    pres[bcells], p_b, lam[bcells],
+                    np.full(len(bcells), lam_b))
+                dp = p_b - pres[bcells]
+                flux = tk * lam_f * dp                 # into the cell
+                r_ph = r_w if roff == 0 else r_n
+                np.add.at(r_ph, bcells, -flux)
+                rates[0 if roff == 0 else 1] += float(flux.sum())
+                add(bcells + roff, bcells + m, tk * lam_f)
+                add(bcells + roff, bcells,
+                    -tk * np.where(cell_up, dlam[bcells], 0.0) * dp)
+                if with_pc:
+                    add(bcells + roff, bcells, -tk * lam_f * dpc[bcells])
+
+        jac = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows),
+                                    np.concatenate(cols))),
+            shape=(2 * m, 2 * m)).tocsc()
+        return np.concatenate((r_w, r_n)), jac, tuple(rates)
+
+
+@st.composite
+def flood_cases(draw):
+    nx = draw(st.integers(1, 6))
+    ny = draw(st.sampled_from([1, 2, 3, 5]))
+    grid = build_grid(nx, ny, lx=draw(st.floats(1.0, 20.0)),
+                      ly=draw(st.floats(1.0, 20.0)))
+    bcs = {}
+    for side in grid.boundary:
+        kind = draw(st.sampled_from(["noflow", "dirichlet", "inflow"]))
+        bcs[side] = BoundarySpec(
+            kind, saturation=draw(st.floats(0.02, 0.98)),
+            pressure_n=draw(st.floats(0.8e6, 1.2e6)),
+            wetting_rate=draw(st.floats(0.0, 1e-5)))
+    model = draw(st.sampled_from(["none", "fixed", "warped"]))
+    return grid, bcs, model, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(flood_cases())
+def test_fixed_pattern_jacobian_matches_coo_assembly(sim1_cset, case):
+    grid, bcs, model, seed = case
+    rng = np.random.default_rng(seed)
+    constant = {"none": 0.0, "fixed": fixed_constant(sim1_cset),
+                "warped": warped_constant(sim1_cset)}[model]
+    source = SourceSpec(model, constant)
+    solver = FractureFlowSolver(grid, make_params(sim1_cset, source), bcs)
+    reference = CooAssembler(grid, solver.params, bcs)
+    m = grid.n_cells
+    state = fabricated_state(rng, sim1_cset, m, source)
+    dt = float(rng.uniform(60.0, 1e5))
+    impl, expl, wall_ref, _ = solver._source_terms(state, dt)
+    pattern = None
+    for flip in (False, True):
+        s = rng.uniform(0.02, 0.98, m)
+        pn = 1e6 + rng.uniform(-1e5, 1e5, m)
+        if flip:                     # turn the nonwetting upwind around
+            pn = 2e6 - pn
+        args = (s, pn, state.saturation, dt, impl, expl, wall_ref)
+        r, jac, rates = solver.assembler.assemble(*args)
+        if pattern is None:
+            pattern = (jac.indptr.copy(), jac.indices.copy())
+        assert np.array_equal(jac.indptr, pattern[0])
+        assert np.array_equal(jac.indices, pattern[1])
+        r_ref, jac_ref, rates_ref = reference.assemble(*args)
+        assert np.array_equal(r, r_ref)
+        assert rates == rates_ref
+        dense, ref = jac.toarray(), jac_ref.toarray()
+        assert np.abs(dense - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_lu_ordering_matches_default_ordering(sim1_cset, monkeypatch):
+    # every Jacobian of a short flood, solved with LU_OPTIONS and with
+    # SuperLU's default ordering (COLAMD, which LU_OPTIONS replaced)
+    jacobians = []
+
+    def recording_splu(jac, **options):
+        jacobians.append(jac.copy())
+        return splu(jac, **options)
+
+    monkeypatch.setattr(fvsolver, "splu", recording_splu)
+    grid = build_grid(12, 12, lx=10.0, ly=10.0)
+    bcs = {"xmin": BoundarySpec("inflow", wetting_rate=1.5e-6),
+           "xmax": BoundarySpec("dirichlet", saturation=0.05,
+                                pressure_n=1e6)}
+    source = SourceSpec("fixed", fixed_constant(sim1_cset))
+    solver = FractureFlowSolver(grid, make_params(sim1_cset, source), bcs)
+    solver.run(0.05, 1e6, np.linspace(0.0, 2.0 * DAY, 5))
+    assert len(jacobians) >= 4
+    m = grid.n_cells
+    rhs = np.random.default_rng(3).standard_normal(2 * m)
+    for jac in jacobians:
+        x = splu(jac, **LU_OPTIONS).solve(rhs)
+        x_ref = splu(jac).solve(rhs)
+        for part in (slice(0, m), slice(m, 2 * m)):      # S, then P_n
+            assert np.abs(x[part] - x_ref[part]).max() \
+                <= 1e-12 * np.abs(x_ref[part]).max()
 
 
 # ------------------------------------------------------------ source terms

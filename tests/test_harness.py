@@ -463,3 +463,24 @@ def test_cli_run_override_errors_leave_no_outdir(tmp_path, capsys, flag,
     assert err.startswith("dualporo: ")
     assert err.count("\n") == 1
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--ny", "1"], "ny"),
+    (["--rate", "nan"], "inflow_rate"),
+    (["--steps", "0"], "n_steps"),
+    ({"ny": 1}, "ny"),
+], ids=["one-row", "nan-rate", "zero-steps", "yaml-one-row"])
+def test_cli_flood_config_fails_at_load(tmp_path, capsys, args, field):
+    # a one-row flood has k* = 0 and a NaN rate passes the CLI's float
+    # parsing; both used to fail only inside the Newton solve
+    if isinstance(args, dict):
+        cfgfile = tmp_path / "flood.yaml"
+        cfgfile.write_text(yaml.safe_dump(args))
+        args = [str(cfgfile)]
+    outdir = tmp_path / "out"
+    assert main(["effective-run"] + args + ["--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"dualporo: {field} must ")
+    assert err.count("\n") == 1
+    assert not outdir.exists()

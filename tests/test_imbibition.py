@@ -15,7 +15,8 @@ Oracles used here:
   * the block solved on its mirror corner equals the full-cube solve to
     roundoff, with the same Newton iterations and substeps, and the
     Jacobian filled into the stepper's fixed pattern equals the one
-    sparse arithmetic builds, entry for entry;
+    sparse arithmetic builds, entry for entry, and the block's matrices
+    factored with LU_OPTIONS solve as with SuperLU's default ordering;
   * the variable linearization solved in physical time and through the
     change of time variable are the same linear systems up to scaling,
     so their histories agree to factorization roundoff.
@@ -25,10 +26,12 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualporo import blockmesh as bm
+from dualporo import imbibition
 from dualporo import timegrid
 from dualporo.harness import get_preset, list_presets
 from dualporo.imbibition import (BlockProblem, BlockStepper, ExchangeSeries,
@@ -242,6 +245,29 @@ def test_corner_matches_full_cube(preset):
                     qb = make(b, p, method).values
                     err = np.abs(qa - qb).max() / np.abs(qb).max()
                     assert err <= 1e-9, (method, dimension, delta, err)
+
+
+def test_lu_ordering_matches_default_ordering(monkeypatch):
+    # every matrix of a 2d corner run (nlin Jacobians and vlin step
+    # matrices, 256 cells), solved with LU_OPTIONS and with SuperLU's
+    # default ordering (COLAMD, which LU_OPTIONS replaced)
+    matrices = []
+
+    def recording_splu(jac, **options):
+        matrices.append(jac.copy())
+        return splu(jac, **options)
+
+    monkeypatch.setattr(imbibition, "splu", recording_splu)
+    cfg = dataclasses.replace(get_preset("sim1"), n_steps=16, mesh_cells=32)
+    p = cfg.block_problem(0.1)
+    run_trajectory(p)
+    run_variable_linearized(p)
+    assert len(matrices) >= 32
+    rhs = np.random.default_rng(5).standard_normal(matrices[0].shape[0])
+    for jac in matrices:
+        x = splu(jac, **bm.LU_OPTIONS).solve(rhs)
+        x_ref = splu(jac).solve(rhs)
+        assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 
 
 @st.composite
