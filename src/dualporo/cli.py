@@ -64,9 +64,9 @@ def cmd_run(args) -> int:
         overrides["methods"] = _parse_names(args.methods)
     if args.deltas:
         overrides["deltas"] = _parse_floats(args.deltas)
-    if args.mesh_cells:
+    if args.mesh_cells is not None:
         overrides["mesh_cells"] = args.mesh_cells
-    if args.steps:
+    if args.steps is not None:
         overrides["n_steps"] = args.steps
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)

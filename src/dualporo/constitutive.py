@@ -11,16 +11,22 @@ The saturation diffusivity
 
 and its integral beta(s) = int_0^s alpha(u) du drive the matrix-block
 imbibition problem. beta has no closed form, so it is tabulated once per
-(capillary model, fluid pair) with adaptive quadrature and interpolated
-monotonically; the table is cached module-wide.
+(capillary model, fluid pair) and interpolated monotonically; the table
+is cached module-wide. Each panel between table nodes is first integrated
+by QUADPACK's 21-point Gauss-Kronrod rule (qk21), all panels in one
+array evaluation of alpha; a panel whose qk21 error estimate misses the
+tolerance goes to ``scipy.integrate.quad``, which returns the qk21 value
+exactly when the estimate meets it. So the table is the per-panel
+adaptive-quadrature table, and scipy.integrate is imported only when
+some panel needs the fallback (none does for the presets).
 """
 from __future__ import annotations
 
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 # Saturation clamp for endpoint-singular expressions (|dPc/ds| diverges at
 # s = 1 and the inverse capillary curve at s = 0).
@@ -153,13 +159,128 @@ def _geometric_ratio(total_over_first: float, count: int) -> float:
     return 0.5 * (lo + hi)
 
 
+# QUADPACK qk21 (Piessens et al. 1983): Kronrod abscissae on (0, 1], the
+# Kronrod weights of +-x and of the centre (last), and the 10-point Gauss
+# weights of the odd-indexed abscissae.
+_XGK = (0.995657163025808080735527280689003,
+        0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508,
+        0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042,
+        0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694,
+        0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866,
+        0.148874338981631210884826001129720)
+_WGK = (0.011694638867371874278064396062192,
+        0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580,
+        0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366,
+        0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074,
+        0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717,
+        0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332,
+       0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163,
+       0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_EPMACH = float(np.finfo(float).eps)
+_UFLOW = float(np.finfo(float).tiny)
+
+
+def qk21_panels(f, a, b):
+    """QUADPACK's qk21 on every panel [a_i, b_i] at once.
+
+    f maps an array of abscissae to integrand values of the same shape.
+    Returns (result, abserr, resabs): the Kronrod integrals, qk21's error
+    estimates (the resasc scaling and the 50 eps resabs floor) and the
+    integrals of |f|. The sums run in qk21's order, so each panel matches
+    the scalar routine to rounding in the integrand alone.
+    """
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    absc = hlgth[:, None] * np.asarray(_XGK)
+    fx = f(np.concatenate((centr[:, None] - absc, centr[:, None] + absc,
+                           centr[:, None]), axis=1))
+    fv1, fv2, fc = fx[:, :10].T, fx[:, 10:20].T, fx[:, 20]
+    resg = 0.0
+    resk = _WGK[10] * fc
+    resabs = np.abs(resk)
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):    # Gauss abscissae first
+        fsum = fv1[j] + fv2[j]
+        if j % 2:
+            resg = resg + _WG[j // 2] * fsum
+        resk = resk + _WGK[j] * fsum
+        resabs = resabs + _WGK[j] * (np.abs(fv1[j]) + np.abs(fv2[j]))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * np.abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (np.abs(fv1[j] - reskh)
+                                     + np.abs(fv2[j] - reskh))
+    dhlgth = np.abs(hlgth)
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = np.abs((resk - resg) * hlgth)
+    scale = (resasc != 0.0) & (abserr != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5)
+    abserr = np.where(scale, scaled, abserr)
+    abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
+                      np.maximum(50.0 * _EPMACH * resabs, abserr), abserr)
+    return result, abserr, resabs
+
+
+def __getattr__(name):
+    # scipy.integrate (~0.4 s to import) is loaded on first use of quad
+    if name == "quad":
+        from scipy.integrate import quad
+        return quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node slopes of the monotone cubic Hermite interpolant of (x, y),
+    as scipy's PchipInterpolator takes them (Fritsch & Butland 1984):
+    inside, the weighted harmonic mean of the two secant slopes, or 0
+    where they differ in sign or one vanishes; at each end, the
+    three-point one-sided slope, kept to the end secant's sign and to
+    three times it where the secants change sign."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    flat = ((np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0)
+            | (m[:-1] == 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d = np.empty_like(y)
+    d[1:-1] = np.where(flat, 0.0, inner)
+    for end, (h0, h1, m0, m1) in ((0, (h[0], h[1], m[0], m[1])),
+                                  (-1, (h[-1], h[-2], m[-1], m[-2]))):
+        edge = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(edge) != np.sign(m0):
+            edge = 0.0
+        elif np.sign(m0) != np.sign(m1) and abs(edge) > 3.0 * abs(m0):
+            edge = 3.0 * m0
+        d[end] = edge
+    return d
+
+
 class KirchhoffTable:
     """Monotone interpolant of beta(s) = int_0^s alpha(u) du on [0, 1].
 
     Nodes are geometrically graded toward both endpoints where alpha has
-    power-law behavior; node values come from cumulative adaptive
-    quadrature, so alpha_bar = beta(1) is a quadrature result, not an
-    interpolation one.
+    power-law behavior; node values are cumulative panel quadratures
+    (qk21, or adaptive quad where qk21 misses epsabs 1e-12 / epsrel
+    1e-11), so alpha_bar = beta(1) is a quadrature result, not an
+    interpolation one. Between nodes beta is the PCHIP cubic, evaluated
+    in scipy's PPoly order; a float argument takes a pure-Python path
+    (Newton iterations evaluate beta at one wall saturation at a time).
     """
 
     def __init__(self, vg: VanGenuchtenParams, fluids: FluidPair,
@@ -179,13 +300,23 @@ class KirchhoffTable:
         mid = split + h_mid * np.arange(1, n_mid)
         nodes = np.concatenate((left, mid, np.sort(1.0 - left)))
 
-        def integrand(u: float) -> float:
-            return float(capillary_diffusivity(u, vg, fluids))
+        pieces, abserr, resabs = qk21_panels(
+            lambda u: capillary_diffusivity(u, vg, fluids),
+            nodes[:-1], nodes[1:])
+        # quad's first step returns qk21's result exactly on these panels
+        done = (((abserr <= np.maximum(1.0e-12, 1.0e-11 * np.abs(pieces)))
+                 & (abserr != resabs)) | (abserr == 0.0))
+        redo = np.flatnonzero(~done)
+        if len(redo):
+            quad = sys.modules[__name__].quad   # honours a rebound quad
 
-        pieces = np.empty(n_nodes - 1)
-        for i in range(n_nodes - 1):
-            pieces[i], _ = quad(integrand, nodes[i], nodes[i + 1],
-                                epsabs=1.0e-12, epsrel=1.0e-11, limit=200)
+            def integrand(u: float) -> float:
+                return float(capillary_diffusivity(u, vg, fluids))
+
+            for i in redo:
+                pieces[i], _ = quad(integrand, nodes[i], nodes[i + 1],
+                                    epsabs=1.0e-12, epsrel=1.0e-11,
+                                    limit=200)
         values = np.concatenate(([0.0], np.cumsum(pieces)))
 
         self.vg = vg
@@ -193,10 +324,33 @@ class KirchhoffTable:
         self.nodes = nodes
         self.values = values
         self.alpha_bar = float(values[-1])
-        self._interp = PchipInterpolator(nodes, values, extrapolate=False)
+        self.fallback_panels = len(redo)
+        # per interval: its cubic's power-basis coefficients in s - x_i,
+        # then x_i; one row each, so one take gathers a piece per point
+        h = np.diff(nodes)
+        slope = np.diff(values) / h
+        d = pchip_slopes(nodes, values)
+        t = (d[:-1] + d[1:] - 2.0 * slope) / h
+        self._pieces = np.array((values[:-1], d[:-1], (slope - d[:-1]) / h - t,
+                                 t / h, nodes[:-1]))
+        self._piece_list = self._pieces.T.tolist()
+        self._inner = nodes[1:-1]
+        self._inner_list = self._inner.tolist()
 
     def __call__(self, s):
-        return self._interp(np.clip(np.asarray(s, dtype=float), 0.0, 1.0))
+        if isinstance(s, (float, int)):
+            x = min(max(float(s), 0.0), 1.0)
+            c0, c1, c2, c3, x0 = self._piece_list[
+                bisect_right(self._inner_list, x)]
+            x -= x0
+            z = x * x
+            return np.float64(c0 + c1 * x + c2 * z + c3 * (z * x))
+        x = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
+        i = np.searchsorted(self._inner, x, side="right")
+        c0, c1, c2, c3, x0 = np.take(self._pieces, i, axis=1)
+        x = x - x0
+        z = x * x
+        return c0 + c1 * x + c2 * z + c3 * (z * x)
 
 
 _TABLE_CACHE: dict = {}

@@ -19,8 +19,6 @@ import typing
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
-from scipy.integrate import trapezoid
 
 from . import constitutive as con
 from . import effective as eff
@@ -79,6 +77,11 @@ class ScenarioConfig:
         if self.mesh_cells < 4 or self.mesh_cells % 2:
             raise ValueError("mesh_cells must be an even number >= 4; got "
                              f"{self.mesh_cells}")
+        if self.n_steps < 1:
+            raise ValueError(f"n_steps must be at least 1; got {self.n_steps}")
+        if not (math.isfinite(self.t_end_days) and self.t_end_days > 0.0):
+            raise ValueError("t_end_days must be a positive finite number; "
+                             f"got {self.t_end_days!r}")
 
     def cset(self) -> con.ConstitutiveSet:
         return con.ConstitutiveSet(
@@ -240,6 +243,8 @@ def _from_mapping(cls, raw):
 
 
 def _read_yaml(path: str):
+    import yaml             # ~25 ms; only config files and manifests use it
+
     with open(path, "r", encoding="utf-8") as fh:
         return yaml.safe_load(fh)
 
@@ -348,8 +353,8 @@ def compare_series(a: ExchangeSeries, b: ExchangeSeries,
         return float(np.abs(diff).max() / np.abs(bw.values).max())
     if norm != "l2":
         raise ValueError("norm must be 'l2' or 'sup'")
-    num = trapezoid(diff ** 2, bw.times)
-    den = trapezoid(bw.values ** 2, bw.times)
+    num = np.trapezoid(diff ** 2, bw.times)
+    den = np.trapezoid(bw.values ** 2, bw.times)
     return float(np.sqrt(num / den))
 
 
@@ -429,6 +434,10 @@ class FloodConfig:
         if not self.t_end_days > 0.0:
             raise ValueError("t_end_days must be positive; got "
                              f"{self.t_end_days!r}")
+        # a snapshot at or before day 0 would be the first step's state
+        bad = [d for d in self.snapshot_days if not d > 0.0]
+        if bad:
+            raise ValueError(f"snapshot_days must be positive; got {bad}")
 
 
 def build_flood(cfg: FloodConfig):
@@ -551,6 +560,8 @@ def write_mass_balance_csv(path: str, steps) -> None:
 
 
 def write_manifest(path: str, config: dict, outputs: list) -> None:
+    import yaml
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         yaml.safe_dump({"config": config, "outputs": sorted(outputs)}, fh,
                        sort_keys=True)

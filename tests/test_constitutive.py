@@ -6,10 +6,17 @@ Closed-form checks use n = 2 (m = 1/2), where the curves reduce to simple
 radicals; derivative checks compare the analytic slopes against central
 differences at random interior saturations; integral checks compare the
 tabulated beta against independent adaptive quadrature.
+
+The Kirchhoff table's reference is the construction it replaced: one
+adaptive `quad` call per panel for the node values, and scipy's
+PchipInterpolator for evaluation between nodes.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 from dualporo import constitutive as con
 
@@ -148,6 +155,91 @@ def test_kirchhoff_table_matches_direct_quadrature(matrix_vg, fluids):
             lambda u: float(con.capillary_diffusivity(u, matrix_vg, fluids)),
             0.0, s, epsabs=1e-10, epsrel=1e-12, limit=400)
         assert abs(float(table(s)) - direct) <= 1e-8 * table.alpha_bar
+
+
+def quad_table_values(vg, fluids, nodes):
+    """beta at the nodes from one adaptive quad call per panel, with the
+    tolerances of the table."""
+    def integrand(u):
+        return float(con.capillary_diffusivity(u, vg, fluids))
+
+    pieces = [quad(integrand, lo, hi, epsabs=1.0e-12, epsrel=1.0e-11,
+                   limit=200)[0] for lo, hi in zip(nodes[:-1], nodes[1:])]
+    return np.concatenate(([0.0], np.cumsum(pieces)))
+
+
+def assert_table_matches_oracle(table):
+    """Node values within 1e-14 alpha_bar of per-panel quad; evaluation
+    within 1e-15 alpha_bar of PchipInterpolator on the same nodes, on
+    arrays and on floats, inside and outside [0, 1]."""
+    scale = table.alpha_bar
+    ref = quad_table_values(table.vg, table.fluids, table.nodes)
+    assert np.abs(table.values - ref).max() <= 1e-14 * scale
+    pchip = PchipInterpolator(table.nodes, table.values, extrapolate=False)
+    rng = np.random.default_rng(int(table.nodes.size))
+    s = np.concatenate((rng.uniform(0.0, 1.0, 512), table.nodes,
+                        [0.0, 1.0, -0.5, 1.5, -1e-300, 1.0 + 1e-15]))
+    expected = pchip(np.clip(s, 0.0, 1.0))
+    got = table(s)
+    assert got.shape == s.shape
+    assert np.abs(got - expected).max() <= 1e-15 * scale
+    scalar = np.array([table(float(x)) for x in s])
+    assert np.abs(scalar - expected).max() <= 1e-15 * scale
+    assert np.shape(table(0.5)) == () and np.shape(table(s[:1])) == (1,)
+    assert np.shape(table(np.float64(0.5))) == ()
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.floats(1.15, 6.0), log_pr=st.floats(3.0, 7.0),
+       log_ratio=st.floats(-1.0, 1.0), n_nodes=st.sampled_from((64, 256,
+                                                               2048)))
+def test_kirchhoff_table_matches_quad_and_pchip_oracle(n, log_pr, log_ratio,
+                                                       n_nodes):
+    vg = con.VanGenuchtenParams(p_r=10.0 ** log_pr, n=n)
+    fluids = con.FluidPair(mu_w=1.0e-3, mu_n=1.0e-3 * 10.0 ** log_ratio)
+    assert_table_matches_oracle(con.KirchhoffTable(vg, fluids, n_nodes))
+
+
+def test_kirchhoff_table_quad_fallback_matches_oracle(fluids):
+    """n = 1.3 on 64 nodes: some panels miss qk21's tolerance and take
+    adaptive quad, like every panel of the oracle."""
+    table = con.KirchhoffTable(con.VanGenuchtenParams(p_r=1e5, n=1.3),
+                               fluids, n_nodes=64)
+    assert table.fallback_panels > 0
+    assert_table_matches_oracle(table)
+
+
+def test_preset_tables_match_oracle_without_fallback(matrix_vg, fluids):
+    """The default and strong-contrast matrices: every panel is one qk21
+    rule, and the table is the per-panel quad table to 1e-15 alpha_bar."""
+    for vg in (matrix_vg, con.VanGenuchtenParams(p_r=1e6, n=2.0)):
+        table = con.kirchhoff_table(vg, fluids)
+        assert table.fallback_panels == 0
+        ref = quad_table_values(vg, fluids, table.nodes)
+        assert np.abs(table.values - ref).max() <= 1e-15 * table.alpha_bar
+
+
+def test_qk21_panels_match_scalar_quad_first_step(matrix_vg, fluids):
+    """With the integrand evaluated point by point, as quad evaluates it,
+    the vectorized rule is bitwise quad's qk21 result on accepted panels."""
+    def pointwise(u):
+        return np.vectorize(lambda v: float(
+            con.capillary_diffusivity(v, matrix_vg, fluids)))(u)
+
+    a = np.array([0.0, 0.01, 0.3, 0.9, 0.999])
+    b = np.array([1e-3, 0.02, 0.31, 0.91, 1.0])
+    result, abserr, resabs = con.qk21_panels(pointwise, a, b)
+    accepted = 0
+    for i in range(len(a)):
+        got, err, info = quad(pointwise, a[i], b[i], epsabs=1e-12,
+                              epsrel=1e-11, limit=200, full_output=True)
+        if info["neval"] == 21:
+            assert result[i] == got and abserr[i] == err
+            accepted += 1
+        else:
+            assert abserr[i] > max(1e-12, 1e-11 * abs(result[i]))
+    assert accepted >= 3
+    assert (resabs >= np.abs(result)).all()
 
 
 def test_range_diffusivity_limits(matrix_vg, fluids):

@@ -11,11 +11,15 @@ Oracles used here:
   * the CLI verbs run end to end in-process on tiny configurations.
 """
 import filecmp
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import dualporo
 from dualporo import harness as hz
 from dualporo.cli import main
 from dualporo.imbibition import ExchangeSeries
@@ -164,6 +168,28 @@ def test_run_comparison_validation():
         hz.run_comparison(cfg, methods=("quadratic",))
     with pytest.raises(ValueError, match="delta"):
         hz.run_comparison(cfg, methods=("clin",), deltas=())
+
+
+def test_import_loads_no_quadrature_interpolation_or_yaml():
+    """import dualporo and building every preset's Kirchhoff tables load
+    numpy and scipy.sparse only; scipy.integrate is left for the table's
+    adaptive fallback, which no preset medium needs."""
+    code = (
+        "import sys\n"
+        "from dualporo import constitutive as con, harness as hz\n"
+        "for name in hz.list_presets():\n"
+        "    cset = hz.get_preset(name).cset()\n"
+        "    for medium in (cset.matrix, cset.fracture):\n"
+        "        table = con.kirchhoff_table(medium.vg, cset.fluids)\n"
+        "        assert table.fallback_panels == 0, name\n"
+        "print(' '.join(m for m in ('scipy.integrate', 'scipy.interpolate',"
+        " 'scipy.special', 'scipy.optimize', 'yaml') if m in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(dualporo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
 
 
 # --------------------------------------------------------------- metrics
@@ -429,11 +455,17 @@ def test_cli_config_errors_exit_with_one_line(tmp_path, capsys, verb,
     (["--mesh-cells", "7"], "mesh_cells"),
     ({"preset": "sim1", "mesh_cells": 2}, "mesh_cells"),
     ({"preset": "sim1", "dimension": 4}, "dimension"),
+    (["--steps", "0"], "n_steps"),
+    (["--mesh-cells", "0"], "mesh_cells"),
+    ({"preset": "sim1", "n_steps": 0}, "n_steps"),
+    ({"preset": "sim1", "t_end_days": 0.0}, "t_end_days"),
 ], ids=["delta-above-one", "odd-mesh-cells", "yaml-two-mesh-cells",
-        "yaml-four-dimensions"])
+        "yaml-four-dimensions", "zero-steps", "zero-mesh-cells",
+        "yaml-zero-steps", "yaml-zero-horizon"])
 def test_cli_block_sizes_fail_at_load(tmp_path, capsys, args, field):
     # an effective-only run never builds a block, so only the config
-    # layer can reject these block sizes and dimensions
+    # layer can reject these block sizes, dimensions and time grids; a
+    # zero override is a given value, not an absent one
     if isinstance(args, dict):
         cfgfile = tmp_path / "config.yaml"
         cfgfile.write_text(yaml.safe_dump(args))
@@ -441,8 +473,8 @@ def test_cli_block_sizes_fail_at_load(tmp_path, capsys, args, field):
     else:
         args = ["sim1"] + args
     outdir = tmp_path / "out"
-    assert main(["run"] + args + ["--methods", "effective-I", "--steps",
-                                  "4", "--outdir", str(outdir)]) == 1
+    assert main(["run"] + args + ["--methods", "effective-I",
+                                  "--outdir", str(outdir)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"dualporo: {field} must ")
     assert err.count("\n") == 1
@@ -470,7 +502,10 @@ def test_cli_run_override_errors_leave_no_outdir(tmp_path, capsys, flag,
     (["--rate", "nan"], "inflow_rate"),
     (["--steps", "0"], "n_steps"),
     ({"ny": 1}, "ny"),
-], ids=["one-row", "nan-rate", "zero-steps", "yaml-one-row"])
+    ({"nx": 4, "ny": 4, "n_steps": 4, "t_end_days": 2.0,
+      "snapshot_days": [-1.0, 0.0]}, "snapshot_days"),
+], ids=["one-row", "nan-rate", "zero-steps", "yaml-one-row",
+        "yaml-nonpositive-snapshots"])
 def test_cli_flood_config_fails_at_load(tmp_path, capsys, args, field):
     # a one-row flood has k* = 0 and a NaN rate passes the CLI's float
     # parsing; both used to fail only inside the Newton solve
