@@ -14,16 +14,15 @@ imbibition problem. beta has no closed form, so it is tabulated once per
 (capillary model, fluid pair) and interpolated monotonically; the table
 is cached module-wide. Each panel between table nodes is first integrated
 by QUADPACK's 21-point Gauss-Kronrod rule (qk21), all panels in one
-array evaluation of alpha; a panel whose qk21 error estimate misses the
-tolerance goes to ``scipy.integrate.quad``, which returns the qk21 value
-exactly when the estimate meets it. So the table is the per-panel
-adaptive-quadrature table, and scipy.integrate is imported only when
-some panel needs the fallback (none does for the presets).
+array evaluation of alpha. ``scipy.integrate.quad`` starts with the same
+rule and returns its value unless the error test sends it on; the panels
+it would send on, and only those, go to ``quad``. So the table is the
+per-panel adaptive-quadrature table, and scipy.integrate is imported
+only when some panel needs the fallback (none does for the presets).
 """
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,14 +191,18 @@ _EPMACH = float(np.finfo(float).eps)
 _UFLOW = float(np.finfo(float).tiny)
 
 
-def qk21_panels(f, a, b):
+def qk21_panels(f, a, b, epsabs: float, epsrel: float):
     """QUADPACK's qk21 on every panel [a_i, b_i] at once.
 
     f maps an array of abscissae to integrand values of the same shape.
-    Returns (result, abserr, resabs): the Kronrod integrals, qk21's error
-    estimates (the resasc scaling and the 50 eps resabs floor) and the
-    integrals of |f|. The sums run in qk21's order, so each panel matches
-    the scalar routine to rounding in the integrand alone.
+    Returns (result, abserr, stop): the Kronrod integrals, qk21's error
+    estimates (the resasc scaling and the 50 eps resabs floor), and where
+    QUADPACK's qagse would return after this first rule for the given
+    tolerances: the estimate meets errbnd = max(epsabs, epsrel |result|)
+    and is not resasc itself, or is 0, or misses errbnd at the roundoff
+    level 100 eps resabs (qagse's ier = 2). The sums run in qk21's order,
+    so each panel matches the scalar routine to rounding in the integrand
+    alone.
     """
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
@@ -232,7 +235,10 @@ def qk21_panels(f, a, b):
     abserr = np.where(scale, scaled, abserr)
     abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
                       np.maximum(50.0 * _EPMACH * resabs, abserr), abserr)
-    return result, abserr, resabs
+    errbnd = np.maximum(epsabs, epsrel * np.abs(result))
+    stop = (((abserr <= errbnd) & (abserr != resasc)) | (abserr == 0.0)
+            | ((abserr > errbnd) & (abserr <= 100.0 * _EPMACH * resabs)))
+    return result, abserr, stop
 
 
 def __getattr__(name):
@@ -279,8 +285,7 @@ class KirchhoffTable:
     (qk21, or adaptive quad where qk21 misses epsabs 1e-12 / epsrel
     1e-11), so alpha_bar = beta(1) is a quadrature result, not an
     interpolation one. Between nodes beta is the PCHIP cubic, evaluated
-    in scipy's PPoly order; a float argument takes a pure-Python path
-    (Newton iterations evaluate beta at one wall saturation at a time).
+    in scipy's PPoly order.
     """
 
     def __init__(self, vg: VanGenuchtenParams, fluids: FluidPair,
@@ -300,13 +305,10 @@ class KirchhoffTable:
         mid = split + h_mid * np.arange(1, n_mid)
         nodes = np.concatenate((left, mid, np.sort(1.0 - left)))
 
-        pieces, abserr, resabs = qk21_panels(
+        pieces, _, stop = qk21_panels(
             lambda u: capillary_diffusivity(u, vg, fluids),
-            nodes[:-1], nodes[1:])
-        # quad's first step returns qk21's result exactly on these panels
-        done = (((abserr <= np.maximum(1.0e-12, 1.0e-11 * np.abs(pieces)))
-                 & (abserr != resabs)) | (abserr == 0.0))
-        redo = np.flatnonzero(~done)
+            nodes[:-1], nodes[1:], epsabs=1.0e-12, epsrel=1.0e-11)
+        redo = np.flatnonzero(~stop)
         if len(redo):
             quad = sys.modules[__name__].quad   # honours a rebound quad
 
@@ -333,18 +335,9 @@ class KirchhoffTable:
         t = (d[:-1] + d[1:] - 2.0 * slope) / h
         self._pieces = np.array((values[:-1], d[:-1], (slope - d[:-1]) / h - t,
                                  t / h, nodes[:-1]))
-        self._piece_list = self._pieces.T.tolist()
         self._inner = nodes[1:-1]
-        self._inner_list = self._inner.tolist()
 
     def __call__(self, s):
-        if isinstance(s, (float, int)):
-            x = min(max(float(s), 0.0), 1.0)
-            c0, c1, c2, c3, x0 = self._piece_list[
-                bisect_right(self._inner_list, x)]
-            x -= x0
-            z = x * x
-            return np.float64(c0 + c1 * x + c2 * z + c3 * (z * x))
         x = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
         i = np.searchsorted(self._inner, x, side="right")
         c0, c1, c2, c3, x0 = np.take(self._pieces, i, axis=1)
