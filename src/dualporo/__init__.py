@@ -10,8 +10,8 @@ from .constitutive import (ConstitutiveSet, FluidPair, MediumProps,
 from .blockmesh import BlockMesh, GradingParams, graded_interval, tensor_mesh
 from .timegrid import blocked_geometric_times, midpoints, uniform_times
 from .imbibition import (BlockProblem, BlockSolution, ExchangeSeries,
-                         NewtonOptions, exchange_from_flux,
-                         exchange_from_volume, run_trajectory)
+                         exchange_from_flux, exchange_from_volume,
+                         run_trajectory)
 from .linearized import (DiffusionKernel, build_kernel,
                          exchange_by_convolution, run_constant_linearized,
                          run_variable_linearized, variable_coefficients)
@@ -32,7 +32,7 @@ __all__ = [
     "BlockMesh", "BlockProblem", "BlockSolution", "BoundarySpec",
     "ConstitutiveSet", "DAY", "DiffusionKernel", "EXCHANGE_METHODS",
     "ExchangeSeries", "FloodConfig", "FlowParams", "FluidPair",
-    "FractureFlowSolver", "GradingParams", "MediumProps", "NewtonOptions",
+    "FractureFlowSolver", "GradingParams", "MediumProps",
     "PRESETS", "QuadratureTable", "ScenarioConfig", "SourceSpec",
     "VanGenuchtenParams", "blocked_geometric_times", "build_grid",
     "build_kernel", "capillary_diffusivity", "capillary_pressure",

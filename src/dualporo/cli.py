@@ -60,9 +60,9 @@ def cmd_list_presets(args) -> int:
 def cmd_run(args) -> int:
     cfg = _load_target(args.target)
     overrides = {}
-    if args.methods:
+    if args.methods is not None:
         overrides["methods"] = _parse_names(args.methods)
-    if args.deltas:
+    if args.deltas is not None:
         overrides["deltas"] = _parse_floats(args.deltas)
     if args.mesh_cells is not None:
         overrides["mesh_cells"] = args.mesh_cells
@@ -105,7 +105,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_effective_run(args) -> int:
-    cfg = hz.load_flood_config(args.config) if args.config \
+    cfg = hz.load_flood_config(args.config) if args.config is not None \
         else hz.FloodConfig()
     overrides = {}
     for name, val in (("scenario", args.scenario),

@@ -289,12 +289,13 @@ class KirchhoffTable:
     """
 
     def __init__(self, vg: VanGenuchtenParams, fluids: FluidPair,
-                 n_nodes: int = 2048, split: float = 0.05):
+                 n_nodes: int = 2048):
         if n_nodes < 64 or n_nodes % 2:
             raise ValueError("n_nodes must be an even number >= 64")
         # Uniform spacing in the bulk, geometrically shrinking spacing over
         # the endpoint blocks [0, split] and [1-split, 1]; the common ratio
         # is chosen so spacing is continuous at the junctions.
+        split = 0.05
         n_end = n_nodes // 8
         n_mid = n_nodes - 1 - 2 * n_end
         h_mid = (1.0 - 2.0 * split) / n_mid
@@ -374,17 +375,16 @@ def mean_diffusivity(vg: VanGenuchtenParams, fluids: FluidPair,
 
 
 def range_diffusivity(s_lo, s_hi, vg: VanGenuchtenParams, fluids: FluidPair,
-                      table: KirchhoffTable | None = None,
-                      degenerate_tol: float = 1.0e-12):
+                      table: KirchhoffTable | None = None):
     """Average of alpha over [s_lo, s_hi]:
     (beta(s_hi) - beta(s_lo)) / (s_hi - s_lo),
-    continued by alpha(midpoint) when the interval degenerates."""
+    continued by alpha(midpoint) when the width is 1e-12 or less."""
     if table is None:
         table = kirchhoff_table(vg, fluids)
     lo = np.minimum(np.asarray(s_lo, dtype=float), s_hi)
     hi = np.maximum(np.asarray(s_hi, dtype=float), s_lo)
     width = hi - lo
-    wide = width > degenerate_tol
+    wide = width > 1.0e-12
     ratio = (table(hi) - table(lo)) / np.where(wide, width, 1.0)
     point = capillary_diffusivity(0.5 * (lo + hi), vg, fluids)
     out = np.where(wide, ratio, point)

@@ -41,16 +41,19 @@ alpha = alpha_hat per cell, frozen at its beginning-of-step value
 (running extrema of the wall history), which keeps the Newton system
 well defined.  _source_terms evaluates the trial step and _commit
 advances the memory once the step is accepted, so step halving stays
-consistent with the convolution.
+consistent with the convolution.  Each report interval is covered by
+imbibition.cover_interval, the step controller the block uses too, and
+its end is snapped to the report time.
 
 The memory's nodes cover the clock range [x_lo, x_hi] of the run: x_lo
-is half the shortest step a report interval can halve to (max_halvings
-times), x_hi twice the report span.  For the warped kernel both ends are
-scaled by the band alpha_hat can take: alpha_hat averages alpha over a
-range of wall values that contains the cell's p^0, so it lies between
-the extremes over x of range_diffusivity(min(x, p^0), max(x, p^0)) on
-the wall values the saturation clamp allows.  A step outside the range
-raises rather than losing accuracy.  The wall, alpha and saturation
+is half the shortest step a report interval can halve to
+(imbibition.MAX_HALVINGS times), x_hi twice the report span.  For the
+warped kernel both ends are scaled by the band alpha_hat can take:
+alpha_hat averages alpha over a range of wall values that contains the
+cell's p^0, so it lies between the extremes over x of
+range_diffusivity(min(x, p^0), max(x, p^0)) on the wall values the
+saturation clamp [con.SAT_EPS, 1 - con.SAT_EPS] allows.  A step outside
+the range raises rather than losing accuracy.  The wall, alpha and saturation
 histories are kept as run outputs.
 """
 from __future__ import annotations
@@ -64,7 +67,11 @@ from . import constitutive as con
 from .blockmesh import LU_OPTIONS, FixedPattern, TensorMesh, product_mesh
 from .constitutive import ConstitutiveSet
 from .effective import MemorySource
-from .imbibition import NewtonFailure
+from .imbibition import MAX_HALVINGS, NewtonFailure, cover_interval
+
+NEWTON_RTOL = 1.0e-10           # on the residual scaled by phi_f vol / dt
+NEWTON_MAX_ITER = 30
+MAX_DS = 0.2                    # damping cap on saturation updates
 
 
 def effective_permeability(k_f: float, dimension: int) -> float:
@@ -125,11 +132,6 @@ class FlowParams:
     phi_f: float
     k_star: float
     source: SourceSpec = SourceSpec(model="none")
-    newton_rtol: float = 1.0e-10
-    newton_max_iter: int = 30
-    max_halvings: int = 10
-    max_ds: float = 0.2           # damping cap on saturation updates
-    s_clamp: float = con.SAT_EPS
 
 
 @dataclass
@@ -304,7 +306,7 @@ class StepReport:
 
     water_defect = accum - source - boundary and volume_defect =
     water_boundary + nonwetting_boundary both vanish with the Newton
-    residual (bounded by newton_rtol times the total pore volume).
+    residual (bounded by NEWTON_RTOL times the total pore volume).
     """
 
     t: float
@@ -376,12 +378,12 @@ class FractureFlowSolver:
         src = par.source
         if src.model == "none":
             return None
-        x_lo = 0.5 * np.diff(times).min() / 2 ** par.max_halvings
+        x_lo = 0.5 * np.diff(times).min() / 2 ** MAX_HALVINGS
         x_hi = 2.0 * (times[-1] - times[0])
         if src.model == "warped":
             cset = par.cset
             x = np.asarray(cset.transfer(np.linspace(
-                par.s_clamp, 1.0 - par.s_clamp, 513)))
+                con.SAT_EPS, 1.0 - con.SAT_EPS, 513)))
             p0 = np.unique(wall0)[:, None]
             band = np.asarray(con.range_diffusivity(
                 np.minimum(x, p0), np.maximum(x, p0), cset.matrix.vg,
@@ -400,14 +402,14 @@ class FractureFlowSolver:
         scale = par.phi_f * self.grid.total_volume / (m * dt)
         clamped = False
         res = np.inf
-        for it in range(par.newton_max_iter + 1):
+        for it in range(NEWTON_MAX_ITER + 1):
             r, jac, rates = self.assembler.assemble(s, pn, s_old, dt, impl,
                                                     expl, wall_ref)
             res = float(np.abs(r).max()) / scale
-            if res <= par.newton_rtol:
+            if res <= NEWTON_RTOL:
                 return (s, pn, it, res, clamped, impl, expl, wall_ref,
                         alpha_new, rates)
-            if it == par.newton_max_iter:
+            if it == NEWTON_MAX_ITER:
                 break
             try:
                 dx = splu(jac, **LU_OPTIONS).solve(-r)
@@ -416,14 +418,14 @@ class FractureFlowSolver:
             if not np.isfinite(dx).all():
                 raise NewtonFailure("non-finite Newton update")
             ds = dx[:m]
-            fac = min(1.0, par.max_ds / max(float(np.abs(ds).max()), 1e-300))
+            fac = min(1.0, MAX_DS / max(float(np.abs(ds).max()), 1e-300))
             s_new = s + fac * ds
-            lo, hi = par.s_clamp, 1.0 - par.s_clamp
+            lo, hi = con.SAT_EPS, 1.0 - con.SAT_EPS
             clamped = bool((s_new < lo).any() or (s_new > hi).any())
             s = np.clip(s_new, lo, hi)
             pn = pn + fac * dx[m:]
         raise NewtonFailure(
-            f"no convergence in {par.newton_max_iter} Newton iterations "
+            f"no convergence in {NEWTON_MAX_ITER} Newton iterations "
             f"(scaled residual {res:.3e})")
 
     def run(self, s_init, pn_init, times, record_sources: bool = False,
@@ -457,21 +459,12 @@ class FractureFlowSolver:
         snapshots: dict = {}
         snap_left = sorted(snapshot_times)
 
-        for k in range(len(times) - 1):
-            t_target = float(times[k + 1])
-            dt_plan = t_target - state.t
-            min_dt = dt_plan / 2 ** par.max_halvings
-            while t_target - state.t > 1e-9 * dt_plan:
-                dt_try = min(dt_plan, t_target - state.t)
-                try:
-                    accepted = self._try_step(state, dt_try)
-                except NewtonFailure:
-                    if dt_try / 2 < min_dt:
-                        raise
-                    dt_plan = dt_try / 2
-                    continue
-                self._commit(state, dt_try, accepted, steps, s_hist, sources)
-                dt_plan = 2 * dt_try
+        def attempt(t, dt):
+            accepted = self._try_step(state, dt)
+            self._commit(state, dt, accepted, steps, s_hist, sources)
+
+        for t_target in times[1:].tolist():
+            cover_interval(state.t, t_target, attempt)
             state.t = t_target                 # snap off rounding drift
             state.times_hist[-1] = t_target
             while snap_left and state.t >= snap_left[0] * (1 - 1e-12):

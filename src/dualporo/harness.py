@@ -2,11 +2,12 @@
 
 A scenario fixes the two media, the fluid pair, the block dimension, the
 fracture-saturation trajectory driving the block walls, and the report
-grid.  run_comparison evaluates the matrix-fracture exchange for any mix
-of methods: resolved nonlinear blocks ("nlin"), the two linearizations
-("clin", "vlin"), and the two effective convolution sources
-("effective-I", "effective-II").  Block series carry their delta and are
-compared per delta; effective series are already the delta -> 0 limit.
+grid.  run_comparison evaluates the matrix-fracture exchange for the
+scenario's methods and deltas: resolved nonlinear blocks ("nlin"), the
+two linearizations ("clin", "vlin"), and the two effective convolution
+sources ("effective-I", "effective-II").  Block series carry their delta
+and are compared per delta; effective series are already the
+delta -> 0 limit.
 
 All CSV output formats floats with repr(), so repeated runs of the same
 configuration produce byte-identical files.
@@ -25,21 +26,13 @@ from . import effective as eff
 from . import fvsolver as fv
 from .blockmesh import TensorMesh
 from .imbibition import (EXCHANGE_METHODS, BlockProblem, ExchangeSeries,
-                         exchange_from_flux, exchange_from_volume,
-                         run_trajectory)
+                         exchange_from_volume, run_trajectory)
 from .linearized import run_constant_linearized, run_variable_linearized
 from .timegrid import midpoints, uniform_times
 
 DAY = 86400.0
 
 DEFAULT_DELTAS = (0.3, 0.2, 0.1, 0.05, 0.01, 0.001)
-
-
-def _check_methods(methods) -> None:
-    unknown = set(methods) - set(EXCHANGE_METHODS)
-    if unknown:
-        raise ValueError(f"unknown methods {sorted(unknown)}; choose from "
-                         f"{', '.join(EXCHANGE_METHODS)}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +60,15 @@ class ScenarioConfig:
     methods: tuple[str, ...] = EXCHANGE_METHODS
 
     def __post_init__(self) -> None:
-        _check_methods(self.methods)
+        if not self.methods:
+            raise ValueError("no methods requested")
+        unknown = set(self.methods) - set(EXCHANGE_METHODS)
+        if unknown:
+            raise ValueError(f"unknown methods {sorted(unknown)}; choose "
+                             f"from {', '.join(EXCHANGE_METHODS)}")
+        if not self.deltas and not set(self.methods) <= {"effective-I",
+                                                         "effective-II"}:
+            raise ValueError("block methods need at least one delta")
         if self.dimension not in (1, 2, 3):
             raise ValueError("dimension must be 1, 2 or 3; got "
                              f"{self.dimension}")
@@ -285,12 +286,12 @@ def _effective_series(cfg: ScenarioConfig, method: str) -> ExchangeSeries:
                           divided_by_delta=True)
 
 
-def run_method(cfg: ScenarioConfig, method: str, delta: float | None = None,
-               use_flux: bool = False) -> ExchangeSeries:
+def run_method(cfg: ScenarioConfig, method: str,
+               delta: float | None = None) -> ExchangeSeries:
     """Exchange series for one method; block methods need a delta.
 
-    Block series use the volume form of the exchange by default (the flux
-    form agrees to solver tolerance and is available via use_flux).
+    Block series use the volume form of the exchange (the flux form,
+    imbibition.exchange_from_flux, agrees to solver tolerance).
     """
     if method in ("effective-I", "effective-II"):
         return _effective_series(cfg, method)
@@ -305,27 +306,18 @@ def run_method(cfg: ScenarioConfig, method: str, delta: float | None = None,
         sol, _ = run_variable_linearized(problem)
     else:
         raise ValueError(f"unknown method {method!r}")
-    make = exchange_from_flux if use_flux else exchange_from_volume
-    return make(sol, problem, method=method)
+    return exchange_from_volume(sol, problem, method=method)
 
 
-def run_comparison(cfg: ScenarioConfig, methods: tuple | None = None,
-                   deltas: tuple | None = None) -> dict:
-    """Evaluate methods x deltas; returns {(method, delta): series} with
-    effective methods keyed once under delta = 0.0."""
-    methods = cfg.methods if methods is None else methods
-    deltas = cfg.deltas if deltas is None else deltas
-    if not methods:
-        raise ValueError("no methods requested")
-    _check_methods(methods)
-    if not deltas and not set(methods) <= {"effective-I", "effective-II"}:
-        raise ValueError("block methods need at least one delta")
+def run_comparison(cfg: ScenarioConfig) -> dict:
+    """Evaluate cfg.methods x cfg.deltas; returns {(method, delta): series}
+    with effective methods keyed once under delta = 0.0."""
     out: dict = {}
-    for method in methods:
+    for method in cfg.methods:
         if method in ("effective-I", "effective-II"):
             out[(method, 0.0)] = run_method(cfg, method)
             continue
-        for delta in deltas:
+        for delta in cfg.deltas:
             out[(method, delta)] = run_method(cfg, method, delta)
     return out
 
@@ -358,9 +350,9 @@ def compare_series(a: ExchangeSeries, b: ExchangeSeries,
     return float(np.sqrt(num / den))
 
 
-def comparison_rows(results: dict, t_lo: float, t_hi: float,
-                    norms: tuple = ("l2", "sup")) -> list:
-    """Report rows for a run_comparison result over window [t_lo, t_hi] (s).
+def comparison_rows(results: dict, t_lo: float, t_hi: float) -> list:
+    """Report rows for a run_comparison result over window [t_lo, t_hi] (s),
+    each pair in the "l2" and the "sup" norm.
 
     Three row families: every non-reference series against the resolved
     blocks at the same delta, every series against the fixed-kernel
@@ -370,7 +362,7 @@ def comparison_rows(results: dict, t_lo: float, t_hi: float,
     rows = []
 
     def add(a_key, b_key):
-        for norm in norms:
+        for norm in ("l2", "sup"):
             rows.append({
                 "method": a_key[0], "delta": float(a_key[1]),
                 "reference": b_key[0], "ref_delta": float(b_key[1]),

@@ -23,6 +23,10 @@ negative while water imbibes into the block) is computed two ways:
 
 which agree to Newton tolerance per step by construction of the scheme;
 both are reported as per-interval averages at interval midpoints.
+
+cover_interval is the one step controller of the block and of the flood
+(fvsolver): every report interval is first tried in one step, whatever
+the interval before it needed.
 """
 from __future__ import annotations
 
@@ -39,16 +43,39 @@ from .constitutive import ConstitutiveSet
 
 EXCHANGE_METHODS = ("nlin", "clin", "vlin", "effective-I", "effective-II")
 
-
-@dataclass(frozen=True)
-class NewtonOptions:
-    rtol: float = 1.0e-10
-    max_iter: int = 25
-    max_halvings: int = 10
+NEWTON_RTOL = 1.0e-10
+NEWTON_MAX_ITER = 25
+MAX_HALVINGS = 10       # shortest step: a report interval / 2**MAX_HALVINGS
 
 
 class NewtonFailure(RuntimeError):
     pass
+
+
+def cover_interval(t0: float, t1: float,
+                   attempt: Callable[[float, float], None]) -> None:
+    """Cover the report interval [t0, t1] with steps attempt(t, dt).
+
+    The first attempt is the whole interval.  An attempt that raises
+    NewtonFailure is retried at half the step; the failure is re-raised
+    once that half would fall below (t1 - t0) / 2**MAX_HALVINGS.  Each
+    accepted step doubles the next, cut to the interval's end, and the
+    interval is done within 1e-9 of its length.
+    """
+    span = t1 - t0
+    min_dt = span / 2 ** MAX_HALVINGS
+    t, dt = t0, span
+    while t1 - t > 1e-9 * span:
+        dt = min(dt, t1 - t)
+        try:
+            attempt(t, dt)
+        except NewtonFailure:
+            if dt / 2 < min_dt:
+                raise
+            dt /= 2
+            continue
+        t += dt
+        dt *= 2
 
 
 @dataclass(frozen=True)
@@ -188,8 +215,7 @@ class BlockStepper:
             + self.k_eff * coeff * self.mesh.boundary_weights * g
         return self._lu.solve(rhs)
 
-    def newton_step(self, s_old, dt: float, g: float, beta, alpha,
-                    opts: NewtonOptions):
+    def newton_step(self, s_old, dt: float, g: float, beta, alpha):
         """One implicit step of phi ds/dt = k_eff Lap(beta(s)); returns
         (s_new, iterations). Raises NewtonFailure when not converged."""
         mesh = self.mesh
@@ -205,17 +231,17 @@ class BlockStepper:
         r = residual(s)
         r0 = np.abs(r).max()
         # absolute floor: rtol of a unit saturation change on the largest cell
-        tol = opts.rtol * max(r0, acc.max())
+        tol = NEWTON_RTOL * max(r0, acc.max())
         if r0 <= tol:
             return s, 0
-        for it in range(1, opts.max_iter + 1):
+        for it in range(1, NEWTON_MAX_ITER + 1):
             jac = self.jacobian(acc, alpha(s))
             s = np.clip(s - splu(jac, **LU_OPTIONS).solve(r), 0.0, 1.0)
             r = residual(s)
             if np.abs(r).max() <= tol:
                 return s, it
         raise NewtonFailure(
-            f"no convergence in {opts.max_iter} iterations "
+            f"no convergence in {NEWTON_MAX_ITER} iterations "
             f"(residual {np.abs(r).max():.3e} vs tol {tol:.3e})")
 
     def wall_flux_nonlinear(self, s, g: float, beta) -> float:
@@ -233,11 +259,12 @@ class BlockStepper:
 
 
 def _advance(problem: BlockProblem, mesh: BlockMesh, step,
-             opts: NewtonOptions, store_fields: bool) -> BlockSolution:
-    """Drive `step(s, t0, t1, k) -> (s_new, flux)` over the report grid with
-    dt-halving on Newton failure; accumulates per-interval flux integrals."""
-    stepper_times = problem.times
-    n_rep = len(stepper_times) - 1
+             store_fields: bool) -> BlockSolution:
+    """Drive `step(s, t0, t1, k) -> (s_new, flux, iterations)` over the
+    report grid, each interval covered by cover_interval; accumulates
+    per-interval flux integrals."""
+    times = problem.times
+    n_rep = len(times) - 1
     s = np.full(mesh.n_cells, problem.s_init, dtype=float)
     means = np.empty(n_rep + 1)
     flux_int = np.zeros(n_rep)
@@ -246,39 +273,26 @@ def _advance(problem: BlockProblem, mesh: BlockMesh, step,
     iters_total = 0
     substeps_total = 0
 
-    dt_hint = float("inf")
+    def attempt(t, dt):                 # a step of report interval k
+        nonlocal s, iters_total, substeps_total
+        s, flux, iters = step(s, t, t + dt, k)
+        flux_int[k] += flux * dt
+        iters_total += iters
+        substeps_total += 1
+
     for k in range(n_rep):
-        t0, t1 = float(stepper_times[k]), float(stepper_times[k + 1])
-        t = t0
-        dt = min(t1 - t0, dt_hint)
-        min_dt = (t1 - t0) / 2 ** opts.max_halvings
-        while t < t1 - 1e-12 * (t1 - t0):
-            dt = min(dt, t1 - t)
-            try:
-                s_new, flux, iters = step(s, t, t + dt, k)
-            except NewtonFailure:
-                if dt / 2 < min_dt:
-                    raise
-                dt /= 2
-                continue
-            flux_int[k] += flux * dt
-            s = s_new
-            t += dt
-            iters_total += iters
-            substeps_total += 1
-            dt = dt_hint = 2 * dt
+        cover_interval(float(times[k]), float(times[k + 1]), attempt)
         means[k + 1] = float(np.dot(mesh.volumes, s) / mesh.total_volume)
         if store_fields:
             fields.append(s.copy())
 
-    return BlockSolution(times=stepper_times.copy(), mean_saturation=means,
+    return BlockSolution(times=times.copy(), mean_saturation=means,
                          flux_integrals=flux_int, final_field=s,
                          newton_iterations=iters_total,
                          substeps=substeps_total, fields=fields)
 
 
 def run_trajectory(problem: BlockProblem, mesh: BlockMesh | None = None,
-                   opts: NewtonOptions = NewtonOptions(),
                    store_fields: bool = False) -> BlockSolution:
     """Nonlinear block solve over the problem's report grid."""
     mesh = mesh or problem.build_mesh()
@@ -288,10 +302,10 @@ def run_trajectory(problem: BlockProblem, mesh: BlockMesh | None = None,
 
     def step(s, t0, t1, k):
         g = problem.wall_value(t1)
-        s_new, iters = stepper.newton_step(s, t1 - t0, g, table, alpha, opts)
+        s_new, iters = stepper.newton_step(s, t1 - t0, g, table, alpha)
         return s_new, stepper.wall_flux_nonlinear(s_new, g, table), iters
 
-    return _advance(problem, mesh, step, opts, store_fields)
+    return _advance(problem, mesh, step, store_fields)
 
 
 def run_linear(problem: BlockProblem, coefficients,
@@ -311,7 +325,7 @@ def run_linear(problem: BlockProblem, coefficients,
         s_new = stepper.linear_step(s, t1 - t0, g, c)
         return s_new, stepper.wall_flux_linear(s_new, g, c), 1
 
-    return _advance(problem, mesh, step, NewtonOptions(), store_fields)
+    return _advance(problem, mesh, step, store_fields)
 
 
 def exchange_from_volume(solution: BlockSolution, problem: BlockProblem,

@@ -4,10 +4,10 @@ from __future__ import annotations
 import numpy as np
 
 
-def uniform_times(t_end: float, n_steps: int, t_start: float = 0.0) -> np.ndarray:
-    if n_steps < 1 or t_end <= t_start:
-        raise ValueError("need n_steps >= 1 and t_end > t_start")
-    return np.linspace(t_start, t_end, n_steps + 1)
+def uniform_times(t_end: float, n_steps: int) -> np.ndarray:
+    if n_steps < 1 or t_end <= 0.0:
+        raise ValueError("need n_steps >= 1 and t_end > 0")
+    return np.linspace(0.0, t_end, n_steps + 1)
 
 
 def blocked_geometric_times(t_end: float, dt0: float, block_len: int = 64,

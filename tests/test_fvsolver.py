@@ -18,6 +18,10 @@ Oracles used here:
     (effective.sqrt_kernel_step) applied to the recorded wall and alpha
     histories (dual route to the same convolution), also on a realized
     grid where forced Newton failures halved some steps;
+  * forced Newton failures go through the step controller the block
+    uses too: the whole report interval first, halving on failure down to
+    span / 2**MAX_HALVINGS, doubling after success, and a fresh start at
+    every report interval;
   * with a degenerate running range the warped source collapses onto the
     fixed source with matched constant C_fixed = C_warped sqrt(alpha);
   * per-step mass bookkeeping closes to Newton tolerance, saturations
@@ -44,6 +48,7 @@ from dualporo.fvsolver import (BoundarySpec, FlowParams, FlowState,
                                FractureFlowSolver, SourceSpec, _Assembler,
                                build_grid, effective_permeability,
                                upwind_phase_mobility)
+from dualporo import imbibition
 from dualporo.imbibition import NewtonFailure
 
 DAY = 86400.0
@@ -524,9 +529,8 @@ def test_flood_mass_balance_bounds_closure_and_snapshots(sim1_cset):
     assert dw <= 1e-10
     assert dv <= 1e-12
     assert not any(st.clamped for st in res.steps)
-    params = solver.params
-    assert res.saturation.min() >= params.s_clamp
-    assert res.saturation.max() <= 1.0 - params.s_clamp
+    assert res.saturation.min() >= con.SAT_EPS
+    assert res.saturation.max() <= 1.0 - con.SAT_EPS
     assert res.saturation.max() > 0.3          # water actually invaded
 
     pc = np.asarray(con.capillary_pressure(res.saturation,
@@ -572,6 +576,64 @@ def test_halved_steps_keep_sources_and_balance(sim1_cset):
     dw, dv = res.max_defects()
     assert dw <= 1e-10
     assert dv <= 1e-12
+
+
+def inflow_solver(cset, nx, ny, source=SourceSpec(model="none")):
+    bcs = {"xmin": BoundarySpec("inflow", wetting_rate=1.5e-6),
+           "xmax": BoundarySpec("dirichlet", saturation=0.05,
+                                pressure_n=1e6)}
+    return FractureFlowSolver(build_grid(nx, ny, lx=10.0, ly=10.0),
+                              make_params(cset, source), bcs)
+
+
+def test_refused_interval_takes_quarters_and_the_next_starts_whole(
+        sim1_cset):
+    # report interval 1 refuses every step above 0.3 of its span: it is
+    # tried whole, halved twice, and covered in four quarter steps (each
+    # success doubles the next try); interval 2 starts again at its span
+    solver = inflow_solver(sim1_cset, 4, 4,
+                           SourceSpec("fixed", fixed_constant(sim1_cset)))
+    times = np.linspace(0.0, 1.0 * DAY, 5)
+    span = times[1] - times[0]
+    attempts = []                           # (report interval, dt / span)
+    try_step = solver._try_step
+
+    def refusing(state, dt):
+        k = int(np.searchsorted(times, state.t + 1e-6 * span,
+                                side="right")) - 1
+        attempts.append((k, dt / span))
+        if k == 1 and dt > 0.3 * span:
+            raise NewtonFailure("forced failure")
+        return try_step(state, dt)
+
+    solver._try_step = refusing
+    res = solver.run(0.05, 1e6, times)
+    tries = {k: [r for i, r in attempts if i == k] for k in range(4)}
+    assert tries[1] == pytest.approx([1.0, 0.5, 0.25, 0.5, 0.25, 0.5, 0.25,
+                                      0.25], rel=1e-12)
+    for k in (0, 2, 3):
+        assert tries[k] == pytest.approx([1.0], rel=1e-12)
+    assert [st.dt / span for st in res.steps] \
+        == pytest.approx([1.0, 0.25, 0.25, 0.25, 0.25, 1.0, 1.0], rel=1e-12)
+    assert np.array_equal(res.times_hist[[0, 1, 5, 6, 7]], times)
+
+
+def test_flood_newton_failure_surfaces_after_dt_halvings(sim1_cset):
+    # a step that never converges is tried at the whole report interval
+    # and at every halving down to span / 2**MAX_HALVINGS, then surfaces
+    solver = inflow_solver(sim1_cset, 4, 4)
+    times = np.linspace(0.0, 1.0 * DAY, 3)
+    attempts = []
+
+    def failing(state, dt):
+        attempts.append(dt)
+        raise NewtonFailure("forced failure")
+
+    solver._try_step = failing
+    with pytest.raises(NewtonFailure):
+        solver.run(0.05, 1e6, times)
+    assert attempts == [times[1] / 2 ** i
+                        for i in range(imbibition.MAX_HALVINGS + 1)]
 
 
 def test_one_dimensional_flood_self_convergence(sim1_cset):

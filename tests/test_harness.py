@@ -8,8 +8,10 @@ Oracles used here:
     four-sample series;
   * CSV writers round-trip through their readers and are byte-stable
     across repeated writes;
-  * the CLI verbs run end to end in-process on tiny configurations.
+  * the CLI verbs run end to end in-process on tiny configurations;
+  * every name the package exports resolves on it.
 """
+import dataclasses
 import filecmp
 import os
 import subprocess
@@ -123,7 +125,6 @@ def test_config_to_dict_is_yaml_friendly():
 def small_config(**kw):
     base = dict(n_steps=30, mesh_cells=16, deltas=(0.1,))
     base.update(kw)
-    import dataclasses
     return dataclasses.replace(hz.get_preset("sim1"), **base)
 
 
@@ -153,21 +154,31 @@ def test_run_method_block_methods_need_delta():
 
 
 def test_run_comparison_key_layout():
-    cfg = small_config()
-    results = hz.run_comparison(cfg, methods=("clin", "effective-I"),
-                                deltas=(0.1,))
+    cfg = small_config(methods=("clin", "effective-I"), deltas=(0.1,))
+    results = hz.run_comparison(cfg)
     assert set(results) == {("clin", 0.1), ("effective-I", 0.0)}
     assert results[("effective-I", 0.0)].divided_by_delta
 
 
 def test_run_comparison_validation():
+    # the scenario rejects what run_comparison could not run
     cfg = small_config()
     with pytest.raises(ValueError, match="no methods"):
-        hz.run_comparison(cfg, methods=())
+        dataclasses.replace(cfg, methods=())
     with pytest.raises(ValueError, match="unknown methods"):
-        hz.run_comparison(cfg, methods=("quadratic",))
+        dataclasses.replace(cfg, methods=("quadratic",))
     with pytest.raises(ValueError, match="delta"):
-        hz.run_comparison(cfg, methods=("clin",), deltas=())
+        dataclasses.replace(cfg, methods=("clin",), deltas=())
+    effective_only = dataclasses.replace(cfg, methods=("effective-I",),
+                                         deltas=())
+    assert set(hz.run_comparison(effective_only)) == {("effective-I", 0.0)}
+
+
+def test_package_exports_resolve():
+    missing = [name for name in dualporo.__all__
+               if not hasattr(dualporo, name)]
+    assert missing == []
+    assert len(set(dualporo.__all__)) == len(dualporo.__all__)
 
 
 def test_import_loads_no_quadrature_interpolation_or_yaml():
@@ -421,6 +432,13 @@ def test_cli_error_paths_exit_nonzero(tmp_path, capsys):
     junk.write_text("nope\n")
     assert main(["compare", str(junk), str(junk)]) == 1
     assert "dualporo:" in capsys.readouterr().err
+    # an empty config path is a given path, not the default flood
+    outdir = tmp_path / "out"
+    assert main(["effective-run", "", "--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dualporo: ")
+    assert err.count("\n") == 1
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("verb, config", [
@@ -434,9 +452,10 @@ def test_cli_error_paths_exit_nonzero(tmp_path, capsys):
     ("run", {"preset": "sim1", "trajectory_args": {"slope": 5.0}}),
     ("effective-run", {"nx": "12"}),
     ("run", {"preset": "sim1", "methods": ["nlin", "bogus"]}),
+    ("run", {"preset": "sim1", "methods": []}),
 ], ids=["bogus-source-model", "unknown-preset", "nan-permeability",
         "list-document", "string-deltas", "unknown-trajectory-arg",
-        "string-cell-count", "unknown-method"])
+        "string-cell-count", "unknown-method", "empty-methods"])
 def test_cli_config_errors_exit_with_one_line(tmp_path, capsys, verb,
                                               config):
     cfgfile = tmp_path / "config.yaml"
@@ -485,7 +504,10 @@ def test_cli_block_sizes_fail_at_load(tmp_path, capsys, args, field):
     ("--methods", "nlin,bogus"),
     ("--deltas", "1.5"),
     ("--mesh-cells", "7"),
-], ids=["unknown-method", "delta-above-one", "odd-mesh-cells"])
+    ("--methods", ""),
+    ("--deltas", ""),
+], ids=["unknown-method", "delta-above-one", "odd-mesh-cells",
+        "empty-methods", "empty-deltas"])
 def test_cli_run_override_errors_leave_no_outdir(tmp_path, capsys, flag,
                                                  value):
     outdir = tmp_path / "out"

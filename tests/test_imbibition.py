@@ -11,7 +11,10 @@ Oracles used here:
   * a monotone wall drive keeps the exchange one-signed and the block
     mean monotone (discrete maximum principle of the M-matrix scheme);
   * a step taken in two halves after a Newton failure equals a run on
-    the time grid refined there;
+    the time grid refined there; the step controller's attempts follow
+    its one policy: the whole interval first, halving on failure down to
+    span / 2**MAX_HALVINGS, doubling after success, and a fresh start at
+    every report interval;
   * the block solved on its mirror corner equals the full-cube solve to
     roundoff, with the same Newton iterations and substeps, and the
     Jacobian filled into the stepper's fixed pattern equals the one
@@ -35,9 +38,8 @@ from dualporo import imbibition
 from dualporo import timegrid
 from dualporo.harness import get_preset, list_presets
 from dualporo.imbibition import (BlockProblem, BlockStepper, ExchangeSeries,
-                                 NewtonFailure, NewtonOptions,
-                                 exchange_from_flux, exchange_from_volume,
-                                 run_trajectory)
+                                 NewtonFailure, exchange_from_flux,
+                                 exchange_from_volume, run_trajectory)
 from dualporo.linearized import (run_constant_linearized,
                                  run_variable_linearized)
 
@@ -179,11 +181,56 @@ def test_linear_solve_volume_flux_identity_is_exact(sim1_cset):
     assert np.abs(qv.values - qf.values).max() <= 1e-10 * scale
 
 
-def test_newton_failure_surfaces_after_dt_halvings(sim1_cset):
+def test_newton_failure_surfaces_after_dt_halvings(sim1_cset, monkeypatch):
+    # a step that never converges is tried at the whole report interval
+    # and at every halving down to span / 2**MAX_HALVINGS, then surfaces
     p = make_problem(sim1_cset, n_steps=2, mesh_cells=8)
-    opts = NewtonOptions(rtol=1e-10, max_iter=0, max_halvings=2)
+    span = p.times[1] - p.times[0]
+    attempts = []
+
+    def failing(self, s_old, dt, *args):
+        attempts.append(dt)
+        raise NewtonFailure("forced failure")
+
+    monkeypatch.setattr(BlockStepper, "newton_step", failing)
     with pytest.raises(NewtonFailure):
-        run_trajectory(p, opts=opts)
+        run_trajectory(p)
+    assert attempts == [span / 2 ** i
+                        for i in range(imbibition.MAX_HALVINGS + 1)]
+
+
+def test_refused_interval_takes_quarters_and_the_next_starts_whole(
+        sim1_cset, monkeypatch):
+    # report interval 5 refuses every step above 0.3 of its span: it is
+    # tried whole, halved twice, and covered in four quarter steps (each
+    # success doubles the next try); interval 6 starts again at its span
+    p = make_problem(sim1_cset, n_steps=20, mesh_cells=8)
+    times = p.times
+    span = times[1] - times[0]
+    plain = run_trajectory(p)
+    assert plain.substeps == 20                 # no halvings of its own
+    clock = [float(times[0])]
+    attempts = []                           # (report interval, dt / span)
+    newton_step = BlockStepper.newton_step
+
+    def refusing(self, s_old, dt, *args):
+        k = int(np.searchsorted(times, clock[0] + 1e-6 * span,
+                                side="right")) - 1
+        attempts.append((k, dt / span))
+        if k == 5 and dt > 0.3 * span:
+            raise NewtonFailure("forced failure")
+        out = newton_step(self, s_old, dt, *args)
+        clock[0] += dt
+        return out
+
+    monkeypatch.setattr(BlockStepper, "newton_step", refusing)
+    sol = run_trajectory(p)
+    tries = {k: [r for i, r in attempts if i == k] for k in range(20)}
+    assert tries[5] == pytest.approx([1.0, 0.5, 0.25, 0.5, 0.25, 0.5, 0.25,
+                                      0.25], rel=1e-12)
+    for k in set(range(20)) - {5}:
+        assert tries[k] == pytest.approx([1.0], rel=1e-12)
+    assert sol.substeps == 20 + 3
 
 
 def test_halved_steps_match_the_refined_grid(sim1_cset, monkeypatch):
