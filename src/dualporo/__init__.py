@@ -5,16 +5,15 @@ plus a finite-volume solver for the effective fracture system."""
 from .constitutive import (ConstitutiveSet, FluidPair, MediumProps,
                            VanGenuchtenParams, capillary_diffusivity,
                            capillary_pressure, capillary_saturation,
-                           kirchhoff_transform, mean_diffusivity,
                            range_diffusivity, transfer_saturation)
-from .blockmesh import BlockMesh, GradingParams, graded_interval, tensor_mesh
+from .blockmesh import BlockMesh, graded_interval, tensor_mesh
 from .timegrid import blocked_geometric_times, midpoints, uniform_times
 from .imbibition import (BlockProblem, BlockSolution, ExchangeSeries,
                          exchange_from_flux, exchange_from_volume,
                          run_trajectory)
 from .linearized import (DiffusionKernel, build_kernel,
-                         exchange_by_convolution, run_constant_linearized,
-                         run_variable_linearized, variable_coefficients)
+                         run_constant_linearized, run_variable_linearized,
+                         variable_coefficients)
 from .effective import (QuadratureTable, exchange_fixed_kernel,
                         exchange_warped_kernel, fixed_kernel_constant,
                         running_range_alpha, warped_kernel_constant)
@@ -32,19 +31,17 @@ __all__ = [
     "BlockMesh", "BlockProblem", "BlockSolution", "BoundarySpec",
     "ConstitutiveSet", "DAY", "DiffusionKernel", "EXCHANGE_METHODS",
     "ExchangeSeries", "FloodConfig", "FlowParams", "FluidPair",
-    "FractureFlowSolver", "GradingParams", "MediumProps",
-    "PRESETS", "QuadratureTable", "ScenarioConfig", "SourceSpec",
-    "VanGenuchtenParams", "blocked_geometric_times", "build_grid",
-    "build_kernel", "capillary_diffusivity", "capillary_pressure",
-    "capillary_saturation", "compare_series", "effective_permeability",
-    "exchange_by_convolution", "exchange_fixed_kernel",
+    "FractureFlowSolver", "MediumProps", "PRESETS", "QuadratureTable",
+    "ScenarioConfig", "SourceSpec", "VanGenuchtenParams",
+    "blocked_geometric_times", "build_grid", "build_kernel",
+    "capillary_diffusivity", "capillary_pressure", "capillary_saturation",
+    "compare_series", "effective_permeability", "exchange_fixed_kernel",
     "exchange_from_flux", "exchange_from_volume",
     "exchange_warped_kernel", "fixed_kernel_constant", "get_preset",
-    "graded_interval", "kirchhoff_transform", "list_presets",
-    "load_config", "load_flood_config", "make_trajectory",
-    "mean_diffusivity", "midpoints", "range_diffusivity",
-    "run_comparison", "run_constant_linearized", "run_flood",
-    "run_method", "run_trajectory", "run_variable_linearized",
-    "running_range_alpha", "tensor_mesh", "transfer_saturation",
-    "uniform_times", "variable_coefficients", "warped_kernel_constant",
+    "graded_interval", "list_presets", "load_config", "load_flood_config",
+    "make_trajectory", "midpoints", "range_diffusivity", "run_comparison",
+    "run_constant_linearized", "run_flood", "run_method",
+    "run_trajectory", "run_variable_linearized", "running_range_alpha",
+    "tensor_mesh", "transfer_saturation", "uniform_times",
+    "variable_coefficients", "warped_kernel_constant",
 ]

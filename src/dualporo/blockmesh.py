@@ -12,6 +12,7 @@ The imbibition solution lives in thin layers along the block walls (the
 diffusion length sqrt(a*t) is orders of magnitude below the block edge for
 small fracture widths), so the block's 1D node distribution is graded
 exponentially toward both ends of the interval and uniform in the middle.
+Its grading is fixed by the module constants below, not by options.
 tensor_mesh turns the faces and walls of the cube mesh, d in {1, 2, 3},
 into the block's BlockMesh: cells, diffusion operator and the weights of
 the Dirichlet value on the walls.
@@ -37,19 +38,12 @@ import numpy as np
 import scipy.sparse as sp
 
 
-@dataclass(frozen=True)
-class GradingParams:
-    """Controls of the graded 1D grid.
-
-    strength: exponential grading strength inside the wall layers;
-        0 degenerates to the uniform grid.
-    kappa: layer width safety factor on the diffusion length.
-    layer_fraction: fraction of each half's cells placed inside the layer.
-    """
-
-    strength: float = 6.0
-    kappa: float = 2.0
-    layer_fraction: float = 0.5
+# The graded 1D grid: exponential grading strength inside the wall
+# layers, the layer width's safety factor on the diffusion length, and the
+# fraction of each half's cells placed inside the layer.
+GRADING_STRENGTH = 6.0
+LAYER_KAPPA = 2.0
+LAYER_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -59,7 +53,6 @@ class GradedGrid1D:
     nodes: np.ndarray
     length: float
     layer_width: float
-    strength: float
 
     @property
     def n_cells(self) -> int:
@@ -70,27 +63,21 @@ class GradedGrid1D:
         return np.diff(self.nodes)
 
 
-def graded_interval(n_cells: int, length: float, layer_width: float,
-                    grading: GradingParams = GradingParams()) -> GradedGrid1D:
+def graded_interval(n_cells: int, length: float,
+                    layer_width: float) -> GradedGrid1D:
     """Symmetric grid with exponentially graded wall layers.
 
     Within each layer of width sigma the node offsets follow
-    sigma * (exp(b*u) - 1)/(exp(b) - 1), finest spacing at the wall; the
-    interior is uniform. strength b = 0 returns the uniform grid.
+    sigma * (exp(b*u) - 1)/(exp(b) - 1), b = GRADING_STRENGTH, finest
+    spacing at the wall; the interior is uniform.
     """
     if n_cells < 4 or n_cells % 2:
         raise ValueError("n_cells must be an even number >= 4")
     if not 0.0 < layer_width <= length / 4.0 + 1e-15:
         raise ValueError("layer_width must lie in (0, length/4]")
-    b = grading.strength
-    if b < 0.0:
-        raise ValueError("grading strength must be >= 0")
-    if b == 0.0:
-        nodes = np.linspace(0.0, length, n_cells + 1)
-        return GradedGrid1D(nodes, length, layer_width, b)
-
+    b = GRADING_STRENGTH
     n_half = n_cells // 2
-    n_layer = int(round(grading.layer_fraction * n_half))
+    n_layer = int(round(LAYER_FRACTION * n_half))
     # at least one layer cell, and two interior cells where there is room
     n_layer = min(max(n_layer, 2), max(n_half - 2, 1))
     u = np.arange(n_layer + 1) / n_layer
@@ -101,12 +88,13 @@ def graded_interval(n_cells: int, length: float, layer_width: float,
     right = (length - left[::-1])[1:]
     nodes = np.concatenate((left, right))
     nodes[n_half] = length / 2.0  # exact symmetry pivot
-    return GradedGrid1D(nodes, length, layer_width, b)
+    return GradedGrid1D(nodes, length, layer_width)
 
 
-def layer_adapted_grid(n_cells: int, delta: float, diffusion_scale: float,
-                       grading: GradingParams = GradingParams()) -> GradedGrid1D:
-    """Grid on [0, 1-delta] with layer width min(L/4, kappa*sqrt(scale)).
+def layer_adapted_grid(n_cells: int, delta: float,
+                       diffusion_scale: float) -> GradedGrid1D:
+    """Grid on [0, 1-delta] with layer width
+    min(L/4, LAYER_KAPPA * sqrt(scale)).
 
     diffusion_scale is the squared diffusion length a*T_ref of the run the
     grid is built for (block units).
@@ -116,10 +104,10 @@ def layer_adapted_grid(n_cells: int, delta: float, diffusion_scale: float,
     if diffusion_scale < 0.0:
         raise ValueError("diffusion_scale must be >= 0")
     length = 1.0 - delta
-    sigma = min(length / 4.0, grading.kappa * np.sqrt(diffusion_scale))
+    sigma = min(length / 4.0, LAYER_KAPPA * np.sqrt(diffusion_scale))
     if sigma <= 0.0:
         sigma = length / 4.0
-    return graded_interval(n_cells, length, sigma, grading)
+    return graded_interval(n_cells, length, sigma)
 
 
 _AXES = "xyz"

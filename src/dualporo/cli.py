@@ -71,6 +71,8 @@ def cmd_run(args) -> int:
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     results = hz.run_comparison(cfg)
+    # a report that cannot be computed fails before the outdir exists
+    rows = hz.comparison_rows(results, 0.5 * hz.DAY, cfg.t_end_days * hz.DAY)
     os.makedirs(args.outdir, exist_ok=True)
     outputs = []
     for key in sorted(results):
@@ -78,7 +80,6 @@ def cmd_run(args) -> int:
         hz.write_exchange_csv(os.path.join(args.outdir, fname),
                               [results[key]])
         outputs.append(fname)
-    rows = hz.comparison_rows(results, 0.5 * hz.DAY, cfg.t_end_days * hz.DAY)
     hz.write_comparison_csv(os.path.join(args.outdir, "report.csv"), rows)
     outputs.append("report.csv")
     hz.write_manifest(os.path.join(args.outdir, "manifest.yaml"),

@@ -358,35 +358,16 @@ def kirchhoff_table(vg: VanGenuchtenParams, fluids: FluidPair) -> KirchhoffTable
     return table
 
 
-def kirchhoff_transform(s, vg: VanGenuchtenParams, fluids: FluidPair,
-                        table: KirchhoffTable | None = None):
-    """beta(s); nondecreasing with beta(0) = 0."""
-    if table is None:
-        table = kirchhoff_table(vg, fluids)
-    return table(s)
-
-
-def mean_diffusivity(vg: VanGenuchtenParams, fluids: FluidPair,
-                     table: KirchhoffTable | None = None) -> float:
-    """alpha_bar = int_0^1 alpha(u) du = beta(1)."""
-    if table is None:
-        table = kirchhoff_table(vg, fluids)
-    return table.alpha_bar
-
-
-def range_diffusivity(s_lo, s_hi, vg: VanGenuchtenParams, fluids: FluidPair,
-                      table: KirchhoffTable | None = None):
-    """Average of alpha over [s_lo, s_hi]:
+def range_diffusivity(s_lo, s_hi, table: KirchhoffTable):
+    """Average of alpha over [s_lo, s_hi] in the table's medium:
     (beta(s_hi) - beta(s_lo)) / (s_hi - s_lo),
     continued by alpha(midpoint) when the width is 1e-12 or less."""
-    if table is None:
-        table = kirchhoff_table(vg, fluids)
     lo = np.minimum(np.asarray(s_lo, dtype=float), s_hi)
     hi = np.maximum(np.asarray(s_hi, dtype=float), s_lo)
     width = hi - lo
     wide = width > 1.0e-12
     ratio = (table(hi) - table(lo)) / np.where(wide, width, 1.0)
-    point = capillary_diffusivity(0.5 * (lo + hi), vg, fluids)
+    point = capillary_diffusivity(0.5 * (lo + hi), table.vg, table.fluids)
     out = np.where(wide, ratio, point)
     return out if out.ndim else float(out)
 
@@ -419,13 +400,11 @@ class ConstitutiveSet:
         return kirchhoff_table(self.matrix.vg, self.fluids)
 
     def alpha_bar(self) -> float:
-        return mean_diffusivity(self.matrix.vg, self.fluids)
+        """alpha_bar = int_0^1 alpha(u) du = beta(1) of the matrix."""
+        return self.matrix_table().alpha_bar
 
     def transfer(self, s_f):
         return transfer_saturation(s_f, self.matrix.vg, self.fracture.vg)
 
     def matrix_alpha(self, s):
         return capillary_diffusivity(s, self.matrix.vg, self.fluids)
-
-    def matrix_beta(self, s):
-        return kirchhoff_transform(s, self.matrix.vg, self.fluids)

@@ -77,8 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constitutive import (FluidPair, KirchhoffTable, VanGenuchtenParams,
-                           kirchhoff_table, range_diffusivity)
+from .constitutive import KirchhoffTable, range_diffusivity
 
 
 def fixed_kernel_constant(dimension: int, porosity: float,
@@ -298,18 +297,15 @@ def exchange_fixed_kernel(wall_values: np.ndarray, times: np.ndarray,
     return _kernel_series(wall_values, np.ones(len(times)), times, constant)
 
 
-def running_range_alpha(wall_values: np.ndarray, vg: VanGenuchtenParams,
-                        fluids: FluidPair,
-                        table: KirchhoffTable | None = None) -> np.ndarray:
-    """alpha_hat^k: diffusivity averaged over the range of wall values seen
-    through sample k (inclusive); degenerate range at k = 0 falls back to
-    the pointwise diffusivity."""
+def running_range_alpha(wall_values: np.ndarray,
+                        table: KirchhoffTable) -> np.ndarray:
+    """alpha_hat^k: diffusivity of the table's medium averaged over the
+    range of wall values seen through sample k (inclusive); degenerate
+    range at k = 0 falls back to the pointwise diffusivity."""
     p = np.asarray(wall_values, dtype=float)
-    if table is None:
-        table = kirchhoff_table(vg, fluids)
     lo = np.minimum.accumulate(p)
     hi = np.maximum.accumulate(p)
-    return np.asarray(range_diffusivity(lo, hi, vg, fluids, table))
+    return np.asarray(range_diffusivity(lo, hi, table))
 
 
 def exchange_warped_kernel(wall_values: np.ndarray, alpha_values: np.ndarray,

@@ -114,8 +114,8 @@ class BoundarySpec:
 class SourceSpec:
     """Matrix-exchange source: "fixed" / "warped" sqrt kernel or "none".
 
-    The constant is the kernel prefactor C; build it with
-    effective.fixed_kernel_constant or effective.warped_kernel_constant.
+    The constant is the kernel prefactor C; harness.kernel_constant
+    chooses it for a model.
     """
 
     model: str = "fixed"
@@ -128,8 +128,10 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class FlowParams:
+    """Media, effective permeability k* and source of a flood; the
+    fracture porosity phi_f is cset.fracture.porosity."""
+
     cset: ConstitutiveSet
-    phi_f: float
     k_star: float
     source: SourceSpec = SourceSpec(model="none")
 
@@ -241,7 +243,7 @@ class _Assembler:
         q_w = -(impl / dt) * (p_wall - wall_ref) + expl
         dq_w = -(impl / dt) * dp_wall
 
-        acc = par.phi_f * vol / dt
+        acc = cset.fracture.porosity * vol / dt
         r_w = acc * (s - s_old) - vol * q_w
         r_n = -acc * (s - s_old) + vol * q_w
 
@@ -366,8 +368,8 @@ class FractureFlowSolver:
         if src.model == "warped":
             # freeze alpha-hat at beginning-of-step extrema
             a_new = alpha = np.asarray(con.range_diffusivity(
-                state.run_min, state.run_max, par.cset.matrix.vg,
-                par.cset.fluids, par.cset.matrix_table()), dtype=float)
+                state.run_min, state.run_max, par.cset.matrix_table()),
+                dtype=float)
         impl, expl = state.memory.step(dt, alpha)
         return impl, expl, state.memory.wall0, a_new
 
@@ -386,8 +388,7 @@ class FractureFlowSolver:
                 con.SAT_EPS, 1.0 - con.SAT_EPS, 513)))
             p0 = np.unique(wall0)[:, None]
             band = np.asarray(con.range_diffusivity(
-                np.minimum(x, p0), np.maximum(x, p0), cset.matrix.vg,
-                cset.fluids, cset.matrix_table()))
+                np.minimum(x, p0), np.maximum(x, p0), cset.matrix_table()))
             x_lo, x_hi = x_lo * band.min(), x_hi * band.max()
         return MemorySource(src.constant, wall0, x_lo, x_hi)
 
@@ -399,7 +400,7 @@ class FractureFlowSolver:
         s = state.saturation.copy()
         pn = state.pressure_n.copy()
         s_old = state.saturation
-        scale = par.phi_f * self.grid.total_volume / (m * dt)
+        scale = par.cset.fracture.porosity * self.grid.total_volume / (m * dt)
         clamped = False
         res = np.inf
         for it in range(NEWTON_MAX_ITER + 1):
@@ -475,7 +476,8 @@ class FractureFlowSolver:
         return FlowResult(
             times=times.copy(), times_hist=np.array(state.times_hist),
             saturation=s_fin, pressure_n=pn_fin, pressure_w=pw_fin,
-            steps=steps, pore_volume=par.phi_f * g.total_volume,
+            steps=steps,
+            pore_volume=par.cset.fracture.porosity * g.total_volume,
             saturation_history=np.stack(s_hist),
             wall_history=np.stack(state.wall_hist),
             alpha_history=np.stack(state.alpha_hist),
@@ -497,7 +499,8 @@ class FractureFlowSolver:
         p_wall = np.asarray(par.cset.transfer(s_new))
         q_w = -(impl / dt) * (p_wall - wall_ref) + expl
 
-        water_accum = float(par.phi_f * np.dot(vol, s_new - state.saturation))
+        water_accum = float(par.cset.fracture.porosity
+                            * np.dot(vol, s_new - state.saturation))
         water_source = float(dt * np.dot(vol, q_w))
         water_bdry = rate_w * dt
         nonwet_bdry = rate_n * dt

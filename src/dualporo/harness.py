@@ -266,21 +266,28 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 # ---------------------------------------------------------------------------
 # method evaluation
 
+def kernel_constant(model: str, dimension: int,
+                    cset: con.ConstitutiveSet) -> float:
+    """Prefactor C of the sqrt kernel: the fixed kernel's for "fixed",
+    the time-warped kernel's for any other source model."""
+    phi_m, k_m = cset.matrix.porosity, cset.matrix.permeability
+    if model == "fixed":
+        return eff.fixed_kernel_constant(dimension, phi_m, k_m,
+                                         cset.alpha_bar())
+    return eff.warped_kernel_constant(dimension, phi_m, k_m)
+
+
 def _effective_series(cfg: ScenarioConfig, method: str) -> ExchangeSeries:
     cset = cfg.cset()
     times = cfg.times()
     boundary = cfg.boundary()
     wall = cset.transfer(np.array([boundary(t) for t in times]))
-    phi_m = cset.matrix.porosity
-    k_m = cset.matrix.permeability
     if method == "effective-I":
-        c = eff.fixed_kernel_constant(cfg.dimension, phi_m, k_m,
-                                      cset.alpha_bar())
+        c = kernel_constant("fixed", cfg.dimension, cset)
         values = eff.exchange_fixed_kernel(wall, times, c)
     else:
-        c = eff.warped_kernel_constant(cfg.dimension, phi_m, k_m)
-        alpha = eff.running_range_alpha(wall, cset.matrix.vg, cset.fluids,
-                                        cset.matrix_table())
+        c = kernel_constant("warped", cfg.dimension, cset)
+        alpha = eff.running_range_alpha(wall, cset.matrix_table())
         values = eff.exchange_warped_kernel(wall, alpha, times, c)
     return ExchangeSeries(midpoints(times), values, method, 0.0,
                           divided_by_delta=True)
@@ -426,6 +433,14 @@ class FloodConfig:
         if not self.t_end_days > 0.0:
             raise ValueError("t_end_days must be positive; got "
                              f"{self.t_end_days!r}")
+        # the flood's Newton iterate lives in the saturation clamp, and the
+        # outlet's ghost value is a saturation
+        if not con.SAT_EPS <= self.s_init <= 1.0 - con.SAT_EPS:
+            raise ValueError(f"s_init must lie in [{con.SAT_EPS!r}, "
+                             f"{1.0 - con.SAT_EPS!r}]; got {self.s_init!r}")
+        if not 0.0 <= self.outlet_saturation <= 1.0:
+            raise ValueError("outlet_saturation must lie in [0, 1]; got "
+                             f"{self.outlet_saturation!r}")
         # a snapshot at or before day 0 would be the first step's state
         bad = [d for d in self.snapshot_days if not d > 0.0]
         if bad:
@@ -437,13 +452,9 @@ def build_flood(cfg: FloodConfig):
     scen = get_preset(cfg.scenario)
     cset = scen.cset()
     grid = fv.build_grid(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
-    phi_m, k_m = cset.matrix.porosity, cset.matrix.permeability
-    constant = (eff.fixed_kernel_constant(grid.dimension, phi_m, k_m,
-                                          cset.alpha_bar())
-                if cfg.source_model == "fixed" else
-                eff.warped_kernel_constant(grid.dimension, phi_m, k_m))
+    constant = kernel_constant(cfg.source_model, grid.dimension, cset)
     params = fv.FlowParams(
-        cset=cset, phi_f=cset.fracture.porosity,
+        cset=cset,
         k_star=fv.effective_permeability(cset.fracture.permeability,
                                          grid.dimension),
         source=fv.SourceSpec(model=cfg.source_model, constant=constant))

@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .blockmesh import (LU_OPTIONS, BlockMesh, FixedPattern, GradingParams,
+from .blockmesh import (LU_OPTIONS, BlockMesh, FixedPattern,
                         layer_adapted_grid, tensor_mesh)
 from .constitutive import ConstitutiveSet
 
@@ -89,7 +89,6 @@ class BlockProblem:
     times: np.ndarray                    # report grid [s], strictly increasing
     initial_saturation: float | None = None   # matrix units; None -> equilibrium
     mesh_cells: int = 64
-    grading: GradingParams = GradingParams()
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -120,7 +119,7 @@ class BlockProblem:
 
     def build_mesh(self) -> BlockMesh:
         grid = layer_adapted_grid(self.mesh_cells, self.delta,
-                                  self.diffusion_scale(), self.grading)
+                                  self.diffusion_scale())
         return tensor_mesh(grid, self.dimension, corner=True)
 
 
@@ -129,8 +128,8 @@ class BlockSolution:
     """Report-grid history of one block run.
 
     mean_saturation and flux_integrals describe the whole block;
-    final_field and fields hold the cells of the mesh the run used (the
-    corner mesh of build_mesh unless a mesh is passed in).
+    final_field holds the cells of the mesh the run used (the corner mesh
+    of build_mesh unless a mesh is passed in).
     """
 
     times: np.ndarray
@@ -139,7 +138,6 @@ class BlockSolution:
     final_field: np.ndarray
     newton_iterations: int
     substeps: int
-    fields: list | None = None
 
 
 @dataclass(frozen=True)
@@ -254,12 +252,8 @@ class BlockStepper:
         return self.mesh.copies * self.k_eff * coeff * float(
             np.dot(self.mesh.boundary_weights, g - s))
 
-    def mean(self, s) -> float:
-        return float(np.dot(self.mesh.volumes, s) / self.mesh.total_volume)
 
-
-def _advance(problem: BlockProblem, mesh: BlockMesh, step,
-             store_fields: bool) -> BlockSolution:
+def _advance(problem: BlockProblem, mesh: BlockMesh, step) -> BlockSolution:
     """Drive `step(s, t0, t1, k) -> (s_new, flux, iterations)` over the
     report grid, each interval covered by cover_interval; accumulates
     per-interval flux integrals."""
@@ -269,7 +263,6 @@ def _advance(problem: BlockProblem, mesh: BlockMesh, step,
     means = np.empty(n_rep + 1)
     flux_int = np.zeros(n_rep)
     means[0] = float(np.dot(mesh.volumes, s) / mesh.total_volume)
-    fields = [s.copy()] if store_fields else None
     iters_total = 0
     substeps_total = 0
 
@@ -283,17 +276,15 @@ def _advance(problem: BlockProblem, mesh: BlockMesh, step,
     for k in range(n_rep):
         cover_interval(float(times[k]), float(times[k + 1]), attempt)
         means[k + 1] = float(np.dot(mesh.volumes, s) / mesh.total_volume)
-        if store_fields:
-            fields.append(s.copy())
 
     return BlockSolution(times=times.copy(), mean_saturation=means,
                          flux_integrals=flux_int, final_field=s,
                          newton_iterations=iters_total,
-                         substeps=substeps_total, fields=fields)
+                         substeps=substeps_total)
 
 
-def run_trajectory(problem: BlockProblem, mesh: BlockMesh | None = None,
-                   store_fields: bool = False) -> BlockSolution:
+def run_trajectory(problem: BlockProblem,
+                   mesh: BlockMesh | None = None) -> BlockSolution:
     """Nonlinear block solve over the problem's report grid."""
     mesh = mesh or problem.build_mesh()
     stepper = BlockStepper(mesh, problem.cset.matrix.porosity, problem.k_eff)
@@ -305,12 +296,11 @@ def run_trajectory(problem: BlockProblem, mesh: BlockMesh | None = None,
         s_new, iters = stepper.newton_step(s, t1 - t0, g, table, alpha)
         return s_new, stepper.wall_flux_nonlinear(s_new, g, table), iters
 
-    return _advance(problem, mesh, step, store_fields)
+    return _advance(problem, mesh, step)
 
 
 def run_linear(problem: BlockProblem, coefficients,
-               mesh: BlockMesh | None = None,
-               store_fields: bool = False) -> BlockSolution:
+               mesh: BlockMesh | None = None) -> BlockSolution:
     """Linearized block solve: phi ds/dt = k_eff c_k Lap(s), with scalar
     diffusivity c_k frozen per report step (scalar input broadcasts)."""
     mesh = mesh or problem.build_mesh()
@@ -325,7 +315,7 @@ def run_linear(problem: BlockProblem, coefficients,
         s_new = stepper.linear_step(s, t1 - t0, g, c)
         return s_new, stepper.wall_flux_linear(s_new, g, c), 1
 
-    return _advance(problem, mesh, step, store_fields)
+    return _advance(problem, mesh, step)
 
 
 def exchange_from_volume(solution: BlockSolution, problem: BlockProblem,

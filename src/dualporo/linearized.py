@@ -1,7 +1,8 @@
 """Linearized block imbibition: constant and variable diffusivity.
 
 Replacing alpha(s) by a scalar turns the block problem into the heat
-equation. Two linearizations are provided:
+equation. Two linearizations are provided, both solved on the block mesh
+by imbibition.run_linear:
 
   * constant ("clin"): the saturation average alpha_bar = int_0^1 alpha;
   * variable ("vlin"): a time-dependent scalar, the average of alpha over
@@ -16,10 +17,10 @@ from 0 is
 
     m(t) = 1 - prod_axes [ (8/pi^2) sum_{j odd} j^-2 exp(-a pi^2 j^2 t/L^2) ]
 
-and the exchange kernel is phi_m * dm/dt, a positive decreasing
-exponential sum. The number of retained odd modes is configurable: at
-times with a*t << (L/j_max)^2 the truncation tail is not small, which the
-recorded tail bound makes visible.
+DiffusionKernel evaluates it and its exact per-interval exchange, the
+analytic reference of the clin block solve.  The number of retained odd
+modes is configurable: at times with a*t << (L/j_max)^2 the truncation
+tail is not small, which tail_bound makes visible.
 """
 from __future__ import annotations
 
@@ -29,13 +30,12 @@ import numpy as np
 
 from .blockmesh import BlockMesh
 from .effective import running_range_alpha
-from .imbibition import (BlockProblem, BlockSolution, ExchangeSeries,
-                         run_linear)
+from .imbibition import BlockProblem, BlockSolution, run_linear
 
 
 @dataclass(frozen=True)
 class DiffusionKernel:
-    """Exponential-sum exchange kernel of the constant-coefficient block."""
+    """Odd-mode step response of the constant-coefficient block."""
 
     dimension: int
     length: float
@@ -56,14 +56,6 @@ class DiffusionKernel:
         """Block-average saturation after a unit wall step at t = 0."""
         return 1.0 - self.mean_complement_1d(t) ** self.dimension
 
-    def kernel_value(self, t):
-        """phi_m * d/dt mean_step_response; positive and decreasing."""
-        t = np.asarray(t, dtype=float)
-        e = np.exp(-np.multiply.outer(t, self.rates_1d))
-        s = e @ self.weights_1d
-        ds = e @ (self.weights_1d * self.rates_1d)
-        return self.porosity * self.dimension * s ** (self.dimension - 1) * ds
-
     def step_exchange_average(self, times, jump: float) -> np.ndarray:
         """Exact per-interval averages of the step-response exchange
         -phi * jump * dm/dt, i.e. -phi*jump*(m(t_k+1)-m(t_k))/dt."""
@@ -76,16 +68,6 @@ class DiffusionKernel:
         rate = self.diffusivity * np.pi ** 2 * j_next ** 2 / self.length ** 2
         geom = (8.0 / np.pi ** 2) * 0.5 / self.modes[-1]
         return geom * np.exp(-rate * np.asarray(t, dtype=float))
-
-    def flattened(self):
-        """(weights, rates) of phi*dm/dt as one exponential sum over odd
-        multi-indices; sizes grow like (modes per axis)**dimension."""
-        w = self.weights_1d
-        r = self.rates_1d
-        for _ in range(self.dimension - 1):
-            w = np.multiply.outer(w, self.weights_1d).reshape(-1)
-            r = np.add.outer(r, self.rates_1d).reshape(-1)
-        return self.porosity * w * r, r
 
 
 def kernel_from_scales(dimension: int, length: float, diffusivity: float,
@@ -112,61 +94,24 @@ def build_kernel(delta: float, porosity: float, permeability: float,
     return kernel_from_scales(dimension, 1.0 - delta, a, porosity, j_max)
 
 
-def exchange_by_convolution(wall_values: np.ndarray, times: np.ndarray,
-                            kernel: DiffusionKernel, delta: float,
-                            wall_reference: float | None = None) -> ExchangeSeries:
-    """Exchange of the constant-coefficient block from the convolution
-
-        Q(t) = -d/dt int_0^t K(t-u) (p(u) - p(0)) du
-
-    with p piecewise constant on intervals (right-endpoint values), K the
-    flattened exponential-sum kernel. The integrals are exact for that
-    data, evaluated by one linear recursion per kernel mode; values are
-    per-interval averages at interval midpoints, matching the block
-    solver's reporting convention.
-    """
-    times = np.asarray(times, dtype=float)
-    p = np.asarray(wall_values, dtype=float)
-    if len(p) != len(times):
-        raise ValueError("wall_values must be sampled on the time grid")
-    p0 = p[0] if wall_reference is None else wall_reference
-    weights, rates = kernel.flattened()
-    g = np.zeros_like(rates)
-    out = np.empty(len(times) - 1)
-    conv_prev = 0.0
-    for k in range(len(times) - 1):
-        dt = times[k + 1] - times[k]
-        decay = np.exp(-rates * dt)
-        g = g * decay + (p[k + 1] - p0) * (1.0 - decay) / rates
-        conv = float(weights @ g)
-        out[k] = -(conv - conv_prev) / dt
-        conv_prev = conv
-    return ExchangeSeries(0.5 * (times[:-1] + times[1:]), out, "clin", delta)
-
-
 def variable_coefficients(problem: BlockProblem) -> np.ndarray:
     """Per-interval scalar diffusivity: average of alpha over the wall-value
     range visited through the interval's start node."""
     cset = problem.cset
     wall = cset.transfer(np.array([problem.boundary(float(t))
                                    for t in problem.times]))
-    return running_range_alpha(wall, cset.matrix.vg, cset.fluids,
-                               cset.matrix_table())[:-1]
+    return running_range_alpha(wall, cset.matrix_table())[:-1]
 
 
 def run_constant_linearized(problem: BlockProblem,
-                            mesh: BlockMesh | None = None,
-                            coefficient: float | None = None,
-                            store_fields: bool = False) -> BlockSolution:
+                            mesh: BlockMesh | None = None) -> BlockSolution:
     """Block solve with alpha replaced by its saturation average."""
-    c = problem.cset.alpha_bar() if coefficient is None else coefficient
-    return run_linear(problem, c, mesh, store_fields)
+    return run_linear(problem, problem.cset.alpha_bar(), mesh)
 
 
 def run_variable_linearized(problem: BlockProblem,
-                            mesh: BlockMesh | None = None,
-                            store_fields: bool = False):
+                            mesh: BlockMesh | None = None):
     """Block solve with the range-averaged diffusivity, frozen per step in
     physical time. Returns (solution, coefficients)."""
     coeff = variable_coefficients(problem)
-    return run_linear(problem, coeff, mesh, store_fields), coeff
+    return run_linear(problem, coeff, mesh), coeff

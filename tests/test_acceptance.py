@@ -234,15 +234,14 @@ def test_criterion_07_variable_machinery_collapses_onto_constant():
                             cset=cset,
                             boundary=lambda u: prob.boundary(u / abar),
                             times=tau, initial_saturation=prob.s_init,
-                            mesh_cells=prob.mesh_cells,
-                            grading=prob.grading)
+                            mesh_cells=prob.mesh_cells)
     sol_tau = run_linear(tau_prob, 1.0, mesh)
     sol_tc = BlockSolution(times=prob.times.copy(),
                            mean_saturation=sol_tau.mean_saturation,
                            flux_integrals=sol_tau.flux_integrals,
                            final_field=sol_tau.final_field,
                            newton_iterations=sol_tau.newton_iterations,
-                           substeps=sol_tau.substeps, fields=sol_tau.fields)
+                           substeps=sol_tau.substeps)
     ex_tc = exchange_from_volume(sol_tc, prob, "vlin").values
     assert np.max(np.abs(ex_tc - ex_clin)) <= 1e-10 * scale
 

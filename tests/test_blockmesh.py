@@ -34,12 +34,6 @@ def test_graded_interval_smallest_grids_keep_one_layer_cell():
         assert grid.nodes[n_cells // 2] == 0.5
 
 
-def test_graded_interval_zero_strength_is_uniform():
-    grid = bm.graded_interval(16, 1.0, 0.1,
-                              bm.GradingParams(strength=0.0))
-    assert np.allclose(grid.nodes, np.linspace(0.0, 1.0, 17), atol=1e-15)
-
-
 def test_graded_interval_refines_toward_walls():
     grid = bm.graded_interval(64, 1.0, 0.25)
     w = grid.widths
@@ -57,9 +51,6 @@ def test_graded_interval_validation():
         bm.graded_interval(2, 1.0, 0.1)       # too few cells
     with pytest.raises(ValueError):
         bm.graded_interval(16, 1.0, 0.3)      # layer wider than L/4
-    with pytest.raises(ValueError):
-        bm.graded_interval(16, 1.0, 0.1,
-                           bm.GradingParams(strength=-1.0))
 
 
 def test_layer_adapted_grid_rule():
@@ -67,9 +58,8 @@ def test_layer_adapted_grid_rule():
     scale = 1e-4                              # squared diffusion length
     grid = bm.layer_adapted_grid(64, delta, scale)
     assert grid.length == pytest.approx(1.0 - delta, rel=1e-15)
-    kappa = bm.GradingParams().kappa
     assert grid.layer_width == pytest.approx(
-        min(grid.length / 4.0, kappa * np.sqrt(scale)), rel=1e-14)
+        min(grid.length / 4.0, bm.LAYER_KAPPA * np.sqrt(scale)), rel=1e-14)
     # a huge diffusion scale caps the layer at a quarter length
     wide = bm.layer_adapted_grid(64, delta, 1.0)
     assert wide.layer_width == pytest.approx(wide.length / 4.0, rel=1e-14)
@@ -122,7 +112,7 @@ def test_tensor_mesh_dimension_validation():
 def test_corner_mesh_walls_and_copies():
     # uniform 4-cell grid on [0, 1]: the corner is [0, 1/2] in 2 cells of
     # width 1/4; interior faces couple by 1/(1/4) = 4, the wall by 8
-    grid = bm.graded_interval(4, 1.0, 0.25, bm.GradingParams(strength=0.0))
+    grid = bm.GradedGrid1D(np.linspace(0.0, 1.0, 5), 1.0, 0.25)
     line = bm.tensor_mesh(grid, 1, corner=True)
     assert line.copies == 2 and line.n_cells == 2
     assert np.array_equal(line.volumes, [0.25, 0.25])

@@ -131,8 +131,10 @@ def test_alpha_bar_frozen_and_against_quadrature(matrix_vg, fluids):
 
 def test_alpha_bar_scales_with_pressure(fluids):
     """alpha is linear in P_c, hence alpha_bar is proportional to P_r."""
-    a1 = con.mean_diffusivity(con.VanGenuchtenParams(p_r=1e5, n=2.0), fluids)
-    a10 = con.mean_diffusivity(con.VanGenuchtenParams(p_r=1e6, n=2.0), fluids)
+    a1 = con.kirchhoff_table(con.VanGenuchtenParams(p_r=1e5, n=2.0),
+                             fluids).alpha_bar
+    a10 = con.kirchhoff_table(con.VanGenuchtenParams(p_r=1e6, n=2.0),
+                              fluids).alpha_bar
     assert a10 / a1 == pytest.approx(10.0, rel=1e-9)
 
 
@@ -266,26 +268,40 @@ def test_qk21_panels_stop_where_scalar_quad_stops(matrix_vg, fluids):
 def test_range_diffusivity_limits(matrix_vg, fluids):
     table = con.kirchhoff_table(matrix_vg, fluids)
     # full range recovers the saturation average
-    assert float(con.range_diffusivity(0.0, 1.0, matrix_vg, fluids,
-                                       table)) == \
+    assert float(con.range_diffusivity(0.0, 1.0, table)) == \
         pytest.approx(table.alpha_bar, rel=1e-12)
     # degenerate range falls back to the pointwise diffusivity
-    assert float(con.range_diffusivity(0.4, 0.4, matrix_vg, fluids,
-                                       table)) == \
+    assert float(con.range_diffusivity(0.4, 0.4, table)) == \
         pytest.approx(float(con.capillary_diffusivity(0.4, matrix_vg,
                                                       fluids)), rel=1e-12)
     # orientation of the endpoints is immaterial
-    assert float(con.range_diffusivity(0.7, 0.2, matrix_vg, fluids,
-                                       table)) == \
-        float(con.range_diffusivity(0.2, 0.7, matrix_vg, fluids, table))
+    assert float(con.range_diffusivity(0.7, 0.2, table)) == \
+        float(con.range_diffusivity(0.2, 0.7, table))
+
+
+def test_range_diffusivity_degenerate_width_uses_the_tables_medium(
+        matrix_vg, fluids):
+    # strong contrast (P_r = 1e6) has ten times sim1's alpha at every
+    # saturation; the midpoint branch must read the table's own curve
+    strong_vg = con.VanGenuchtenParams(p_r=1.0e6, n=2.0)
+    strong = con.kirchhoff_table(strong_vg, fluids)
+    got = float(con.range_diffusivity(0.4, 0.4 + 1e-13, strong))
+    assert got == pytest.approx(
+        float(con.capillary_diffusivity(0.4, strong_vg, fluids)), rel=1e-9)
+    sim1 = float(con.capillary_diffusivity(0.4, matrix_vg, fluids))
+    assert got == pytest.approx(10.0 * sim1, rel=1e-9)
+    # the array form takes the same branch per entry
+    got = con.range_diffusivity(np.array([0.3, 0.6]), np.array([0.3, 0.6]),
+                                strong)
+    assert np.array_equal(got, con.capillary_diffusivity(
+        np.array([0.3, 0.6]), strong_vg, fluids))
 
 
 def test_range_diffusivity_is_beta_increment(matrix_vg, fluids):
     table = con.kirchhoff_table(matrix_vg, fluids)
     lo, hi = 0.23, 0.78
     expected = (float(table(hi)) - float(table(lo))) / (hi - lo)
-    assert float(con.range_diffusivity(lo, hi, matrix_vg, fluids,
-                                       table)) == \
+    assert float(con.range_diffusivity(lo, hi, table)) == \
         pytest.approx(expected, rel=1e-13)
 
 
@@ -322,7 +338,7 @@ def test_constitutive_set_shortcuts(sim1_cset):
     assert sim1_cset.alpha_bar() == pytest.approx(ALPHA_BAR_SIM1, rel=1e-12)
     assert float(sim1_cset.transfer(0.5)) == \
         pytest.approx(0.9853292781642932, rel=1e-12)
-    assert float(sim1_cset.matrix_beta(1.0)) == \
+    assert float(sim1_cset.matrix_table()(1.0)) == \
         pytest.approx(ALPHA_BAR_SIM1, rel=1e-12)
     assert float(sim1_cset.matrix_alpha(0.5)) == \
         pytest.approx(5594408.08101204, rel=1e-12)

@@ -343,9 +343,8 @@ def test_warped_kernel_validation():
 def test_running_range_alpha_matches_manual_accumulation(sim1_cset):
     rng = np.random.default_rng(909)
     wall = rng.uniform(0.1, 0.9, 24)
-    vg = sim1_cset.matrix.vg
-    got = running_range_alpha(wall, vg, sim1_cset.fluids)
-    beta = sim1_cset.matrix_beta
+    beta = sim1_cset.matrix_table()
+    got = running_range_alpha(wall, beta)
     assert got[0] == pytest.approx(float(sim1_cset.matrix_alpha(wall[0])),
                                    rel=1e-12)
     for k in range(1, len(wall)):

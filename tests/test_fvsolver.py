@@ -65,8 +65,7 @@ def warped_constant(cset):
 
 
 def make_params(cset, source=SourceSpec(model="none"), k_star=0.5e-13):
-    return FlowParams(cset=cset, phi_f=cset.fracture.porosity, k_star=k_star,
-                      source=source)
+    return FlowParams(cset=cset, k_star=k_star, source=source)
 
 
 # ------------------------------------------------------------------ grid
@@ -296,7 +295,7 @@ class CooAssembler(_Assembler):
         q_w = -(impl / dt) * (p_wall - wall_ref) + expl
         dq_w = -(impl / dt) * dp_wall
 
-        acc = par.phi_f * vol / dt
+        acc = cset.fracture.porosity * vol / dt
         r_w = acc * (s - s_old) - vol * q_w
         r_n = -acc * (s - s_old) + vol * q_w
 

@@ -148,6 +148,17 @@ def test_run_method_effective_matches_inline_composition():
     assert series.delta == 0.0 and series.divided_by_delta
 
 
+def test_kernel_constant_picks_the_models_prefactor():
+    import dualporo.effective as eff
+    cset = hz.get_preset("sim1").cset()
+    phi, k = cset.matrix.porosity, cset.matrix.permeability
+    assert hz.kernel_constant("fixed", 2, cset) == \
+        eff.fixed_kernel_constant(2, phi, k, cset.alpha_bar())
+    for model in ("warped", "none"):
+        assert hz.kernel_constant(model, 3, cset) == \
+            eff.warped_kernel_constant(3, phi, k)
+
+
 def test_run_method_block_methods_need_delta():
     with pytest.raises(ValueError, match="delta"):
         hz.run_method(small_config(), "nlin")
@@ -519,6 +530,26 @@ def test_cli_run_override_errors_leave_no_outdir(tmp_path, capsys, flag,
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["sim1", "--steps", "1", "--mesh-cells", "8", "--deltas", "0.1"],
+    {"preset": "nonmonotone", "trajectory_args": {"amp": 0.0},
+     "n_steps": 4, "mesh_cells": 8, "deltas": [0.1]},
+], ids=["one-step-window", "flat-drive"])
+def test_cli_run_report_errors_leave_no_outdir(tmp_path, capsys, args):
+    # both compute every series and then fail in the report: one step
+    # leaves one sample in the window, a flat drive a zero reference
+    if isinstance(args, dict):
+        cfgfile = tmp_path / "config.yaml"
+        cfgfile.write_text(yaml.safe_dump(args))
+        args = [str(cfgfile)]
+    outdir = tmp_path / "out"
+    assert main(["run"] + args + ["--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dualporo: ")
+    assert err.count("\n") == 1
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("args, field", [
     (["--ny", "1"], "ny"),
     (["--rate", "nan"], "inflow_rate"),
@@ -526,11 +557,21 @@ def test_cli_run_override_errors_leave_no_outdir(tmp_path, capsys, flag,
     ({"ny": 1}, "ny"),
     ({"nx": 4, "ny": 4, "n_steps": 4, "t_end_days": 2.0,
       "snapshot_days": [-1.0, 0.0]}, "snapshot_days"),
+    ({"s_init": 1.5}, "s_init"),
+    ({"s_init": 0.0}, "s_init"),
+    ({"s_init": 1.0}, "s_init"),
+    ({"s_init": 5e-9}, "s_init"),
+    ({"outlet_saturation": 1.2}, "outlet_saturation"),
+    ({"outlet_saturation": -0.1}, "outlet_saturation"),
 ], ids=["one-row", "nan-rate", "zero-steps", "yaml-one-row",
-        "yaml-nonpositive-snapshots"])
+        "yaml-nonpositive-snapshots", "yaml-s-init-above-one",
+        "yaml-s-init-zero", "yaml-s-init-one", "yaml-s-init-below-clamp",
+        "yaml-outlet-above-one", "yaml-outlet-negative"])
 def test_cli_flood_config_fails_at_load(tmp_path, capsys, args, field):
     # a one-row flood has k* = 0 and a NaN rate passes the CLI's float
-    # parsing; both used to fail only inside the Newton solve
+    # parsing; both used to fail only inside the Newton solve, as an
+    # initial saturation outside the clamp did, and an outlet saturation
+    # above one was clipped silently
     if isinstance(args, dict):
         cfgfile = tmp_path / "flood.yaml"
         cfgfile.write_text(yaml.safe_dump(args))
@@ -541,3 +582,13 @@ def test_cli_flood_config_fails_at_load(tmp_path, capsys, args, field):
     assert err.startswith(f"dualporo: {field} must ")
     assert err.count("\n") == 1
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("s_init", 1e-8), ("s_init", 0.99999999),
+    ("outlet_saturation", 0.0), ("outlet_saturation", 1.0),
+])
+def test_flood_config_accepts_saturation_limits(tmp_path, key, value):
+    cfgfile = tmp_path / "flood.yaml"
+    cfgfile.write_text(yaml.safe_dump({key: value}))
+    assert getattr(hz.load_flood_config(str(cfgfile)), key) == value

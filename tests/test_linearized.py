@@ -8,8 +8,6 @@ Oracles used here:
     absorbs like two half-spaces, m(t) = (4/L) sqrt(a t / pi);
   * the multi-axis step response is a product of per-axis factors,
     1 - m_d = (1 - m_1)^d;
-  * the convolution evaluator applied to step data must reproduce the
-    exact per-interval averages of the step response;
   * the range-averaged diffusivity is a difference quotient of the
     Kirchhoff transform, checked against direct table evaluations.
 """
@@ -17,9 +15,9 @@ import numpy as np
 import pytest
 
 from dualporo.imbibition import BlockProblem
-from dualporo.linearized import (build_kernel, exchange_by_convolution,
-                                 kernel_from_scales, run_constant_linearized,
-                                 run_linear, run_variable_linearized,
+from dualporo.linearized import (build_kernel, kernel_from_scales,
+                                 run_constant_linearized, run_linear,
+                                 run_variable_linearized,
                                  variable_coefficients)
 
 DAY = 86400.0
@@ -66,34 +64,12 @@ def test_multi_axis_response_is_a_product_of_axis_factors():
                        rtol=1e-13, atol=0.0)
 
 
-def test_kernel_value_is_positive_decreasing_and_matches_slope():
-    k = kernel_from_scales(2, 0.9, 0.8, 0.35, j_max=99)
-    ts = np.linspace(0.01, 2.0, 40)
-    vals = k.kernel_value(ts)
-    assert (vals > 0.0).all()
-    assert (np.diff(vals) < 0.0).all()
-    h = 1e-6
-    for t in (0.05, 0.1, 0.3):
-        fd = k.porosity * (k.mean_step_response(t + h)
-                           - k.mean_step_response(t - h)) / (2 * h)
-        assert float(k.kernel_value(t)) == pytest.approx(float(fd), rel=1e-6)
-
-
 def test_tail_bound_dominates_truncation_error():
     k_lo = kernel_from_scales(1, 1.0, 1.0, 0.35, j_max=25)
     k_hi = kernel_from_scales(1, 1.0, 1.0, 0.35, j_max=301)
     ts = np.array([1e-4, 1e-3, 1e-2, 0.1])
     diff = np.abs(k_lo.mean_complement_1d(ts) - k_hi.mean_complement_1d(ts))
     assert (diff <= k_lo.tail_bound(ts) + 1e-16).all()
-
-
-def test_flattened_sum_reproduces_kernel_value():
-    k = kernel_from_scales(2, 0.9, 0.8, 0.35, j_max=49)
-    w, r = k.flattened()
-    assert len(w) == len(k.modes) ** 2
-    for t in (0.03, 0.2, 0.7):
-        direct = float(w @ np.exp(-r * t))
-        assert direct == pytest.approx(float(k.kernel_value(t)), rel=1e-12)
 
 
 def test_build_kernel_applies_block_scales():
@@ -111,36 +87,6 @@ def test_kernel_scale_validation():
         kernel_from_scales(1, -1.0, 1.0, 0.35)
     with pytest.raises(ValueError):
         kernel_from_scales(1, 1.0, 0.0, 0.35)
-
-
-# ------------------------------------------------------ convolution route
-
-def test_convolution_on_step_data_matches_step_average():
-    k = kernel_from_scales(2, 0.9, 0.8, 0.35, j_max=99)
-    times = np.linspace(0.0, 1.0, 41)
-    wall = np.full(len(times), 0.7)
-    wall[0] = 0.2
-    series = exchange_by_convolution(wall, times, k, delta=0.01)
-    ref = k.step_exchange_average(times, 0.7 - 0.2)
-    assert series.method == "clin"
-    assert np.allclose(series.times, 0.5 * (times[:-1] + times[1:]))
-    scale = np.abs(ref).max()
-    assert np.abs(series.values - ref).max() <= 1e-12 * scale
-
-
-def test_convolution_wall_reference_shifts_the_jump():
-    k = kernel_from_scales(1, 1.0, 1.0, 0.35, j_max=49)
-    times = np.linspace(0.0, 0.5, 21)
-    wall = np.full(len(times), 0.9)
-    series = exchange_by_convolution(wall, times, k, 0.01, wall_reference=0.4)
-    ref = k.step_exchange_average(times, 0.5)
-    assert np.allclose(series.values, ref, rtol=1e-12, atol=0.0)
-
-
-def test_convolution_validates_sampling():
-    k = kernel_from_scales(1, 1.0, 1.0, 0.35, j_max=9)
-    with pytest.raises(ValueError):
-        exchange_by_convolution(np.zeros(3), np.linspace(0, 1, 5), k, 0.1)
 
 
 # ------------------------------------------------- variable linearization
@@ -161,13 +107,13 @@ def test_variable_coefficients_are_kirchhoff_difference_quotients(sim1_cset):
     coeff = variable_coefficients(p)
     wall = np.array([p.wall_value(t) for t in p.times])
     lo = wall[0]
+    beta = sim1_cset.matrix_table()
     # first interval sees a degenerate range: the pointwise diffusivity
     assert coeff[0] == pytest.approx(float(sim1_cset.matrix_alpha(lo)),
                                      rel=1e-12)
     for k in range(1, len(coeff)):
         hi = wall[k]
-        expected = ((sim1_cset.matrix_beta(hi) - sim1_cset.matrix_beta(lo))
-                    / (hi - lo))
+        expected = (beta(hi) - beta(lo)) / (hi - lo)
         assert coeff[k] == pytest.approx(float(expected), rel=1e-12)
 
 
