@@ -120,8 +120,9 @@ def cmd_effective_run(args) -> int:
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     solver, times, snaps = hz.build_flood(cfg)
-    os.makedirs(args.outdir, exist_ok=True)
+    # a flood that fails fails before the outdir exists
     result = solver.run(cfg.s_init, cfg.pn_init, times, snapshot_times=snaps)
+    os.makedirs(args.outdir, exist_ok=True)
     outputs = []
     for epoch in sorted(result.snapshots):
         s, pw, pn = result.snapshots[epoch]

@@ -23,9 +23,9 @@ blockmesh.LU_OPTIONS, as the block solver does.
 build_grid makes the mesh with blockmesh.product_mesh, the builder of
 the matrix block's mesh, so the two problems share one mesh type and one
 transmissibility rule.  Boundary conditions attach to the mesh's named
-walls (xmin .. ymax).  assemble returns the into-domain boundary rates
-with the residual, so an accepted step's mass balance reads the fluxes
-of its converged iterate from the one boundary-flux formula.
+walls (xmin .. ymax).  assemble returns with the residual the boundary
+rates, the wall values transfer(S) and the source Q_w of its iterate, so
+an accepted step reads all three from its converged iterate.
 
 The matrix-exchange source Q_w is the sqrt-kernel convolution of the
 cell's own wall-value history p^k = transfer(S^k), carried by one
@@ -39,11 +39,11 @@ the decaying states for the older ones.  The fixed kernel is the case
 alpha = 1 (one shared clock for all cells); the time-warped kernel uses
 alpha = alpha_hat per cell, frozen at its beginning-of-step value
 (running extrema of the wall history), which keeps the Newton system
-well defined.  _source_terms evaluates the trial step and _commit
-advances the memory once the step is accepted, so step halving stays
-consistent with the convolution.  Each report interval is covered by
-imbibition.cover_interval, the step controller the block uses too, and
-its end is snapped to the report time.
+well defined.  _source_terms evaluates the trial step of the memory,
+and _try_step commits it only once Newton converges, so step halving
+stays consistent with the convolution.  Each report interval is covered
+by imbibition.cover_interval, the step controller the block uses too,
+and its end is snapped to the report time.
 
 The memory's nodes cover the clock range [x_lo, x_hi] of the run: x_lo
 is half the shortest step a report interval can halve to
@@ -53,12 +53,15 @@ alpha_hat averages alpha over a range of wall values that contains the
 cell's p^0, so it lies between the extremes over x of
 range_diffusivity(min(x, p^0), max(x, p^0)) on the wall values the
 saturation clamp [con.SAT_EPS, 1 - con.SAT_EPS] allows.  A step outside
-the range raises rather than losing accuracy.  The wall, alpha and saturation
-histories are kept as run outputs.
+the range raises rather than losing accuracy.
+
+_try_step either appends one accepted step to every history of the
+FlowState (times, saturations, walls with p^0 first, alphas, step
+reports, and sources when asked for) or raises and leaves it unchanged.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -138,18 +141,21 @@ class FlowParams:
 
 @dataclass
 class FlowState:
-    """Current fields, the source memory, and per-cell histories on the
-    realized time grid."""
+    """Current fields, the source memory, and every history of the run
+    on the realized time grid."""
 
     t: float
     saturation: np.ndarray
     pressure_n: np.ndarray
-    memory: MemorySource | None = None               # None without source
-    times_hist: list = field(default_factory=list)
-    wall_hist: list = field(default_factory=list)    # p^k = transfer(S^k)
-    alpha_hist: list = field(default_factory=list)   # committed alpha-hat^k
-    run_min: np.ndarray | None = None                # extrema of wall values
-    run_max: np.ndarray | None = None
+    memory: MemorySource | None         # None without source
+    run_min: np.ndarray                 # extrema of the wall values
+    run_max: np.ndarray
+    times_hist: list
+    sat_hist: list
+    wall_hist: list                     # p^k = transfer(S^k); p^0 first
+    alpha_hist: list                    # committed alpha-hat^k
+    source_hist: list | None            # realized Q_w; None: not kept
+    steps: list                         # StepReport per accepted step
 
 
 def upwind_phase_mobility(p_left, p_right, lam_left, lam_right):
@@ -217,13 +223,14 @@ class _Assembler:
         self.pattern = FixedPattern(np.concatenate(rows),
                                     np.concatenate(cols), (2 * m, 2 * m))
 
-    def assemble(self, s, pn, s_old, dt, impl, expl, wall_ref):
-        """Residual vector (R_w, R_n), Jacobian and the into-domain
-        boundary rates (wetting, nonwetting) at the iterate (s, pn).
+    def assemble(self, s, pn, s_old, dt, impl, expl, wall0):
+        """Residual vector (R_w, R_n), Jacobian, the into-domain boundary
+        rates (wetting, nonwetting), the wall values transfer(s) and the
+        source Q_w at the iterate (s, pn).
 
-        The source enters as Q_w = -(impl/dt) (transfer(s) - wall_ref)
-        + expl, all per-cell arrays.  The Jacobian is the assembler's one
-        CSC matrix; the next call overwrites it.
+        The source is Q_w = -(impl/dt) (transfer(s) - wall0) + expl, all
+        per-cell arrays.  The Jacobian is the assembler's one CSC matrix;
+        the next call overwrites it.
         """
         g = self.grid
         par = self.params
@@ -240,7 +247,7 @@ class _Assembler:
 
         p_wall = np.asarray(cset.transfer(s))
         dp_wall = np.asarray(con.transfer_slope(s, cset.matrix.vg, vg))
-        q_w = -(impl / dt) * (p_wall - wall_ref) + expl
+        q_w = -(impl / dt) * (p_wall - wall0) + expl
         dq_w = -(impl / dt) * dp_wall
 
         acc = cset.fracture.porosity * vol / dt
@@ -299,7 +306,7 @@ class _Assembler:
                 vals += [d_s, tk * lam_f]
 
         jac = self.pattern.fill(np.concatenate(vals))
-        return np.concatenate((r_w, r_n)), jac, tuple(rates)
+        return np.concatenate((r_w, r_n)), jac, tuple(rates), p_wall, q_w
 
 
 @dataclass
@@ -356,14 +363,14 @@ class FractureFlowSolver:
         self.bcs = self.assembler.bcs
 
     def _source_terms(self, state: FlowState, dt: float):
-        """(impl, expl, wall_ref, alpha_new) such that the step's source is
-        Q_w = -(impl/dt) (transfer(S_new) - wall_ref) + expl: the trial
-        step of state.memory, which _commit accepts."""
+        """(impl, expl, alpha_new) such that the step's source is
+        Q_w = -(impl/dt) (transfer(S_new) - p^0) + expl: the trial step of
+        state.memory, which _try_step commits once Newton converges."""
         par = self.params
         src = par.source
         if src.model == "none":
             zeros = np.zeros(self.grid.n_cells)
-            return zeros, zeros, zeros, None
+            return zeros, zeros, None
         alpha, a_new = 1.0, None
         if src.model == "warped":
             # freeze alpha-hat at beginning-of-step extrema
@@ -371,7 +378,7 @@ class FractureFlowSolver:
                 state.run_min, state.run_max, par.cset.matrix_table()),
                 dtype=float)
         impl, expl = state.memory.step(dt, alpha)
-        return impl, expl, state.memory.wall0, a_new
+        return impl, expl, a_new
 
     def _memory(self, wall0, times) -> MemorySource | None:
         """The run's source memory over the report grid times; see the
@@ -392,26 +399,29 @@ class FractureFlowSolver:
             x_lo, x_hi = x_lo * band.min(), x_hi * band.max()
         return MemorySource(src.constant, wall0, x_lo, x_hi)
 
-    def _try_step(self, state: FlowState, dt: float):
+    def _try_step(self, state: FlowState, dt: float) -> None:
+        """Append one accepted step of length dt to state, or raise
+        NewtonFailure and leave state as it was."""
         par = self.params
         m = self.grid.n_cells
-        impl, expl, wall_ref, alpha_new = self._source_terms(state, dt)
+        vol = self.grid.volumes
+        impl, expl, alpha_new = self._source_terms(state, dt)
 
-        s = state.saturation.copy()
-        pn = state.pressure_n.copy()
         s_old = state.saturation
+        s = s_old.copy()
+        pn = state.pressure_n.copy()
         scale = par.cset.fracture.porosity * self.grid.total_volume / (m * dt)
         clamped = False
-        res = np.inf
         for it in range(NEWTON_MAX_ITER + 1):
-            r, jac, rates = self.assembler.assemble(s, pn, s_old, dt, impl,
-                                                    expl, wall_ref)
+            r, jac, (rate_w, rate_n), p_wall, q_w = self.assembler.assemble(
+                s, pn, s_old, dt, impl, expl, state.wall_hist[0])
             res = float(np.abs(r).max()) / scale
             if res <= NEWTON_RTOL:
-                return (s, pn, it, res, clamped, impl, expl, wall_ref,
-                        alpha_new, rates)
-            if it == NEWTON_MAX_ITER:
                 break
+            if it == NEWTON_MAX_ITER:
+                raise NewtonFailure(
+                    f"no convergence in {NEWTON_MAX_ITER} Newton iterations "
+                    f"(scaled residual {res:.3e})")
             try:
                 dx = splu(jac, **LU_OPTIONS).solve(-r)
             except RuntimeError as exc:        # singular factorization
@@ -425,9 +435,34 @@ class FractureFlowSolver:
             clamped = bool((s_new < lo).any() or (s_new > hi).any())
             s = np.clip(s_new, lo, hi)
             pn = pn + fac * dx[m:]
-        raise NewtonFailure(
-            f"no convergence in {NEWTON_MAX_ITER} Newton iterations "
-            f"(scaled residual {res:.3e})")
+
+        # accepted: the memory first, since its range check can raise
+        if state.memory is not None:
+            state.memory.commit(p_wall)
+        water_accum = float(par.cset.fracture.porosity
+                            * np.dot(vol, s - s_old))
+        water_source = float(dt * np.dot(vol, q_w))
+        water_bdry = rate_w * dt
+        nonwet_bdry = rate_n * dt
+        state.steps.append(StepReport(
+            t=state.t + dt, dt=dt, newton_iters=it, residual=res,
+            clamped=clamped, water_accum=water_accum,
+            water_source=water_source, water_boundary=water_bdry,
+            nonwetting_boundary=nonwet_bdry,
+            water_defect=water_accum - water_source - water_bdry,
+            volume_defect=water_bdry + nonwet_bdry))
+        if state.source_hist is not None:
+            state.source_hist.append(q_w)
+        state.t += dt
+        state.saturation = s
+        state.pressure_n = pn
+        state.times_hist.append(state.t)
+        state.sat_hist.append(s)
+        state.wall_hist.append(p_wall)
+        state.alpha_hist.append(
+            alpha_new if alpha_new is not None else state.alpha_hist[-1])
+        state.run_min = np.minimum(state.run_min, p_wall)
+        state.run_max = np.maximum(state.run_max, p_wall)
 
     def run(self, s_init, pn_init, times, record_sources: bool = False,
             snapshot_times: tuple = ()) -> FlowResult:
@@ -450,22 +485,16 @@ class FractureFlowSolver:
         state = FlowState(
             t=float(times[0]), saturation=s, pressure_n=pn,
             memory=self._memory(p_wall, times),
-            times_hist=[float(times[0])], wall_hist=[p_wall],
+            run_min=p_wall.copy(), run_max=p_wall.copy(),
+            times_hist=[float(times[0])], sat_hist=[s], wall_hist=[p_wall],
             alpha_hist=[a0 * np.ones(m)],
-            run_min=p_wall.copy(), run_max=p_wall.copy())
+            source_hist=[] if record_sources else None, steps=[])
 
-        steps: list = []
-        s_hist = [s.copy()]
-        sources: list | None = [] if record_sources else None
         snapshots: dict = {}
         snap_left = sorted(snapshot_times)
-
-        def attempt(t, dt):
-            accepted = self._try_step(state, dt)
-            self._commit(state, dt, accepted, steps, s_hist, sources)
-
         for t_target in times[1:].tolist():
-            cover_interval(state.t, t_target, attempt)
+            cover_interval(state.t, t_target,
+                           lambda t, dt: self._try_step(state, dt))
             state.t = t_target                 # snap off rounding drift
             state.times_hist[-1] = t_target
             while snap_left and state.t >= snap_left[0] * (1 - 1e-12):
@@ -476,12 +505,13 @@ class FractureFlowSolver:
         return FlowResult(
             times=times.copy(), times_hist=np.array(state.times_hist),
             saturation=s_fin, pressure_n=pn_fin, pressure_w=pw_fin,
-            steps=steps,
+            steps=state.steps,
             pore_volume=par.cset.fracture.porosity * g.total_volume,
-            saturation_history=np.stack(s_hist),
+            saturation_history=np.stack(state.sat_hist),
             wall_history=np.stack(state.wall_hist),
             alpha_history=np.stack(state.alpha_hist),
-            source_history=(np.stack(sources) if sources else None),
+            source_history=(np.stack(state.source_hist)
+                            if state.source_hist else None),
             snapshots=snapshots)
 
     def _fields(self, state: FlowState):
@@ -489,41 +519,3 @@ class FractureFlowSolver:
         pw = state.pressure_n - np.asarray(
             con.capillary_pressure(state.saturation, vg))
         return state.saturation.copy(), pw, state.pressure_n.copy()
-
-    def _commit(self, state: FlowState, dt: float, accepted, steps,
-                s_hist, sources) -> None:
-        (s_new, pn_new, iters, res, clamped, impl, expl, wall_ref,
-         alpha_new, (rate_w, rate_n)) = accepted
-        par = self.params
-        vol = self.grid.volumes
-        p_wall = np.asarray(par.cset.transfer(s_new))
-        q_w = -(impl / dt) * (p_wall - wall_ref) + expl
-
-        water_accum = float(par.cset.fracture.porosity
-                            * np.dot(vol, s_new - state.saturation))
-        water_source = float(dt * np.dot(vol, q_w))
-        water_bdry = rate_w * dt
-        nonwet_bdry = rate_n * dt
-
-        steps.append(StepReport(
-            t=state.t + dt, dt=dt, newton_iters=iters, residual=res,
-            clamped=clamped, water_accum=water_accum,
-            water_source=water_source, water_boundary=water_bdry,
-            nonwetting_boundary=nonwet_bdry,
-            water_defect=water_accum - water_source - water_bdry,
-            volume_defect=water_bdry + nonwet_bdry))
-        if sources is not None:
-            sources.append(q_w)
-        s_hist.append(s_new.copy())
-
-        if state.memory is not None:
-            state.memory.commit(p_wall)
-        state.t += dt
-        state.saturation = s_new
-        state.pressure_n = pn_new
-        state.times_hist.append(state.t)
-        state.wall_hist.append(p_wall)
-        state.alpha_hist.append(
-            alpha_new if alpha_new is not None else state.alpha_hist[-1])
-        state.run_min = np.minimum(state.run_min, p_wall)
-        state.run_max = np.maximum(state.run_max, p_wall)

@@ -433,11 +433,12 @@ class FloodConfig:
         if not self.t_end_days > 0.0:
             raise ValueError("t_end_days must be positive; got "
                              f"{self.t_end_days!r}")
-        # the flood's Newton iterate lives in the saturation clamp, and the
-        # outlet's ghost value is a saturation
-        if not con.SAT_EPS <= self.s_init <= 1.0 - con.SAT_EPS:
+        # the flood's Newton iterate lives in the saturation clamp, and a
+        # start on its top clamps every step; the outlet's ghost value is
+        # a saturation
+        if not con.SAT_EPS <= self.s_init < 1.0 - con.SAT_EPS:
             raise ValueError(f"s_init must lie in [{con.SAT_EPS!r}, "
-                             f"{1.0 - con.SAT_EPS!r}]; got {self.s_init!r}")
+                             f"{1.0 - con.SAT_EPS!r}); got {self.s_init!r}")
         if not 0.0 <= self.outlet_saturation <= 1.0:
             raise ValueError("outlet_saturation must lie in [0, 1]; got "
                              f"{self.outlet_saturation!r}")
@@ -475,10 +476,9 @@ def load_flood_config(path: str) -> FloodConfig:
     return _from_mapping(FloodConfig, _read_yaml(path))
 
 
-def run_flood(cfg: FloodConfig, record_sources: bool = False) -> fv.FlowResult:
+def run_flood(cfg: FloodConfig) -> fv.FlowResult:
     solver, times, snaps = build_flood(cfg)
-    return solver.run(cfg.s_init, cfg.pn_init, times,
-                      record_sources=record_sources, snapshot_times=snaps)
+    return solver.run(cfg.s_init, cfg.pn_init, times, snapshot_times=snaps)
 
 
 # ---------------------------------------------------------------------------

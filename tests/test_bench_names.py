@@ -1,0 +1,82 @@
+"""The names the benchmark pins resolve on the program.
+
+perfbench/spans.py wraps dualporo callables by name, private fvsolver
+methods included, and perfbench/checks.py and spans._flood_facts read
+FlowResult fields.  A rename of any of them would otherwise show only in
+a traced benchmark run.
+
+Oracles used here:
+
+  * the benchmark's Tracer installs on this program in-process, records
+    the flood's spans, and its uninstall puts every original back;
+  * on a tiny warped flood the traced counts follow the step contract:
+    one LU per Newton iteration, one assemble per iterate, and every
+    attempt accepted;
+  * the benchmark's flood outputs and checks read the result and pass.
+"""
+import importlib
+import importlib.util
+from pathlib import Path
+
+import dualporo
+from dualporo import harness as hz
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_bench_module(name):
+    """A perfbench module loaded from its file, outside sys.modules."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def shim_owner(owner_path):
+    mod_name, _, cls_name = owner_path.partition(":")
+    owner = importlib.import_module(mod_name)
+    return getattr(owner, cls_name) if cls_name else owner
+
+
+def test_tracer_shims_and_flood_checks_reach_the_program():
+    spans = load_bench_module("spans")
+    checks = load_bench_module("checks")
+    originals = [(owner_path, attr,
+                  getattr(shim_owner(owner_path), attr))
+                 for owner_path, attr, _, _ in spans.SHIMS]
+    cfg = hz.FloodConfig(nx=4, ny=4, n_steps=3, t_end_days=1.0,
+                         source_model="warped", snapshot_days=(1.0,))
+    tracer = spans.Tracer("test")
+    try:
+        tracer.install()
+        res = hz.run_flood(cfg)
+    finally:
+        tracer.uninstall()
+    for owner_path, attr, orig in originals:
+        assert getattr(shim_owner(owner_path), attr) is orig, attr
+    assert dualporo.run_flood is hz.run_flood
+
+    names = {span[0] for span in tracer.spans}
+    assert {"harness.run_flood", "harness.build_flood", "fvsolver.source",
+            "fvsolver.step", "fvsolver.assemble", "fvsolver.lu",
+            "constitutive.range_diffusivity"} <= names
+    assert all(span[4] is None for span in tracer.spans)
+
+    metrics = spans.layer_metrics(tracer, tables_built=0)
+    iters = sum(st.newton_iters for st in res.steps)
+    assert metrics["fvsolver.accepted_steps"] == len(res.steps) == 3
+    assert metrics["fvsolver.step_attempts"] == 3
+    assert metrics["fvsolver.source_calls"] == 3
+    assert metrics["fvsolver.newton_iters"] == iters > 0
+    assert metrics["fvsolver.lu_count"] == iters
+    assert metrics["fvsolver.assemble_calls"] == iters + 3
+    facts = spans._flood_facts(res)
+    assert facts["accepted_steps"] == 3
+    assert facts["history_bytes"] == 3 * 4 * 16 * 8    # S, wall, alpha
+
+    outputs = checks.flood_outputs(res)
+    assert set(outputs) == set(checks.FLOOD_SERIES + checks.FLOOD_FIELDS)
+    tally = checks.Tally()
+    checks.check_flood(cfg, res, None, 0.0, tally)
+    assert (tally.failed, tally.problems) == (0, [])

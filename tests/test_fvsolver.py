@@ -18,6 +18,8 @@ Oracles used here:
     (effective.sqrt_kernel_step) applied to the recorded wall and alpha
     histories (dual route to the same convolution), also on a realized
     grid where forced Newton failures halved some steps;
+  * a step attempt either appends one accepted step to every history of
+    the flood state or raises and leaves the state as it was;
   * forced Newton failures go through the step controller the block
     uses too: the whole report interval first, halving on failure down to
     span / 2**MAX_HALVINGS, doubling after success, and a fresh start at
@@ -32,6 +34,8 @@ Oracles used here:
     at these resolutions; the front keeps the rate below the smooth-case
     ideal, so the test pins a conservative bound).
 """
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -142,7 +146,7 @@ def test_boundary_counter_current_rates(sim1_cset):
                               pressure_n=0.995e6)})
     s = np.array([0.5])
     pn = np.array([1.0e6])
-    _, _, (rate_w, rate_n) = solver.assembler.assemble(
+    _, _, (rate_w, rate_n), _, _ = solver.assembler.assemble(
         s, pn, s, 1.0, np.zeros(1), np.zeros(1), np.zeros(1))
     assert rate_w > 0.0
     assert rate_n < 0.0
@@ -155,7 +159,7 @@ def test_inflow_contributes_only_to_the_wetting_budget(sim1_cset):
         grid, make_params(sim1_cset),
         {"xmin": BoundarySpec("inflow", wetting_rate=rate)})
     s, zeros = np.full(6, 0.3), np.zeros(6)
-    _, _, (rate_w, rate_n) = solver.assembler.assemble(
+    _, _, (rate_w, rate_n), _, _ = solver.assembler.assemble(
         s, np.full(6, 1e6), s, 1.0, zeros, zeros, zeros)
     _, _, area = grid.boundary["xmin"]
     assert rate_w == pytest.approx(rate * area.sum(), rel=1e-15)
@@ -199,8 +203,8 @@ def fabricated_state(rng, cset, m, source, t_hist=(0.0, 600.0, 1250.0),
     """A mid-run state whose source memory is built by committing its
     random wall history; the warped clock runs at alpha (default: the
     pointwise diffusivity of each wall value)."""
-    walls = [np.asarray(cset.transfer(rng.uniform(0.2, 0.8, m)))
-             for _ in t_hist]
+    sats = [rng.uniform(0.2, 0.8, m) for _ in t_hist]
+    walls = [np.asarray(cset.transfer(s)) for s in sats]
     alphas = [np.asarray(cset.matrix_alpha(w)) if alpha is None
               else np.full(m, alpha) for w in walls]
     memory = None
@@ -212,10 +216,11 @@ def fabricated_state(rng, cset, m, source, t_hist=(0.0, 600.0, 1250.0),
             memory.commit(walls[k])
     return FlowState(t=t_hist[-1], saturation=rng.uniform(0.2, 0.8, m),
                      pressure_n=1e6 + rng.uniform(-1e5, 1e5, m),
-                     memory=memory, times_hist=list(t_hist),
-                     wall_hist=walls, alpha_hist=alphas,
-                     run_min=np.minimum.reduce(walls),
-                     run_max=np.maximum.reduce(walls))
+                     memory=memory, run_min=np.minimum.reduce(walls),
+                     run_max=np.maximum.reduce(walls),
+                     times_hist=list(t_hist), sat_hist=sats,
+                     wall_hist=walls, alpha_hist=alphas, source_hist=[],
+                     steps=[])
 
 
 def test_jacobian_matches_finite_differences(sim1_cset):
@@ -235,17 +240,17 @@ def test_jacobian_matches_finite_differences(sim1_cset):
                                     bcs)
         state = fabricated_state(rng, sim1_cset, m, source)
         dt = 700.0
-        impl, expl, wall_ref, _ = solver._source_terms(state, dt)
+        impl, expl, _ = solver._source_terms(state, dt)
+        wall0 = state.wall_hist[0]
         s = rng.uniform(0.15, 0.85, m)
         pn = 1e6 + rng.uniform(-1e5, 1e5, m)
 
         def residual(sv, pv):
-            r, _, _ = solver.assembler.assemble(sv, pv, state.saturation,
-                                                dt, impl, expl, wall_ref)
-            return r
+            return solver.assembler.assemble(sv, pv, state.saturation, dt,
+                                             impl, expl, wall0)[0]
 
-        _, jac, _ = solver.assembler.assemble(s, pn, state.saturation, dt,
-                                              impl, expl, wall_ref)
+        jac = solver.assembler.assemble(s, pn, state.saturation, dt, impl,
+                                        expl, wall0)[1]
         dense = jac.toarray()
         fd = np.zeros_like(dense)
         for i in range(m):
@@ -404,15 +409,16 @@ def test_fixed_pattern_jacobian_matches_coo_assembly(sim1_cset, case):
     m = grid.n_cells
     state = fabricated_state(rng, sim1_cset, m, source)
     dt = float(rng.uniform(60.0, 1e5))
-    impl, expl, wall_ref, _ = solver._source_terms(state, dt)
+    impl, expl, _ = solver._source_terms(state, dt)
+    wall0 = state.wall_hist[0]
     pattern = None
     for flip in (False, True):
         s = rng.uniform(0.02, 0.98, m)
         pn = 1e6 + rng.uniform(-1e5, 1e5, m)
         if flip:                     # turn the nonwetting upwind around
             pn = 2e6 - pn
-        args = (s, pn, state.saturation, dt, impl, expl, wall_ref)
-        r, jac, rates = solver.assembler.assemble(*args)
+        args = (s, pn, state.saturation, dt, impl, expl, wall0)
+        r, jac, rates, p_wall, q_w = solver.assembler.assemble(*args)
         if pattern is None:
             pattern = (jac.indptr.copy(), jac.indices.copy())
         assert np.array_equal(jac.indptr, pattern[0])
@@ -420,6 +426,9 @@ def test_fixed_pattern_jacobian_matches_coo_assembly(sim1_cset, case):
         r_ref, jac_ref, rates_ref = reference.assemble(*args)
         assert np.array_equal(r, r_ref)
         assert rates == rates_ref
+        p_ref = np.asarray(sim1_cset.transfer(s))
+        assert np.array_equal(p_wall, p_ref)
+        assert np.array_equal(q_w, -(impl / dt) * (p_ref - wall0) + expl)
         dense, ref = jac.toarray(), jac_ref.toarray()
         assert np.abs(dense - ref).max() <= 1e-15 * np.abs(ref).max()
 
@@ -504,11 +513,11 @@ def test_warped_source_with_frozen_range_reduces_to_fixed(sim1_cset):
     dt = 700.0
     warp = FractureFlowSolver(grid, make_params(sim1_cset, warp_source))
     fixed = FractureFlowSolver(grid, make_params(sim1_cset, fixed_source))
-    impl_w, expl_w, ref_w, a_new = warp._source_terms(states[0], dt)
-    impl_f, expl_f, ref_f, _ = fixed._source_terms(states[1], dt)
+    impl_w, expl_w, a_new = warp._source_terms(states[0], dt)
+    impl_f, expl_f, _ = fixed._source_terms(states[1], dt)
     assert np.allclose(a_new, a, rtol=1e-14)
     assert np.allclose(impl_w, impl_f, rtol=1e-13)
-    assert np.array_equal(ref_w, ref_f)
+    assert np.array_equal(states[0].wall_hist[0], states[1].wall_hist[0])
     assert np.abs(expl_w - expl_f).max() <= 1e-12 * np.abs(expl_f).max()
 
 
@@ -633,6 +642,49 @@ def test_flood_newton_failure_surfaces_after_dt_halvings(sim1_cset):
         solver.run(0.05, 1e6, times)
     assert attempts == [times[1] / 2 ** i
                         for i in range(imbibition.MAX_HALVINGS + 1)]
+
+
+@pytest.mark.parametrize("model", ["none", "fixed", "warped"])
+def test_step_attempt_advances_the_state_or_leaves_it(sim1_cset, model,
+                                                      monkeypatch):
+    # with no Newton iteration allowed the attempt raises, and the fields,
+    # every history and the memory's committed state and clock are as
+    # they were; with iterations allowed it appends exactly one step
+    constant = {"none": 0.0, "fixed": fixed_constant(sim1_cset),
+                "warped": warped_constant(sim1_cset)}[model]
+    solver = inflow_solver(sim1_cset, 4, 3, SourceSpec(model, constant))
+    state = fabricated_state(np.random.default_rng(5), sim1_cset, 12,
+                             solver.params.source)
+    before = copy.deepcopy(state)
+    histories = ("times_hist", "sat_hist", "wall_hist", "alpha_hist",
+                 "source_hist", "steps")
+
+    monkeypatch.setattr(fvsolver, "NEWTON_MAX_ITER", 0)
+    with pytest.raises(NewtonFailure, match="no convergence in 0 Newton"):
+        solver._try_step(state, 600.0)
+    assert state.t == before.t
+    for key in ("saturation", "pressure_n", "run_min", "run_max"):
+        assert np.array_equal(getattr(state, key), getattr(before, key))
+    for key in histories:
+        old, new = getattr(before, key), getattr(state, key)
+        assert len(new) == len(old)
+        assert all(np.array_equal(a, b) for a, b in zip(new, old))
+    if model != "none":
+        assert np.array_equal(state.memory.state, before.memory.state)
+        assert np.array_equal(state.memory._clock, before.memory._clock)
+
+    monkeypatch.undo()
+    assert solver._try_step(state, 600.0) is None
+    assert state.t == before.t + 600.0
+    for key in histories:
+        assert len(getattr(state, key)) == len(getattr(before, key)) + 1
+    assert state.sat_hist[-1] is state.saturation
+    assert state.steps[-1].t == state.times_hist[-1] == state.t
+    assert np.array_equal(state.wall_hist[-1],
+                          sim1_cset.transfer(state.saturation))
+    if model != "none":
+        assert not np.array_equal(state.memory._clock,
+                                  before.memory._clock)
 
 
 def test_one_dimensional_flood_self_convergence(sim1_cset):

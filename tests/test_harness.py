@@ -450,6 +450,14 @@ def test_cli_error_paths_exit_nonzero(tmp_path, capsys):
     assert err.startswith("dualporo: ")
     assert err.count("\n") == 1
     assert not outdir.exists()
+    # an inflow this strong defeats Newton at every halving of the first
+    # report interval; the failed flood leaves no outdir either
+    assert main(["effective-run", "--nx", "4", "--ny", "4", "--steps", "2",
+                 "--rate", "1000", "--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dualporo: no convergence in 30 Newton ")
+    assert err.count("\n") == 1
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("verb, config", [
@@ -561,17 +569,20 @@ def test_cli_run_report_errors_leave_no_outdir(tmp_path, capsys, args):
     ({"s_init": 0.0}, "s_init"),
     ({"s_init": 1.0}, "s_init"),
     ({"s_init": 5e-9}, "s_init"),
+    ({"nx": 4, "ny": 4, "n_steps": 2, "s_init": 0.99999999}, "s_init"),
     ({"outlet_saturation": 1.2}, "outlet_saturation"),
     ({"outlet_saturation": -0.1}, "outlet_saturation"),
 ], ids=["one-row", "nan-rate", "zero-steps", "yaml-one-row",
         "yaml-nonpositive-snapshots", "yaml-s-init-above-one",
         "yaml-s-init-zero", "yaml-s-init-one", "yaml-s-init-below-clamp",
-        "yaml-outlet-above-one", "yaml-outlet-negative"])
+        "yaml-s-init-top-of-clamp", "yaml-outlet-above-one",
+        "yaml-outlet-negative"])
 def test_cli_flood_config_fails_at_load(tmp_path, capsys, args, field):
     # a one-row flood has k* = 0 and a NaN rate passes the CLI's float
     # parsing; both used to fail only inside the Newton solve, as an
     # initial saturation outside the clamp did, and an outlet saturation
-    # above one was clipped silently
+    # above one was clipped silently; a flood that starts on the top of
+    # the clamp clamps every step (32 of 32 for this 4x4 flood)
     if isinstance(args, dict):
         cfgfile = tmp_path / "flood.yaml"
         cfgfile.write_text(yaml.safe_dump(args))
@@ -585,7 +596,7 @@ def test_cli_flood_config_fails_at_load(tmp_path, capsys, args, field):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("s_init", 1e-8), ("s_init", 0.99999999),
+    ("s_init", 1e-8), ("s_init", 0.999999989),
     ("outlet_saturation", 0.0), ("outlet_saturation", 1.0),
 ])
 def test_flood_config_accepts_saturation_limits(tmp_path, key, value):
