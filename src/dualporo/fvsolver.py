@@ -17,8 +17,10 @@ Its sparsity pattern does not depend on the iterate: each face's mobility
 slope has a slot in both cells' saturation columns, and the upwind choice
 only decides which one is zero.  So the pattern is built once per run
 (blockmesh.FixedPattern) and each Newton iteration writes values into
-it; the Newton steps factor it with the minimum-degree ordering of
-blockmesh.LU_OPTIONS, as the block solver does.
+it.  imbibition.newton_solve, the block's Newton loop, solves each step
+with saturation updates capped at MAX_DS and clamped to [SAT_EPS,
+1 - SAT_EPS], until the residual scaled by phi_f vol / dt is within
+NEWTON_RTOL and the volume defect within VOLUME_RTOL of pore volume.
 
 build_grid makes the mesh with blockmesh.product_mesh, the builder of
 the matrix block's mesh, so the two problems share one mesh type and one
@@ -54,10 +56,6 @@ cell's p^0, so it lies between the extremes over x of
 range_diffusivity(min(x, p^0), max(x, p^0)) on the wall values the
 saturation clamp [con.SAT_EPS, 1 - con.SAT_EPS] allows.  A step outside
 the range raises rather than losing accuracy.
-
-_try_step either appends one accepted step to every history of the
-FlowState (times, saturations, walls with p^0 first, alphas, step
-reports, and sources when asked for) or raises and leaves it unchanged.
 """
 from __future__ import annotations
 
@@ -67,13 +65,12 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from . import constitutive as con
-from .blockmesh import LU_OPTIONS, FixedPattern, TensorMesh, product_mesh
+from .blockmesh import FixedPattern, TensorMesh, product_mesh
 from .constitutive import ConstitutiveSet
 from .effective import MemorySource
-from .imbibition import MAX_HALVINGS, NewtonFailure, cover_interval
+from .imbibition import MAX_HALVINGS, NEWTON_RTOL, cover_interval, newton_solve
 
-NEWTON_RTOL = 1.0e-10           # on the residual scaled by phi_f vol / dt
-NEWTON_MAX_ITER = 30
+VOLUME_RTOL = 1.0e-13           # on the step's volume defect / pore volume
 MAX_DS = 0.2                    # damping cap on saturation updates
 
 
@@ -314,14 +311,13 @@ class StepReport:
     """Per accepted (sub)step diagnostics; volumes in m^3 over the step.
 
     water_defect = accum - source - boundary and volume_defect =
-    water_boundary + nonwetting_boundary both vanish with the Newton
-    residual (bounded by NEWTON_RTOL times the total pore volume).
+    water_boundary + nonwetting_boundary are bounded by the Newton stop:
+    NEWTON_RTOL and VOLUME_RTOL times the total pore volume.
     """
 
     t: float
     dt: float
     newton_iters: int
-    residual: float
     clamped: bool
     water_accum: float
     water_source: float
@@ -400,41 +396,33 @@ class FractureFlowSolver:
         return MemorySource(src.constant, wall0, x_lo, x_hi)
 
     def _try_step(self, state: FlowState, dt: float) -> None:
-        """Append one accepted step of length dt to state, or raise
-        NewtonFailure and leave state as it was."""
+        """Append one accepted step of length dt to every history of
+        state, or raise NewtonFailure and leave state as it was."""
         par = self.params
         m = self.grid.n_cells
         vol = self.grid.volumes
         impl, expl, alpha_new = self._source_terms(state, dt)
-
         s_old = state.saturation
-        s = s_old.copy()
-        pn = state.pressure_n.copy()
         scale = par.cset.fracture.porosity * self.grid.total_volume / (m * dt)
+        lo, hi = con.SAT_EPS, 1.0 - con.SAT_EPS
         clamped = False
-        for it in range(NEWTON_MAX_ITER + 1):
-            r, jac, (rate_w, rate_n), p_wall, q_w = self.assembler.assemble(
-                s, pn, s_old, dt, impl, expl, state.wall_hist[0])
-            res = float(np.abs(r).max()) / scale
-            if res <= NEWTON_RTOL:
-                break
-            if it == NEWTON_MAX_ITER:
-                raise NewtonFailure(
-                    f"no convergence in {NEWTON_MAX_ITER} Newton iterations "
-                    f"(scaled residual {res:.3e})")
-            try:
-                dx = splu(jac, **LU_OPTIONS).solve(-r)
-            except RuntimeError as exc:        # singular factorization
-                raise NewtonFailure(str(exc)) from exc
-            if not np.isfinite(dx).all():
-                raise NewtonFailure("non-finite Newton update")
-            ds = dx[:m]
-            fac = min(1.0, MAX_DS / max(float(np.abs(ds).max()), 1e-300))
-            s_new = s + fac * ds
-            lo, hi = con.SAT_EPS, 1.0 - con.SAT_EPS
+
+        def linearize(x):
+            r, jac, rates, p_wall, q_w = self.assembler.assemble(
+                *x, s_old, dt, impl, expl, state.wall_hist[0])
+            err = max(float(np.abs(r).max()) / scale / NEWTON_RTOL,
+                      abs(float(r.sum())) / (m * scale) / VOLUME_RTOL)
+            return r, jac, err, (rates, p_wall, q_w)
+
+        def update(x, dx):
+            nonlocal clamped
+            fac = min(1.0, MAX_DS / max(float(np.abs(dx[:m]).max()), 1e-300))
+            s_new = x[0] + fac * dx[:m]
             clamped = bool((s_new < lo).any() or (s_new > hi).any())
-            s = np.clip(s_new, lo, hi)
-            pn = pn + fac * dx[m:]
+            return np.clip(s_new, lo, hi), x[1] + fac * dx[m:]
+
+        (s, pn), ((rate_w, rate_n), p_wall, q_w), it = newton_solve(
+            (s_old.copy(), state.pressure_n.copy()), linearize, update, splu)
 
         # accepted: the memory first, since its range check can raise
         if state.memory is not None:
@@ -442,13 +430,11 @@ class FractureFlowSolver:
         water_accum = float(par.cset.fracture.porosity
                             * np.dot(vol, s - s_old))
         water_source = float(dt * np.dot(vol, q_w))
-        water_bdry = rate_w * dt
-        nonwet_bdry = rate_n * dt
+        water_bdry, nonwet_bdry = rate_w * dt, rate_n * dt
         state.steps.append(StepReport(
-            t=state.t + dt, dt=dt, newton_iters=it, residual=res,
-            clamped=clamped, water_accum=water_accum,
-            water_source=water_source, water_boundary=water_bdry,
-            nonwetting_boundary=nonwet_bdry,
+            t=state.t + dt, dt=dt, newton_iters=it, clamped=clamped,
+            water_accum=water_accum, water_source=water_source,
+            water_boundary=water_bdry, nonwetting_boundary=nonwet_bdry,
             water_defect=water_accum - water_source - water_bdry,
             volume_defect=water_bdry + nonwet_bdry))
         if state.source_hist is not None:

@@ -24,9 +24,9 @@ negative while water imbibes into the block) is computed two ways:
 which agree to Newton tolerance per step by construction of the scheme;
 both are reported as per-interval averages at interval midpoints.
 
-cover_interval is the one step controller of the block and of the flood
-(fvsolver): every report interval is first tried in one step, whatever
-the interval before it needed.
+cover_interval is the one step controller and newton_solve the one Newton
+loop of the block and of the flood (fvsolver): every report interval is
+first tried in one step, whatever the interval before it needed.
 """
 from __future__ import annotations
 
@@ -44,12 +44,42 @@ from .constitutive import ConstitutiveSet
 EXCHANGE_METHODS = ("nlin", "clin", "vlin", "effective-I", "effective-II")
 
 NEWTON_RTOL = 1.0e-10
-NEWTON_MAX_ITER = 25
+NEWTON_MAX_ITER = 30
+STALL_ITER = 3          # corrections in a row without a new smallest error
 MAX_HALVINGS = 10       # shortest step: a report interval / 2**MAX_HALVINGS
 
 
 class NewtonFailure(RuntimeError):
     pass
+
+
+def newton_solve(x, linearize, update, factor):
+    """Newton's method from x; returns (x, out, corrections).
+
+    linearize(x) gives (r, jac, err, out), err in units of the tolerance:
+    x is accepted at err <= 1 (jac may then be None), else x = update(x,
+    dx) with jac dx = -r solved by factor(jac, **LU_OPTIONS).  Raises
+    NewtonFailure after NEWTON_MAX_ITER corrections, after STALL_ITER in a
+    row with no new smallest error, on a singular LU or non-finite dx."""
+    best, stalled = np.inf, 0
+    for it in range(NEWTON_MAX_ITER + 1):
+        r, jac, err, out = linearize(x)
+        if err <= 1.0:
+            return x, out, it
+        best, stalled = (err, 0) if err < best else (best, stalled + 1)
+        if it == NEWTON_MAX_ITER:
+            raise NewtonFailure(f"no convergence in {it} Newton iterations "
+                                f"(error {err:.3e} of tolerance)")
+        if stalled == STALL_ITER:
+            raise NewtonFailure(f"Newton stalled: {stalled} corrections set "
+                                f"no new smallest error ({best:.3e})")
+        try:
+            dx = factor(jac, **LU_OPTIONS).solve(-r)
+        except RuntimeError as exc:        # singular factorization
+            raise NewtonFailure(str(exc)) from exc
+        if not np.isfinite(dx).all():
+            raise NewtonFailure("non-finite Newton correction")
+        x = update(x, dx)
 
 
 def cover_interval(t0: float, t1: float,
@@ -214,33 +244,27 @@ class BlockStepper:
         return self._lu.solve(rhs)
 
     def newton_step(self, s_old, dt: float, g: float, beta, alpha):
-        """One implicit step of phi ds/dt = k_eff Lap(beta(s)); returns
-        (s_new, iterations). Raises NewtonFailure when not converged."""
-        mesh = self.mesh
+        """One implicit step of phi ds/dt = k_eff Lap(beta(s)) by
+        newton_solve, clipped to [0, 1]; returns (s_new, iterations)."""
         beta_g = float(beta(g))
         acc = self._acc / dt
-        s = np.array(s_old, dtype=float)
+        tol = None
 
-        def residual(sv):
-            return acc * (sv - s_old) - self.k_eff * (
-                mesh.diffusion_matrix @ beta(sv)
-                + mesh.boundary_weights * beta_g)
+        def linearize(s):
+            nonlocal tol
+            r = acc * (s - s_old) - self.k_eff * (
+                self.mesh.diffusion_matrix @ beta(s)
+                + self.mesh.boundary_weights * beta_g)
+            r_max = np.abs(r).max()
+            # floor: rtol of a unit saturation change on the largest cell
+            tol = tol or NEWTON_RTOL * max(r_max, acc.max())
+            jac = self.jacobian(acc, alpha(s)) if r_max > tol else None
+            return r, jac, r_max / tol, None
 
-        r = residual(s)
-        r0 = np.abs(r).max()
-        # absolute floor: rtol of a unit saturation change on the largest cell
-        tol = NEWTON_RTOL * max(r0, acc.max())
-        if r0 <= tol:
-            return s, 0
-        for it in range(1, NEWTON_MAX_ITER + 1):
-            jac = self.jacobian(acc, alpha(s))
-            s = np.clip(s - splu(jac, **LU_OPTIONS).solve(r), 0.0, 1.0)
-            r = residual(s)
-            if np.abs(r).max() <= tol:
-                return s, it
-        raise NewtonFailure(
-            f"no convergence in {NEWTON_MAX_ITER} iterations "
-            f"(residual {np.abs(r).max():.3e} vs tol {tol:.3e})")
+        s, _, iters = newton_solve(np.array(s_old, dtype=float), linearize,
+                                   lambda s, ds: np.clip(s + ds, 0.0, 1.0),
+                                   splu)
+        return s, iters
 
     def wall_flux_nonlinear(self, s, g: float, beta) -> float:
         """k_eff * sum of wall two-point fluxes of beta into the block,

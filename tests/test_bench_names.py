@@ -12,8 +12,13 @@ Oracles used here:
   * on a tiny warped flood the traced counts follow the step contract:
     one LU per Newton iteration, one assemble per iterate, and every
     attempt accepted;
-  * the benchmark's flood outputs and checks read the result and pass.
+  * the benchmark's flood outputs and checks read the result and pass;
+  * on a tiny nlin comparison with no failed attempt the traced block LUs
+    equal the Newton iterations, and none is counted as a flood LU: the
+    block's Newton loop factors through imbibition.splu, the module the
+    benchmark counts it in.
 """
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -80,3 +85,23 @@ def test_tracer_shims_and_flood_checks_reach_the_program():
     tally = checks.Tally()
     checks.check_flood(cfg, res, None, 0.0, tally)
     assert (tally.failed, tally.problems) == (0, [])
+
+
+def test_traced_nlin_counts_block_lus_in_imbibition():
+    spans = load_bench_module("spans")
+    cfg = dataclasses.replace(hz.get_preset("sim1"), methods=("nlin",),
+                              deltas=(0.1,), n_steps=4, mesh_cells=8,
+                              t_end_days=1.0)
+    tracer = spans.Tracer("test")
+    try:
+        tracer.install()
+        hz.run_comparison(cfg)
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer, tables_built=0)
+    assert metrics["imbibition.newton_failures"] == 0
+    assert metrics["imbibition.newton_steps"] == 4
+    assert metrics["imbibition.lu_count"] \
+        == metrics["imbibition.newton_iters"] > 0
+    assert metrics["fvsolver.lu_count"] == 0
+    assert metrics["linearized.lu_count"] == 0

@@ -28,7 +28,9 @@ Oracles used here:
     fixed source with matched constant C_fixed = C_warped sqrt(alpha);
   * per-step mass bookkeeping closes to Newton tolerance, saturations
     stay in bounds without clamping, and the capillary closure between
-    the reported pressures is exact;
+    the reported pressures is exact; the Newton stop bounds the volume
+    defect even where the scaled residual alone would not (a flood
+    started just below the top of the saturation clamp);
   * refining a 1D flood halves the block-averaged L1 Cauchy increments
     at a near-first-order rate (measured ratios 0.57-0.69 per doubling
     at these resolutions; the front keeps the rate below the smooth-case
@@ -45,6 +47,7 @@ from scipy.sparse.linalg import splu
 
 from dualporo import constitutive as con
 from dualporo import fvsolver
+from dualporo import harness as hz
 from dualporo.blockmesh import LU_OPTIONS
 from dualporo.effective import (MemorySource, fixed_kernel_constant,
                                 sqrt_kernel_step, warped_kernel_constant)
@@ -552,6 +555,17 @@ def test_flood_mass_balance_bounds_closure_and_snapshots(sim1_cset):
     assert s_snap.shape == pw_snap.shape == pn_snap.shape == (64,)
 
 
+def test_newton_stop_bounds_the_volume_defect():
+    # started just below the saturation clamp's top, the first step meets
+    # the scaled-residual stop with a volume defect of 7.9e-12 of the
+    # pore volume; the volume term of the stop takes it under 1e-12
+    cfg = hz.FloodConfig(nx=4, ny=4, n_steps=2, s_init=0.999999989)
+    res = hz.run_flood(cfg)
+    dw, dv = res.max_defects()
+    assert dv <= 1e-12 and dw <= 1e-12          # measured 6.8e-15, 7.0e-15
+    assert not any(st.clamped for st in res.steps)
+    assert len(res.steps) == 2
+
 def test_halved_steps_keep_sources_and_balance(sim1_cset):
     # report intervals 3-6 refuse their full step, so each is taken in
     # two halves: 24 accepted steps on a realized grid the sources and
@@ -659,7 +673,7 @@ def test_step_attempt_advances_the_state_or_leaves_it(sim1_cset, model,
     histories = ("times_hist", "sat_hist", "wall_hist", "alpha_hist",
                  "source_hist", "steps")
 
-    monkeypatch.setattr(fvsolver, "NEWTON_MAX_ITER", 0)
+    monkeypatch.setattr(imbibition, "NEWTON_MAX_ITER", 0)
     with pytest.raises(NewtonFailure, match="no convergence in 0 Newton"):
         solver._try_step(state, 600.0)
     assert state.t == before.t

@@ -450,12 +450,12 @@ def test_cli_error_paths_exit_nonzero(tmp_path, capsys):
     assert err.startswith("dualporo: ")
     assert err.count("\n") == 1
     assert not outdir.exists()
-    # an inflow this strong defeats Newton at every halving of the first
+    # an inflow this strong stalls Newton at every halving of the first
     # report interval; the failed flood leaves no outdir either
     assert main(["effective-run", "--nx", "4", "--ny", "4", "--steps", "2",
                  "--rate", "1000", "--outdir", str(outdir)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("dualporo: no convergence in 30 Newton ")
+    assert err.startswith("dualporo: Newton stalled: 3 corrections ")
     assert err.count("\n") == 1
     assert not outdir.exists()
 

@@ -15,6 +15,11 @@ Oracles used here:
     its one policy: the whole interval first, halving on failure down to
     span / 2**MAX_HALVINGS, doubling after success, and a fresh start at
     every report interval;
+  * newton_solve on x**2 = a takes Heron's iteration count to the root,
+    and each of its failures (singular Jacobian, NaN correction, stall,
+    iteration cap) raises NewtonFailure after the stated number of
+    factorizations; the stall exit keeps the failed nlin attempts of a
+    coarse sim1 run to a third of its LUs;
   * the block solved on its mirror corner equals the full-cube solve to
     roundoff, with the same Newton iterations and substeps, and the
     Jacobian filled into the stepper's fixed pattern equals the one
@@ -270,6 +275,117 @@ def test_halved_steps_match_the_refined_grid(sim1_cset, monkeypatch):
     assert np.abs(sol.mean_saturation
                   - ref.mean_saturation[at_reports]).max() <= 1e-12
     assert np.abs(sol.final_field - ref.final_field).max() <= 1e-12
+
+
+# ---------------------------------------------------------- Newton loop
+
+def scripted_newton(errors, residual=(1.0, 1.0)):
+    """newton_solve on a 2-unknown system whose iterate k reports
+    errors[k]; x counts corrections.  Returns a call that runs it and the
+    list of options each factorization was given."""
+    factored = []
+    r = np.array(residual)
+
+    def linearize(k):
+        return r, sp.identity(2, format="csc"), errors[k], k
+
+    def factor(jac, **options):
+        factored.append(options)
+        return splu(jac, **options)
+
+    return (lambda: imbibition.newton_solve(0, linearize,
+                                            lambda k, dx: k + 1, factor),
+            factored)
+
+
+def test_newton_solve_converges_on_heron_iteration():
+    # x**2 = a, Jacobian diag(2x) in CSC: each correction is Heron's
+    # x <- (x + a/x)/2, so the count of corrections and the root match it;
+    # from x = 1 the first correction overshoots sqrt(20) and raises the
+    # error once, which the stall exit allows
+    a = np.array([2.0, 9.0, 20.0])
+    tol = 1e-12
+
+    def linearize(x):
+        r = x * x - a
+        return r, sp.diags(2.0 * x, format="csc"), \
+            np.abs(r).max() / tol, float(np.abs(r).max())
+
+    x, out, iters = imbibition.newton_solve(
+        np.ones(3), linearize, lambda x, dx: x + dx, splu)
+    heron, count = np.ones(3), 0
+    while np.abs(heron * heron - a).max() > tol:
+        heron, count = 0.5 * (heron + a / heron), count + 1
+    assert iters == count > 3
+    assert np.abs(x - np.sqrt(a)).max() <= 1e-14 * np.sqrt(a).max()
+    assert out <= tol
+
+
+def test_newton_solve_factors_once_per_correction_with_lu_options():
+    # an accepted start costs no factorization; error 1 is accepted
+    solve, factored = scripted_newton([0.5])
+    assert solve() == (0, 0, 0) and factored == []
+    solve, factored = scripted_newton([9.0, 2.0, 1.0])
+    assert solve() == (2, 2, 2)
+    assert factored == [bm.LU_OPTIONS] * 2
+
+
+def test_newton_solve_singular_jacobian_raises():
+    def linearize(x):
+        return np.ones(2), sp.csc_matrix(np.diag([1.0, 0.0])), 5.0, None
+
+    with pytest.raises(NewtonFailure, match="singular"):
+        imbibition.newton_solve(np.zeros(2), linearize,
+                                lambda x, dx: x + dx, splu)
+
+
+def test_newton_solve_nan_correction_raises():
+    solve, factored = scripted_newton([5.0] * 3, residual=(np.nan, 1.0))
+    with pytest.raises(NewtonFailure, match="non-finite"):
+        solve()
+    assert len(factored) == 1
+
+
+def test_newton_solve_stall_exit():
+    # three corrections in a row set no new smallest error: the attempt
+    # stops at the fourth iterate, after four factorizations
+    solve, factored = scripted_newton([5.0, 4.0, 6.0, 7.0, 4.0, 0.5])
+    with pytest.raises(NewtonFailure,
+                       match=r"^Newton stalled: 3 corrections"):
+        solve()
+    assert len(factored) == 4
+    # two rises and then a new smallest error go on: the first step of a
+    # flood started near the top of the saturation clamp
+    solve, factored = scripted_newton([6.9, 2.7, 5.6, 3.8, 1.8, 0.5])
+    assert solve()[2] == len(factored) == 5
+
+
+def test_newton_solve_max_iterations():
+    # an error that falls at every correction but never reaches 1
+    n = imbibition.NEWTON_MAX_ITER
+    solve, factored = scripted_newton([2.0 + 1.0 / (k + 1)
+                                       for k in range(n + 1)])
+    with pytest.raises(NewtonFailure,
+                       match=f"^no convergence in {n} Newton iterations"):
+        solve()
+    assert len(factored) == n
+
+
+def test_failed_block_attempts_stop_early(monkeypatch):
+    # nlin at sim1 in 4 report steps halves the first interval three
+    # times; the stall exit ends each failed attempt after a few LUs
+    lus = []
+
+    def counting_splu(jac, **options):
+        lus.append(jac.shape)
+        return splu(jac, **options)
+
+    monkeypatch.setattr(imbibition, "splu", counting_splu)
+    cfg = dataclasses.replace(get_preset("sim1"), n_steps=4)
+    sol = run_trajectory(cfg.block_problem(0.1))
+    assert sol.substeps > 4                     # the halvings happen
+    assert len(lus) <= 55
+    assert len(lus) - sol.newton_iterations <= len(lus) / 3
 
 
 @pytest.mark.parametrize("preset", list_presets())
