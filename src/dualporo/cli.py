@@ -11,35 +11,35 @@ Verbs:
                          the convolution source; field snapshots and a
                          mass-balance log
 
-Outputs are deterministic: rerunning a verb with the same inputs yields
-byte-identical files.  Exit status is nonzero on validation or solver
-failure.
+A flag sets the config field named by its dest: harness._from_mapping
+merges the flags given over the YAML file, {"preset": name} or {}, so a
+flag is checked as its YAML key is.  Outputs are deterministic: rerunning
+a verb with the same inputs yields byte-identical files.  Exit status is
+nonzero on validation or solver failure.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
 from . import harness as hz
 
 
-def _parse_names(text: str) -> tuple:
-    return tuple(x.strip() for x in text.split(",") if x.strip())
+def _parse_names(text: str) -> list:
+    return [x.strip() for x in text.split(",") if x.strip()]
 
 
-def _parse_floats(text: str) -> tuple:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+def _parse_floats(text: str) -> list:
+    return [float(x) for x in text.split(",") if x.strip()]
 
 
-def _load_target(target: str) -> hz.ScenarioConfig:
-    if target in hz.PRESETS:
-        return hz.get_preset(target)
-    if os.path.exists(target):
-        return hz.load_config(target)
-    raise ValueError(f"{target!r} is neither a preset nor a config file; "
-                     f"presets: {', '.join(hz.list_presets())}")
+def _flags(args, *keys) -> dict:
+    """The given flags among keys, as config entries for the loader;
+    --methods and --deltas are split into lists."""
+    split = {"methods": _parse_names, "deltas": _parse_floats}
+    return {key: split.get(key, lambda v: v)(getattr(args, key))
+            for key in keys if getattr(args, key) is not None}
 
 
 def _series_filename(method: str, delta: float) -> str:
@@ -58,18 +58,11 @@ def cmd_list_presets(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_target(args.target)
-    overrides = {}
-    if args.methods is not None:
-        overrides["methods"] = _parse_names(args.methods)
-    if args.deltas is not None:
-        overrides["deltas"] = _parse_floats(args.deltas)
-    if args.mesh_cells is not None:
-        overrides["mesh_cells"] = args.mesh_cells
-    if args.steps is not None:
-        overrides["n_steps"] = args.steps
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+    # a preset wins over a file of its name; neither is an unknown preset
+    doc = {"preset": args.target} if args.target in hz.PRESETS \
+        or not os.path.exists(args.target) else hz._read_yaml(args.target)
+    cfg = hz._from_mapping(hz.ScenarioConfig, doc, _flags(
+        args, "methods", "deltas", "mesh_cells", "n_steps"))
     results = hz.run_comparison(cfg)
     # a report that cannot be computed fails before the outdir exists
     rows = hz.comparison_rows(results, 0.5 * hz.DAY, cfg.t_end_days * hz.DAY)
@@ -106,19 +99,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_effective_run(args) -> int:
-    cfg = hz.load_flood_config(args.config) if args.config is not None \
-        else hz.FloodConfig()
-    overrides = {}
-    for name, val in (("scenario", args.scenario),
-                      ("source_model", args.source),
-                      ("nx", args.nx), ("ny", args.ny),
-                      ("inflow_rate", args.rate),
-                      ("t_end_days", args.days),
-                      ("n_steps", args.steps)):
-        if val is not None:
-            overrides[name] = val
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+    doc = {} if args.config is None else hz._read_yaml(args.config)
+    cfg = hz._from_mapping(hz.FloodConfig, doc, _flags(
+        args, "scenario", "source_model", "nx", "ny", "inflow_rate",
+        "t_end_days", "n_steps"))
     solver, times, snaps = hz.build_flood(cfg)
     # a flood that fails fails before the outdir exists
     result = solver.run(cfg.s_init, cfg.pn_init, times, snapshot_times=snaps)
@@ -133,10 +117,8 @@ def cmd_effective_run(args) -> int:
     hz.write_mass_balance_csv(os.path.join(args.outdir, "mass_balance.csv"),
                               result.steps)
     outputs.append("mass_balance.csv")
-    config = dataclasses.asdict(cfg)
-    config["snapshot_days"] = list(cfg.snapshot_days)
     hz.write_manifest(os.path.join(args.outdir, "manifest.yaml"),
-                      config, outputs)
+                      hz.config_to_dict(cfg), outputs)
     wd, vd = result.max_defects()
     clamps = sum(st.clamped for st in result.steps)
     print(f"{cfg.nx}x{cfg.ny} {cfg.scenario} flood, {len(result.steps)} "
@@ -161,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--deltas", help="comma list of block deltas")
     run.add_argument("--mesh-cells", type=int, dest="mesh_cells",
                      help="block mesh cells override")
-    run.add_argument("--steps", type=int, help="time steps override")
+    run.add_argument("--steps", type=int, dest="n_steps",
+                     help="time steps override")
     run.add_argument("--outdir", default="out", help="output directory")
 
     cmp_ = sub.add_parser("compare", help="distance between two exchange "
@@ -177,13 +160,16 @@ def build_parser() -> argparse.ArgumentParser:
                                                "water flood")
     eff.add_argument("config", nargs="?", help="YAML flood config path")
     eff.add_argument("--scenario", help="media preset name")
-    eff.add_argument("--source", choices=("fixed", "warped", "none"),
-                     help="matrix source model")
+    eff.add_argument("--source", dest="source_model",
+                     help="matrix source model: fixed, warped or none")
     eff.add_argument("--nx", type=int, help="cells in x")
     eff.add_argument("--ny", type=int, help="cells in y")
-    eff.add_argument("--rate", type=float, help="inflow rate [m/s]")
-    eff.add_argument("--days", type=float, help="horizon [days]")
-    eff.add_argument("--steps", type=int, help="number of time steps")
+    eff.add_argument("--rate", type=float, dest="inflow_rate",
+                     help="inflow rate [m/s]")
+    eff.add_argument("--days", type=float, dest="t_end_days",
+                     help="horizon [days]")
+    eff.add_argument("--steps", type=int, dest="n_steps",
+                     help="number of time steps")
     eff.add_argument("--outdir", default="out", help="output directory")
     return parser
 

@@ -9,8 +9,9 @@ sources ("effective-I", "effective-II").  Block series carry their delta
 and are compared per delta; effective series are already the
 delta -> 0 limit.
 
-All CSV output formats floats with repr(), so repeated runs of the same
-configuration produce byte-identical files.
+Every CSV table goes through write_csv, which formats floats with
+repr(), so repeated runs of the same configuration produce byte-identical
+files.
 """
 from __future__ import annotations
 
@@ -62,6 +63,10 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not self.methods:
             raise ValueError("no methods requested")
+        for key, values in (("methods", self.methods),
+                            ("deltas", self.deltas)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{key} must not repeat; got {list(values)}")
         unknown = set(self.methods) - set(EXCHANGE_METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; choose "
@@ -210,8 +215,9 @@ def _coerce(key: str, value, hint):
                      f"not {value!r}")
 
 
-def _from_mapping(cls, raw):
-    """A ScenarioConfig or FloodConfig from a parsed YAML document.
+def _from_mapping(cls, raw, flags):
+    """A ScenarioConfig or FloodConfig from a parsed YAML document with the
+    command line's flags, a mapping of the same keys, merged over it.
 
     The document is a mapping of field names to values of the field's
     type.  A scenario may name a "preset" as its base; giving a trajectory
@@ -224,7 +230,7 @@ def _from_mapping(cls, raw):
     if not isinstance(raw, dict):
         raise ValueError(f"{label} must be a mapping of keys, not a "
                          f"{type(raw).__name__}")
-    raw = dict(raw)
+    raw = {**raw, **flags}
     base = cls(name="custom") if cls is ScenarioConfig else cls()
     if cls is ScenarioConfig and "preset" in raw:
         base = get_preset(_coerce("preset", raw.pop("preset"), str))
@@ -253,14 +259,14 @@ def _read_yaml(path: str):
 def load_config(path: str) -> ScenarioConfig:
     """Build a scenario from a YAML file; a "preset" key selects the base
     configuration and the remaining keys override its fields."""
-    return _from_mapping(ScenarioConfig, _read_yaml(path))
+    return _from_mapping(ScenarioConfig, _read_yaml(path), {})
 
 
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    out["deltas"] = list(cfg.deltas)
-    out["methods"] = list(cfg.methods)
-    return out
+def config_to_dict(cfg) -> dict:
+    """The fields of a ScenarioConfig or FloodConfig for a manifest, every
+    tuple as a list."""
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in dataclasses.asdict(cfg).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +436,10 @@ class FloodConfig:
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be at least {least}; got "
                                  f"{getattr(self, key)}")
-        if not self.t_end_days > 0.0:
-            raise ValueError("t_end_days must be positive; got "
-                             f"{self.t_end_days!r}")
+        for key in ("lx", "ly", "t_end_days"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"{key} must be positive; got "
+                                 f"{getattr(self, key)!r}")
         # the flood's Newton iterate lives in the saturation clamp, and a
         # start on its top clamps every step; the outlet's ghost value is
         # a saturation
@@ -473,7 +480,7 @@ def build_flood(cfg: FloodConfig):
 
 def load_flood_config(path: str) -> FloodConfig:
     """Build a flood configuration from a YAML file of FloodConfig keys."""
-    return _from_mapping(FloodConfig, _read_yaml(path))
+    return _from_mapping(FloodConfig, _read_yaml(path), {})
 
 
 def run_flood(cfg: FloodConfig) -> fv.FlowResult:
@@ -484,54 +491,51 @@ def run_flood(cfg: FloodConfig) -> fv.FlowResult:
 # ---------------------------------------------------------------------------
 # deterministic writers (floats via repr for byte-stable output)
 
-def _fmt(x) -> str:
-    return repr(float(x))
+EXCHANGE_HEADER = ("time_days", "q_w_per_delta", "method", "delta")
+
+
+def write_csv(path: str, header, rows) -> None:
+    """A header line, then one line per row: floats via repr(float(v)),
+    everything else via str(v)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float)
+                              else str(v) for v in row) + "\n")
 
 
 def write_exchange_csv(path: str, series_list) -> None:
     """Samples of all series, one row each, per-delta normalization:
     time_days,q_w_per_delta,method,delta."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("time_days,q_w_per_delta,method,delta\n")
-        for series in series_list:
-            sd = series.per_delta()
-            for t, v in zip(sd.times, sd.values):
-                fh.write(f"{_fmt(t / DAY)},{_fmt(v)},{series.method},"
-                         f"{_fmt(series.delta)}\n")
+    write_csv(path, EXCHANGE_HEADER, (
+        (t / DAY, v, sd.method, sd.delta)
+        for sd in (series.per_delta() for series in series_list)
+        for t, v in zip(sd.times, sd.values)))
 
 
 def read_exchange_csv(path: str) -> list:
     """Parse an exchange CSV back into ExchangeSeries (one per method,
     delta pair, in file order)."""
     groups: dict = {}
-    order: list = []
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["time_days", "q_w_per_delta", "method", "delta"]:
+        if tuple(fh.readline().strip().split(",")) != EXCHANGE_HEADER:
             raise ValueError(f"{path} is not an exchange CSV")
         for line in fh:
             t, q, method, delta = line.strip().split(",")
-            key = (method, float(delta))
-            if key not in groups:
-                groups[key] = ([], [])
-                order.append(key)
-            groups[key][0].append(float(t) * DAY)
-            groups[key][1].append(float(q))
-    return [ExchangeSeries(np.array(groups[k][0]), np.array(groups[k][1]),
-                           k[0], k[1], divided_by_delta=True)
-            for k in order]
+            times, values = groups.setdefault((method, float(delta)),
+                                              ([], []))
+            times.append(float(t) * DAY)
+            values.append(float(q))
+    return [ExchangeSeries(np.array(times), np.array(values), method, delta,
+                           divided_by_delta=True)
+            for (method, delta), (times, values) in groups.items()]
 
 
 def write_comparison_csv(path: str, rows) -> None:
     """Comparison metrics: one row per (series, reference) pair."""
     cols = ("method", "delta", "reference", "ref_delta", "t_lo_days",
             "t_hi_days", "norm", "value")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                _fmt(row[c]) if isinstance(row[c], float) else str(row[c])
-                for c in cols) + "\n")
+    write_csv(path, cols, ([row[c] for c in cols] for row in rows))
 
 
 def write_field_csv(path: str, grid: TensorMesh, saturation,
@@ -539,27 +543,22 @@ def write_field_csv(path: str, grid: TensorMesh, saturation,
     """Cell fields: cell,x,y,saturation,pressure_w,pressure_n."""
     centers = grid.centers
     y = centers[:, 1] if grid.dimension == 2 else np.zeros(len(centers))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("cell,x,y,saturation,pressure_w,pressure_n\n")
-        for c in range(grid.n_cells):
-            fh.write(f"{c},{_fmt(centers[c, 0])},{_fmt(y[c])},"
-                     f"{_fmt(saturation[c])},{_fmt(pressure_w[c])},"
-                     f"{_fmt(pressure_n[c])}\n")
+    write_csv(path, ("cell", "x", "y", "saturation", "pressure_w",
+                     "pressure_n"),
+              zip(range(grid.n_cells), centers[:, 0], y, saturation,
+                  pressure_w, pressure_n))
 
 
 def write_mass_balance_csv(path: str, steps) -> None:
     """Per-step balance log of a flood run."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,time_days,dt_days,newton_iters,water_accum,"
-                 "water_source,water_boundary,nonwetting_boundary,"
-                 "water_defect,volume_defect,clamped\n")
-        for i, st in enumerate(steps):
-            fh.write(f"{i},{_fmt(st.t / DAY)},{_fmt(st.dt / DAY)},"
-                     f"{st.newton_iters},{_fmt(st.water_accum)},"
-                     f"{_fmt(st.water_source)},{_fmt(st.water_boundary)},"
-                     f"{_fmt(st.nonwetting_boundary)},"
-                     f"{_fmt(st.water_defect)},{_fmt(st.volume_defect)},"
-                     f"{int(st.clamped)}\n")
+    write_csv(path, ("step", "time_days", "dt_days", "newton_iters",
+                     "water_accum", "water_source", "water_boundary",
+                     "nonwetting_boundary", "water_defect", "volume_defect",
+                     "clamped"),
+              ((i, st.t / DAY, st.dt / DAY, st.newton_iters, st.water_accum,
+                st.water_source, st.water_boundary, st.nonwetting_boundary,
+                st.water_defect, st.volume_defect, int(st.clamped))
+               for i, st in enumerate(steps)))
 
 
 def write_manifest(path: str, config: dict, outputs: list) -> None:

@@ -117,7 +117,6 @@ class BlockProblem:
     cset: ConstitutiveSet
     boundary: Callable[[float], float]   # fracture saturation vs time [s]
     times: np.ndarray                    # report grid [s], strictly increasing
-    initial_saturation: float | None = None   # matrix units; None -> equilibrium
     mesh_cells: int = 64
 
     def __post_init__(self) -> None:
@@ -134,9 +133,8 @@ class BlockProblem:
 
     @property
     def s_init(self) -> float:
-        if self.initial_saturation is not None:
-            return float(self.initial_saturation)
-        return float(self.cset.transfer(self.boundary(float(self.times[0]))))
+        """Uniform initial state: in equilibrium with the first wall value."""
+        return self.wall_value(self.times[0])
 
     def wall_value(self, t: float) -> float:
         """Matrix saturation imposed on the block walls at time t."""
@@ -245,36 +243,32 @@ class BlockStepper:
 
     def newton_step(self, s_old, dt: float, g: float, beta, alpha):
         """One implicit step of phi ds/dt = k_eff Lap(beta(s)) by
-        newton_solve, clipped to [0, 1]; returns (s_new, iterations)."""
+        newton_solve, clipped to [0, 1]; returns (s_new, beta(s_new),
+        iterations)."""
         beta_g = float(beta(g))
         acc = self._acc / dt
         tol = None
 
         def linearize(s):
             nonlocal tol
+            beta_s = beta(s)
             r = acc * (s - s_old) - self.k_eff * (
-                self.mesh.diffusion_matrix @ beta(s)
+                self.mesh.diffusion_matrix @ beta_s
                 + self.mesh.boundary_weights * beta_g)
             r_max = np.abs(r).max()
             # floor: rtol of a unit saturation change on the largest cell
             tol = tol or NEWTON_RTOL * max(r_max, acc.max())
             jac = self.jacobian(acc, alpha(s)) if r_max > tol else None
-            return r, jac, r_max / tol, None
+            return r, jac, r_max / tol, beta_s
 
-        s, _, iters = newton_solve(np.array(s_old, dtype=float), linearize,
-                                   lambda s, ds: np.clip(s + ds, 0.0, 1.0),
-                                   splu)
-        return s, iters
+        return newton_solve(np.array(s_old, dtype=float), linearize,
+                            lambda s, ds: np.clip(s + ds, 0.0, 1.0), splu)
 
-    def wall_flux_nonlinear(self, s, g: float, beta) -> float:
-        """k_eff * sum of wall two-point fluxes of beta into the block,
-        all mesh.copies corners counted."""
+    def wall_flux(self, beta_s, beta_g: float) -> float:
+        """k_eff * sum of wall two-point fluxes of beta into the block, all
+        mesh.copies corners counted; the linear runs pass beta = c * s."""
         return self.mesh.copies * self.k_eff * float(
-            np.dot(self.mesh.boundary_weights, float(beta(g)) - beta(s)))
-
-    def wall_flux_linear(self, s, g: float, coeff: float) -> float:
-        return self.mesh.copies * self.k_eff * coeff * float(
-            np.dot(self.mesh.boundary_weights, g - s))
+            np.dot(self.mesh.boundary_weights, beta_g - beta_s))
 
 
 def _advance(problem: BlockProblem, mesh: BlockMesh, step) -> BlockSolution:
@@ -317,8 +311,9 @@ def run_trajectory(problem: BlockProblem,
 
     def step(s, t0, t1, k):
         g = problem.wall_value(t1)
-        s_new, iters = stepper.newton_step(s, t1 - t0, g, table, alpha)
-        return s_new, stepper.wall_flux_nonlinear(s_new, g, table), iters
+        s_new, beta_s, iters = stepper.newton_step(s, t1 - t0, g, table,
+                                                   alpha)
+        return s_new, stepper.wall_flux(beta_s, float(table(g))), iters
 
     return _advance(problem, mesh, step)
 
@@ -337,7 +332,7 @@ def run_linear(problem: BlockProblem, coefficients,
         g = problem.wall_value(t1)
         c = float(coeff[k])
         s_new = stepper.linear_step(s, t1 - t0, g, c)
-        return s_new, stepper.wall_flux_linear(s_new, g, c), 1
+        return s_new, stepper.wall_flux(c * s_new, c * g), 1
 
     return _advance(problem, mesh, step)
 

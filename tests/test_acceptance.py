@@ -233,8 +233,8 @@ def test_criterion_07_variable_machinery_collapses_onto_constant():
     tau_prob = BlockProblem(delta=prob.delta, dimension=prob.dimension,
                             cset=cset,
                             boundary=lambda u: prob.boundary(u / abar),
-                            times=tau, initial_saturation=prob.s_init,
-                            mesh_cells=prob.mesh_cells)
+                            times=tau, mesh_cells=prob.mesh_cells)
+    assert tau_prob.s_init == prob.s_init       # tau[0] = 0
     sol_tau = run_linear(tau_prob, 1.0, mesh)
     sol_tc = BlockSolution(times=prob.times.copy(),
                            mean_saturation=sol_tau.mean_saturation,

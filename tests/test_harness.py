@@ -458,6 +458,36 @@ def test_cli_error_paths_exit_nonzero(tmp_path, capsys):
     assert err.startswith("dualporo: Newton stalled: 3 corrections ")
     assert err.count("\n") == 1
     assert not outdir.exists()
+    # a flag is checked where its YAML key is: the source model in SourceSpec
+    assert main(["effective-run", "--nx", "4", "--ny", "4", "--steps", "2",
+                 "--source", "bogus", "--outdir", str(outdir)]) == 1
+    assert capsys.readouterr().err == ("dualporo: unknown source model "
+                                       "'bogus'\n")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("verb, flags, config", [
+    ("run", ["sim1", "--steps", "4", "--mesh-cells", "8", "--deltas", "0.1",
+             "--methods", "nlin,clin"],
+     {"preset": "sim1", "n_steps": 4, "mesh_cells": 8, "deltas": [0.1],
+      "methods": ["nlin", "clin"]}),
+    ("effective-run", ["--nx", "4", "--ny", "4", "--steps", "2",
+                       "--source", "warped"],
+     {"nx": 4, "ny": 4, "n_steps": 2, "source_model": "warped"}),
+], ids=["run", "effective-run"])
+def test_cli_flags_and_yaml_keys_write_the_same_files(tmp_path, verb, flags,
+                                                      config):
+    cfgfile = tmp_path / "config.yaml"
+    cfgfile.write_text(yaml.safe_dump(config))
+    by_flags, by_yaml = tmp_path / "flags", tmp_path / "yaml"
+    assert main([verb] + flags + ["--outdir", str(by_flags)]) == 0
+    assert main([verb, str(cfgfile), "--outdir", str(by_yaml)]) == 0
+    names = sorted(os.listdir(by_flags))
+    assert "manifest.yaml" in names
+    assert sorted(os.listdir(by_yaml)) == names
+    for name in names:
+        assert (by_flags / name).read_bytes() == \
+            (by_yaml / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("verb, config", [
@@ -525,8 +555,11 @@ def test_cli_block_sizes_fail_at_load(tmp_path, capsys, args, field):
     ("--mesh-cells", "7"),
     ("--methods", ""),
     ("--deltas", ""),
+    ("--methods", "nlin,nlin"),
+    ("--deltas", "0.1,0.1"),
 ], ids=["unknown-method", "delta-above-one", "odd-mesh-cells",
-        "empty-methods", "empty-deltas"])
+        "empty-methods", "empty-deltas", "repeated-methods",
+        "repeated-deltas"])
 def test_cli_run_override_errors_leave_no_outdir(tmp_path, capsys, flag,
                                                  value):
     outdir = tmp_path / "out"
@@ -572,11 +605,12 @@ def test_cli_run_report_errors_leave_no_outdir(tmp_path, capsys, args):
     ({"nx": 4, "ny": 4, "n_steps": 2, "s_init": 0.99999999}, "s_init"),
     ({"outlet_saturation": 1.2}, "outlet_saturation"),
     ({"outlet_saturation": -0.1}, "outlet_saturation"),
+    ({"lx": 0.0}, "lx"),
 ], ids=["one-row", "nan-rate", "zero-steps", "yaml-one-row",
         "yaml-nonpositive-snapshots", "yaml-s-init-above-one",
         "yaml-s-init-zero", "yaml-s-init-one", "yaml-s-init-below-clamp",
         "yaml-s-init-top-of-clamp", "yaml-outlet-above-one",
-        "yaml-outlet-negative"])
+        "yaml-outlet-negative", "yaml-zero-length"])
 def test_cli_flood_config_fails_at_load(tmp_path, capsys, args, field):
     # a one-row flood has k* = 0 and a NaN rate passes the CLI's float
     # parsing; both used to fail only inside the Newton solve, as an

@@ -126,8 +126,6 @@ def test_block_permeability_scales_with_delta_squared(sim1_cset):
 def test_default_initial_state_is_wall_equilibrium(sim1_cset):
     p = make_problem(sim1_cset)
     assert p.s_init == pytest.approx(sim1_cset.transfer(0.05), rel=1e-14)
-    q = make_problem(sim1_cset, initial_saturation=0.3)
-    assert q.s_init == 0.3
 
 
 def test_wall_value_composes_transfer_with_boundary(sim1_cset):
