@@ -27,8 +27,12 @@ reference.
 
 Both solvers' Newton matrices keep one sparsity pattern for a whole run.
 FixedPattern holds that pattern as one CSC matrix and writes each
-iteration's values into it, and LU_OPTIONS is the one SuperLU ordering
-every factorization of such a matrix uses.
+iteration's values into it.  The fill-reducing ordering depends on the
+pattern alone, so FixedPattern computes it once, when it is built (the
+LU_OPTIONS ordering of one stand-in matrix), stores the matrix in that
+order, and each factorization of the run reuses it: analyse once,
+refactor many times, as KLU does for circuit Jacobians (Davis and
+Palamadai Natarajan, ACM TOMS 37 (2010) 36).
 """
 from __future__ import annotations
 
@@ -36,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu as _splu
 
 
 # The graded 1D grid: exponential grading strength inside the wall
@@ -112,30 +117,65 @@ def layer_adapted_grid(n_cells: int, delta: float,
 
 _AXES = "xyz"
 
-# SuperLU options of every factorization of a FixedPattern matrix: minimum
-# degree on the pattern of A^T + A, with diagonal pivots preferred.  The
-# matrices are structurally symmetric, so this ordering keeps less fill
-# than the default COLAMD (a 48 x 48 flood Jacobian: 410 k -> 243 k
-# entries of L + U, half the factorization time).  The block's small
-# matrices gain mostly from the diagonal pivots: 256 corner cells factor
-# in 0.78 ms with COLAMD, 0.73 ms with the ordering alone and 0.55 ms with
-# both (one 2-vCPU x86 host).
+# SuperLU's ordering of a FixedPattern: minimum degree on the pattern of
+# A^T + A, with diagonal pivots preferred.  The matrices are structurally
+# symmetric, so this ordering keeps less fill than the default COLAMD (a
+# 48 x 48 flood Jacobian: 410 k -> 243 k entries of L + U, half the
+# factorization time).  The block's small matrices gain mostly from the
+# diagonal pivots: 256 corner cells factor in 0.78 ms with COLAMD, 0.73 ms
+# with the ordering alone and 0.55 ms with both (one 2-vCPU x86 host).
+# The ordering is computed once per pattern, from one stand-in matrix;
+# every factorization of the pattern's matrices then takes it as given
+# (NATURAL): a 48 x 48 flood LU takes 13.0 ms instead of 16.1 ms, a
+# 96 x 96 one 81.9 ms instead of 96.5 ms (same host, interleaved).
 LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A",
               "options": {"SymmetricMode": True}}
 
 
+def _lu_order(mat: sp.csc_matrix) -> np.ndarray:
+    """The symmetric permutation q that SuperLU's LU_OPTIONS ordering
+    (minimum degree and elimination-tree postorder) gives mat's pattern:
+    it factors A[q][:, q].  Read from the LU of a diagonally dominant
+    matrix of that pattern, whose pivots stay on the diagonal; mat's
+    values are overwritten."""
+    mat.data[:] = -1.0
+    standin = mat + sp.diags(np.diff(mat.indptr) + 1.0)
+    return np.argsort(_splu(standin.tocsc(), **LU_OPTIONS).perm_c)
+
+
+class OrderedLU:
+    """LU factors of a FixedPattern's matrix, solving in the unknowns'
+    own order."""
+
+    def __init__(self, lu, order: np.ndarray):
+        self.lu = lu
+        self._order = order
+
+    def solve(self, b) -> np.ndarray:
+        x = np.empty(len(b))
+        x[self._order] = self.lu.solve(b[self._order])
+        return x
+
+
 class FixedPattern:
-    """A sparse matrix whose nonzero pattern is fixed by a list of slots.
+    """A square sparse matrix whose nonzero pattern is fixed by a list of
+    slots, stored in its LU ordering.
 
     Slot i holds entry (rows[i], cols[i]); slots that share an entry are
     summed.  The pattern is the union of the slots, built once as a CSC
-    matrix, and fill writes new slot values into it.
+    matrix of the symmetrically permuted unknowns: entry (i, j) of the
+    stored matrix is entry (order[i], order[j]) of the slots' matrix.
+    fill writes new slot values into it, and factor is the one way to
+    factor it.
     """
 
     def __init__(self, rows, cols, shape: tuple):
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
-        keys, self._pos = np.unique(cols * shape[0] + rows,
+        self.order = _lu_order(sp.csc_matrix(
+            (np.ones(len(rows)), (rows, cols)), shape=shape))
+        rank = np.argsort(self.order)
+        keys, self._pos = np.unique(rank[cols] * shape[0] + rank[rows],
                                     return_inverse=True)
         indptr = np.zeros(shape[1] + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // shape[0], minlength=shape[1]),
@@ -144,12 +184,19 @@ class FixedPattern:
             (np.zeros(len(keys)), keys % shape[0], indptr), shape=shape)
 
     def fill(self, vals) -> sp.csc_matrix:
-        """The matrix with entries summed from one value per slot, in slot
-        order; the next call overwrites it."""
+        """The stored (permuted) matrix with entries summed from one value
+        per slot, in slot order; the next call overwrites it."""
         mat = self.matrix
         mat.data[:] = np.bincount(self._pos, weights=vals,
                                   minlength=mat.nnz)
         return mat
+
+    def factor(self, mat: sp.csc_matrix, splu) -> OrderedLU:
+        """LU of mat, a matrix of this pattern as fill returns it, made by
+        splu (scipy's, or a caller's wrapper of it) in the stored order;
+        its solve takes and returns vectors of unpermuted unknowns."""
+        return OrderedLU(splu(mat, permc_spec="NATURAL",
+                              options={"SymmetricMode": True}), self.order)
 
 
 @dataclass(frozen=True)

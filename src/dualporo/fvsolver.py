@@ -15,10 +15,11 @@ upwinded phase by phase on the sign of the phase-pressure difference
 Jacobian is analytic with the upwind choice held fixed per iteration.
 Its sparsity pattern does not depend on the iterate: each face's mobility
 slope has a slot in both cells' saturation columns, and the upwind choice
-only decides which one is zero.  So the pattern is built once per run
-(blockmesh.FixedPattern) and each Newton iteration writes values into
-it.  imbibition.newton_solve, the block's Newton loop, solves each step
-with saturation updates capped at MAX_DS and clamped to [SAT_EPS,
+only decides which one is zero.  So the pattern is built and ordered
+for the LU once per run (blockmesh.FixedPattern), and each Newton
+iteration writes values into it and factors it in that order.
+imbibition.newton_solve, the block's Newton loop, solves each step with
+saturation updates capped at MAX_DS and clamped to [SAT_EPS,
 1 - SAT_EPS], until the residual scaled by phi_f vol / dt is within
 NEWTON_RTOL and the volume defect within VOLUME_RTOL of pore volume.
 
@@ -226,8 +227,9 @@ class _Assembler:
         source Q_w at the iterate (s, pn).
 
         The source is Q_w = -(impl/dt) (transfer(s) - wall0) + expl, all
-        per-cell arrays.  The Jacobian is the assembler's one CSC matrix;
-        the next call overwrites it.
+        per-cell arrays.  The Jacobian is the assembler's one CSC matrix,
+        its unknowns (S, P_n) permuted by pattern.order; the next call
+        overwrites it.
         """
         g = self.grid
         par = self.params
@@ -422,7 +424,8 @@ class FractureFlowSolver:
             return np.clip(s_new, lo, hi), x[1] + fac * dx[m:]
 
         (s, pn), ((rate_w, rate_n), p_wall, q_w), it = newton_solve(
-            (s_old.copy(), state.pressure_n.copy()), linearize, update, splu)
+            (s_old.copy(), state.pressure_n.copy()), linearize, update,
+            lambda jac: self.assembler.pattern.factor(jac, splu))
 
         # accepted: the memory first, since its range check can raise
         if state.memory is not None:

@@ -426,6 +426,9 @@ class FloodConfig:
     snapshot_days: tuple[float, ...] = (2.5, 5.0, 10.0)
 
     def __post_init__(self) -> None:
+        # unknown names fail at load, by the checks build_flood meets
+        get_preset(self.scenario)
+        fv.SourceSpec(model=self.source_model)
         for key, hint in typing.get_type_hints(FloodConfig).items():
             value = getattr(self, key)
             if hint is float and not math.isfinite(value):

@@ -13,7 +13,7 @@ mirror-symmetric about the cube's mid-planes: BlockProblem.build_mesh
 returns the corner mesh (one 2^d-th of the cube, no-flux mirror faces),
 and the wall fluxes count all mesh.copies corners.  Every Jacobian of a
 run is written into one precomputed sparse pattern (blockmesh.FixedPattern)
-and factored with the ordering the flood uses, blockmesh.LU_OPTIONS.
+and factored through it, in the one LU ordering it computed for the run.
 
 The exchange rate (wetting-phase volume per unit time and bulk volume,
 negative while water imbibes into the block) is computed two ways:
@@ -37,8 +37,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .blockmesh import (LU_OPTIONS, BlockMesh, FixedPattern,
-                        layer_adapted_grid, tensor_mesh)
+from .blockmesh import (BlockMesh, FixedPattern, layer_adapted_grid,
+                        tensor_mesh)
 from .constitutive import ConstitutiveSet
 
 EXCHANGE_METHODS = ("nlin", "clin", "vlin", "effective-I", "effective-II")
@@ -58,7 +58,7 @@ def newton_solve(x, linearize, update, factor):
 
     linearize(x) gives (r, jac, err, out), err in units of the tolerance:
     x is accepted at err <= 1 (jac may then be None), else x = update(x,
-    dx) with jac dx = -r solved by factor(jac, **LU_OPTIONS).  Raises
+    dx) with jac dx = -r solved by factor(jac).solve.  Raises
     NewtonFailure after NEWTON_MAX_ITER corrections, after STALL_ITER in a
     row with no new smallest error, on a singular LU or non-finite dx."""
     best, stalled = np.inf, 0
@@ -74,7 +74,7 @@ def newton_solve(x, linearize, update, factor):
             raise NewtonFailure(f"Newton stalled: {stalled} corrections set "
                                 f"no new smallest error ({best:.3e})")
         try:
-            dx = factor(jac, **LU_OPTIONS).solve(-r)
+            dx = factor(jac).solve(-r)
         except RuntimeError as exc:        # singular factorization
             raise NewtonFailure(str(exc)) from exc
         if not np.isfinite(dx).all():
@@ -204,8 +204,8 @@ class BlockStepper:
     Shared by the nonlinear solve (beta through Newton) and the linearized
     solves (per-step scalar diffusivity, direct solve).  Both build their
     matrices in one blockmesh.FixedPattern, that of the diffusion matrix
-    (its diagonal included), computed once per stepper, and factor them
-    with blockmesh.LU_OPTIONS.  linear_step keeps the factorization of its
+    (its diagonal included), computed and ordered once per stepper, and
+    factor them through it.  linear_step keeps the factorization of its
     last (dt, coefficient), so constant-coefficient runs on
     piecewise-uniform time grids refactorize only when the step changes.
     """
@@ -220,22 +220,26 @@ class BlockStepper:
         d = mesh.diffusion_matrix.tocoo()
         self._d_vals, self._d_cols = d.data, d.col
         cells = np.arange(mesh.n_cells)
-        self._pattern = FixedPattern(np.concatenate((d.row, cells)),
-                                     np.concatenate((d.col, cells)),
-                                     d.shape)
+        self.pattern = FixedPattern(np.concatenate((d.row, cells)),
+                                    np.concatenate((d.col, cells)),
+                                    d.shape)
 
     def jacobian(self, acc, alpha) -> sp.csc_matrix:
         """diag(acc) - k_eff * diffusion_matrix @ diag(alpha), alpha per cell
-        or scalar, written into the stepper's one CSC matrix; the next call
+        or scalar, written into the stepper's one CSC matrix in the
+        pattern's order (cells permuted by its order); the next call
         overwrites it."""
         alpha = np.broadcast_to(alpha, (self.mesh.n_cells,))
         kd = self.k_eff * (self._d_vals * alpha[self._d_cols])
-        return self._pattern.fill(np.concatenate((-kd, acc)))
+        return self.pattern.fill(np.concatenate((-kd, acc)))
+
+    def factor(self, jac):
+        """LU of a matrix jacobian returned, made by this module's splu."""
+        return self.pattern.factor(jac, splu)
 
     def linear_step(self, s, dt: float, g: float, coeff: float):
         if self._lu_key != (dt, coeff):
-            self._lu = splu(self.jacobian(self._acc / dt, coeff),
-                            **LU_OPTIONS)
+            self._lu = self.factor(self.jacobian(self._acc / dt, coeff))
             self._lu_key = (dt, coeff)
         rhs = self._acc / dt * s \
             + self.k_eff * coeff * self.mesh.boundary_weights * g
@@ -262,7 +266,8 @@ class BlockStepper:
             return r, jac, r_max / tol, beta_s
 
         return newton_solve(np.array(s_old, dtype=float), linearize,
-                            lambda s, ds: np.clip(s + ds, 0.0, 1.0), splu)
+                            lambda s, ds: np.clip(s + ds, 0.0, 1.0),
+                            self.factor)
 
     def wall_flux(self, beta_s, beta_g: float) -> float:
         """k_eff * sum of wall two-point fluxes of beta into the block, all

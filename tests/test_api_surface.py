@@ -6,6 +6,7 @@ lambda) or a defaulted dataclass field anywhere under src/dualporo.
 """
 import ast
 import pathlib
+import re
 
 import dualporo
 
@@ -52,6 +53,17 @@ def test_settable_values_do_not_grow():
     total = sum(settable_values(path.read_text(encoding="utf-8"))
                 for path in sorted(package_dir.glob("*.py")))
     assert total <= MAX_SETTABLE
+
+
+def test_only_blockmesh_chooses_an_lu_ordering():
+    # every factorization goes through blockmesh.FixedPattern, whose
+    # ordering is computed once per pattern
+    package_dir = pathlib.Path(dualporo.__file__).parent
+    for path in sorted(package_dir.glob("*.py")):
+        if path.name != "blockmesh.py":
+            source = path.read_text(encoding="utf-8")
+            assert not re.search(r"\b(permc_spec|LU_OPTIONS)\b", source), \
+                path.name
 
 
 def test_exported_names_do_not_grow():

@@ -9,9 +9,11 @@ Oracles used here:
     models, on a grid with mixed boundary conditions and a fabricated
     convolution history;
   * the fixed-pattern Jacobian equals the per-iteration COO assembly it
-    replaced (kept here as CooAssembler) entry for entry, with the same
-    residual and boundary rates, and its pattern does not move when the
-    upwind directions do; a flood's Jacobians factored with LU_OPTIONS
+    replaced (kept here as CooAssembler), permuted into the pattern's
+    order, entry for entry, with the same residual and boundary rates,
+    and its pattern does not move when the upwind directions do; the
+    analytic Jacobian's finite-difference check permutes it back; a
+    flood's Jacobians factored with LU_OPTIONS
     solve as with SuperLU's default ordering;
   * the per-step sources realized by the solver's sum-of-exponentials
     memory must agree with the exact product quadrature
@@ -254,7 +256,8 @@ def test_jacobian_matches_finite_differences(sim1_cset):
 
         jac = solver.assembler.assemble(s, pn, state.saturation, dt, impl,
                                         expl, wall0)[1]
-        dense = jac.toarray()
+        rank = np.argsort(solver.assembler.pattern.order)
+        dense = jac.toarray()[np.ix_(rank, rank)]     # unknowns (S, P_n)
         fd = np.zeros_like(dense)
         for i in range(m):
             for h, off in ((3e-7, 0), (0.3, m)):
@@ -432,7 +435,8 @@ def test_fixed_pattern_jacobian_matches_coo_assembly(sim1_cset, case):
         p_ref = np.asarray(sim1_cset.transfer(s))
         assert np.array_equal(p_wall, p_ref)
         assert np.array_equal(q_w, -(impl / dt) * (p_ref - wall0) + expl)
-        dense, ref = jac.toarray(), jac_ref.toarray()
+        order = solver.assembler.pattern.order
+        dense, ref = jac.toarray(), jac_ref.toarray()[np.ix_(order, order)]
         assert np.abs(dense - ref).max() <= 1e-15 * np.abs(ref).max()
 
 

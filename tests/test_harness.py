@@ -359,6 +359,27 @@ def test_load_flood_config(tmp_path):
         hz.load_flood_config(str(bad))
 
 
+@pytest.mark.parametrize("key, message", [
+    ("scenario", "unknown preset 'bogus'; available: "),
+    ("source_model", "unknown source model 'bogus'"),
+])
+def test_flood_config_names_fail_at_load(tmp_path, capsys, key, message):
+    # both names used to pass the loader and fail only in build_flood
+    cfgfile = tmp_path / "flood.yaml"
+    cfgfile.write_text(yaml.safe_dump({key: "bogus"}))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        hz.load_flood_config(str(cfgfile))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        hz.FloodConfig(**{key: "bogus"})
+    outdir = tmp_path / "out"
+    assert main(["effective-run", str(cfgfile), "--outdir",
+                 str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"dualporo: {message}")
+    assert err.count("\n") == 1
+    assert not outdir.exists()
+
+
 def test_build_flood_filters_and_completes_snapshots():
     cfg = hz.FloodConfig(t_end_days=5.0, snapshot_days=(2.5, 5.0, 10.0))
     _, times, snaps = hz.build_flood(cfg)
@@ -458,7 +479,8 @@ def test_cli_error_paths_exit_nonzero(tmp_path, capsys):
     assert err.startswith("dualporo: Newton stalled: 3 corrections ")
     assert err.count("\n") == 1
     assert not outdir.exists()
-    # a flag is checked where its YAML key is: the source model in SourceSpec
+    # a flag is checked where its YAML key is: the source model in
+    # FloodConfig, by SourceSpec's check
     assert main(["effective-run", "--nx", "4", "--ny", "4", "--steps", "2",
                  "--source", "bogus", "--outdir", str(outdir)]) == 1
     assert capsys.readouterr().err == ("dualporo: unknown source model "

@@ -23,7 +23,8 @@ Oracles used here:
   * the block solved on its mirror corner equals the full-cube solve to
     roundoff, with the same Newton iterations and substeps, and the
     Jacobian filled into the stepper's fixed pattern equals the one
-    sparse arithmetic builds, entry for entry, and the block's matrices
+    sparse arithmetic builds, permuted into the pattern's order, entry for
+    entry, and the block's matrices
     factored with LU_OPTIONS solve as with SuperLU's default ordering;
   * the variable linearization solved in physical time and through the
     change of time variable are the same linear systems up to scaling,
@@ -279,17 +280,18 @@ def test_halved_steps_match_the_refined_grid(sim1_cset, monkeypatch):
 
 def scripted_newton(errors, residual=(1.0, 1.0)):
     """newton_solve on a 2-unknown system whose iterate k reports
-    errors[k]; x counts corrections.  Returns a call that runs it and the
-    list of options each factorization was given."""
+    errors[k] and the Jacobian (k + 1) I; x counts corrections.  Returns a
+    call that runs it and the list of the iterates whose Jacobians were
+    factored."""
     factored = []
     r = np.array(residual)
 
     def linearize(k):
-        return r, sp.identity(2, format="csc"), errors[k], k
+        return r, sp.identity(2, format="csc") * (k + 1.0), errors[k], k
 
-    def factor(jac, **options):
-        factored.append(options)
-        return splu(jac, **options)
+    def factor(jac):
+        factored.append(int(jac[0, 0]) - 1)
+        return splu(jac)
 
     return (lambda: imbibition.newton_solve(0, linearize,
                                             lambda k, dx: k + 1, factor),
@@ -319,13 +321,14 @@ def test_newton_solve_converges_on_heron_iteration():
     assert out <= tol
 
 
-def test_newton_solve_factors_once_per_correction_with_lu_options():
-    # an accepted start costs no factorization; error 1 is accepted
+def test_newton_solve_factors_once_per_correction():
+    # an accepted start costs no factorization; error 1 is accepted; each
+    # correction factors the Jacobian of its own iterate, once
     solve, factored = scripted_newton([0.5])
     assert solve() == (0, 0, 0) and factored == []
     solve, factored = scripted_newton([9.0, 2.0, 1.0])
     assert solve() == (2, 2, 2)
-    assert factored == [bm.LU_OPTIONS] * 2
+    assert factored == [0, 1]
 
 
 def test_newton_solve_singular_jacobian_raises():
@@ -454,14 +457,16 @@ def jacobian_cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(jacobian_cases())
 def test_fixed_pattern_jacobian_matches_sparse_arithmetic(case):
+    # the stepper's matrix holds the cells in its pattern's order
     mesh, k_eff, acc, alpha = case
     stepper = BlockStepper(mesh, 0.3, k_eff)
     d = mesh.diffusion_matrix
     stepper.jacobian(2.0 * acc, 1.0 + alpha)     # overwritten below
     jac = stepper.jacobian(acc, alpha)
     ref = (sp.diags(acc) - k_eff * d.multiply(alpha[None, :])).tocsc()
+    order = stepper.pattern.order
     assert jac.nnz == ref.nnz == d.nnz
-    assert np.array_equal(jac.toarray(), ref.toarray())
+    assert np.array_equal(jac.toarray(), ref.toarray()[np.ix_(order, order)])
 
 
 # --------------------------------------------------------- series object
