@@ -14,6 +14,8 @@ that width converges to a convolution source. Two forms are used:
     tau(t) = int_0^t alpha_hat, with alpha_hat the running-range average
     of the diffusivity and C = 2 d sqrt(phi_m k_m / pi).
 
+harness.kernel_constant computes C for either form.
+
 Both are one scheme on the clock increments w_l = alpha^l dt^{l-1}
 (alpha = 1 for the fixed kernel), tau_n = sum_{l<=n} w_l, with wall
 data piecewise constant in time.  One step separates the newest term,
@@ -52,24 +54,11 @@ h = 0.3 the aliasing error of the rule, 2 sqrt(2) exp(-pi^2 / h), is
 about 1.5e-14 relative, and a run costs O(N J) for N steps and J nodes
 (J ~ (log(x_hi / x_lo) + 25) / h).
 
-sqrt_kernel_step is the exact product quadrature of the same step: it
-integrates the kernel exactly against piecewise-constant data with the
-suffix sums U^n_k = sum_{l=k}^n w_l,
-
-    I^n_k = 2 C w_k / (sqrt(U^n_k) + sqrt(U^n_{k+1})),   U^n_{n+1} = 0,
-    D^n_k = I^n_k - I^{n+1}_k
-          = 2 C w_k w_{n+1} (1/(r_k + q_k) + 1/(r_{k+1} + q_{k+1}))
-            / ((r_k + r_{k+1}) (q_k + q_{k+1})),
-
-with r_k = sqrt(U^n_k) and q_k = sqrt(U^n_k + w_{n+1}); the second form
-has no cancellation when w_{n+1} is small against the clock.  It
-rebuilds the history in O(n) per step.  It is kept as the reference
-that MemorySource is tested against, with QuadratureTable and
-history_sum as its own row-by-row oracle.  On a uniform grid with
-alpha = 1, I^n_k depends only on n - k (shift invariance), giving the
-weights J_l = 2 C sqrt(dt) / (sqrt(l+1) + sqrt(l)).  The history weights
-D^n_k (k >= 1) are positive, and with the closing weight D^n_0 they
-satisfy sum_k D^n_k = I^{n+1}_{n+1} = 2 C sqrt(dt^n).
+QuadratureTable holds the exact interval integrals I^n_k of C/sqrt(t_n - u)
+on one time grid and the weights D^n_k = I^n_k - I^{n+1}_k built from
+them.  The exact product quadrature of the step, the reference that
+MemorySource is tested against, is kept with the tests in
+tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -80,19 +69,9 @@ import numpy as np
 from .constitutive import KirchhoffTable, range_diffusivity
 
 
-def fixed_kernel_constant(dimension: int, porosity: float,
-                          permeability: float, alpha_bar: float) -> float:
-    """C = 2 d sqrt(phi_m k_m alpha_bar / pi)."""
-    return 2.0 * dimension * np.sqrt(porosity * permeability * alpha_bar
-                                     / np.pi)
-
-
-def warped_kernel_constant(dimension: int, porosity: float,
-                           permeability: float) -> float:
-    """C = 2 d sqrt(phi_m k_m / pi)."""
-    return 2.0 * dimension * np.sqrt(porosity * permeability / np.pi)
-
-
+# Only the tests use QuadratureTable, but the benchmark's tracer wraps
+# QuadratureTable.d_row by this path; the class moves to tests/oracles.py
+# when that shim moves (ROADMAP item 1).
 @dataclass(frozen=True)
 class QuadratureTable:
     """Exact interval integrals of C/sqrt(t_n - u) on one time grid."""
@@ -148,51 +127,6 @@ class QuadratureTable:
                                                     + np.sqrt(l))
 
 
-def history_sum(wall_history: np.ndarray, table: QuadratureTable,
-                n: int) -> np.ndarray | float:
-    """F^n = sum_{k=0..n} D^n_k p^k; wall_history holds p^0..p^n (rows)."""
-    p = np.asarray(wall_history, dtype=float)
-    if p.shape[0] < n + 1:
-        raise ValueError("history is shorter than n+1 samples")
-    d = table.d_row(n)
-    return np.tensordot(d, p[: n + 1], axes=(0, 0))
-
-
-def sqrt_kernel_step(times, wall_hist, alpha, constant: float):
-    """(impl, expl) of the next source step, Q^{n+1/2} = -(impl/dt^n)
-    (p^{n+1} - p^0) + expl, with the weights of the module docstring.
-
-    times holds t_0..t_{n+1}, wall_hist p^0..p^n and alpha the clock rates
-    alpha^0..alpha^{n+1}, or a scalar for a constant clock.  Axis 0 is
-    time; trailing axes are cells, and alpha's broadcast against
-    wall_hist's (shape (n+2, 1) is one clock for all cells).
-    """
-    t = np.asarray(times, dtype=float)
-    p = np.asarray(wall_hist, dtype=float)
-    a = np.asarray(alpha, dtype=float)
-    n = len(t) - 2
-    dts = np.diff(t).reshape((-1,) + (1,) * (p.ndim - 1))
-    w = (a[1:] if a.ndim else a) * dts      # w_l, l = 1..n+1
-    impl = 2.0 * constant * np.sqrt(w[n])
-
-    # r_k = sqrt(U^n_k), k = 1..n+1 (U^n past its end is 0), and
-    # q_k = sqrt(U^n_k + w_{n+1})
-    r = np.zeros((n + 1,) + w.shape[1:])
-    np.cumsum(w[:n][::-1], axis=0, out=r[-2::-1])
-    q = np.sqrt(r + w[n])
-    np.sqrt(r, out=r)
-
-    def ratio(num, den):
-        return np.divide(num, den, out=np.zeros_like(den), where=den > 0.0)
-
-    gap = ratio(1.0, r + q)
-    d = (ratio(w[:n], r[:n] + r[1:]) * ratio(w[n], q[:n] + q[1:])
-         * (gap[:n] + gap[1:]))
-    expl = 2.0 * constant * np.einsum("k...,k...->...", d, p[1:] - p[0]) \
-        / dts[n]
-    return impl, expl
-
-
 # Sum-of-exponentials rule: trapezoid step in y = log(rate), and the
 # neglected share of a weight at either end of the rates.
 _SOE_STEP = 0.3
@@ -230,7 +164,7 @@ class MemorySource:
 
     def step(self, dt: float, alpha):
         """(impl, expl) of the trial step with clock increment alpha dt,
-        as sqrt_kernel_step returns them for the same history."""
+        as the exact product quadrature returns them for the same history."""
         w = np.asarray(alpha, dtype=float) * dt
         em1 = np.multiply.outer(w, -self.rates)
         np.expm1(em1, out=em1)

@@ -2,12 +2,13 @@
 
 A scenario fixes the two media, the fluid pair, the block dimension, the
 fracture-saturation trajectory driving the block walls, and the report
-grid.  run_comparison evaluates the matrix-fracture exchange for the
-scenario's methods and deltas: resolved nonlinear blocks ("nlin"), the
-two linearizations ("clin", "vlin"), and the two effective convolution
-sources ("effective-I", "effective-II").  Block series carry their delta
-and are compared per delta; effective series are already the
-delta -> 0 limit.
+grid: uniform_times steps from 0 to the horizon, and every series is
+sampled at the interval midpoints.  run_comparison evaluates the
+matrix-fracture exchange for the scenario's methods and deltas: resolved
+nonlinear blocks ("nlin"), the two linearizations ("clin", "vlin"), and
+the two effective convolution sources ("effective-I", "effective-II").
+Block series carry their delta and are compared per delta; effective
+series are already the delta -> 0 limit.
 
 Every CSV table goes through write_csv, which formats floats with
 repr(), so repeated runs of the same configuration produce byte-identical
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import typing
 from dataclasses import dataclass, field
 
@@ -29,11 +31,21 @@ from .blockmesh import TensorMesh
 from .imbibition import (EXCHANGE_METHODS, BlockProblem, ExchangeSeries,
                          exchange_from_volume, run_trajectory)
 from .linearized import run_constant_linearized, run_variable_linearized
-from .timegrid import midpoints, uniform_times
 
 DAY = 86400.0
 
 DEFAULT_DELTAS = (0.3, 0.2, 0.1, 0.05, 0.01, 0.001)
+
+
+def uniform_times(t_end: float, n_steps: int) -> np.ndarray:
+    if n_steps < 1 or t_end <= 0.0:
+        raise ValueError("need n_steps >= 1 and t_end > 0")
+    return np.linspace(0.0, t_end, n_steps + 1)
+
+
+def midpoints(times: np.ndarray) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    return 0.5 * (times[:-1] + times[1:])
 
 
 @dataclass(frozen=True)
@@ -150,6 +162,9 @@ def make_trajectory(kind: str, **args):
         return ramp
     if kind == "sine":
         mean, amp, period_days = a["mean"], a["amp"], a["period_days"]
+        if not period_days > 0.0:
+            raise ValueError(f"period_days must be positive; got "
+                             f"{period_days!r}")
 
         def sine(t):
             return mean + amp * float(np.sin(2.0 * np.pi * t
@@ -252,8 +267,16 @@ def _from_mapping(cls, raw, flags):
 def _read_yaml(path: str):
     import yaml             # ~25 ms; only config files and manifests use it
 
+    class Loader(yaml.SafeLoader):
+        """SafeLoader that also reads YAML 1.2 floats such as 1e5 and 2E-6,
+        which YAML 1.1 takes for strings."""
+
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?$"),
+        list("-+.0123456789"))
     with open(path, "r", encoding="utf-8") as fh:
-        return yaml.safe_load(fh)
+        return yaml.load(fh, Loader=Loader)
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -274,13 +297,12 @@ def config_to_dict(cfg) -> dict:
 
 def kernel_constant(model: str, dimension: int,
                     cset: con.ConstitutiveSet) -> float:
-    """Prefactor C of the sqrt kernel: the fixed kernel's for "fixed",
-    the time-warped kernel's for any other source model."""
+    """Prefactor C = 2 d sqrt(phi_m k_m a / pi) of the sqrt kernel: the
+    fixed kernel's (a = alpha_bar) for "fixed", the time-warped kernel's
+    (a = 1) for any other source model."""
     phi_m, k_m = cset.matrix.porosity, cset.matrix.permeability
-    if model == "fixed":
-        return eff.fixed_kernel_constant(dimension, phi_m, k_m,
-                                         cset.alpha_bar())
-    return eff.warped_kernel_constant(dimension, phi_m, k_m)
+    a = cset.alpha_bar() if model == "fixed" else 1.0
+    return 2.0 * dimension * np.sqrt(phi_m * k_m * a / np.pi)
 
 
 def _effective_series(cfg: ScenarioConfig, method: str) -> ExchangeSeries:

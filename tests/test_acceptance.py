@@ -30,8 +30,8 @@ from dualporo.cli import main
 from dualporo.imbibition import (BlockProblem, BlockSolution,
                                  exchange_from_flux, exchange_from_volume,
                                  run_linear, run_trajectory)
-from dualporo.linearized import build_kernel, run_constant_linearized
-from dualporo.timegrid import blocked_geometric_times
+from dualporo.linearized import run_constant_linearized
+from oracles import blocked_geometric_times, build_kernel
 
 DAY = hz.DAY
 SWEEP_MESH = 48
@@ -245,10 +245,8 @@ def test_criterion_07_variable_machinery_collapses_onto_constant():
     ex_tc = exchange_from_volume(sol_tc, prob, "vlin").values
     assert np.max(np.abs(ex_tc - ex_clin)) <= 1e-10 * scale
 
-    phi = cset.matrix.porosity
-    k = cset.matrix.permeability
-    c_warped = eff.warped_kernel_constant(2, phi, k)
-    c_fixed = eff.fixed_kernel_constant(2, phi, k, abar)
+    c_warped = hz.kernel_constant("warped", 2, cset)
+    c_fixed = hz.kernel_constant("fixed", 2, cset)
     assert c_fixed == pytest.approx(c_warped * np.sqrt(abar), rel=1e-12)
 
     times = cfg.times()

@@ -9,7 +9,8 @@ Oracles used here:
     any strictly increasing grid;
   * the scheme form assembled from history_sum must reproduce the direct
     evaluation of the source (two independent routes to Q^{n+1/2});
-  * one step of the shared kernel equals the difference of two
+  * one step of the shared kernel (oracles.sqrt_kernel_step, the exact
+    product quadrature) equals the difference of two
     QuadratureTable rows on the warped clock tau_k = sum_l alpha^l dt^{l-1}
     (on t itself for the fixed clock);
   * the sum-of-exponentials MemorySource reproduces that exact step over
@@ -26,10 +27,9 @@ from hypothesis import strategies as st
 
 from dualporo.effective import (MemorySource, QuadratureTable,
                                 exchange_fixed_kernel, exchange_warped_kernel,
-                                fixed_kernel_constant, history_sum,
-                                running_range_alpha, sqrt_kernel_step,
-                                warped_kernel_constant)
-from dualporo.timegrid import blocked_geometric_times
+                                running_range_alpha)
+from dualporo.harness import kernel_constant
+from oracles import blocked_geometric_times, history_sum, sqrt_kernel_step
 
 
 def random_grid(rng, n=50, lo=0.01, hi=1.0):
@@ -38,12 +38,13 @@ def random_grid(rng, n=50, lo=0.01, hi=1.0):
 
 # ----------------------------------------------------------- constants
 
-def test_kernel_constants_closed_forms():
-    c_fixed = fixed_kernel_constant(2, 0.35, 1e-13, 5e6)
-    assert c_fixed == pytest.approx(4.0 * np.sqrt(0.35 * 1e-13 * 5e6 / np.pi),
+def test_kernel_constants_closed_forms(sim1_cset):
+    abar = sim1_cset.alpha_bar()
+    c_fixed = kernel_constant("fixed", 2, sim1_cset)
+    assert c_fixed == pytest.approx(4.0 * np.sqrt(0.35 * 1e-13 * abar / np.pi),
                                     rel=1e-15)
-    c_warp = warped_kernel_constant(2, 0.35, 1e-13)
-    assert c_fixed == pytest.approx(c_warp * np.sqrt(5e6), rel=1e-14)
+    c_warp = kernel_constant("warped", 2, sim1_cset)
+    assert c_fixed == pytest.approx(c_warp * np.sqrt(abar), rel=1e-14)
 
 
 # ----------------------------------------------------------- quadrature

@@ -17,7 +17,7 @@ Oracles used here:
     solve as with SuperLU's default ordering;
   * the per-step sources realized by the solver's sum-of-exponentials
     memory must agree with the exact product quadrature
-    (effective.sqrt_kernel_step) applied to the recorded wall and alpha
+    (oracles.sqrt_kernel_step) applied to the recorded wall and alpha
     histories (dual route to the same convolution), also on a realized
     grid where forced Newton failures halved some steps;
   * a step attempt either appends one accepted step to every history of
@@ -51,26 +51,24 @@ from dualporo import constitutive as con
 from dualporo import fvsolver
 from dualporo import harness as hz
 from dualporo.blockmesh import LU_OPTIONS
-from dualporo.effective import (MemorySource, fixed_kernel_constant,
-                                sqrt_kernel_step, warped_kernel_constant)
+from dualporo.effective import MemorySource
 from dualporo.fvsolver import (BoundarySpec, FlowParams, FlowState,
                                FractureFlowSolver, SourceSpec, _Assembler,
                                build_grid, effective_permeability,
                                upwind_phase_mobility)
 from dualporo import imbibition
 from dualporo.imbibition import NewtonFailure
+from oracles import sqrt_kernel_step
 
 DAY = 86400.0
 
 
 def fixed_constant(cset):
-    return fixed_kernel_constant(2, cset.matrix.porosity,
-                                 cset.matrix.permeability, cset.alpha_bar())
+    return hz.kernel_constant("fixed", 2, cset)
 
 
 def warped_constant(cset):
-    return warped_kernel_constant(2, cset.matrix.porosity,
-                                  cset.matrix.permeability)
+    return hz.kernel_constant("warped", 2, cset)
 
 
 def make_params(cset, source=SourceSpec(model="none"), k_star=0.5e-13):

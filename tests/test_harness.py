@@ -113,6 +113,25 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         hz.load_config(str(path))
 
 
+def test_yaml_numbers_without_a_dot_load_as_floats(tmp_path):
+    # YAML 1.1 reads 1e5 and 2e-6 as strings; the loader reads numbers as
+    # YAML 1.2 does, and leaves integers and quoted strings as they are
+    path = tmp_path / "scen.yaml"
+    path.write_text("preset: sim1\nmatrix_pr: 1e5\nfracture_pr: 1.5E4\n"
+                    "n_steps: 40\n")
+    cfg = hz.load_config(str(path))
+    assert cfg.matrix_pr == 1.0e+5 and cfg.fracture_pr == 1.5e4
+    assert cfg.n_steps == 40
+    flood = tmp_path / "flood.yaml"
+    flood.write_text("inflow_rate: 2e-6\n")
+    assert hz.load_flood_config(str(flood)).inflow_rate == 2.0e-6
+    quoted = tmp_path / "quoted.yaml"
+    quoted.write_text('preset: sim1\nt_end_days: "10"\n')
+    with pytest.raises(ValueError,
+                       match="^t_end_days must be a finite number, not '10'$"):
+        hz.load_config(str(quoted))
+
+
 def test_config_to_dict_is_yaml_friendly():
     d = hz.config_to_dict(hz.get_preset("sim1"))
     assert d["deltas"] == [0.3, 0.2, 0.1, 0.05, 0.01, 0.001]
@@ -130,7 +149,6 @@ def small_config(**kw):
 
 def test_run_method_effective_matches_inline_composition():
     import dualporo.effective as eff
-    from dualporo.timegrid import midpoints
     cfg = small_config()
     series = hz.run_method(cfg, "effective-I")
     cset = cfg.cset()
@@ -140,23 +158,23 @@ def test_run_method_effective_matches_inline_composition():
     # one vectorized transfer: within one ulp of 1 of the scalar calls
     scalar = np.array([float(cset.transfer(boundary(t))) for t in times])
     assert np.abs(wall - scalar).max() <= np.spacing(1.0)
-    c = eff.fixed_kernel_constant(cfg.dimension, cset.matrix.porosity,
-                                  cset.matrix.permeability, cset.alpha_bar())
+    c = 2.0 * cfg.dimension * np.sqrt(cset.matrix.porosity
+                                      * cset.matrix.permeability
+                                      * cset.alpha_bar() / np.pi)
     assert np.array_equal(series.values,
                           eff.exchange_fixed_kernel(wall, times, c))
-    assert np.array_equal(series.times, midpoints(times))
+    assert np.array_equal(series.times, hz.midpoints(times))
     assert series.delta == 0.0 and series.divided_by_delta
 
 
 def test_kernel_constant_picks_the_models_prefactor():
-    import dualporo.effective as eff
     cset = hz.get_preset("sim1").cset()
     phi, k = cset.matrix.porosity, cset.matrix.permeability
     assert hz.kernel_constant("fixed", 2, cset) == \
-        eff.fixed_kernel_constant(2, phi, k, cset.alpha_bar())
+        2.0 * 2 * np.sqrt(phi * k * cset.alpha_bar() / np.pi)
     for model in ("warped", "none"):
         assert hz.kernel_constant(model, 3, cset) == \
-            eff.warped_kernel_constant(3, phi, k)
+            2.0 * 3 * np.sqrt(phi * k / np.pi)
 
 
 def test_run_method_block_methods_need_delta():
@@ -524,9 +542,12 @@ def test_cli_flags_and_yaml_keys_write_the_same_files(tmp_path, verb, flags,
     ("effective-run", {"nx": "12"}),
     ("run", {"preset": "sim1", "methods": ["nlin", "bogus"]}),
     ("run", {"preset": "sim1", "methods": []}),
+    ("run", {"preset": "nonmonotone", "trajectory_args": {"period_days": 0.0},
+             "methods": ["effective-I"], "n_steps": 4}),
 ], ids=["bogus-source-model", "unknown-preset", "nan-permeability",
         "list-document", "string-deltas", "unknown-trajectory-arg",
-        "string-cell-count", "unknown-method", "empty-methods"])
+        "string-cell-count", "unknown-method", "empty-methods",
+        "zero-sine-period"])
 def test_cli_config_errors_exit_with_one_line(tmp_path, capsys, verb,
                                               config):
     cfgfile = tmp_path / "config.yaml"

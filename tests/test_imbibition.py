@@ -41,13 +41,14 @@ from hypothesis import strategies as st
 
 from dualporo import blockmesh as bm
 from dualporo import imbibition
-from dualporo import timegrid
-from dualporo.harness import get_preset, list_presets
+from dualporo.harness import (get_preset, list_presets, midpoints,
+                              uniform_times)
 from dualporo.imbibition import (BlockProblem, BlockStepper, ExchangeSeries,
                                  NewtonFailure, exchange_from_flux,
                                  exchange_from_volume, run_trajectory)
 from dualporo.linearized import (run_constant_linearized,
                                  run_variable_linearized)
+from oracles import blocked_geometric_times
 
 DAY = 86400.0
 
@@ -55,7 +56,7 @@ DAY = 86400.0
 # ----------------------------------------------------------------- grids
 
 def test_uniform_times_layout():
-    t = timegrid.uniform_times(10.0, 5)
+    t = uniform_times(10.0, 5)
     assert t.shape == (6,)
     assert t[0] == 0.0 and t[-1] == 10.0
     assert np.allclose(np.diff(t), 2.0, rtol=0.0, atol=1e-15)
@@ -63,20 +64,20 @@ def test_uniform_times_layout():
 
 def test_uniform_times_validation():
     with pytest.raises(ValueError):
-        timegrid.uniform_times(10.0, 0)
+        uniform_times(10.0, 0)
     with pytest.raises(ValueError):
-        timegrid.uniform_times(-1.0, 4)
+        uniform_times(-1.0, 4)
 
 
 def test_blocked_geometric_times_land_exactly_on_the_horizon():
-    t = timegrid.blocked_geometric_times(100.0, 0.5, block_len=8, growth=1.3)
+    t = blocked_geometric_times(100.0, 0.5, block_len=8, growth=1.3)
     assert t[0] == 0.0
     assert t[-1] == 100.0
     assert (np.diff(t) > 0.0).all()
 
 
 def test_blocked_geometric_step_grows_between_blocks():
-    t = timegrid.blocked_geometric_times(1.0e4, 1.0, block_len=4, growth=1.5)
+    t = blocked_geometric_times(1.0e4, 1.0, block_len=4, growth=1.5)
     dt = np.diff(t)
     assert np.allclose(dt[:4], 1.0, rtol=1e-15)
     assert np.allclose(dt[4:8], 1.5, rtol=1e-15)
@@ -84,13 +85,13 @@ def test_blocked_geometric_step_grows_between_blocks():
 
 def test_blocked_geometric_validation():
     with pytest.raises(ValueError):
-        timegrid.blocked_geometric_times(1.0, -0.1)
+        blocked_geometric_times(1.0, -0.1)
     with pytest.raises(ValueError):
-        timegrid.blocked_geometric_times(1.0, 0.1, growth=0.9)
+        blocked_geometric_times(1.0, 0.1, growth=0.9)
 
 
 def test_midpoints():
-    mid = timegrid.midpoints(np.array([0.0, 1.0, 3.0]))
+    mid = midpoints(np.array([0.0, 1.0, 3.0]))
     assert np.array_equal(mid, [0.5, 2.0])
 
 
@@ -104,7 +105,7 @@ def make_problem(cset, delta=0.1, dimension=2, n_steps=20, t_end=10.0 * DAY,
             return 0.05 + 0.90 * (t / t_end)
     return BlockProblem(delta=delta, dimension=dimension, cset=cset,
                         boundary=boundary,
-                        times=timegrid.uniform_times(t_end, n_steps),
+                        times=uniform_times(t_end, n_steps),
                         mesh_cells=mesh_cells, **kw)
 
 

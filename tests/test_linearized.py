@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from dualporo.imbibition import BlockProblem
-from dualporo.linearized import (build_kernel, kernel_from_scales,
-                                 run_constant_linearized, run_linear,
+from dualporo.linearized import (run_constant_linearized, run_linear,
                                  run_variable_linearized,
                                  variable_coefficients)
+from oracles import build_kernel, kernel_from_scales
 
 DAY = 86400.0
 
