@@ -11,11 +11,12 @@ Verbs:
                          the convolution source; field snapshots and a
                          mass-balance log
 
-A flag sets the config field named by its dest: harness._from_mapping
-merges the flags given over the YAML file, {"preset": name} or {}, so a
-flag is checked as its YAML key is.  Outputs are deterministic: rerunning
-a verb with the same inputs yields byte-identical files.  Exit status is
-nonzero on validation or solver failure.
+A flag sets the config field named by its dest: harness.load_config and
+harness.load_flood_config merge the flags given over the preset, the YAML
+file or the defaults, so a flag is checked as its YAML key is.  Outputs
+are deterministic: rerunning a verb with the same inputs yields
+byte-identical files.  A flood's field snapshot is named after the report
+time it holds.  Exit status is nonzero on validation or solver failure.
 """
 from __future__ import annotations
 
@@ -58,14 +59,13 @@ def cmd_list_presets(args) -> int:
 
 
 def cmd_run(args) -> int:
-    # a preset wins over a file of its name; neither is an unknown preset
-    doc = {"preset": args.target} if args.target in hz.PRESETS \
-        or not os.path.exists(args.target) else hz._read_yaml(args.target)
-    cfg = hz._from_mapping(hz.ScenarioConfig, doc, _flags(
+    cfg = hz.load_config(args.target, **_flags(
         args, "methods", "deltas", "mesh_cells", "n_steps"))
+    t_lo, t_hi = 0.5 * hz.DAY, cfg.t_end_days * hz.DAY
+    hz.check_report_window(cfg, t_lo, t_hi)
     results = hz.run_comparison(cfg)
     # a report that cannot be computed fails before the outdir exists
-    rows = hz.comparison_rows(results, 0.5 * hz.DAY, cfg.t_end_days * hz.DAY)
+    rows = hz.comparison_rows(results, t_lo, t_hi)
     os.makedirs(args.outdir, exist_ok=True)
     outputs = []
     for key in sorted(results):
@@ -91,16 +91,14 @@ def cmd_compare(args) -> int:
                          f"{args.csv_b}")
     t_lo = None if args.t_lo is None else args.t_lo * hz.DAY
     t_hi = None if args.t_hi is None else args.t_hi * hz.DAY
-    l2 = hz.compare_series(sa[0], sb[0], t_lo, t_hi, "l2")
-    sup = hz.compare_series(sa[0], sb[0], t_lo, t_hi, "sup")
+    l2, sup = hz.compare_series(sa[0], sb[0], t_lo, t_hi)
     print(f"rel_l2 {l2!r}")
     print(f"sup {sup!r}")
     return 0
 
 
 def cmd_effective_run(args) -> int:
-    doc = {} if args.config is None else hz._read_yaml(args.config)
-    cfg = hz._from_mapping(hz.FloodConfig, doc, _flags(
+    cfg = hz.load_flood_config(args.config, **_flags(
         args, "scenario", "source_model", "nx", "ny", "inflow_rate",
         "t_end_days", "n_steps"))
     solver, times, snaps = hz.build_flood(cfg)
@@ -108,9 +106,8 @@ def cmd_effective_run(args) -> int:
     result = solver.run(cfg.s_init, cfg.pn_init, times, snapshot_times=snaps)
     os.makedirs(args.outdir, exist_ok=True)
     outputs = []
-    for epoch in sorted(result.snapshots):
-        s, pw, pn = result.snapshots[epoch]
-        fname = f"fields_day{epoch / hz.DAY:g}.csv"
+    for t, (s, pw, pn) in sorted(result.snapshots.items()):
+        fname = f"fields_day{t / hz.DAY:g}.csv"
         hz.write_field_csv(os.path.join(args.outdir, fname), solver.grid,
                            s, pw, pn)
         outputs.append(fname)

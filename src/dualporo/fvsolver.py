@@ -139,11 +139,9 @@ class FlowParams:
 
 @dataclass
 class FlowState:
-    """Current fields, the source memory, and every history of the run
-    on the realized time grid."""
+    """Every history of the run on the realized time grid (the last
+    entries are the current time and saturation), P_n and the memory."""
 
-    t: float
-    saturation: np.ndarray
     pressure_n: np.ndarray
     memory: MemorySource | None         # None without source
     run_min: np.ndarray                 # extrema of the wall values
@@ -151,7 +149,7 @@ class FlowState:
     times_hist: list
     sat_hist: list
     wall_hist: list                     # p^k = transfer(S^k); p^0 first
-    alpha_hist: list                    # committed alpha-hat^k
+    alpha_hist: list                    # memory clock rate of step k
     source_hist: list | None            # realized Q_w; None: not kept
     steps: list                         # StepReport per accepted step
 
@@ -340,9 +338,9 @@ class FlowResult:
     pore_volume: float
     saturation_history: np.ndarray        # (n_hist+1, m)
     wall_history: np.ndarray              # (n_hist+1, m) transfer(S)
-    alpha_history: np.ndarray             # (n_hist+1, m) committed alpha-hat
+    alpha_history: np.ndarray             # (n_hist+1, m) memory clock rate
     source_history: np.ndarray | None     # (n_hist, m) realized Q_w [1/s]
-    snapshots: dict               # time -> (S, P_w, P_n)
+    snapshots: dict               # report time -> (S, P_w, P_n)
 
     def max_defects(self):
         """Max per-step |water_defect| and |volume_defect| relative to the
@@ -358,25 +356,25 @@ class FractureFlowSolver:
         self.grid = grid
         self.params = params
         self.assembler = _Assembler(grid, params, bcs or {})
-        self.bcs = self.assembler.bcs
 
     def _source_terms(self, state: FlowState, dt: float):
-        """(impl, expl, alpha_new) such that the step's source is
+        """(impl, expl, alpha) such that the step's source is
         Q_w = -(impl/dt) (transfer(S_new) - p^0) + expl: the trial step of
-        state.memory, which _try_step commits once Newton converges."""
+        state.memory, which _try_step commits once Newton converges, on
+        the clock rate alpha (1 but for the warped kernel)."""
         par = self.params
         src = par.source
         if src.model == "none":
             zeros = np.zeros(self.grid.n_cells)
-            return zeros, zeros, None
-        alpha, a_new = 1.0, None
+            return zeros, zeros, 1.0
+        alpha = 1.0
         if src.model == "warped":
             # freeze alpha-hat at beginning-of-step extrema
-            a_new = alpha = np.asarray(con.range_diffusivity(
+            alpha = np.asarray(con.range_diffusivity(
                 state.run_min, state.run_max, par.cset.matrix_table()),
                 dtype=float)
         impl, expl = state.memory.step(dt, alpha)
-        return impl, expl, a_new
+        return impl, expl, alpha
 
     def _memory(self, wall0, times) -> MemorySource | None:
         """The run's source memory over the report grid times; see the
@@ -403,8 +401,8 @@ class FractureFlowSolver:
         par = self.params
         m = self.grid.n_cells
         vol = self.grid.volumes
-        impl, expl, alpha_new = self._source_terms(state, dt)
-        s_old = state.saturation
+        impl, expl, alpha = self._source_terms(state, dt)
+        s_old = state.sat_hist[-1]
         scale = par.cset.fracture.porosity * self.grid.total_volume / (m * dt)
         lo, hi = con.SAT_EPS, 1.0 - con.SAT_EPS
         clamped = False
@@ -434,22 +432,20 @@ class FractureFlowSolver:
                             * np.dot(vol, s - s_old))
         water_source = float(dt * np.dot(vol, q_w))
         water_bdry, nonwet_bdry = rate_w * dt, rate_n * dt
+        t = state.times_hist[-1] + dt
         state.steps.append(StepReport(
-            t=state.t + dt, dt=dt, newton_iters=it, clamped=clamped,
+            t=t, dt=dt, newton_iters=it, clamped=clamped,
             water_accum=water_accum, water_source=water_source,
             water_boundary=water_bdry, nonwetting_boundary=nonwet_bdry,
             water_defect=water_accum - water_source - water_bdry,
             volume_defect=water_bdry + nonwet_bdry))
         if state.source_hist is not None:
             state.source_hist.append(q_w)
-        state.t += dt
-        state.saturation = s
         state.pressure_n = pn
-        state.times_hist.append(state.t)
+        state.times_hist.append(t)
         state.sat_hist.append(s)
         state.wall_hist.append(p_wall)
-        state.alpha_hist.append(
-            alpha_new if alpha_new is not None else state.alpha_hist[-1])
+        state.alpha_hist.append(np.broadcast_to(alpha, (m,)))
         state.run_min = np.minimum(state.run_min, p_wall)
         state.run_max = np.maximum(state.run_max, p_wall)
 
@@ -470,9 +466,11 @@ class FractureFlowSolver:
                              "at least two")
 
         p_wall = np.asarray(par.cset.transfer(s))
-        a0 = np.asarray(par.cset.matrix_alpha(p_wall), dtype=float)
+        # the memory's clock rate: alpha-hat for the warped kernel, else 1
+        a0 = (np.asarray(par.cset.matrix_alpha(p_wall), dtype=float)
+              if par.source.model == "warped" else 1.0)
         state = FlowState(
-            t=float(times[0]), saturation=s, pressure_n=pn,
+            pressure_n=pn,
             memory=self._memory(p_wall, times),
             run_min=p_wall.copy(), run_max=p_wall.copy(),
             times_hist=[float(times[0])], sat_hist=[s], wall_hist=[p_wall],
@@ -482,13 +480,13 @@ class FractureFlowSolver:
         snapshots: dict = {}
         snap_left = sorted(snapshot_times)
         for t_target in times[1:].tolist():
-            cover_interval(state.t, t_target,
+            cover_interval(state.times_hist[-1], t_target,
                            lambda t, dt: self._try_step(state, dt))
-            state.t = t_target                 # snap off rounding drift
-            state.times_hist[-1] = t_target
-            while snap_left and state.t >= snap_left[0] * (1 - 1e-12):
-                epoch = snap_left.pop(0)
-                snapshots[epoch] = self._fields(state)
+            state.times_hist[-1] = t_target    # snap off rounding drift
+            # a requested time takes the first report time at or after it
+            while snap_left and t_target >= snap_left[0] * (1 - 1e-12):
+                snap_left.pop(0)
+                snapshots[t_target] = self._fields(state)
 
         s_fin, pw_fin, pn_fin = self._fields(state)
         return FlowResult(
@@ -504,7 +502,7 @@ class FractureFlowSolver:
             snapshots=snapshots)
 
     def _fields(self, state: FlowState):
-        vg = self.params.cset.fracture.vg
+        s = state.sat_hist[-1]
         pw = state.pressure_n - np.asarray(
-            con.capillary_pressure(state.saturation, vg))
-        return state.saturation.copy(), pw, state.pressure_n.copy()
+            con.capillary_pressure(s, self.params.cset.fracture.vg))
+        return s.copy(), pw, state.pressure_n.copy()

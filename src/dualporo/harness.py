@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import re
 import typing
 from dataclasses import dataclass, field
@@ -28,8 +29,9 @@ from . import constitutive as con
 from . import effective as eff
 from . import fvsolver as fv
 from .blockmesh import TensorMesh
-from .imbibition import (EXCHANGE_METHODS, BlockProblem, ExchangeSeries,
-                         exchange_from_volume, run_trajectory)
+from .imbibition import (EFFECTIVE_METHODS, EXCHANGE_METHODS, BlockProblem,
+                         ExchangeSeries, exchange_from_volume, midpoints,
+                         run_trajectory)
 from .linearized import run_constant_linearized, run_variable_linearized
 
 DAY = 86400.0
@@ -41,11 +43,6 @@ def uniform_times(t_end: float, n_steps: int) -> np.ndarray:
     if n_steps < 1 or t_end <= 0.0:
         raise ValueError("need n_steps >= 1 and t_end > 0")
     return np.linspace(0.0, t_end, n_steps + 1)
-
-
-def midpoints(times: np.ndarray) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    return 0.5 * (times[:-1] + times[1:])
 
 
 @dataclass(frozen=True)
@@ -83,8 +80,7 @@ class ScenarioConfig:
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; choose "
                              f"from {', '.join(EXCHANGE_METHODS)}")
-        if not self.deltas and not set(self.methods) <= {"effective-I",
-                                                         "effective-II"}:
+        if not self.deltas and not set(self.methods) <= set(EFFECTIVE_METHODS):
             raise ValueError("block methods need at least one delta")
         if self.dimension not in (1, 2, 3):
             raise ValueError("dimension must be 1, 2 or 3; got "
@@ -100,6 +96,8 @@ class ScenarioConfig:
         if not (math.isfinite(self.t_end_days) and self.t_end_days > 0.0):
             raise ValueError("t_end_days must be a positive finite number; "
                              f"got {self.t_end_days!r}")
+        self.cset()                     # reject invalid media
+        self.boundary()                 # and trajectory arguments
 
     def cset(self) -> con.ConstitutiveSet:
         return con.ConstitutiveSet(
@@ -231,14 +229,14 @@ def _coerce(key: str, value, hint):
 
 
 def _from_mapping(cls, raw, flags):
-    """A ScenarioConfig or FloodConfig from a parsed YAML document with the
-    command line's flags, a mapping of the same keys, merged over it.
+    """A ScenarioConfig or FloodConfig from a parsed YAML document with
+    flags, a mapping of the same keys, merged over it.
 
     The document is a mapping of field names to values of the field's
     type.  A scenario may name a "preset" as its base; giving a trajectory
     without trajectory_args resets them to that trajectory's defaults.
-    Everything else fails with a one-line ValueError, including
-    trajectory arguments the trajectory does not take and invalid media.
+    Everything else fails with a one-line ValueError, by _coerce or the
+    class's own checks.
     """
     label = "config" if cls is ScenarioConfig else "flood config"
     raw = {} if raw is None else raw
@@ -257,11 +255,7 @@ def _from_mapping(cls, raw, flags):
               for key, value in raw.items()}
     if "trajectory" in values:
         values.setdefault("trajectory_args", {})
-    cfg = dataclasses.replace(base, **values)
-    if cls is ScenarioConfig:
-        cfg.cset()                      # reject invalid media
-        cfg.boundary()                  # and trajectory arguments
-    return cfg
+    return dataclasses.replace(base, **values)
 
 
 def _read_yaml(path: str):
@@ -279,10 +273,13 @@ def _read_yaml(path: str):
         return yaml.load(fh, Loader=Loader)
 
 
-def load_config(path: str) -> ScenarioConfig:
-    """Build a scenario from a YAML file; a "preset" key selects the base
-    configuration and the remaining keys override its fields."""
-    return _from_mapping(ScenarioConfig, _read_yaml(path), {})
+def load_config(target: str, **flags) -> ScenarioConfig:
+    """The scenario of a preset name or a YAML file (see _from_mapping),
+    flags (config keys) merged over it.  A preset wins over a file of its
+    name; a target that is neither fails as an unknown preset."""
+    doc = {"preset": target} if target in PRESETS \
+        or not os.path.exists(target) else _read_yaml(target)
+    return _from_mapping(ScenarioConfig, doc, flags)
 
 
 def config_to_dict(cfg) -> dict:
@@ -328,7 +325,7 @@ def run_method(cfg: ScenarioConfig, method: str,
     Block series use the volume form of the exchange (the flux form,
     imbibition.exchange_from_flux, agrees to solver tolerance).
     """
-    if method in ("effective-I", "effective-II"):
+    if method in EFFECTIVE_METHODS:
         return _effective_series(cfg, method)
     if delta is None:
         raise ValueError(f"method {method!r} needs a block delta")
@@ -344,27 +341,28 @@ def run_method(cfg: ScenarioConfig, method: str,
     return exchange_from_volume(sol, problem, method=method)
 
 
-def run_comparison(cfg: ScenarioConfig) -> dict:
-    """Evaluate cfg.methods x cfg.deltas; returns {(method, delta): series}
+def comparison_keys(cfg: ScenarioConfig) -> list:
+    """The (method, delta) keys of cfg.methods x cfg.deltas in run order,
     with effective methods keyed once under delta = 0.0."""
-    out: dict = {}
-    for method in cfg.methods:
-        if method in ("effective-I", "effective-II"):
-            out[(method, 0.0)] = run_method(cfg, method)
-            continue
-        for delta in cfg.deltas:
-            out[(method, delta)] = run_method(cfg, method, delta)
-    return out
+    return [(method, delta) for method in cfg.methods
+            for delta in ((0.0,) if method in EFFECTIVE_METHODS
+                          else cfg.deltas)]
+
+
+def run_comparison(cfg: ScenarioConfig) -> dict:
+    """{(method, delta): series} over comparison_keys(cfg), in its order."""
+    return {key: run_method(cfg, *key) for key in comparison_keys(cfg)}
 
 
 def compare_series(a: ExchangeSeries, b: ExchangeSeries,
-                   t_lo: float | None = None, t_hi: float | None = None,
-                   norm: str = "l2") -> float:
-    """Relative deviation of a from the reference b on the window overlap.
+                   t_lo: float | None = None,
+                   t_hi: float | None = None) -> tuple:
+    """Relative deviations (l2, sup) of a from the reference b on the
+    window overlap.
 
     Series are compared per delta (block series are divided by their
-    delta first), with a interpolated onto b's samples; "l2" integrates
-    with trapezoid weights, "sup" takes the max ratio.
+    delta first), with a interpolated onto b's samples; l2 integrates
+    with trapezoid weights, sup is the ratio of the largest magnitudes.
     """
     av, bv = a.per_delta(), b.per_delta()
     lo = max(av.times[0], bv.times[0], -np.inf if t_lo is None else t_lo)
@@ -376,51 +374,53 @@ def compare_series(a: ExchangeSeries, b: ExchangeSeries,
         raise ValueError("reference series is zero on the comparison window")
     ai = np.interp(bw.times, av.times, av.values)
     diff = ai - bw.values
-    if norm == "sup":
-        return float(np.abs(diff).max() / np.abs(bw.values).max())
-    if norm != "l2":
-        raise ValueError("norm must be 'l2' or 'sup'")
     num = np.trapezoid(diff ** 2, bw.times)
     den = np.trapezoid(bw.values ** 2, bw.times)
-    return float(np.sqrt(num / den))
+    return (float(np.sqrt(num / den)),
+            float(np.abs(diff).max() / np.abs(bw.values).max()))
+
+
+def comparison_pairs(keys) -> list:
+    """The (series, reference) key pairs of a report on run_comparison's
+    keys: every non-reference series against the resolved blocks at the
+    same delta, every series against the fixed-kernel effective source,
+    and the delta sweep within each block method (consecutive deltas,
+    coarser measured against finer)."""
+    keys = sorted(keys)
+    pairs = [(key, ("nlin", key[1])) for key in keys
+             if key[0] != "nlin" and key[1] > 0.0 and ("nlin", key[1]) in keys]
+    eff_key = ("effective-I", 0.0)
+    if eff_key in keys:
+        pairs += [(key, eff_key) for key in keys if key != eff_key]
+    for method in sorted({m for m, d in keys if d > 0.0}):
+        ds = sorted((d for m, d in keys if m == method and d > 0.0),
+                    reverse=True)
+        pairs += [((method, c), (method, f)) for c, f in zip(ds, ds[1:])]
+    return pairs
+
+
+def check_report_window(cfg: ScenarioConfig, t_lo: float,
+                        t_hi: float) -> None:
+    """Fail as the report over [t_lo, t_hi] (s) would, but before solving:
+    a report with a pair needs two midpoints of cfg.times() in it."""
+    mids = midpoints(cfg.times())
+    if comparison_pairs(comparison_keys(cfg)) \
+            and np.count_nonzero((mids >= t_lo) & (mids <= t_hi)) < 2:
+        raise ValueError("comparison window holds fewer than two samples")
 
 
 def comparison_rows(results: dict, t_lo: float, t_hi: float) -> list:
     """Report rows for a run_comparison result over window [t_lo, t_hi] (s),
-    each pair in the "l2" and the "sup" norm.
-
-    Three row families: every non-reference series against the resolved
-    blocks at the same delta, every series against the fixed-kernel
-    effective source, and the delta sweep within each block method
-    (consecutive deltas, coarser measured against finer).
-    """
+    each pair of comparison_pairs in the "l2" and the "sup" norm."""
     rows = []
-
-    def add(a_key, b_key):
-        for norm in ("l2", "sup"):
+    for a_key, b_key in comparison_pairs(results):
+        values = compare_series(results[a_key], results[b_key], t_lo, t_hi)
+        for norm, value in zip(("l2", "sup"), values):
             rows.append({
                 "method": a_key[0], "delta": float(a_key[1]),
                 "reference": b_key[0], "ref_delta": float(b_key[1]),
                 "t_lo_days": t_lo / DAY, "t_hi_days": t_hi / DAY,
-                "norm": norm,
-                "value": compare_series(results[a_key], results[b_key],
-                                        t_lo, t_hi, norm)})
-
-    keys = sorted(results)
-    for key in keys:
-        ref = (("nlin", key[1]))
-        if key[0] != "nlin" and key[1] > 0.0 and ref in results:
-            add(key, ref)
-    eff_key = ("effective-I", 0.0)
-    if eff_key in results:
-        for key in keys:
-            if key != eff_key:
-                add(key, eff_key)
-    for method in sorted({m for m, d in keys if d > 0.0}):
-        ds = sorted((d for m, d in keys if m == method and d > 0.0),
-                    reverse=True)
-        for coarse, fine in zip(ds, ds[1:]):
-            add((method, coarse), (method, fine))
+                "norm": norm, "value": value})
     return rows
 
 
@@ -503,9 +503,11 @@ def build_flood(cfg: FloodConfig):
     return solver, times, tuple(d * DAY for d in snap_days)
 
 
-def load_flood_config(path: str) -> FloodConfig:
-    """Build a flood configuration from a YAML file of FloodConfig keys."""
-    return _from_mapping(FloodConfig, _read_yaml(path), {})
+def load_flood_config(path: str | None, **flags) -> FloodConfig:
+    """The flood of a YAML file of FloodConfig keys, or of the defaults
+    for path None, flags (the same keys) merged over it."""
+    return _from_mapping(FloodConfig,
+                         None if path is None else _read_yaml(path), flags)
 
 
 def run_flood(cfg: FloodConfig) -> fv.FlowResult:

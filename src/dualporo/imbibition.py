@@ -41,7 +41,8 @@ from .blockmesh import (BlockMesh, FixedPattern, layer_adapted_grid,
                         tensor_mesh)
 from .constitutive import ConstitutiveSet
 
-EXCHANGE_METHODS = ("nlin", "clin", "vlin", "effective-I", "effective-II")
+EFFECTIVE_METHODS = ("effective-I", "effective-II")
+EXCHANGE_METHODS = ("nlin", "clin", "vlin") + EFFECTIVE_METHODS
 
 NEWTON_RTOL = 1.0e-10
 NEWTON_MAX_ITER = 30
@@ -106,6 +107,11 @@ def cover_interval(t0: float, t1: float,
             continue
         t += dt
         dt *= 2
+
+
+def midpoints(times: np.ndarray) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    return 0.5 * (times[:-1] + times[1:])
 
 
 @dataclass(frozen=True)
@@ -212,7 +218,6 @@ class BlockStepper:
 
     def __init__(self, mesh: BlockMesh, porosity: float, k_eff: float):
         self.mesh = mesh
-        self.phi = porosity
         self.k_eff = k_eff
         self._acc = porosity * mesh.volumes
         self._lu_key = None
@@ -348,8 +353,7 @@ def exchange_from_volume(solution: BlockSolution, problem: BlockProblem,
     t = solution.times
     phi = problem.cset.matrix.porosity
     values = -phi * np.diff(solution.mean_saturation) / np.diff(t)
-    return ExchangeSeries(0.5 * (t[:-1] + t[1:]), values, method,
-                          problem.delta)
+    return ExchangeSeries(midpoints(t), values, method, problem.delta)
 
 
 def exchange_from_flux(solution: BlockSolution, problem: BlockProblem,
@@ -358,5 +362,4 @@ def exchange_from_flux(solution: BlockSolution, problem: BlockProblem,
     t = solution.times
     vol = (1.0 - problem.delta) ** problem.dimension
     values = -solution.flux_integrals / np.diff(t) / vol
-    return ExchangeSeries(0.5 * (t[:-1] + t[1:]), values, method,
-                          problem.delta)
+    return ExchangeSeries(midpoints(t), values, method, problem.delta)

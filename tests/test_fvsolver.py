@@ -217,8 +217,8 @@ def fabricated_state(rng, cset, m, source, t_hist=(0.0, 600.0, 1250.0),
             memory.step(t_hist[k] - t_hist[k - 1],
                         1.0 if source.model == "fixed" else alphas[k])
             memory.commit(walls[k])
-    return FlowState(t=t_hist[-1], saturation=rng.uniform(0.2, 0.8, m),
-                     pressure_n=1e6 + rng.uniform(-1e5, 1e5, m),
+    sats[-1] = rng.uniform(0.2, 0.8, m)        # the current field
+    return FlowState(pressure_n=1e6 + rng.uniform(-1e5, 1e5, m),
                      memory=memory, run_min=np.minimum.reduce(walls),
                      run_max=np.maximum.reduce(walls),
                      times_hist=list(t_hist), sat_hist=sats,
@@ -249,10 +249,10 @@ def test_jacobian_matches_finite_differences(sim1_cset):
         pn = 1e6 + rng.uniform(-1e5, 1e5, m)
 
         def residual(sv, pv):
-            return solver.assembler.assemble(sv, pv, state.saturation, dt,
-                                             impl, expl, wall0)[0]
+            return solver.assembler.assemble(sv, pv, state.sat_hist[-1],
+                                             dt, impl, expl, wall0)[0]
 
-        jac = solver.assembler.assemble(s, pn, state.saturation, dt, impl,
+        jac = solver.assembler.assemble(s, pn, state.sat_hist[-1], dt, impl,
                                         expl, wall0)[1]
         rank = np.argsort(solver.assembler.pattern.order)
         dense = jac.toarray()[np.ix_(rank, rank)]     # unknowns (S, P_n)
@@ -421,7 +421,7 @@ def test_fixed_pattern_jacobian_matches_coo_assembly(sim1_cset, case):
         pn = 1e6 + rng.uniform(-1e5, 1e5, m)
         if flip:                     # turn the nonwetting upwind around
             pn = 2e6 - pn
-        args = (s, pn, state.saturation, dt, impl, expl, wall0)
+        args = (s, pn, state.sat_hist[-1], dt, impl, expl, wall0)
         r, jac, rates, p_wall, q_w = solver.assembler.assemble(*args)
         if pattern is None:
             pattern = (jac.indptr.copy(), jac.indices.copy())
@@ -491,10 +491,20 @@ def test_recorded_sources_match_standalone_evaluators(sim1_cset):
         solver = FractureFlowSolver(
             grid, make_params(sim1_cset, SourceSpec(model, cval)), bcs)
         res = solver.run(0.05, 1e6, times, record_sources=True)
-        alpha = 1.0 if model == "fixed" else res.alpha_history
-        ref = exact_sources(res.wall_history, alpha, res.times_hist, cval)
+        ref = exact_sources(res.wall_history, res.alpha_history,
+                            res.times_hist, cval)
         scale = np.abs(res.source_history).max()
         assert np.abs(res.source_history - ref).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("model", ["none", "fixed"])
+def test_alpha_history_is_the_clock_rate_of_the_memory(sim1_cset, model):
+    # only the warped kernel's clock runs at alpha-hat; the fixed one (and
+    # a flood without source) at 1, which is what the history records
+    constant = fixed_constant(sim1_cset) if model == "fixed" else 0.0
+    solver = inflow_solver(sim1_cset, 4, 4, SourceSpec(model, constant))
+    res = solver.run(0.05, 1e6, np.linspace(0.0, 1.0 * DAY, 4))
+    assert np.array_equal(res.alpha_history, np.ones((4, 16)))
 
 
 def test_warped_source_with_frozen_range_reduces_to_fixed(sim1_cset):
@@ -584,7 +594,7 @@ def test_halved_steps_keep_sources_and_balance(sim1_cset):
     try_step = solver._try_step
 
     def failing(state, dt):
-        k = np.searchsorted(times, state.t, side="right") - 1
+        k = np.searchsorted(times, state.times_hist[-1], side="right") - 1
         if 3 <= k <= 6 and dt > 0.6 * dt_report:
             raise NewtonFailure("forced failure")
         return try_step(state, dt)
@@ -623,7 +633,7 @@ def test_refused_interval_takes_quarters_and_the_next_starts_whole(
     try_step = solver._try_step
 
     def refusing(state, dt):
-        k = int(np.searchsorted(times, state.t + 1e-6 * span,
+        k = int(np.searchsorted(times, state.times_hist[-1] + 1e-6 * span,
                                 side="right")) - 1
         attempts.append((k, dt / span))
         if k == 1 and dt > 0.3 * span:
@@ -678,8 +688,7 @@ def test_step_attempt_advances_the_state_or_leaves_it(sim1_cset, model,
     monkeypatch.setattr(imbibition, "NEWTON_MAX_ITER", 0)
     with pytest.raises(NewtonFailure, match="no convergence in 0 Newton"):
         solver._try_step(state, 600.0)
-    assert state.t == before.t
-    for key in ("saturation", "pressure_n", "run_min", "run_max"):
+    for key in ("pressure_n", "run_min", "run_max"):
         assert np.array_equal(getattr(state, key), getattr(before, key))
     for key in histories:
         old, new = getattr(before, key), getattr(state, key)
@@ -691,13 +700,12 @@ def test_step_attempt_advances_the_state_or_leaves_it(sim1_cset, model,
 
     monkeypatch.undo()
     assert solver._try_step(state, 600.0) is None
-    assert state.t == before.t + 600.0
     for key in histories:
         assert len(getattr(state, key)) == len(getattr(before, key)) + 1
-    assert state.sat_hist[-1] is state.saturation
-    assert state.steps[-1].t == state.times_hist[-1] == state.t
+    assert state.steps[-1].t == state.times_hist[-1] \
+        == before.times_hist[-1] + 600.0
     assert np.array_equal(state.wall_hist[-1],
-                          sim1_cset.transfer(state.saturation))
+                          sim1_cset.transfer(state.sat_hist[-1]))
     if model != "none":
         assert not np.array_equal(state.memory._clock,
                                   before.memory._clock)

@@ -245,32 +245,26 @@ def series_of(values, times=None, method="nlin", delta=1.0):
 def test_compare_series_zero_for_identical_and_one_for_doubled():
     b = series_of([-1.0, -2.0, -3.0, -2.0])
     a2 = series_of([-2.0, -4.0, -6.0, -4.0])
-    assert hz.compare_series(b, b, norm="l2") == 0.0
-    assert hz.compare_series(b, b, norm="sup") == 0.0
-    assert hz.compare_series(a2, b, norm="l2") == pytest.approx(1.0,
-                                                                rel=1e-14)
-    assert hz.compare_series(a2, b, norm="sup") == pytest.approx(1.0,
-                                                                 rel=1e-14)
+    assert hz.compare_series(b, b) == (0.0, 0.0)
+    assert hz.compare_series(a2, b) == pytest.approx((1.0, 1.0), rel=1e-14)
 
 
 def test_compare_series_hand_computed_integral():
     b = series_of([1.0, 1.0, 1.0, 1.0])
     a = series_of([1.0, 2.0, 3.0, 4.0])
     # diff^2 = [0,1,4,9] on [0,3]: trapezoid 9.5 over denominator 3
-    assert hz.compare_series(a, b, norm="l2") \
-        == pytest.approx(np.sqrt(9.5 / 3.0), rel=1e-14)
-    assert hz.compare_series(a, b, norm="sup") == pytest.approx(3.0,
-                                                                rel=1e-14)
+    l2, sup = hz.compare_series(a, b)
+    assert l2 == pytest.approx(np.sqrt(9.5 / 3.0), rel=1e-14)
+    assert sup == pytest.approx(3.0, rel=1e-14)
     # window [1,3]: trapezoid of [1,4,9] is 9, denominator 2
-    assert hz.compare_series(a, b, t_lo=1.0, t_hi=3.0, norm="l2") \
+    assert hz.compare_series(a, b, t_lo=1.0, t_hi=3.0)[0] \
         == pytest.approx(np.sqrt(9.0 / 2.0), rel=1e-14)
 
 
 def test_compare_series_divides_block_series_by_delta():
     b = series_of([-1.0, -1.0, -1.0], delta=0.5)        # per delta: -2
     a = series_of([-1.0, -1.0, -1.0], delta=1.0)        # per delta: -1
-    assert hz.compare_series(a, b, norm="sup") == pytest.approx(0.5,
-                                                                rel=1e-14)
+    assert hz.compare_series(a, b)[1] == pytest.approx(0.5, rel=1e-14)
 
 
 def test_compare_series_disjoint_windows_raise():
@@ -283,9 +277,8 @@ def test_compare_series_disjoint_windows_raise():
 def test_compare_series_rejects_all_zero_reference():
     a = series_of([1.0, 2.0, 3.0])
     zero = series_of([0.0, 0.0, 0.0])
-    for norm in ("l2", "sup"):
-        with pytest.raises(ValueError, match="zero"):
-            hz.compare_series(a, zero, norm=norm)
+    with pytest.raises(ValueError, match="zero"):
+        hz.compare_series(a, zero)
 
 
 def test_comparison_rows_families():
@@ -417,6 +410,22 @@ def test_run_flood_small_case_balances():
     assert set(res.snapshots) == {1.0 * DAY, 2.0 * DAY}
 
 
+def test_snapshots_are_keyed_by_the_report_time_they_hold(tmp_path):
+    # 7 steps over 10 days: the requested days 2.5 and 5 are taken at the
+    # report times 20/7 and 40/7 days, which key and name the fields
+    res = hz.run_flood(hz.FloodConfig(nx=4, ny=4, n_steps=7))
+    assert sorted(res.snapshots) == [res.times[2], res.times[4],
+                                     res.times[7]]
+    for t, (s, _, _) in res.snapshots.items():
+        k = list(res.times_hist).index(t)
+        assert np.array_equal(s, res.saturation_history[k])
+    outdir = tmp_path / "out"
+    assert main(["effective-run", "--nx", "4", "--ny", "4", "--steps", "7",
+                 "--outdir", str(outdir)]) == 0
+    assert sorted(p.name for p in outdir.glob("fields_day*.csv")) == [
+        "fields_day10.csv", "fields_day2.85714.csv", "fields_day5.71429.csv"]
+
+
 # --------------------------------------------------------------------- CLI
 
 def test_cli_list_presets(capsys):
@@ -441,6 +450,30 @@ def test_cli_run_writes_series_report_manifest(tmp_path, capsys):
     assert "report.csv" in manifest["outputs"]
     assert manifest["config"]["mesh_cells"] == 16
     assert "3 series" in capsys.readouterr().out
+
+
+def test_cli_run_checks_the_report_window_before_solving(tmp_path, capsys,
+                                                        monkeypatch):
+    # no report midpoint of a 0.5-day run lies in the window [0.5 d,
+    # t_end]: the run fails before any series is solved; a report with
+    # no pair needs no window and is written empty
+    def no_solve(*args):
+        raise AssertionError("a series was solved")
+
+    monkeypatch.setattr(hz, "run_method", no_solve)
+    cfgfile = tmp_path / "config.yaml"
+    cfgfile.write_text(yaml.safe_dump({"preset": "sim1", "t_end_days": 0.5}))
+    outdir = tmp_path / "out"
+    assert main(["run", str(cfgfile), "--outdir", str(outdir)]) == 1
+    assert capsys.readouterr().err \
+        == "dualporo: comparison window holds fewer than two samples\n"
+    assert not outdir.exists()
+
+    monkeypatch.undo()
+    cfgfile.write_text(yaml.safe_dump({"preset": "sim1", "t_end_days": 0.4}))
+    assert main(["run", str(cfgfile), "--methods", "clin", "--deltas", "0.1",
+                 "--steps", "4", "--outdir", str(outdir)]) == 0
+    assert (outdir / "report.csv").read_text().count("\n") == 1
 
 
 def test_cli_compare_file_with_itself(tmp_path, capsys):
@@ -620,8 +653,9 @@ def test_cli_run_override_errors_leave_no_outdir(tmp_path, capsys, flag,
      "n_steps": 4, "mesh_cells": 8, "deltas": [0.1]},
 ], ids=["one-step-window", "flat-drive"])
 def test_cli_run_report_errors_leave_no_outdir(tmp_path, capsys, args):
-    # both compute every series and then fail in the report: one step
-    # leaves one sample in the window, a flat drive a zero reference
+    # one step leaves one sample in the window, which fails before any
+    # series is solved; a flat drive fails on its zero reference in the
+    # report, after every series is computed
     if isinstance(args, dict):
         cfgfile = tmp_path / "config.yaml"
         cfgfile.write_text(yaml.safe_dump(args))
