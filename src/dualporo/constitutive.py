@@ -12,17 +12,16 @@ The saturation diffusivity
 and its integral beta(s) = int_0^s alpha(u) du drive the matrix-block
 imbibition problem. beta has no closed form, so it is tabulated once per
 (capillary model, fluid pair) and interpolated monotonically; the table
-is cached module-wide. Each panel between table nodes is first integrated
-by QUADPACK's 21-point Gauss-Kronrod rule (qk21), all panels in one
-array evaluation of alpha. ``scipy.integrate.quad`` starts with the same
-rule and returns its value unless the error test sends it on; the panels
-it would send on, and only those, go to ``quad``. So the table is the
-per-panel adaptive-quadrature table, and scipy.integrate is imported
-only when some panel needs the fallback (none does for the presets).
+is cached module-wide. Its node values come from one fixed rule. In the
+log capillary pressure t = n log(Pc/p_r), where S = (1 + e^t)^(-m), the
+power laws of alpha at both saturation ends become exponential tails and
+the integrand is analytic in a strip about the real axis, so a fixed
+Gauss-Legendre rule on uniform panels converges geometrically (Trefethen
+& Weideman, SIAM Rev. 56 (2014) 385): 12 points on panels of width 0.5
+are exact to rounding, with no error estimate and no subdivision.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +43,10 @@ class VanGenuchtenParams:
             raise ValueError(f"p_r must be positive, got {self.p_r}")
         if not self.n > 1.0:
             raise ValueError(f"n must exceed 1, got {self.n}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(capillary_slope(SAT_EPS, self))
+        if not finite:
+            raise ValueError(f"n = {self.n} is too near 1: dPc/ds overflows")
 
     @property
     def m(self) -> float:
@@ -158,91 +161,52 @@ def _geometric_ratio(total_over_first: float, count: int) -> float:
     return 0.5 * (lo + hi)
 
 
-# QUADPACK qk21 (Piessens et al. 1983): Kronrod abscissae on (0, 1], the
-# Kronrod weights of +-x and of the centre (last), and the 10-point Gauss
-# weights of the odd-indexed abscissae.
-_XGK = (0.995657163025808080735527280689003,
-        0.973906528517171720077964012084452,
-        0.930157491355708226001207180059508,
-        0.865063366688984510732096688423493,
-        0.780817726586416897063717578345042,
-        0.679409568299024406234327365114874,
-        0.562757134668604683339000099272694,
-        0.433395394129247190799265943165784,
-        0.294392862701460198131126603103866,
-        0.148874338981631210884826001129720)
-_WGK = (0.011694638867371874278064396062192,
-        0.032558162307964727478818972459390,
-        0.054755896574351996031381300244580,
-        0.075039674810919952767043140916190,
-        0.093125454583697605535065465083366,
-        0.109387158802297641899210590325805,
-        0.123491976262065851077958109831074,
-        0.134709217311473325928054001771707,
-        0.142775938577060080797094273138717,
-        0.147739104901338491374841515972068,
-        0.149445554002916905664936468389821)
-_WG = (0.066671344308688137593568809893332,
-       0.149451349150580593145776339657697,
-       0.219086362515982043995534934228163,
-       0.269266719309996355091226921569469,
-       0.295524224714752870173892994651338)
-_EPMACH = float(np.finfo(float).eps)
-_UFLOW = float(np.finfo(float).tiny)
+# beta in t = n log(Pc/p_r): a GAUSS_ORDER-point Gauss-Legendre rule on
+# panels of width PANEL_WIDTH from T_LOW up to the t of saturation S_TOP.
+GAUSS_ORDER = 12
+PANEL_WIDTH = 0.5
+T_LOW = -80.0
+S_TOP = 1.0e-20
 
 
-def qk21_panels(f, a, b, epsabs: float, epsrel: float):
-    """QUADPACK's qk21 on every panel [a_i, b_i] at once.
+def _log_pressure(s, vg: VanGenuchtenParams):
+    """t(s) = n log(Pc(s)/p_r) = log(expm1(x)) with x = -log(s)/m, summed
+    as x + log(1 - e^-x): no overflow near s = 0 or for n near 1."""
+    x = -np.log(s) / vg.m
+    return x + np.log(-np.expm1(-x))
 
-    f maps an array of abscissae to integrand values of the same shape.
-    Returns (result, abserr, stop): the Kronrod integrals, qk21's error
-    estimates (the resasc scaling and the 50 eps resabs floor), and where
-    QUADPACK's qagse would return after this first rule for the given
-    tolerances: the estimate meets errbnd = max(epsabs, epsrel |result|)
-    and is not resasc itself, or is 0, or misses errbnd at the roundoff
-    level 100 eps resabs (qagse's ier = 2). The sums run in qk21's order,
-    so each panel matches the scalar routine to rounding in the integrand
-    alone.
-    """
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    absc = hlgth[:, None] * np.asarray(_XGK)
-    fx = f(np.concatenate((centr[:, None] - absc, centr[:, None] + absc,
-                           centr[:, None]), axis=1))
-    fv1, fv2, fc = fx[:, :10].T, fx[:, 10:20].T, fx[:, 20]
-    resg = 0.0
-    resk = _WGK[10] * fc
-    resabs = np.abs(resk)
-    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):    # Gauss abscissae first
-        fsum = fv1[j] + fv2[j]
-        if j % 2:
-            resg = resg + _WG[j // 2] * fsum
-        resk = resk + _WGK[j] * fsum
-        resabs = resabs + _WGK[j] * (np.abs(fv1[j]) + np.abs(fv2[j]))
-    reskh = resk * 0.5
-    resasc = _WGK[10] * np.abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + _WGK[j] * (np.abs(fv1[j] - reskh)
-                                     + np.abs(fv2[j] - reskh))
-    dhlgth = np.abs(hlgth)
-    result = resk * hlgth
-    resabs = resabs * dhlgth
-    resasc = resasc * dhlgth
-    abserr = np.abs((resk - resg) * hlgth)
-    scale = (resasc != 0.0) & (abserr != 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5)
-    abserr = np.where(scale, scaled, abserr)
-    abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
-                      np.maximum(50.0 * _EPMACH * resabs, abserr), abserr)
-    errbnd = np.maximum(epsabs, epsrel * np.abs(result))
-    stop = (((abserr <= errbnd) & (abserr != resasc)) | (abserr == 0.0)
-            | ((abserr > errbnd) & (abserr <= 100.0 * _EPMACH * resabs)))
-    return result, abserr, stop
+
+def _kirchhoff_values(nodes: np.ndarray, vg: VanGenuchtenParams,
+                      fluids: FluidPair) -> np.ndarray:
+    """beta at saturations 0 = nodes[0] < ... < nodes[-1] = 1, as
+    int_{t(s)}^inf f(S(t)) dp/dt dt with f = lam_w lam_n / lam, S(t) =
+    (1 + e^t)^(-m) and p = p_r e^(t/n): the full panels summed from the
+    top down, plus one partial panel from t(s) up to the next edge."""
+    x, w = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+
+    def panels(a, b):
+        half = 0.5 * (b - a)
+        t = (0.5 * (a + b))[:, None] + half[:, None] * x
+        # where e^t overflows S and f are 0, and so is the integrand
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam_w, lam_n, lam = mobilities((1.0 + np.exp(t)) ** -vg.m,
+                                           vg, fluids)
+            f = lam_w * lam_n / lam
+            g = np.where(f > 0.0, f * vg.p_r / vg.n * np.exp(t / vg.n), 0.0)
+        return g @ w * half
+
+    count = int(np.ceil((_log_pressure(S_TOP, vg) - T_LOW) / PANEL_WIDTH))
+    edges = T_LOW + PANEL_WIDTH * np.arange(count + 1)
+    above = np.append(np.cumsum(panels(edges[:-1], edges[1:])[::-1])[::-1],
+                      0.0)          # above[k]: the integral from edges[k] up
+    t = _log_pressure(nodes[1:-1], vg)
+    k = ((t - T_LOW) // PANEL_WIDTH).astype(int) + 1
+    return np.concatenate(([0.0], above[k] + panels(t, edges[k]), above[:1]))
 
 
 def __getattr__(name):
-    # scipy.integrate (~0.4 s to import) is loaded on first use of quad
+    # no package code calls quad; perfbench/spans.py wraps this attribute
+    # to count its calls, so it stays, importing scipy.integrate on read
     if name == "quad":
         from scipy.integrate import quad
         return quad
@@ -281,10 +245,9 @@ class KirchhoffTable:
     """Monotone interpolant of beta(s) = int_0^s alpha(u) du on [0, 1].
 
     Nodes are geometrically graded toward both endpoints where alpha has
-    power-law behavior; node values are cumulative panel quadratures
-    (qk21, or adaptive quad where qk21 misses epsabs 1e-12 / epsrel
-    1e-11), so alpha_bar = beta(1) is a quadrature result, not an
-    interpolation one. Between nodes beta is the PCHIP cubic, evaluated
+    power-law behavior; node values are the fixed Gauss-Legendre sums of
+    _kirchhoff_values, so alpha_bar = beta(1) is a quadrature result, not
+    an interpolation one. Between nodes beta is the PCHIP cubic, evaluated
     in scipy's PPoly order.
     """
 
@@ -306,28 +269,12 @@ class KirchhoffTable:
         mid = split + h_mid * np.arange(1, n_mid)
         nodes = np.concatenate((left, mid, np.sort(1.0 - left)))
 
-        pieces, _, stop = qk21_panels(
-            lambda u: capillary_diffusivity(u, vg, fluids),
-            nodes[:-1], nodes[1:], epsabs=1.0e-12, epsrel=1.0e-11)
-        redo = np.flatnonzero(~stop)
-        if len(redo):
-            quad = sys.modules[__name__].quad   # honours a rebound quad
-
-            def integrand(u: float) -> float:
-                return float(capillary_diffusivity(u, vg, fluids))
-
-            for i in redo:
-                pieces[i], _ = quad(integrand, nodes[i], nodes[i + 1],
-                                    epsabs=1.0e-12, epsrel=1.0e-11,
-                                    limit=200)
-        values = np.concatenate(([0.0], np.cumsum(pieces)))
-
+        values = _kirchhoff_values(nodes, vg, fluids)
         self.vg = vg
         self.fluids = fluids
         self.nodes = nodes
         self.values = values
         self.alpha_bar = float(values[-1])
-        self.fallback_panels = len(redo)
         # per interval: its cubic's power-basis coefficients in s - x_i,
         # then x_i; one row each, so one take gathers a piece per point
         h = np.diff(nodes)

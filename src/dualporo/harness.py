@@ -547,12 +547,15 @@ def read_exchange_csv(path: str) -> list:
     with open(path, "r", encoding="utf-8") as fh:
         if tuple(fh.readline().strip().split(",")) != EXCHANGE_HEADER:
             raise ValueError(f"{path} is not an exchange CSV")
-        for line in fh:
-            t, q, method, delta = line.strip().split(",")
-            times, values = groups.setdefault((method, float(delta)),
-                                              ([], []))
-            times.append(float(t) * DAY)
-            values.append(float(q))
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                t, q, method, delta = line.strip().split(",")
+                key, t, q = (method, float(delta)), float(t) * DAY, float(q)
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            times, values = groups.setdefault(key, ([], []))
+            times.append(t)
+            values.append(q)
     return [ExchangeSeries(np.array(times), np.array(values), method, delta,
                            divided_by_delta=True)
             for (method, delta), (times, values) in groups.items()]

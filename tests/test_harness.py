@@ -211,17 +211,17 @@ def test_package_exports_resolve():
 
 
 def test_import_loads_no_quadrature_interpolation_or_yaml():
-    """import dualporo and building every preset's Kirchhoff tables load
-    numpy and scipy.sparse only; scipy.integrate is left for the table's
-    adaptive fallback, which no preset medium needs."""
+    """import dualporo and building every preset's Kirchhoff tables, and a
+    steep medium's, load numpy and scipy.sparse only."""
     code = (
         "import sys\n"
         "from dualporo import constitutive as con, harness as hz\n"
         "for name in hz.list_presets():\n"
         "    cset = hz.get_preset(name).cset()\n"
         "    for medium in (cset.matrix, cset.fracture):\n"
-        "        table = con.kirchhoff_table(medium.vg, cset.fluids)\n"
-        "        assert table.fallback_panels == 0, name\n"
+        "        con.kirchhoff_table(medium.vg, cset.fluids)\n"
+        "con.KirchhoffTable(con.VanGenuchtenParams(p_r=1e7, n=1.15),\n"
+        "                   con.FluidPair(mu_w=1e-3, mu_n=2e-3))\n"
         "print(' '.join(m for m in ('scipy.integrate', 'scipy.interpolate',"
         " 'scipy.special', 'scipy.optimize', 'yaml') if m in sys.modules))\n")
     src = os.path.dirname(os.path.dirname(dualporo.__file__))
@@ -333,6 +333,24 @@ def test_read_exchange_csv_rejects_other_files(tmp_path):
     path.write_text("time,stuff\n0,1\n")
     with pytest.raises(ValueError, match="not an exchange CSV"):
         hz.read_exchange_csv(str(path))
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("0.5,-1.0,nlin", "not enough values to unpack"),
+    ("0.5,abc,nlin,0.1", "could not convert string to float: 'abc'"),
+], ids=["short-row", "bad-number"])
+def test_read_exchange_csv_names_the_malformed_line(tmp_path, capsys, row,
+                                                    reason):
+    path = tmp_path / "series.csv"
+    path.write_text(",".join(hz.EXCHANGE_HEADER) + "\n0.25,-2.0,nlin,0.1\n"
+                    + row + "\n")
+    with pytest.raises(ValueError) as info:
+        hz.read_exchange_csv(str(path))
+    assert str(info.value).startswith(f"{path}, line 3: {reason}")
+    # compare reports it as its one error line
+    assert main(["compare", str(path), str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"dualporo: {info.value}\n"
 
 
 def test_manifest_echoes_configuration(tmp_path):
@@ -577,10 +595,11 @@ def test_cli_flags_and_yaml_keys_write_the_same_files(tmp_path, verb, flags,
     ("run", {"preset": "sim1", "methods": []}),
     ("run", {"preset": "nonmonotone", "trajectory_args": {"period_days": 0.0},
              "methods": ["effective-I"], "n_steps": 4}),
+    ("run", {"preset": "sim1", "matrix_n": 1.01}),
 ], ids=["bogus-source-model", "unknown-preset", "nan-permeability",
         "list-document", "string-deltas", "unknown-trajectory-arg",
         "string-cell-count", "unknown-method", "empty-methods",
-        "zero-sine-period"])
+        "zero-sine-period", "overflowing-matrix-n"])
 def test_cli_config_errors_exit_with_one_line(tmp_path, capsys, verb,
                                               config):
     cfgfile = tmp_path / "config.yaml"
