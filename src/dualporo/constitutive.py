@@ -11,8 +11,9 @@ The saturation diffusivity
 
 and its integral beta(s) = int_0^s alpha(u) du drive the matrix-block
 imbibition problem. beta has no closed form, so it is tabulated once per
-(capillary model, fluid pair) and interpolated monotonically; the table
-is cached module-wide. Its node values come from one fixed rule. In the
+(capillary model, fluid pair) and interpolated by a monotone cubic
+Hermite whose node slopes are alpha itself; the table is cached
+module-wide. Its node values come from one fixed rule. In the
 log capillary pressure t = n log(Pc/p_r), where S = (1 + e^t)^(-m), the
 power laws of alpha at both saturation ends become exponential tails and
 the integrand is analytic in a strip about the real axis, so a fixed
@@ -213,42 +214,16 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Node slopes of the monotone cubic Hermite interpolant of (x, y),
-    as scipy's PchipInterpolator takes them (Fritsch & Butland 1984):
-    inside, the weighted harmonic mean of the two secant slopes, or 0
-    where they differ in sign or one vanishes; at each end, the
-    three-point one-sided slope, kept to the end secant's sign and to
-    three times it where the secants change sign."""
-    h = np.diff(x)
-    m = np.diff(y) / h
-    w1 = 2.0 * h[1:] + h[:-1]
-    w2 = h[1:] + 2.0 * h[:-1]
-    flat = ((np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0)
-            | (m[:-1] == 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
-    d = np.empty_like(y)
-    d[1:-1] = np.where(flat, 0.0, inner)
-    for end, (h0, h1, m0, m1) in ((0, (h[0], h[1], m[0], m[1])),
-                                  (-1, (h[-1], h[-2], m[-1], m[-2]))):
-        edge = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-        if np.sign(edge) != np.sign(m0):
-            edge = 0.0
-        elif np.sign(m0) != np.sign(m1) and abs(edge) > 3.0 * abs(m0):
-            edge = 3.0 * m0
-        d[end] = edge
-    return d
-
-
 class KirchhoffTable:
     """Monotone interpolant of beta(s) = int_0^s alpha(u) du on [0, 1].
 
     Nodes are geometrically graded toward both endpoints where alpha has
     power-law behavior; node values are the fixed Gauss-Legendre sums of
     _kirchhoff_values, so alpha_bar = beta(1) is a quadrature result, not
-    an interpolation one. Between nodes beta is the PCHIP cubic, evaluated
-    in scipy's PPoly order.
+    an interpolation one. Between nodes beta is the cubic Hermite with
+    slopes alpha, each capped at three times either adjacent secant so
+    that every cubic is monotone (Fritsch & Carlson, SIAM J. Numer. Anal.
+    17 (1980) 238); it is evaluated in scipy's PPoly order.
     """
 
     def __init__(self, vg: VanGenuchtenParams, fluids: FluidPair,
@@ -275,11 +250,13 @@ class KirchhoffTable:
         self.nodes = nodes
         self.values = values
         self.alpha_bar = float(values[-1])
-        # per interval: its cubic's power-basis coefficients in s - x_i,
-        # then x_i; one row each, so one take gathers a piece per point
         h = np.diff(nodes)
         slope = np.diff(values) / h
-        d = pchip_slopes(nodes, values)
+        d = np.minimum(capillary_diffusivity(nodes, vg, fluids),
+                       3.0 * np.minimum(np.append(slope, np.inf),
+                                        np.insert(slope, 0, np.inf)))
+        # per interval: its cubic's power-basis coefficients in s - x_i,
+        # then x_i; one row each, so one take gathers a piece per point
         t = (d[:-1] + d[1:] - 2.0 * slope) / h
         self._pieces = np.array((values[:-1], d[:-1], (slope - d[:-1]) / h - t,
                                  t / h, nodes[:-1]))

@@ -542,7 +542,8 @@ def write_exchange_csv(path: str, series_list) -> None:
 
 def read_exchange_csv(path: str) -> list:
     """Parse an exchange CSV back into ExchangeSeries (one per method,
-    delta pair, in file order)."""
+    delta pair, in file order). Times and values must be finite, and
+    times strictly increasing within each series."""
     groups: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         if tuple(fh.readline().strip().split(",")) != EXCHANGE_HEADER:
@@ -551,9 +552,14 @@ def read_exchange_csv(path: str) -> list:
             try:
                 t, q, method, delta = line.strip().split(",")
                 key, t, q = (method, float(delta)), float(t) * DAY, float(q)
+                times, values = groups.setdefault(key, ([], []))
+                if not np.isfinite((t, q)).all():
+                    raise ValueError("time and value must be finite")
+                if times and not t > times[-1]:
+                    raise ValueError(f"time does not increase within the "
+                                     f"{method}, delta {delta} series")
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
-            times, values = groups.setdefault(key, ([], []))
             times.append(t)
             values.append(q)
     return [ExchangeSeries(np.array(times), np.array(values), method, delta,

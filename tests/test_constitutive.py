@@ -8,8 +8,8 @@ differences at random interior saturations; integral checks compare the
 tabulated beta against independent adaptive quadrature.
 
 The Kirchhoff table's references are a 30-digit mpmath quadrature for
-the node values and scipy's PchipInterpolator for evaluation between
-nodes.
+the node values and, between nodes, scipy's CubicHermiteSpline through
+them with slopes alpha, each capped at three times its adjacent secants.
 """
 import time
 
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 from dualporo import constitutive as con
 
@@ -151,15 +151,27 @@ def test_kirchhoff_table_properties(matrix_vg, fluids):
 
 
 def test_kirchhoff_table_matches_direct_quadrature(matrix_vg, fluids):
-    """Interpolated beta against adaptive quadrature; off the table nodes
-    the PCHIP error is bounded at the global alpha_bar scale (the local
-    relative error grows where beta is orders of magnitude smaller)."""
+    """Interpolated beta against adaptive quadrature, off the table nodes,
+    at the global alpha_bar scale (the local relative error grows where
+    beta is orders of magnitude smaller)."""
     table = con.kirchhoff_table(matrix_vg, fluids)
     for s in (0.1, 0.37, 0.5, 0.81, 0.97):
         direct, _ = quad(
             lambda u: float(con.capillary_diffusivity(u, matrix_vg, fluids)),
             0.0, s, epsabs=1e-10, epsrel=1e-12, limit=400)
-        assert abs(float(table(s)) - direct) <= 1e-8 * table.alpha_bar
+        assert abs(float(table(s)) - direct) <= 1e-12 * table.alpha_bar
+
+
+def test_kirchhoff_table_slope_is_alpha(matrix_vg, fluids):
+    """The table's slope, by central differences, is alpha to 1e-7 of
+    max alpha: the Newton residual of nlin reads the table's beta and its
+    Jacobian the analytic alpha."""
+    table = con.kirchhoff_table(matrix_vg, fluids)
+    s = np.linspace(1e-6, 1.0 - 1e-6, 100001)
+    h = 1e-7
+    slope = (table(s + h) - table(s - h)) / (2 * h)
+    alpha = con.capillary_diffusivity(s, matrix_vg, fluids)
+    assert np.abs(slope - alpha).max() <= 1e-7 * alpha.max()
 
 
 def mp_beta(vg, fluids, s):
@@ -184,11 +196,23 @@ def mp_beta(vg, fluids, s):
         return float(mp.quad(integrand, cuts))
 
 
+def capped_alpha_slopes(table):
+    """alpha at the table's nodes, each no more than three times the secant
+    of either interval beside it (the Fritsch-Carlson monotonicity box)."""
+    secant = np.diff(table.values) / np.diff(table.nodes)
+    bound = np.full(table.nodes.size, np.inf)
+    bound[:-1] = secant
+    bound[1:] = np.minimum(bound[1:], secant)
+    alpha = con.capillary_diffusivity(table.nodes, table.vg, table.fluids)
+    return np.minimum(alpha, 3.0 * bound)
+
+
 def assert_table_matches_oracle(table, samples=3):
     """alpha_bar within 1e-14 relative and node values at `samples` random
     nodes within 1e-15 alpha_bar of mpmath; evaluation within 1e-15
-    alpha_bar of PchipInterpolator on the same nodes, on arrays and on
-    floats, inside and outside [0, 1]."""
+    alpha_bar of the cubic Hermite spline through the same nodes with
+    capped alpha slopes, on arrays and on floats, inside and outside
+    [0, 1]."""
     scale = table.alpha_bar
     assert scale == pytest.approx(mp_beta(table.vg, table.fluids, 1.0),
                                   rel=1e-14, abs=0.0)
@@ -197,10 +221,11 @@ def assert_table_matches_oracle(table, samples=3):
                         replace=False):
         ref = mp_beta(table.vg, table.fluids, float(table.nodes[i]))
         assert abs(table.values[i] - ref) <= 1e-15 * scale
-    pchip = PchipInterpolator(table.nodes, table.values, extrapolate=False)
+    spline = CubicHermiteSpline(table.nodes, table.values,
+                                capped_alpha_slopes(table), extrapolate=False)
     s = np.concatenate((rng.uniform(0.0, 1.0, 512), table.nodes,
                         [0.0, 1.0, -0.5, 1.5, -1e-300, 1.0 + 1e-15]))
-    expected = pchip(np.clip(s, 0.0, 1.0))
+    expected = spline(np.clip(s, 0.0, 1.0))
     got = table(s)
     assert got.shape == s.shape
     assert np.abs(got - expected).max() <= 1e-15 * scale
@@ -217,13 +242,35 @@ MEDIA = st.tuples(st.floats(1.15, 6.0), st.sampled_from((64, 256, 2048)))
 @given(n_and_nodes=MEDIA, log_pr=st.floats(3.0, 7.0),
        log_ratio=st.floats(-1.0, 1.0))
 @example(n_and_nodes=(1.15, 64), log_pr=7.0, log_ratio=0.0)
-def test_kirchhoff_table_matches_quad_and_pchip_oracle(n_and_nodes, log_pr,
-                                                       log_ratio):
+def test_kirchhoff_table_matches_mpmath_and_hermite_oracle(n_and_nodes,
+                                                           log_pr, log_ratio):
     n, n_nodes = n_and_nodes
     vg = con.VanGenuchtenParams(p_r=10.0 ** log_pr, n=n)
     fluids = con.FluidPair(mu_w=1.0e-3, mu_n=1.0e-3 * 10.0 ** log_ratio)
     assert_table_matches_oracle(con.KirchhoffTable(vg, fluids, n_nodes),
                                 samples=1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_and_nodes=MEDIA, log_pr=st.floats(3.0, 7.0),
+       log_ratio=st.floats(-1.0, 1.0))
+@example(n_and_nodes=(2.0, 2048), log_pr=5.0, log_ratio=np.log10(2.0))
+def test_kirchhoff_table_is_monotone(n_and_nodes, log_pr, log_ratio):
+    """beta from the table never decreases by more than 2 ulp of its local
+    value and is never negative, at random saturations and at geometric
+    ones within 1e-14 of either end, where alpha has its power laws and
+    uncapped alpha slopes make the first cubic dip."""
+    n, n_nodes = n_and_nodes
+    vg = con.VanGenuchtenParams(p_r=10.0 ** log_pr, n=n)
+    fluids = con.FluidPair(mu_w=1.0e-3, mu_n=1.0e-3 * 10.0 ** log_ratio)
+    table = con.KirchhoffTable(vg, fluids, n_nodes)
+    ends = np.geomspace(1e-14, 0.5, 20000)
+    s = np.unique(np.concatenate((
+        np.random.default_rng(n_nodes).uniform(0.0, 1.0, 20000),
+        ends, 1.0 - ends, [0.0, 1.0])))
+    beta = table(s)
+    assert (beta >= 0.0).all()
+    assert (np.diff(beta) >= -2.0 * np.spacing(beta[1:])).all()
 
 
 @pytest.mark.parametrize("n, mu_n", [(1.15, 2.0e-3), (1.5, 1.0e-4)],

@@ -338,7 +338,14 @@ def test_read_exchange_csv_rejects_other_files(tmp_path):
 @pytest.mark.parametrize("row, reason", [
     ("0.5,-1.0,nlin", "not enough values to unpack"),
     ("0.5,abc,nlin,0.1", "could not convert string to float: 'abc'"),
-], ids=["short-row", "bad-number"])
+    ("0.5,nan,nlin,0.1", "time and value must be finite"),
+    ("inf,-1.0,nlin,0.1", "time and value must be finite"),
+    ("0.25,-2.0,nlin,0.1",
+     "time does not increase within the nlin, delta 0.1 series"),
+    ("0.1,-1.0,nlin,0.1",
+     "time does not increase within the nlin, delta 0.1 series"),
+], ids=["short-row", "bad-number", "nan-value", "infinite-time",
+        "duplicated-row", "reversed-rows"])
 def test_read_exchange_csv_names_the_malformed_line(tmp_path, capsys, row,
                                                     reason):
     path = tmp_path / "series.csv"
