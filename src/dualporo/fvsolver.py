@@ -22,6 +22,16 @@ imbibition.newton_solve, the block's Newton loop, solves each step with
 saturation updates capped at MAX_DS and clamped to [SAT_EPS,
 1 - SAT_EPS], until the residual scaled by phi_f vol / dt is within
 NEWTON_RTOL and the volume defect within VOLUME_RTOL of pore volume.
+Newton starts from a predicted saturation (_predicted_saturation): the
+quadratic Lagrange extrapolation to the step's end through the last three
+accepted (time, saturation) pairs, linear through two, the saturation
+itself on the first step, clipped to the clamp; P_n starts from the last
+step's.  A failure from there retries the same step once from the
+reference start, the last saturation (not on the first step, where the
+two starts are the same); only the retry's failure reaches
+the step controller, and the step's newton_iters counts the corrections
+(one LU each) of both starts.  So a history that drops old saturations
+(ROADMAP item 4) must keep the last three for the predictor.
 
 build_grid makes the mesh with blockmesh.product_mesh, the builder of
 the matrix block's mesh, so the two problems share one mesh type and one
@@ -69,7 +79,8 @@ from . import constitutive as con
 from .blockmesh import FixedPattern, TensorMesh, product_mesh
 from .constitutive import ConstitutiveSet
 from .effective import MemorySource
-from .imbibition import MAX_HALVINGS, NEWTON_RTOL, cover_interval, newton_solve
+from .imbibition import (MAX_HALVINGS, NEWTON_RTOL, NewtonFailure,
+                         cover_interval, newton_solve)
 
 VOLUME_RTOL = 1.0e-13           # on the step's volume defect / pore volume
 MAX_DS = 0.2                    # damping cap on saturation updates
@@ -242,8 +253,11 @@ class _Assembler:
         lam_w, lam_n, _ = con.mobilities(s, vg, cset.fluids)
         dlam_w, dlam_n = con.mobility_slopes(s, vg, cset.fluids)
 
-        p_wall = np.asarray(cset.transfer(s))
-        dp_wall = np.asarray(con.transfer_slope(s, cset.matrix.vg, vg))
+        # transfer(s) and transfer_slope(s) from the fracture curve above:
+        # the same operations on the same inputs, so bitwise the same
+        p_wall = np.asarray(con.capillary_saturation(pc, cset.matrix.vg))
+        dp_wall = dpc / np.asarray(con.capillary_slope(p_wall,
+                                                       cset.matrix.vg))
         q_w = -(impl / dt) * (p_wall - wall0) + expl
         dq_w = -(impl / dt) * dp_wall
 
@@ -304,6 +318,30 @@ class _Assembler:
 
         jac = self.pattern.fill(np.concatenate(vals))
         return np.concatenate((r_w, r_n)), jac, tuple(rates), p_wall, q_w
+
+
+def _extrapolation_weights(nodes, t: float) -> np.ndarray:
+    """Lagrange weights w with sum_k w_k f(nodes[k]) the value at t of the
+    polynomial through (nodes[k], f(nodes[k]))."""
+    nodes = np.asarray(nodes, dtype=float)
+    w = np.ones(len(nodes))
+    for k, tk in enumerate(nodes):
+        for j, tj in enumerate(nodes):
+            if j != k:
+                w[k] *= (t - tj) / (tk - tj)
+    return w
+
+
+def _predicted_saturation(state: FlowState, t: float) -> np.ndarray:
+    """Newton's first start for the step to t: the quadratic through the
+    last three accepted (time, saturation) pairs at t (linear through two,
+    the saturation itself through one), clipped to the saturation clamp."""
+    n = min(3, len(state.times_hist))
+    if n == 1:
+        return state.sat_hist[-1].copy()
+    w = _extrapolation_weights(state.times_hist[-n:], t)
+    s = sum(wk * sk for wk, sk in zip(w, state.sat_hist[-n:]))
+    return np.clip(s, con.SAT_EPS, 1.0 - con.SAT_EPS)
 
 
 @dataclass
@@ -403,9 +441,11 @@ class FractureFlowSolver:
         vol = self.grid.volumes
         impl, expl, alpha = self._source_terms(state, dt)
         s_old = state.sat_hist[-1]
+        t = state.times_hist[-1] + dt
         scale = par.cset.fracture.porosity * self.grid.total_volume / (m * dt)
         lo, hi = con.SAT_EPS, 1.0 - con.SAT_EPS
         clamped = False
+        lus = 0                         # corrections of both starts
 
         def linearize(x):
             r, jac, rates, p_wall, q_w = self.assembler.assemble(
@@ -421,9 +461,25 @@ class FractureFlowSolver:
             clamped = bool((s_new < lo).any() or (s_new > hi).any())
             return np.clip(s_new, lo, hi), x[1] + fac * dx[m:]
 
-        (s, pn), ((rate_w, rate_n), p_wall, q_w), it = newton_solve(
-            (s_old.copy(), state.pressure_n.copy()), linearize, update,
-            lambda jac: self.assembler.pattern.factor(jac, splu))
+        def factor(jac):
+            nonlocal lus
+            lus += 1
+            return self.assembler.pattern.factor(jac, splu)
+
+        # Newton starts from the predicted saturation; only if that fails
+        # does it retry from the reference start s_old, whose failure is
+        # the step's.  On the first step the prediction is s_old itself.
+        try:
+            (s, pn), ((rate_w, rate_n), p_wall, q_w), _ = newton_solve(
+                (_predicted_saturation(state, t), state.pressure_n.copy()),
+                linearize, update, factor)
+        except NewtonFailure:
+            if len(state.times_hist) == 1:
+                raise
+            clamped = False
+            (s, pn), ((rate_w, rate_n), p_wall, q_w), _ = newton_solve(
+                (s_old.copy(), state.pressure_n.copy()), linearize, update,
+                factor)
 
         # accepted: the memory first, since its range check can raise
         if state.memory is not None:
@@ -432,9 +488,8 @@ class FractureFlowSolver:
                             * np.dot(vol, s - s_old))
         water_source = float(dt * np.dot(vol, q_w))
         water_bdry, nonwet_bdry = rate_w * dt, rate_n * dt
-        t = state.times_hist[-1] + dt
         state.steps.append(StepReport(
-            t=t, dt=dt, newton_iters=it, clamped=clamped,
+            t=t, dt=dt, newton_iters=lus, clamped=clamped,
             water_accum=water_accum, water_source=water_source,
             water_boundary=water_bdry, nonwetting_boundary=nonwet_bdry,
             water_defect=water_accum - water_source - water_bdry,

@@ -542,8 +542,8 @@ def write_exchange_csv(path: str, series_list) -> None:
 
 def read_exchange_csv(path: str) -> list:
     """Parse an exchange CSV back into ExchangeSeries (one per method,
-    delta pair, in file order). Times and values must be finite, and
-    times strictly increasing within each series."""
+    delta pair, in file order). Times, values and deltas must be finite,
+    and times strictly increasing within each series."""
     groups: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         if tuple(fh.readline().strip().split(",")) != EXCHANGE_HEADER:
@@ -552,6 +552,8 @@ def read_exchange_csv(path: str) -> list:
             try:
                 t, q, method, delta = line.strip().split(",")
                 key, t, q = (method, float(delta)), float(t) * DAY, float(q)
+                if not np.isfinite(key[1]):     # nan would key every row apart
+                    raise ValueError("delta must be finite")
                 times, values = groups.setdefault(key, ([], []))
                 if not np.isfinite((t, q)).all():
                     raise ValueError("time and value must be finite")

@@ -344,8 +344,10 @@ def test_read_exchange_csv_rejects_other_files(tmp_path):
      "time does not increase within the nlin, delta 0.1 series"),
     ("0.1,-1.0,nlin,0.1",
      "time does not increase within the nlin, delta 0.1 series"),
+    ("0.5,-1.0,nlin,nan", "delta must be finite"),
+    ("0.5,-1.0,nlin,inf", "delta must be finite"),
 ], ids=["short-row", "bad-number", "nan-value", "infinite-time",
-        "duplicated-row", "reversed-rows"])
+        "duplicated-row", "reversed-rows", "nan-delta", "infinite-delta"])
 def test_read_exchange_csv_names_the_malformed_line(tmp_path, capsys, row,
                                                     reason):
     path = tmp_path / "series.csv"
