@@ -11,9 +11,32 @@ tensor mesh, Newton with the analytic Jacobian d(beta)/ds = alpha.  The
 wall drive and the initial state are uniform, so the solution is
 mirror-symmetric about the cube's mid-planes: BlockProblem.build_mesh
 returns the corner mesh (one 2^d-th of the cube, no-flux mirror faces),
-and the wall fluxes count all mesh.copies corners.  Every Jacobian of a
-run is written into one precomputed sparse pattern (blockmesh.FixedPattern)
-and factored through it, in the one LU ordering it computed for the run.
+and the wall fluxes count all mesh.copies corners.  Every Jacobian of an
+nlin run is written into one precomputed sparse pattern
+(blockmesh.FixedPattern) and factored through it, in the one LU ordering
+it computed for the run.
+
+The linearized runs (run_linear) replace alpha(s) by a scalar c_k frozen
+per report step, and factor nothing.  The block mesh is a tensor product
+of one 1D grid, so its operator is a Kronecker sum: with M the cell
+volumes and D the diffusion matrix, M^-1 D is the sum over the axes of
+one 1D operator W^-1 D_1 acting along that axis, and the wall weights
+split the same way.  One symmetric tridiagonal eigenproblem,
+W^-1/2 D_1 W^-1/2 = Q diag(lambda) Q^T, diagonalizes every axis at once
+(the fast diagonalization method, Lynch, Rice & Thomas, Numer. Math. 6
+(1964) 185).  With S = (W^-1/2 Q) (x) ... (x) (W^-1/2 Q), one factor per
+axis, the field is held as s = h + S a: h the last wall value, uniform,
+and a the modal amplitudes of what is off it.  Each backward-Euler step
+to the wall value g is then a scalar update per mode,
+
+    a <- (a + (h - g) v_hat) / (1 - tau mu),   h <- g,
+    tau = k_eff c_k dt / phi_m,
+
+whatever the coefficient sequence; mu holds the d-fold sums of the
+eigenvalues and v_hat the modal amplitudes of the unit field.  The block
+mean and the wall flux are dot products of a with v_hat and with the
+modal wall weights; the cell field is rebuilt once, at the end of the
+run.
 
 The exchange rate (wetting-phase volume per unit time and bulk volume,
 negative while water imbibes into the block) is computed two ways:
@@ -35,6 +58,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import splu
 
 from .blockmesh import (BlockMesh, FixedPattern, layer_adapted_grid,
@@ -205,23 +229,18 @@ class ExchangeSeries:
 
 
 class BlockStepper:
-    """Backward-Euler steps on one block mesh.
+    """Backward-Euler Newton steps of the nonlinear solve (beta through
+    Newton) on one block mesh.
 
-    Shared by the nonlinear solve (beta through Newton) and the linearized
-    solves (per-step scalar diffusivity, direct solve).  Both build their
-    matrices in one blockmesh.FixedPattern, that of the diffusion matrix
-    (its diagonal included), computed and ordered once per stepper, and
-    factor them through it.  linear_step keeps the factorization of its
-    last (dt, coefficient), so constant-coefficient runs on
-    piecewise-uniform time grids refactorize only when the step changes.
+    Its Jacobians are built in one blockmesh.FixedPattern, that of the
+    diffusion matrix (its diagonal included), computed and ordered once
+    per stepper, and factored through it.
     """
 
     def __init__(self, mesh: BlockMesh, porosity: float, k_eff: float):
         self.mesh = mesh
         self.k_eff = k_eff
         self._acc = porosity * mesh.volumes
-        self._lu_key = None
-        self._lu = None
         d = mesh.diffusion_matrix.tocoo()
         self._d_vals, self._d_cols = d.data, d.col
         cells = np.arange(mesh.n_cells)
@@ -241,14 +260,6 @@ class BlockStepper:
     def factor(self, jac):
         """LU of a matrix jacobian returned, made by this module's splu."""
         return self.pattern.factor(jac, splu)
-
-    def linear_step(self, s, dt: float, g: float, coeff: float):
-        if self._lu_key != (dt, coeff):
-            self._lu = self.factor(self.jacobian(self._acc / dt, coeff))
-            self._lu_key = (dt, coeff)
-        rhs = self._acc / dt * s \
-            + self.k_eff * coeff * self.mesh.boundary_weights * g
-        return self._lu.solve(rhs)
 
     def newton_step(self, s_old, dt: float, g: float, beta, alpha):
         """One implicit step of phi ds/dt = k_eff Lap(beta(s)) by
@@ -276,7 +287,7 @@ class BlockStepper:
 
     def wall_flux(self, beta_s, beta_g: float) -> float:
         """k_eff * sum of wall two-point fluxes of beta into the block, all
-        mesh.copies corners counted; the linear runs pass beta = c * s."""
+        mesh.copies corners counted."""
         return self.mesh.copies * self.k_eff * float(
             np.dot(self.mesh.boundary_weights, beta_g - beta_s))
 
@@ -328,23 +339,81 @@ def run_trajectory(problem: BlockProblem,
     return _advance(problem, mesh, step)
 
 
+def _block_modes(mesh: BlockMesh) -> tuple:
+    """(mu, b_hat, v_hat, basis) of the mesh, in its cell order: the
+    d-fold sums of the 1D eigenvalues, the modal wall weights, the modal
+    amplitudes of the unit field (also S^T of the cell volumes) and
+    basis = W^-1/2 Q.  The 1D operator D_1 is tensor_mesh's on the mesh's
+    grid, corner (copies > 1) or full.  b_hat = S^T b is -mu * v_hat,
+    since a uniform field has no interior flux (D 1 = -b); taken so, a
+    uniform field at the wall value is an exact fixed point of the step.
+    """
+    line = tensor_mesh(mesh.grid, 1, corner=mesh.copies > 1)
+    d_1 = line.diffusion_matrix
+    r = 1.0 / np.sqrt(line.volumes)
+    # MRRR keeps the slow modes accurate relative to their own size on the
+    # graded grid; scipy's default (stevd) left block means 6e-13 off the
+    # LU steps on a 16-cell full cube, against 3e-14 here
+    lam, q = eigh_tridiagonal(d_1.diagonal() * r * r,
+                              d_1.diagonal(1) * r[:-1] * r[1:],
+                              lapack_driver="stemr")
+    v = (q / r[:, None]).sum(axis=0)
+    mu, v_hat = lam, v
+    for _ in range(mesh.dimension - 1):
+        mu = np.add.outer(mu, lam).ravel()
+        v_hat = np.multiply.outer(v_hat, v).ravel()
+    return mu, -mu * v_hat, v_hat, q * r[:, None]
+
+
+def _cell_field(a: np.ndarray, basis: np.ndarray,
+                dimension: int) -> np.ndarray:
+    """S a: one contraction with basis per axis.  Each pass contracts the
+    first axis and appends the result as the last, so after one pass per
+    axis the axes are back in order.  Elementwise products and sums, not
+    matmul: BLAS's matrix kernels would page in more library code."""
+    f = a
+    for _ in range(dimension):
+        f = f.reshape(len(basis), -1)
+        f = np.array([(row[:, None] * f).sum(axis=0) for row in basis]).T
+    return f.ravel()
+
+
 def run_linear(problem: BlockProblem, coefficients,
                mesh: BlockMesh | None = None) -> BlockSolution:
     """Linearized block solve: phi ds/dt = k_eff c_k Lap(s), with scalar
-    diffusivity c_k frozen per report step (scalar input broadcasts)."""
+    diffusivity c_k frozen per report step (scalar input broadcasts),
+    one backward-Euler step per report interval, advanced per mode."""
     mesh = mesh or problem.build_mesh()
-    n_rep = len(problem.times) - 1
-    coeff = np.broadcast_to(np.asarray(coefficients, dtype=float),
-                            (n_rep,)).copy()
-    stepper = BlockStepper(mesh, problem.cset.matrix.porosity, problem.k_eff)
-
-    def step(s, t0, t1, k):
-        g = problem.wall_value(t1)
-        c = float(coeff[k])
-        s_new = stepper.linear_step(s, t1 - t0, g, c)
-        return s_new, stepper.wall_flux(c * s_new, c * g), 1
-
-    return _advance(problem, mesh, step)
+    times = problem.times
+    n_rep = len(times) - 1
+    coeff = np.asarray(coefficients, dtype=float)
+    if coeff.ndim == 0:
+        coeff = np.full(n_rep, coeff)
+    if coeff.shape != (n_rep,):
+        raise ValueError(f"coefficients must be a scalar or one value per "
+                         f"report interval ({n_rep}), not shape "
+                         f"{coeff.shape}")
+    if not (np.isfinite(coeff).all() and coeff.min() > 0.0):
+        raise ValueError("coefficients must be finite and positive")
+    mu, b_hat, v_hat, basis = _block_modes(mesh)
+    rate = problem.k_eff / problem.cset.matrix.porosity
+    flux_scale = mesh.copies * problem.k_eff
+    h, a = problem.s_init, np.zeros(len(mu))  # the field is h + S a
+    means = np.empty(n_rep + 1)
+    flux_int = np.empty(n_rep)
+    means[0] = h
+    for k in range(n_rep):
+        dt = times[k + 1] - times[k]
+        g = problem.wall_value(times[k + 1])
+        tau = rate * coeff[k] * dt
+        a = (a + (h - g) * v_hat) / (1.0 - tau * mu)
+        h = g
+        means[k + 1] = h + np.dot(v_hat, a) / mesh.total_volume
+        flux_int[k] = -flux_scale * coeff[k] * dt * np.dot(b_hat, a)
+    field = h + _cell_field(a, basis, mesh.dimension)
+    return BlockSolution(times=times.copy(), mean_saturation=means,
+                         flux_integrals=flux_int, final_field=field,
+                         newton_iterations=n_rep, substeps=n_rep)
 
 
 def exchange_from_volume(solution: BlockSolution, problem: BlockProblem,

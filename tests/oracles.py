@@ -35,6 +35,15 @@ weights J_l = 2 C sqrt(dt) / (sqrt(l+1) + sqrt(l)).  The history weights
 D^n_k (k >= 1) are positive, and with the closing weight D^n_0 they
 satisfy sum_k D^n_k = I^{n+1}_{n+1} = 2 C sqrt(dt^n).
 
+The LU route of the linearized block step.  run_linear_lu solves each
+step of imbibition.run_linear as the sparse system it is,
+
+    (phi M/dt - k_eff c_k D) s_new = phi M/dt s + k_eff c_k b g,
+
+with the nlin stepper's jacobian(acc/dt, c), factored through its
+FixedPattern and kept while (dt, c) repeats, and the steps driven by the
+nlin solve's report-grid loop.  It is the reference of the modal solve.
+
 blocked_geometric_times builds the quasi-geometric grids on which these
 references are checked near t = 0.
 """
@@ -45,6 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from dualporo.effective import QuadratureTable
+from dualporo.imbibition import (BlockProblem, BlockSolution, BlockStepper,
+                                 _advance)
 
 
 # ------------------------------------------------- eigenfunction series
@@ -110,6 +121,34 @@ def build_kernel(delta: float, porosity: float, permeability: float,
     return kernel_from_scales(dimension, 1.0 - delta, a, porosity, j_max)
 
 
+# ------------------------------------------------ LU linear block step
+
+def run_linear_lu(problem: BlockProblem, coefficients,
+                  mesh=None) -> BlockSolution:
+    """imbibition.run_linear by one sparse LU per (dt, coefficient)."""
+    mesh = mesh or problem.build_mesh()
+    n_rep = len(problem.times) - 1
+    coeff = np.broadcast_to(np.asarray(coefficients, dtype=float),
+                            (n_rep,)).copy()
+    stepper = BlockStepper(mesh, problem.cset.matrix.porosity, problem.k_eff)
+    acc = problem.cset.matrix.porosity * mesh.volumes
+    lu_key, lu = None, None
+
+    def step(s, t0, t1, k):
+        nonlocal lu_key, lu
+        g = problem.wall_value(t1)
+        c = float(coeff[k])
+        dt = t1 - t0
+        if lu_key != (dt, c):
+            lu = stepper.factor(stepper.jacobian(acc / dt, c))
+            lu_key = (dt, c)
+        rhs = acc / dt * s + stepper.k_eff * c * mesh.boundary_weights * g
+        s_new = lu.solve(rhs)
+        return s_new, stepper.wall_flux(c * s_new, c * g), 1
+
+    return _advance(problem, mesh, step)
+
+
 # ------------------------------------------------------------ time grid
 
 def blocked_geometric_times(t_end: float, dt0: float, block_len: int = 64,
@@ -117,7 +156,7 @@ def blocked_geometric_times(t_end: float, dt0: float, block_len: int = 64,
     """Piecewise-uniform grid whose step grows by `growth` between blocks.
 
     Quasi-geometric refinement toward t = 0 (relative step dt/t stays
-    bounded by about (growth-1)/block_len) while letting linear solvers
+    bounded by about (growth-1)/block_len) while letting the LU oracle
     reuse one factorization per block. The final step is shortened to land
     exactly on t_end.
     """

@@ -28,7 +28,7 @@ Oracles used here:
     factored with LU_OPTIONS solve as with SuperLU's default ordering;
   * the variable linearization solved in physical time and through the
     change of time variable are the same linear systems up to scaling,
-    so their histories agree to factorization roundoff.
+    so their histories agree to roundoff.
 """
 import dataclasses
 
@@ -419,9 +419,9 @@ def test_corner_matches_full_cube(preset):
 
 
 def test_lu_ordering_matches_default_ordering(monkeypatch):
-    # every matrix of a 2d corner run (nlin Jacobians and vlin step
-    # matrices, 256 cells), solved with LU_OPTIONS and with SuperLU's
-    # default ordering (COLAMD, which LU_OPTIONS replaced)
+    # every matrix of a 2d corner run (nlin Jacobians, 256 cells), solved
+    # with LU_OPTIONS and with SuperLU's default ordering (COLAMD, which
+    # LU_OPTIONS replaced)
     matrices = []
 
     def recording_splu(jac, **options):
@@ -432,7 +432,6 @@ def test_lu_ordering_matches_default_ordering(monkeypatch):
     cfg = dataclasses.replace(get_preset("sim1"), n_steps=16, mesh_cells=32)
     p = cfg.block_problem(0.1)
     run_trajectory(p)
-    run_variable_linearized(p)
     assert len(matrices) >= 32
     rhs = np.random.default_rng(5).standard_normal(matrices[0].shape[0])
     for jac in matrices:

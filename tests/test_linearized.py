@@ -9,16 +9,28 @@ Oracles used here:
   * the multi-axis step response is a product of per-axis factors,
     1 - m_d = (1 - m_1)^d;
   * the range-averaged diffusivity is a difference quotient of the
-    Kirchhoff transform, checked against direct table evaluations.
+    Kirchhoff transform, checked against direct table evaluations;
+  * the modal block solve takes the same backward-Euler steps as the
+    sparse LU of each step's system (oracles.run_linear_lu), on the corner
+    and on the full cube, for clin, vlin and random positive coefficient
+    sequences, and factors no matrix.
 """
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualporo.imbibition import BlockProblem
+from dualporo import blockmesh as bm
+from dualporo import imbibition
+from dualporo.harness import get_preset, list_presets
+from dualporo.imbibition import (BlockProblem, exchange_from_flux,
+                                 exchange_from_volume)
 from dualporo.linearized import (run_constant_linearized, run_linear,
                                  run_variable_linearized,
                                  variable_coefficients)
-from oracles import build_kernel, kernel_from_scales
+from oracles import build_kernel, kernel_from_scales, run_linear_lu
 
 DAY = 86400.0
 
@@ -138,3 +150,83 @@ def test_constant_linearized_default_coefficient_is_alpha_bar(sim1_cset):
                           sol_explicit.mean_saturation)
     assert np.array_equal(sol_default.flux_integrals,
                           sol_explicit.flux_integrals)
+
+
+# ------------------------------------------------------ modal block solve
+
+@pytest.mark.parametrize("bad", [
+    lambda c: -c, lambda c: 0.0, lambda c: np.nan, lambda c: np.inf,
+    lambda c: np.array([c] * 7 + [-c]), lambda c: np.array([c] * 7 + [np.nan]),
+], ids=["negative", "zero", "nan", "inf", "one-negative", "one-nan"])
+def test_run_linear_rejects_non_positive_coefficients(sim1_cset, bad):
+    p = ramp_problem(sim1_cset, n_steps=8)
+    with pytest.raises(ValueError,
+                       match="^coefficients must be finite and positive$"):
+        run_linear(p, bad(sim1_cset.alpha_bar()))
+
+
+@pytest.mark.parametrize("shape", [(7,), (9,), (8, 1), (1,)])
+def test_run_linear_rejects_coefficients_not_one_per_interval(sim1_cset,
+                                                              shape):
+    p = ramp_problem(sim1_cset, n_steps=8)
+    with pytest.raises(ValueError) as err:
+        run_linear(p, np.full(shape, sim1_cset.alpha_bar()))
+    assert str(err.value) == (
+        f"coefficients must be a scalar or one value per report interval "
+        f"(8), not shape {shape}")
+
+
+def test_linearized_runs_factor_nothing(sim1_cset, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a linearized run factored a matrix")
+
+    monkeypatch.setattr(imbibition, "splu", refuse)
+    monkeypatch.setattr(bm, "_splu", refuse)
+    p = ramp_problem(sim1_cset, n_steps=8)
+    run_constant_linearized(p)
+    run_variable_linearized(p)
+
+
+@st.composite
+def linear_cases(draw):
+    dimension = draw(st.integers(1, 3))
+    corner = draw(st.booleans())
+    cells = 8 if dimension == 3 and not corner else draw(
+        st.sampled_from((8, 16)))
+    n_steps = draw(st.integers(4, 40))
+    cfg = dataclasses.replace(get_preset(draw(st.sampled_from(
+        list_presets()))), n_steps=n_steps, dimension=dimension,
+        mesh_cells=cells)
+    problem = cfg.block_problem(draw(st.sampled_from((0.1, 0.001))))
+    mesh = problem.build_mesh()
+    if not corner:
+        mesh = bm.tensor_mesh(mesh.grid, dimension)
+    kind = draw(st.sampled_from(("clin", "vlin", "random")))
+    if kind == "clin":
+        coeff = problem.cset.alpha_bar()
+    elif kind == "vlin":
+        coeff = variable_coefficients(problem)
+    else:
+        coeff = problem.cset.alpha_bar() * np.exp(draw(st.lists(
+            st.floats(-3.0, 3.0), min_size=n_steps, max_size=n_steps)))
+    return problem, mesh, coeff
+
+
+@settings(max_examples=40, deadline=None)
+@given(linear_cases())
+def test_modal_solve_matches_lu_steps(case):
+    # flux series to 1e-10 relative (max-norm), block means and final
+    # fields to 1e-13 absolute; the volume series then follows from the
+    # means, within the rounding floor of two of them per interval
+    problem, mesh, coeff = case
+    sol = run_linear(problem, coeff, mesh)
+    ref = run_linear_lu(problem, coeff, mesh)
+    q, q_ref = (exchange_from_flux(s, problem).values for s in (sol, ref))
+    assert np.abs(q - q_ref).max() <= 1e-10 * np.abs(q_ref).max()
+    assert np.abs(sol.mean_saturation - ref.mean_saturation).max() <= 1e-13
+    assert np.abs(sol.final_field - ref.final_field).max() <= 1e-13
+    v, v_ref = (exchange_from_volume(s, problem).values for s in (sol, ref))
+    floor = 2e-13 * problem.cset.matrix.porosity / np.diff(problem.times)
+    assert (np.abs(v - v_ref) <= floor).all()
+    assert (sol.newton_iterations, sol.substeps) \
+        == (ref.newton_iterations, ref.substeps)
