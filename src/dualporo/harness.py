@@ -329,16 +329,13 @@ def run_method(cfg: ScenarioConfig, method: str,
         return _effective_series(cfg, method)
     if delta is None:
         raise ValueError(f"method {method!r} needs a block delta")
-    problem = cfg.block_problem(delta)
-    if method == "nlin":
-        sol = run_trajectory(problem)
-    elif method == "clin":
-        sol = run_constant_linearized(problem)
-    elif method == "vlin":
-        sol, _ = run_variable_linearized(problem)
-    else:
+    runners = {"nlin": run_trajectory, "clin": run_constant_linearized,
+               "vlin": run_variable_linearized}
+    if method not in runners:
         raise ValueError(f"unknown method {method!r}")
-    return exchange_from_volume(sol, problem, method=method)
+    problem = cfg.block_problem(delta)
+    return exchange_from_volume(runners[method](problem), problem,
+                                method=method)
 
 
 def comparison_keys(cfg: ScenarioConfig) -> list:

@@ -49,7 +49,9 @@ both are reported as per-interval averages at interval midpoints.
 
 cover_interval is the one step controller and newton_solve the one Newton
 loop of the block and of the flood (fvsolver): every report interval is
-first tried in one step, whatever the interval before it needed.
+first tried in one step, whatever the interval before it needed.  The
+block's Newton stop (BlockStepper.newton_step) is fixed per step: NEWTON_RTOL
+of a unit saturation change on the largest cell, wherever Newton starts.
 """
 from __future__ import annotations
 
@@ -249,11 +251,9 @@ class BlockStepper:
                                     d.shape)
 
     def jacobian(self, acc, alpha) -> sp.csc_matrix:
-        """diag(acc) - k_eff * diffusion_matrix @ diag(alpha), alpha per cell
-        or scalar, written into the stepper's one CSC matrix in the
-        pattern's order (cells permuted by its order); the next call
-        overwrites it."""
-        alpha = np.broadcast_to(alpha, (self.mesh.n_cells,))
+        """diag(acc) - k_eff * diffusion_matrix @ diag(alpha), alpha per
+        cell, written into the stepper's one CSC matrix in the pattern's
+        order (cells permuted by its order); the next call overwrites it."""
         kd = self.k_eff * (self._d_vals * alpha[self._d_cols])
         return self.pattern.fill(np.concatenate((-kd, acc)))
 
@@ -264,20 +264,19 @@ class BlockStepper:
     def newton_step(self, s_old, dt: float, g: float, beta, alpha):
         """One implicit step of phi ds/dt = k_eff Lap(beta(s)) by
         newton_solve, clipped to [0, 1]; returns (s_new, beta(s_new),
-        iterations)."""
+        iterations).  An iterate is accepted at max|r| <= NEWTON_RTOL *
+        max(phi vol / dt), the residual of a unit saturation change on the
+        largest cell: fixed per step, whatever Newton starts from."""
         beta_g = float(beta(g))
         acc = self._acc / dt
-        tol = None
+        tol = NEWTON_RTOL * acc.max()
 
         def linearize(s):
-            nonlocal tol
             beta_s = beta(s)
             r = acc * (s - s_old) - self.k_eff * (
                 self.mesh.diffusion_matrix @ beta_s
                 + self.mesh.boundary_weights * beta_g)
             r_max = np.abs(r).max()
-            # floor: rtol of a unit saturation change on the largest cell
-            tol = tol or NEWTON_RTOL * max(r_max, acc.max())
             jac = self.jacobian(acc, alpha(s)) if r_max > tol else None
             return r, jac, r_max / tol, beta_s
 
@@ -292,10 +291,15 @@ class BlockStepper:
             np.dot(self.mesh.boundary_weights, beta_g - beta_s))
 
 
-def _advance(problem: BlockProblem, mesh: BlockMesh, step) -> BlockSolution:
-    """Drive `step(s, t0, t1, k) -> (s_new, flux, iterations)` over the
-    report grid, each interval covered by cover_interval; accumulates
-    per-interval flux integrals."""
+def run_trajectory(problem: BlockProblem,
+                   mesh: BlockMesh | None = None) -> BlockSolution:
+    """Nonlinear block solve over the problem's report grid, each report
+    interval covered by cover_interval; accumulates per-interval flux
+    integrals."""
+    mesh = mesh or problem.build_mesh()
+    stepper = BlockStepper(mesh, problem.cset.matrix.porosity, problem.k_eff)
+    table = problem.cset.matrix_table()
+    alpha = problem.cset.matrix_alpha
     times = problem.times
     n_rep = len(times) - 1
     s = np.full(mesh.n_cells, problem.s_init, dtype=float)
@@ -307,8 +311,9 @@ def _advance(problem: BlockProblem, mesh: BlockMesh, step) -> BlockSolution:
 
     def attempt(t, dt):                 # a step of report interval k
         nonlocal s, iters_total, substeps_total
-        s, flux, iters = step(s, t, t + dt, k)
-        flux_int[k] += flux * dt
+        g = problem.wall_value(t + dt)
+        s, beta_s, iters = stepper.newton_step(s, dt, g, table, alpha)
+        flux_int[k] += stepper.wall_flux(beta_s, float(table(g))) * dt
         iters_total += iters
         substeps_total += 1
 
@@ -320,23 +325,6 @@ def _advance(problem: BlockProblem, mesh: BlockMesh, step) -> BlockSolution:
                          flux_integrals=flux_int, final_field=s,
                          newton_iterations=iters_total,
                          substeps=substeps_total)
-
-
-def run_trajectory(problem: BlockProblem,
-                   mesh: BlockMesh | None = None) -> BlockSolution:
-    """Nonlinear block solve over the problem's report grid."""
-    mesh = mesh or problem.build_mesh()
-    stepper = BlockStepper(mesh, problem.cset.matrix.porosity, problem.k_eff)
-    table = problem.cset.matrix_table()
-    alpha = problem.cset.matrix_alpha
-
-    def step(s, t0, t1, k):
-        g = problem.wall_value(t1)
-        s_new, beta_s, iters = stepper.newton_step(s, t1 - t0, g, table,
-                                                   alpha)
-        return s_new, stepper.wall_flux(beta_s, float(table(g))), iters
-
-    return _advance(problem, mesh, step)
 
 
 def _block_modes(mesh: BlockMesh) -> tuple:

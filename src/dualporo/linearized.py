@@ -44,8 +44,7 @@ def run_constant_linearized(problem: BlockProblem,
 
 
 def run_variable_linearized(problem: BlockProblem,
-                            mesh: BlockMesh | None = None):
-    """Block solve with the range-averaged diffusivity, frozen per step in
-    physical time. Returns (solution, coefficients)."""
-    coeff = variable_coefficients(problem)
-    return run_linear(problem, coeff, mesh), coeff
+                            mesh: BlockMesh | None = None) -> BlockSolution:
+    """Block solve with the range-averaged diffusivity
+    (variable_coefficients), frozen per step in physical time."""
+    return run_linear(problem, variable_coefficients(problem), mesh)

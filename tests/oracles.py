@@ -40,9 +40,11 @@ step of imbibition.run_linear as the sparse system it is,
 
     (phi M/dt - k_eff c_k D) s_new = phi M/dt s + k_eff c_k b g,
 
-with the nlin stepper's jacobian(acc/dt, c), factored through its
-FixedPattern and kept while (dt, c) repeats, and the steps driven by the
-nlin solve's report-grid loop.  It is the reference of the modal solve.
+with the nlin stepper's jacobian(acc/dt, c) (c in every cell), factored
+through its FixedPattern and kept while (dt, c) repeats.  Linear steps
+never fail, so it drives them with its own loop, one step per report
+interval, and needs no step controller.  It is the reference of the modal
+solve.
 
 blocked_geometric_times builds the quasi-geometric grids on which these
 references are checked near t = 0.
@@ -54,8 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dualporo.effective import QuadratureTable
-from dualporo.imbibition import (BlockProblem, BlockSolution, BlockStepper,
-                                 _advance)
+from dualporo.imbibition import BlockProblem, BlockSolution, BlockStepper
 
 
 # ------------------------------------------------- eigenfunction series
@@ -125,28 +126,33 @@ def build_kernel(delta: float, porosity: float, permeability: float,
 
 def run_linear_lu(problem: BlockProblem, coefficients,
                   mesh=None) -> BlockSolution:
-    """imbibition.run_linear by one sparse LU per (dt, coefficient)."""
+    """imbibition.run_linear by one sparse LU per (dt, coefficient), one
+    step per report interval."""
     mesh = mesh or problem.build_mesh()
-    n_rep = len(problem.times) - 1
-    coeff = np.broadcast_to(np.asarray(coefficients, dtype=float),
-                            (n_rep,)).copy()
+    times = problem.times
+    n_rep = len(times) - 1
+    coeff = np.broadcast_to(np.asarray(coefficients, dtype=float), (n_rep,))
     stepper = BlockStepper(mesh, problem.cset.matrix.porosity, problem.k_eff)
     acc = problem.cset.matrix.porosity * mesh.volumes
-    lu_key, lu = None, None
-
-    def step(s, t0, t1, k):
-        nonlocal lu_key, lu
-        g = problem.wall_value(t1)
-        c = float(coeff[k])
-        dt = t1 - t0
+    s = np.full(mesh.n_cells, problem.s_init)
+    means = np.empty(n_rep + 1)
+    flux_int = np.empty(n_rep)
+    means[0] = np.dot(mesh.volumes, s) / mesh.total_volume
+    lu_key = None
+    for k in range(n_rep):
+        dt, c = times[k + 1] - times[k], float(coeff[k])
+        g = problem.wall_value(times[k + 1])
         if lu_key != (dt, c):
-            lu = stepper.factor(stepper.jacobian(acc / dt, c))
+            lu = stepper.factor(stepper.jacobian(
+                acc / dt, np.full(mesh.n_cells, c)))
             lu_key = (dt, c)
-        rhs = acc / dt * s + stepper.k_eff * c * mesh.boundary_weights * g
-        s_new = lu.solve(rhs)
-        return s_new, stepper.wall_flux(c * s_new, c * g), 1
-
-    return _advance(problem, mesh, step)
+        s = lu.solve(acc / dt * s + stepper.k_eff * c * mesh.boundary_weights
+                     * g)
+        flux_int[k] = stepper.wall_flux(c * s, c * g) * dt
+        means[k + 1] = np.dot(mesh.volumes, s) / mesh.total_volume
+    return BlockSolution(times=times.copy(), mean_saturation=means,
+                         flux_integrals=flux_int, final_field=s,
+                         newton_iterations=n_rep, substeps=n_rep)
 
 
 # ------------------------------------------------------------ time grid

@@ -27,9 +27,10 @@ Oracles used here:
     uses too: the whole report interval first, halving on failure down to
     span / 2**MAX_HALVINGS, doubling after success, and a fresh start at
     every report interval;
-  * the predicted Newton start: its Lagrange weights reproduce
-    polynomials of the degree they extrapolate on random non-uniform
-    grids (property test); a failed predicted start is retried from the
+  * the predicted Newton start: on random non-uniform grids its
+    Lagrange weights, in exact rational arithmetic, sum to 1 and
+    reproduce polynomials of the degree they extrapolate, and the float
+    weights lie within 1e-14 of them (property test); a failed predicted start is retried from the
     reference start s_old and then gives that start's step exactly, with
     the corrections (LUs) of both starts counted and the retry's own
     clamp flag; a step failing from both raises the reference start's
@@ -52,6 +53,8 @@ Oracles used here:
 """
 import copy
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -756,21 +759,25 @@ def test_step_attempt_advances_the_state_or_leaves_it(sim1_cset, model,
        n=st.integers(1, 3))
 def test_extrapolation_weights_reproduce_polynomials(t0, scale, gaps, coef,
                                                      n):
-    # through n nodes of a random non-uniform grid, the weights give the
-    # value after the last node of any polynomial of degree n - 1
+    # through n nodes of a random non-uniform grid, the Lagrange weights
+    # of those float nodes, in exact rational arithmetic, sum to 1 and give
+    # the value after the last node of any polynomial of degree n - 1; the
+    # float weights are each within 1e-14 of their exact values
     nodes = t0 + scale * np.cumsum([0.0, gaps[0], gaps[1]])[3 - n:]
     t = nodes[-1] + scale * gaps[2]
+    xs, tx = [Fraction(x) for x in nodes], Fraction(t)
+    exact = [math.prod((tx - xj) / (xk - xj) for j, xj in enumerate(xs)
+                       if j != k) for k, xk in enumerate(xs)]
 
     def poly(x):
-        u = (x - t0) / scale
-        return sum(c * u ** k for k, c in enumerate(coef[:n]))
+        u = (x - Fraction(t0)) / Fraction(scale)
+        return sum(Fraction(c) * u ** k for k, c in enumerate(coef[:n]))
 
+    assert sum(exact) == 1
+    assert sum(wk * poly(x) for wk, x in zip(exact, xs)) == poly(tx)
     w = fvsolver._extrapolation_weights(nodes, t)
-    values = np.array([poly(x) for x in nodes])
-    exact = poly(t)
-    size = max(np.abs(values).max(), abs(exact))
-    assert abs(np.dot(w, values) - exact) <= 1e-12 * size
-    assert w.sum() == pytest.approx(1.0, rel=1e-12)
+    for wk, ek in zip(w, exact):
+        assert abs(Fraction(wk) - ek) <= Fraction(1e-14) * abs(ek)
 
 
 def test_predicted_saturation_follows_the_history_length(sim1_cset):

@@ -8,6 +8,8 @@ Oracles used here:
   * summing the discrete equations over the cells ties the volume and
     flux forms of the exchange together: exactly for the linear solver,
     to Newton tolerance for the nonlinear one;
+  * every accepted nlin step meets the block's fixed Newton stop, its
+    residual recomputed from the returned field;
   * a monotone wall drive keeps the exchange one-signed and the block
     mean monotone (discrete maximum principle of the M-matrix scheme);
   * a step taken in two halves after a Newton failure equals a run on
@@ -181,6 +183,31 @@ def test_volume_and_flux_exchange_agree_to_newton_tolerance(sim1_cset):
     qf = exchange_from_flux(sol, p)
     scale = np.abs(qv.values).max()
     assert np.abs(qv.values - qf.values).max() <= 1e-6 * scale
+
+
+def test_accepted_nlin_steps_meet_the_fixed_newton_stop(monkeypatch):
+    # the residual of every accepted step, recomputed from the returned
+    # field, is within NEWTON_RTOL of a unit saturation change on the
+    # largest cell, whatever residual Newton started from
+    cfg = dataclasses.replace(get_preset("sim1"), n_steps=20, mesh_cells=16)
+    p = cfg.block_problem(0.3)
+    steps = []
+    newton_step = BlockStepper.newton_step
+
+    def recording(self, s_old, dt, g, beta, alpha):
+        out = newton_step(self, s_old, dt, g, beta, alpha)
+        steps.append((self.mesh, s_old, dt, float(beta(g)), beta(out[0]),
+                      out[0]))
+        return out
+
+    monkeypatch.setattr(BlockStepper, "newton_step", recording)
+    run_trajectory(p)
+    assert len(steps) >= 20
+    for mesh, s_old, dt, beta_g, beta_s, s_new in steps:
+        acc = p.cset.matrix.porosity * mesh.volumes / dt
+        r = acc * (s_new - s_old) - p.k_eff * (
+            mesh.diffusion_matrix @ beta_s + mesh.boundary_weights * beta_g)
+        assert np.abs(r).max() <= imbibition.NEWTON_RTOL * acc.max()
 
 
 def test_linear_solve_volume_flux_identity_is_exact(sim1_cset):
@@ -395,7 +422,7 @@ def test_corner_matches_full_cube(preset):
     solvers = {
         "nlin": run_trajectory,
         "clin": run_constant_linearized,
-        "vlin": lambda p, mesh: run_variable_linearized(p, mesh)[0],
+        "vlin": run_variable_linearized,
     }
     for dimension, cells in ((1, 16), (2, 16), (3, 8)):
         for delta in (0.1, 0.001):

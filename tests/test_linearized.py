@@ -134,8 +134,8 @@ def test_variable_linearized_freezes_positive_coefficients(sim1_cset):
     # is strictly increasing
     p = ramp_problem(sim1_cset, n_steps=8)
     mesh = p.build_mesh()
-    sol, coeff = run_variable_linearized(p, mesh)
-    assert np.array_equal(coeff, variable_coefficients(p))
+    sol = run_variable_linearized(p, mesh)
+    coeff = variable_coefficients(p)
     assert (coeff > 0.0).all()
     assert np.array_equal(sol.flux_integrals,
                           run_linear(p, coeff, mesh).flux_integrals)
