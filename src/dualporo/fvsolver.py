@@ -18,8 +18,8 @@ slope has a slot in both cells' saturation columns, and the upwind choice
 only decides which one is zero.  So the pattern is built and ordered
 for the LU once per run (blockmesh.FixedPattern), and each Newton
 iteration writes values into it and factors it in that order.
-imbibition.newton_solve, the block's Newton loop, solves each step with
-saturation updates capped at MAX_DS and clamped to [SAT_EPS,
+imbibition.newton_solve and imbibition.damping, the block's Newton loop
+and update, solve each step with saturations clamped to [SAT_EPS,
 1 - SAT_EPS], until the residual scaled by phi_f vol / dt is within
 NEWTON_RTOL and the volume defect within VOLUME_RTOL of pore volume.
 Newton starts from a predicted saturation (_predicted_saturation): the
@@ -80,10 +80,9 @@ from .blockmesh import FixedPattern, TensorMesh, product_mesh
 from .constitutive import ConstitutiveSet
 from .effective import MemorySource
 from .imbibition import (MAX_HALVINGS, NEWTON_RTOL, NewtonFailure,
-                         cover_interval, newton_solve)
+                         cover_interval, damping, newton_solve)
 
 VOLUME_RTOL = 1.0e-13           # on the step's volume defect / pore volume
-MAX_DS = 0.2                    # damping cap on saturation updates
 
 
 def effective_permeability(k_f: float, dimension: int) -> float:
@@ -456,7 +455,7 @@ class FractureFlowSolver:
 
         def update(x, dx):
             nonlocal clamped
-            fac = min(1.0, MAX_DS / max(float(np.abs(dx[:m]).max()), 1e-300))
+            fac = damping(dx[:m])
             s_new = x[0] + fac * dx[:m]
             clamped = bool((s_new < lo).any() or (s_new > hi).any())
             return np.clip(s_new, lo, hi), x[1] + fac * dx[m:]

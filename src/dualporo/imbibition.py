@@ -47,11 +47,12 @@ negative while water imbibes into the block) is computed two ways:
 which agree to Newton tolerance per step by construction of the scheme;
 both are reported as per-interval averages at interval midpoints.
 
-cover_interval is the one step controller and newton_solve the one Newton
-loop of the block and of the flood (fvsolver): every report interval is
-first tried in one step, whatever the interval before it needed.  The
-block's Newton stop (BlockStepper.newton_step) is fixed per step: NEWTON_RTOL
-of a unit saturation change on the largest cell, wherever Newton starts.
+cover_interval is the one step controller, newton_solve the one Newton
+loop and damping (no correction moves a saturation by more than MAX_DS)
+the one Newton update of the block and of the flood (fvsolver): every
+report interval is first tried in one step, whatever the interval before
+it needed.  The block's Newton stop (BlockStepper.newton_step) is fixed
+per step: NEWTON_RTOL of a unit saturation change on the largest cell.
 """
 from __future__ import annotations
 
@@ -74,6 +75,7 @@ NEWTON_RTOL = 1.0e-10
 NEWTON_MAX_ITER = 30
 STALL_ITER = 3          # corrections in a row without a new smallest error
 MAX_HALVINGS = 10       # shortest step: a report interval / 2**MAX_HALVINGS
+MAX_DS = 0.2            # largest saturation change of one Newton correction
 
 
 class NewtonFailure(RuntimeError):
@@ -107,6 +109,11 @@ def newton_solve(x, linearize, update, factor):
         if not np.isfinite(dx).all():
             raise NewtonFailure("non-finite Newton correction")
         x = update(x, dx)
+
+
+def damping(ds) -> float:
+    """min(1, MAX_DS / max|ds|), the factor a Newton correction ds takes."""
+    return min(1.0, MAX_DS / max(float(np.abs(ds).max()), 1e-300))
 
 
 def cover_interval(t0: float, t1: float,
@@ -263,10 +270,10 @@ class BlockStepper:
 
     def newton_step(self, s_old, dt: float, g: float, beta, alpha):
         """One implicit step of phi ds/dt = k_eff Lap(beta(s)) by
-        newton_solve, clipped to [0, 1]; returns (s_new, beta(s_new),
-        iterations).  An iterate is accepted at max|r| <= NEWTON_RTOL *
-        max(phi vol / dt), the residual of a unit saturation change on the
-        largest cell: fixed per step, whatever Newton starts from."""
+        newton_solve, each correction damped and clipped to [0, 1];
+        returns (s_new, beta(s_new), iterations).  An iterate is accepted
+        at max|r| <= NEWTON_RTOL * max(phi vol / dt), the residual of a
+        unit saturation change on the largest cell: fixed per step."""
         beta_g = float(beta(g))
         acc = self._acc / dt
         tol = NEWTON_RTOL * acc.max()
@@ -281,7 +288,8 @@ class BlockStepper:
             return r, jac, r_max / tol, beta_s
 
         return newton_solve(np.array(s_old, dtype=float), linearize,
-                            lambda s, ds: np.clip(s + ds, 0.0, 1.0),
+                            lambda s, ds: np.clip(s + damping(ds) * ds,
+                                                  0.0, 1.0),
                             self.factor)
 
     def wall_flux(self, beta_s, beta_g: float) -> float:

@@ -69,6 +69,16 @@ def test_only_blockmesh_chooses_an_lu_ordering():
                 path.name
 
 
+def test_only_imbibition_sets_the_newton_damping_cap():
+    # the block and the flood damp their Newton corrections by one rule,
+    # imbibition.damping, whose cap MAX_DS is set in one place
+    package_dir = pathlib.Path(dualporo.__file__).parent
+    for path in sorted(package_dir.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        sets_cap = re.search(r"^\s*MAX_DS\s*[:=]", source, re.MULTILINE)
+        assert bool(sets_cap) == (path.name == "imbibition.py"), path.name
+
+
 def test_cli_loads_configs_through_the_public_loaders():
     # harness.load_config and load_flood_config are the one way into a
     # configuration, so the CLI reaches no private harness name

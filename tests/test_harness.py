@@ -503,6 +503,20 @@ def test_cli_run_checks_the_report_window_before_solving(tmp_path, capsys,
     assert (outdir / "report.csv").read_text().count("\n") == 1
 
 
+def test_cli_run_solves_the_step_drive(tmp_path, capsys):
+    # nlin under the classical imbibition drive, a step in fracture
+    # saturation, on the comparison sweep's grid
+    scen = tmp_path / "step.yaml"
+    scen.write_text(yaml.safe_dump({"preset": "sim1", "trajectory": "step"}))
+    outdir = tmp_path / "out"
+    assert main(["run", str(scen), "--mesh-cells", "48", "--steps", "160",
+                 "--deltas", "0.1", "--methods", "nlin",
+                 "--outdir", str(outdir)]) == 0
+    assert (outdir / "report.csv").exists()
+    assert (outdir / "exchange_nlin_delta0.1.csv").exists()
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_compare_file_with_itself(tmp_path, capsys):
     path = tmp_path / "one.csv"
     times = np.linspace(0.5, 9.5, 10) * DAY

@@ -21,7 +21,11 @@ Oracles used here:
     and each of its failures (singular Jacobian, NaN correction, stall,
     iteration cap) raises NewtonFailure after the stated number of
     factorizations; the stall exit keeps the failed nlin attempts of a
-    coarse sim1 run to a third of its LUs;
+    coarse, undamped sim1 run to a third of its LUs; a damped correction
+    changes no saturation by more than MAX_DS;
+  * under the step drive nlin solves every preset in 1d, 2d and 3d, its
+    volume and flux forms agree, and vlin tracks it closer than clin
+    does on the monotone presets;
   * the block solved on its mirror corner equals the full-cube solve to
     roundoff, with the same Newton iterations and substeps, and the
     Jacobian filled into the stepper's fixed pattern equals the one
@@ -43,8 +47,8 @@ from hypothesis import strategies as st
 
 from dualporo import blockmesh as bm
 from dualporo import imbibition
-from dualporo.harness import (get_preset, list_presets, midpoints,
-                              uniform_times)
+from dualporo.harness import (compare_series, get_preset, list_presets,
+                              midpoints, run_method, uniform_times)
 from dualporo.imbibition import (BlockProblem, BlockStepper, ExchangeSeries,
                                  NewtonFailure, exchange_from_flux,
                                  exchange_from_volume, run_trajectory)
@@ -304,6 +308,65 @@ def test_halved_steps_match_the_refined_grid(sim1_cset, monkeypatch):
     assert np.abs(sol.final_field - ref.final_field).max() <= 1e-12
 
 
+# ------------------------------------------------------------ step drive
+
+def step_config(preset: str, dimension: int):
+    """preset under the classical imbibition drive, a step in fracture
+    saturation at t = 0+: 48 cells x 160 steps for d <= 2, 16 x 40 for
+    d = 3."""
+    cells, steps = (48, 160) if dimension <= 2 else (16, 40)
+    return dataclasses.replace(get_preset(preset), trajectory="step",
+                               trajectory_args={}, dimension=dimension,
+                               mesh_cells=cells, n_steps=steps)
+
+
+@pytest.fixture(scope="module")
+def step_runs():
+    """{(preset, dimension, delta): (volume, flux) exchange series of nlin,
+    or the NewtonFailure message} under the step drive."""
+    out = {}
+    for preset in list_presets():
+        for dimension in (1, 2, 3):
+            cfg = step_config(preset, dimension)
+            for delta in (0.1, 0.001):
+                p = cfg.block_problem(delta)
+                try:
+                    sol = run_trajectory(p)
+                except NewtonFailure as exc:
+                    out[(preset, dimension, delta)] = str(exc)
+                    continue
+                out[(preset, dimension, delta)] = (
+                    exchange_from_volume(sol, p), exchange_from_flux(sol, p))
+    return out
+
+
+def test_nlin_solves_the_step_drive(step_runs):
+    # every preset, d = 1..3, delta 0.1 and 0.001; the damped correction
+    # keeps Newton from overshooting on the jump, and criterion 1's
+    # volume-against-flux bound holds on each run
+    failed = {key: run for key, run in step_runs.items()
+              if isinstance(run, str)}
+    assert not failed
+    for key, (volume, flux) in step_runs.items():
+        err = compare_series(volume, flux)[0]
+        assert err <= 0.01, (key, err)
+
+
+def test_vlin_tracks_nlin_closer_on_the_step_drive(step_runs):
+    # criterion 3's ranking on the classical drive: dist(vlin, nlin) <
+    # dist(clin, nlin) in relative L2 over [0.5, 10] d on the monotone
+    # presets in 2d (measured vlin 0.04-0.19, clin 0.12-2.3)
+    for preset in ("sim1", "equal-pc", "strong-contrast"):
+        cfg = step_config(preset, 2)
+        for delta in (0.1, 0.001):
+            ref = step_runs[(preset, 2, delta)][0]
+            d_vlin, d_clin = (
+                compare_series(run_method(cfg, method, delta), ref,
+                               0.5 * DAY, 10.0 * DAY)[0]
+                for method in ("vlin", "clin"))
+            assert d_vlin < d_clin, (preset, delta, d_vlin, d_clin)
+
+
 # ---------------------------------------------------------- Newton loop
 
 def scripted_newton(errors, residual=(1.0, 1.0)):
@@ -400,9 +463,19 @@ def test_newton_solve_max_iterations():
     assert len(factored) == n
 
 
+def test_damping_caps_the_largest_saturation_change():
+    cap = imbibition.MAX_DS
+    assert imbibition.damping(np.array([0.5 * cap, -cap])) == 1.0
+    assert imbibition.damping(np.zeros(3)) == 1.0
+    ds = np.array([0.1, -4.0 * cap])
+    assert imbibition.damping(ds) == 0.25
+    assert np.abs(imbibition.damping(ds) * ds).max() == cap
+
+
 def test_failed_block_attempts_stop_early(monkeypatch):
-    # nlin at sim1 in 4 report steps halves the first interval three
-    # times; the stall exit ends each failed attempt after a few LUs
+    # undamped (MAX_DS lifted), nlin at sim1 in 4 report steps halves the
+    # first interval three times; the stall exit ends each failed attempt
+    # after a few LUs
     lus = []
 
     def counting_splu(jac, **options):
@@ -410,6 +483,7 @@ def test_failed_block_attempts_stop_early(monkeypatch):
         return splu(jac, **options)
 
     monkeypatch.setattr(imbibition, "splu", counting_splu)
+    monkeypatch.setattr(imbibition, "MAX_DS", float("inf"))
     cfg = dataclasses.replace(get_preset("sim1"), n_steps=4)
     sol = run_trajectory(cfg.block_problem(0.1))
     assert sol.substeps > 4                     # the halvings happen
