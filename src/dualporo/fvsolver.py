@@ -25,13 +25,12 @@ NEWTON_RTOL and the volume defect within VOLUME_RTOL of pore volume.
 Newton starts from a predicted saturation (_predicted_saturation): the
 quadratic Lagrange extrapolation to the step's end through the last three
 accepted (time, saturation) pairs, linear through two, the saturation
-itself on the first step, clipped to the clamp; P_n starts from the last
-step's.  A failure from there retries the same step once from the
-reference start, the last saturation (not on the first step, where the
-two starts are the same); only the retry's failure reaches
-the step controller, and the step's newton_iters counts the corrections
-(one LU each) of both starts.  So a history that drops old saturations
-(ROADMAP item 4) must keep the last three for the predictor.
+itself on the first step, clipped to the clamp, and taken as one damped
+update from the last saturation, so it moves none by more than
+imbibition.MAX_DS; P_n starts from the last step's.  Newton runs once
+per attempt, its failure is the attempt's, and the step's newton_iters
+counts its corrections (one LU each).  So a history that drops old
+saturations (ROADMAP item 4) must keep the last three for the predictor.
 
 build_grid makes the mesh with blockmesh.product_mesh, the builder of
 the matrix block's mesh, so the two problems share one mesh type and one
@@ -79,8 +78,8 @@ from . import constitutive as con
 from .blockmesh import FixedPattern, TensorMesh, product_mesh
 from .constitutive import ConstitutiveSet
 from .effective import MemorySource
-from .imbibition import (MAX_HALVINGS, NEWTON_RTOL, NewtonFailure,
-                         cover_interval, damping, newton_solve)
+from .imbibition import (MAX_HALVINGS, NEWTON_RTOL, cover_interval,
+                         damping, newton_solve)
 
 VOLUME_RTOL = 1.0e-13           # on the step's volume defect / pore volume
 
@@ -332,7 +331,7 @@ def _extrapolation_weights(nodes, t: float) -> np.ndarray:
 
 
 def _predicted_saturation(state: FlowState, t: float) -> np.ndarray:
-    """Newton's first start for the step to t: the quadratic through the
+    """The undamped start for the step to t: the quadratic through the
     last three accepted (time, saturation) pairs at t (linear through two,
     the saturation itself through one), clipped to the saturation clamp."""
     n = min(3, len(state.times_hist))
@@ -354,7 +353,7 @@ class StepReport:
 
     t: float
     dt: float
-    newton_iters: int
+    newton_iters: int                   # Newton corrections, one LU each
     clamped: bool
     water_accum: float
     water_source: float
@@ -444,7 +443,6 @@ class FractureFlowSolver:
         scale = par.cset.fracture.porosity * self.grid.total_volume / (m * dt)
         lo, hi = con.SAT_EPS, 1.0 - con.SAT_EPS
         clamped = False
-        lus = 0                         # corrections of both starts
 
         def linearize(x):
             r, jac, rates, p_wall, q_w = self.assembler.assemble(
@@ -460,25 +458,14 @@ class FractureFlowSolver:
             clamped = bool((s_new < lo).any() or (s_new > hi).any())
             return np.clip(s_new, lo, hi), x[1] + fac * dx[m:]
 
-        def factor(jac):
-            nonlocal lus
-            lus += 1
-            return self.assembler.pattern.factor(jac, splu)
-
-        # Newton starts from the predicted saturation; only if that fails
-        # does it retry from the reference start s_old, whose failure is
-        # the step's.  On the first step the prediction is s_old itself.
-        try:
-            (s, pn), ((rate_w, rate_n), p_wall, q_w), _ = newton_solve(
-                (_predicted_saturation(state, t), state.pressure_n.copy()),
-                linearize, update, factor)
-        except NewtonFailure:
-            if len(state.times_hist) == 1:
-                raise
-            clamped = False
-            (s, pn), ((rate_w, rate_n), p_wall, q_w), _ = newton_solve(
-                (s_old.copy(), state.pressure_n.copy()), linearize, update,
-                factor)
+        # the prediction as one damped update from s_old is Newton's start
+        s_start = _predicted_saturation(state, t)
+        fac = damping(s_start - s_old)
+        if fac < 1.0:                   # else bitwise the prediction
+            s_start = s_old + fac * (s_start - s_old)
+        (s, pn), ((rate_w, rate_n), p_wall, q_w), iters = newton_solve(
+            (s_start, state.pressure_n.copy()), linearize, update,
+            lambda jac: self.assembler.pattern.factor(jac, splu))
 
         # accepted: the memory first, since its range check can raise
         if state.memory is not None:
@@ -488,7 +475,7 @@ class FractureFlowSolver:
         water_source = float(dt * np.dot(vol, q_w))
         water_bdry, nonwet_bdry = rate_w * dt, rate_n * dt
         state.steps.append(StepReport(
-            t=t, dt=dt, newton_iters=lus, clamped=clamped,
+            t=t, dt=dt, newton_iters=iters, clamped=clamped,
             water_accum=water_accum, water_source=water_source,
             water_boundary=water_bdry, nonwetting_boundary=nonwet_bdry,
             water_defect=water_accum - water_source - water_bdry,

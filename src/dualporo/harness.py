@@ -139,10 +139,10 @@ def make_trajectory(kind: str, **args):
 
     "ramp": start + min(slope_per_day * t_days, cap), a linear fill that
     plateaus once the increment reaches cap.  "sine": mean + amp *
-    sin(2 pi t_days / period_days), unclamped (endpoint saturations are
-    handled by the constitutive clipping).  "step": jump at t = 0+.
-    Arguments not given take the defaults of TRAJECTORY_PARAMS; an
-    argument the kind does not take is rejected.
+    sin(2 pi t_days / period_days).  "step": jump at t = 0+.  Arguments
+    not given take the defaults of TRAJECTORY_PARAMS; an argument the kind
+    does not take is rejected, and so is a drive that leaves [0, 1],
+    which the constitutive clipping would silently turn into another.
     """
     if kind not in TRAJECTORY_PARAMS:
         raise ValueError(f"unknown trajectory kind {kind!r}")
@@ -154,25 +154,34 @@ def make_trajectory(kind: str, **args):
     a = dict(params, **args)
     if kind == "ramp":
         start, slope, cap = a["start"], a["slope_per_day"], a["cap"]
+        if not (slope >= 0.0 and cap >= 0.0):
+            raise ValueError("slope_per_day and cap must be non-negative; "
+                             f"got {slope!r} and {cap!r}")
+        ends = {"start": start, "start + cap": start + cap}
 
-        def ramp(t):
+        def drive(t):
             return start + min(slope * t / DAY, cap)
-        return ramp
-    if kind == "sine":
+    elif kind == "sine":
         mean, amp, period_days = a["mean"], a["amp"], a["period_days"]
         if not period_days > 0.0:
             raise ValueError(f"period_days must be positive; got "
                              f"{period_days!r}")
+        ends = {"mean - amp": mean - amp, "mean + amp": mean + amp}
 
-        def sine(t):
+        def drive(t):
             return mean + amp * float(np.sin(2.0 * np.pi * t
                                              / (period_days * DAY)))
-        return sine
-    s0, s1 = a["s_before"], a["s_after"]
+    else:
+        s0, s1 = a["s_before"], a["s_after"]
+        ends = {"s_before": s0, "s_after": s1}
 
-    def step(t):
-        return s1 if t > 0.0 else s0
-    return step
+        def drive(t):
+            return s1 if t > 0.0 else s0
+    bad = [f"{k} = {v!r}" for k, v in ends.items() if not 0.0 <= v <= 1.0]
+    if bad:
+        raise ValueError(f"the {kind} drive must stay in [0, 1]; got "
+                         + ", ".join(bad))
+    return drive
 
 
 _RAMP_ARGS = dict(TRAJECTORY_PARAMS["ramp"])
@@ -468,6 +477,9 @@ class FloodConfig:
         if not con.SAT_EPS <= self.s_init < 1.0 - con.SAT_EPS:
             raise ValueError(f"s_init must lie in [{con.SAT_EPS!r}, "
                              f"{1.0 - con.SAT_EPS!r}); got {self.s_init!r}")
+        if not self.inflow_rate >= 0.0:
+            raise ValueError("inflow_rate must be non-negative; got "
+                             f"{self.inflow_rate!r}")
         if not 0.0 <= self.outlet_saturation <= 1.0:
             raise ValueError("outlet_saturation must lie in [0, 1]; got "
                              f"{self.outlet_saturation!r}")

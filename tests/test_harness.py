@@ -619,10 +619,18 @@ def test_cli_flags_and_yaml_keys_write_the_same_files(tmp_path, verb, flags,
     ("run", {"preset": "nonmonotone", "trajectory_args": {"period_days": 0.0},
              "methods": ["effective-I"], "n_steps": 4}),
     ("run", {"preset": "sim1", "matrix_n": 1.01}),
+    ("run", {"preset": "sim1", "trajectory_args": {"cap": 2.0}}),
+    ("run", {"preset": "sim1", "trajectory_args": {"start": -0.5}}),
+    ("run", {"preset": "sim1", "trajectory_args": {"slope_per_day": -0.1}}),
+    ("run", {"preset": "sim1", "trajectory": "step",
+             "trajectory_args": {"s_after": 1.5}}),
+    ("run", {"preset": "nonmonotone", "trajectory_args": {"amp": 3.0}}),
 ], ids=["bogus-source-model", "unknown-preset", "nan-permeability",
         "list-document", "string-deltas", "unknown-trajectory-arg",
         "string-cell-count", "unknown-method", "empty-methods",
-        "zero-sine-period", "overflowing-matrix-n"])
+        "zero-sine-period", "overflowing-matrix-n", "ramp-cap-above-one",
+        "ramp-start-below-zero", "ramp-negative-slope",
+        "step-after-above-one", "sine-amp-beyond-range"])
 def test_cli_config_errors_exit_with_one_line(tmp_path, capsys, verb,
                                               config):
     cfgfile = tmp_path / "config.yaml"
@@ -725,17 +733,19 @@ def test_cli_run_report_errors_leave_no_outdir(tmp_path, capsys, args):
     ({"outlet_saturation": 1.2}, "outlet_saturation"),
     ({"outlet_saturation": -0.1}, "outlet_saturation"),
     ({"lx": 0.0}, "lx"),
+    ({"inflow_rate": -1.5e-6}, "inflow_rate"),
 ], ids=["one-row", "nan-rate", "zero-steps", "yaml-one-row",
         "yaml-nonpositive-snapshots", "yaml-s-init-above-one",
         "yaml-s-init-zero", "yaml-s-init-one", "yaml-s-init-below-clamp",
         "yaml-s-init-top-of-clamp", "yaml-outlet-above-one",
-        "yaml-outlet-negative", "yaml-zero-length"])
+        "yaml-outlet-negative", "yaml-zero-length", "yaml-negative-rate"])
 def test_cli_flood_config_fails_at_load(tmp_path, capsys, args, field):
     # a one-row flood has k* = 0 and a NaN rate passes the CLI's float
     # parsing; both used to fail only inside the Newton solve, as an
     # initial saturation outside the clamp did, and an outlet saturation
     # above one was clipped silently; a flood that starts on the top of
-    # the clamp clamps every step (32 of 32 for this 4x4 flood)
+    # the clamp clamps every step (32 of 32 for this 4x4 flood); a
+    # negative rate halved every interval down to "Newton stalled"
     if isinstance(args, dict):
         cfgfile = tmp_path / "flood.yaml"
         cfgfile.write_text(yaml.safe_dump(args))
