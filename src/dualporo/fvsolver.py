@@ -11,7 +11,7 @@ implicit Euler in time with Newton on the per-cell unknowns (S, P_n).
 The wetting pressure is eliminated through the capillary relation, so the
 capillary closure holds exactly by construction.  Face mobilities are
 upwinded phase by phase on the sign of the phase-pressure difference
-(ties take the lower cell index; the flux vanishes there anyway), and the
+(ties take the face's left cell; the flux vanishes there anyway), and the
 Jacobian is analytic with the upwind choice held fixed per iteration.
 Its sparsity pattern does not depend on the iterate: each face's mobility
 slope has a slot in both cells' saturation columns, and the upwind choice
@@ -35,9 +35,13 @@ saturations (ROADMAP item 4) must keep the last three for the predictor.
 build_grid makes the mesh with blockmesh.product_mesh, the builder of
 the matrix block's mesh, so the two problems share one mesh type and one
 transmissibility rule.  Boundary conditions attach to the mesh's named
-walls (xmin .. ymax).  assemble returns with the residual the boundary
-rates, the wall values transfer(S) and the source Q_w of its iterate, so
-an accepted step reads all three from its converged iterate.
+walls (xmin .. ymax).  Each cell of a Dirichlet or inflow wall is one more
+face, from the cell to a ghost cell in the wall's state, so one flux rule
+serves every face: a Dirichlet face conducts k* T_b, an inflow face only
+carries the wall's fixed wetting rate, and no-flow walls have no faces.
+assemble returns with the residual the boundary rates, the wall values
+transfer(S) and the source Q_w of its iterate, so an accepted step reads
+all three from its converged iterate.
 
 The matrix-exchange source Q_w is the sqrt-kernel convolution of the
 cell's own wall-value history p^k = transfer(S^k), carried by one
@@ -172,19 +176,11 @@ def upwind_phase_mobility(p_left, p_right, lam_left, lam_right):
     return np.where(from_left, lam_left, lam_right), from_left
 
 
-@dataclass(frozen=True)
-class _DirichletGhost:
-    pw: float
-    pn: float
-    lam_w: float
-    lam_n: float
-
-
 class _Assembler:
     """Residuals and analytic Jacobian for one implicit step.
 
-    The Jacobian's slots are listed once, from the faces and the Dirichlet
-    walls; every assemble call writes their values, in the same order,
+    The Jacobian's slots are listed once, from the faces, the walls'
+    included; every assemble call writes their values, in the same order,
     into one blockmesh.FixedPattern.
     """
 
@@ -196,35 +192,52 @@ class _Assembler:
         self.params = params
         self.bcs = {side: bcs.get(side, BoundarySpec())
                     for side in grid.boundary}
+
+        # the faces: the interior ones, then the walls' in grid.boundary
+        # order, each from its cell to its own ghost m, m + 1, ...
+        m, nf = grid.n_cells, len(grid.face_left)
         vg = params.cset.fracture.vg
-        self.ghosts = {}
-        for side, bc in self.bcs.items():
-            if bc.kind == "dirichlet":
-                pc_b = float(con.capillary_pressure(bc.saturation, vg))
-                lw, ln, _ = con.mobilities(bc.saturation, vg,
-                                           params.cset.fluids)
-                self.ghosts[side] = _DirichletGhost(
-                    pw=bc.pressure_n - pc_b, pn=bc.pressure_n,
-                    lam_w=float(lw), lam_n=float(ln))
+        left, trans = [grid.face_left], [params.k_star * grid.face_trans]
+        rate, ghosts, sizes = [np.zeros(0)], [], []
+        for side, (bcells, btr, area) in grid.boundary.items():
+            bc = self.bcs[side]
+            if bc.kind == "noflow":
+                continue
+            pc_b = float(con.capillary_pressure(bc.saturation, vg))
+            lw, ln, _ = con.mobilities(bc.saturation, vg, params.cset.fluids)
+            ghosts.append((bc.pressure_n - pc_b, bc.pressure_n,
+                           float(lw), float(ln)))
+            sizes.append(len(bcells))
+            left.append(bcells)
+            inflow = bc.kind == "inflow"
+            trans.append(np.zeros_like(btr) if inflow else params.k_star * btr)
+            rate.append(bc.wetting_rate * area if inflow
+                        else np.zeros_like(area))
+        self.left, self.trans, self.wall_rate = (
+            np.concatenate(a) for a in (left, trans, rate))
+        self.right = np.concatenate((grid.face_right,
+                                     m + np.arange(sum(sizes))))
+        # per wall face: its ghost's (P_w, P_n) and (lam_w, lam_n)
+        ghost = np.repeat(np.reshape(ghosts, (-1, 4)), sizes, axis=0).T
+        self.ghost_pres, self.ghost_lam = ghost[:2], ghost[2:]
+        self.n_faces, ends = nf, np.cumsum(sizes)
+        self.walls = [slice(e - n, e) for n, e in zip(sizes, ends)]
 
         # slots in the order assemble lists their values: the cells'
-        # accumulation and source; per phase, the faces' flux derivatives
-        # in the columns (S_l, S_r, P_l, P_r), for the rows of the lower
-        # and the higher cell; per Dirichlet wall and phase, the columns
-        # (S, P) of its cells
-        m = grid.n_cells
+        # accumulation and source; per phase, the interior faces' flux
+        # derivatives in the columns (S_l, S_r, P_l, P_r), for the rows of
+        # the lower and the higher cell, then the wall faces' in the
+        # columns (S, P) of their cells
         cells = np.arange(m)
         kl, kr = grid.face_left, grid.face_right
+        wc = self.left[nf:]
         rows, cols = [cells, cells + m], [cells, cells]
         for roff in (0, m):
             for col in (kl, kr, kl + m, kr + m):
                 rows += [kl + roff, kr + roff]
                 cols += [col, col]
-        for side in self.ghosts:
-            bcells = grid.boundary[side][0]
-            for roff in (0, m):
-                rows += [bcells + roff, bcells + roff]
-                cols += [bcells, bcells + m]
+            rows += [wc + roff, wc + roff]
+            cols += [wc, wc + m]
         self.pattern = FixedPattern(np.concatenate(rows),
                                     np.concatenate(cols), (2 * m, 2 * m))
 
@@ -238,11 +251,8 @@ class _Assembler:
         its unknowns (S, P_n) permuted by pattern.order; the next call
         overwrites it.
         """
-        g = self.grid
-        par = self.params
-        vol = g.volumes
-        kst = par.k_star
-        cset = par.cset
+        vol = self.grid.volumes
+        cset = self.params.cset
         vg = cset.fracture.vg
 
         pc = np.asarray(con.capillary_pressure(s, vg))
@@ -265,54 +275,43 @@ class _Assembler:
 
         vals = [acc - vol * dq_w, -acc + vol * dq_w]          # dR/dS
 
-        kl, kr = g.face_left, g.face_right
-        tk = kst * g.face_trans
-        phases = ((pw, lam_w, dlam_w, r_w, True),
-                  (pn, lam_n, dlam_n, r_n, False))
-        for pres, lam, dlam, r_ph, with_pc in phases:
+        # the ghosts follow the cells; their states are fixed: zero slopes
+        kl, kr, tk, nf = self.left, self.right, self.trans, self.n_faces
+        flat = np.zeros(len(kl) - nf)
+        dpc = np.concatenate((dpc, flat))
+        phases = ((pw, lam_w, dlam_w, r_w, 0, self.wall_rate),
+                  (pn, lam_n, dlam_n, r_n, 1, 0.0))
+        rates = []                     # into the domain: wetting, nonwetting
+        for pres, lam, dlam, r_ph, k, fixed in phases:
+            pres = np.concatenate((pres, self.ghost_pres[k]))
+            lam = np.concatenate((lam, self.ghost_lam[k]))
+            dlam = np.concatenate((dlam, flat))
             lam_f, from_left = upwind_phase_mobility(
                 pres[kl], pres[kr], lam[kl], lam[kr])
             dp = pres[kr] - pres[kl]
             t_f = tk * lam_f
-            flux = t_f * dp                           # into the lower cell
-            np.add.at(r_ph, kl, -flux)
-            np.add.at(r_ph, kr, flux)
+            flux = t_f * dp                           # into the left cell
+            # a cell sums its interior fluxes first, then its walls' in
+            # wall order, and the rates sum per wall: that order fixes the
+            # rounding of the residual and the rates
+            np.add.at(r_ph, kl[:nf], -flux[:nf])
+            np.add.at(r_ph, kr[:nf], flux[:nf])
+            wall = flux[nf:] + fixed                  # into the domain
+            np.add.at(r_ph, kl[nf:], -wall)
+            rate = 0.0
+            for w in self.walls:
+                rate += float(wall[w].sum())
+            rates.append(rate)
             # d flux / d(S_l, S_r): the upwind cell's mobility, and
             # dP_w/dS = -Pc' in the wetting phase; dP/dP_n = 1
             d_sl = np.where(from_left, tk * dlam[kl] * dp, 0.0)
             d_sr = np.where(from_left, 0.0, tk * dlam[kr] * dp)
-            if with_pc:
+            if k == 0:
                 d_sl += t_f * dpc[kl]
                 d_sr -= t_f * dpc[kr]
             for d in (d_sl, d_sr, -t_f, t_f):
-                vals += [-d, d]
-
-        rates = [0.0, 0.0]             # into the domain: wetting, nonwetting
-        for side, (bcells, btr, area) in g.boundary.items():
-            bc = self.bcs[side]
-            if bc.kind == "noflow":
-                continue
-            if bc.kind == "inflow":
-                inflow = bc.wetting_rate * area
-                r_w[bcells] -= inflow
-                rates[0] += float(inflow.sum())
-                continue
-            ghost = self.ghosts[side]
-            tk = kst * btr
-            for k, (pres, lam, dlam, r_ph, with_pc) in enumerate(phases):
-                lam_b, p_b = ((ghost.lam_w, ghost.pw) if with_pc
-                              else (ghost.lam_n, ghost.pn))
-                lam_f, cell_up = upwind_phase_mobility(
-                    pres[bcells], p_b, lam[bcells],
-                    np.full(len(bcells), lam_b))
-                dp = p_b - pres[bcells]
-                flux = tk * lam_f * dp                 # into the cell
-                np.add.at(r_ph, bcells, -flux)
-                rates[k] += float(flux.sum())
-                d_s = -tk * np.where(cell_up, dlam[bcells], 0.0) * dp
-                if with_pc:
-                    d_s -= tk * lam_f * dpc[bcells]
-                vals += [d_s, tk * lam_f]
+                vals += [-d[:nf], d[:nf]]
+            vals += [-d_sl[nf:], t_f[nf:]]           # a wall: its cell's row
 
         jac = self.pattern.fill(np.concatenate(vals))
         return np.concatenate((r_w, r_n)), jac, tuple(rates), p_wall, q_w

@@ -11,11 +11,12 @@ Oracles used here:
     convolution history;
   * the fixed-pattern Jacobian equals the per-iteration COO assembly it
     replaced (kept here as CooAssembler), permuted into the pattern's
-    order, entry for entry, with the same residual and boundary rates,
-    and its pattern does not move when the upwind directions do; the
-    analytic Jacobian's finite-difference check permutes it back; a
-    flood's Jacobians factored with LU_OPTIONS
-    solve as with SuperLU's default ordering;
+    order, entry for entry, with the same residual and boundary rates
+    (bitwise, also on the wall layouts where a cell's summation order
+    decides it), and its pattern does not move when the upwind directions
+    do; the analytic Jacobian's finite-difference check permutes it back;
+    a flood's Jacobians factored with LU_OPTIONS solve as with SuperLU's
+    default ordering;
   * the per-step sources realized by the solver's sum-of-exponentials
     memory must agree with the exact product quadrature
     (oracles.sqrt_kernel_step) applied to the recorded wall and alpha
@@ -55,12 +56,13 @@ Oracles used here:
 """
 import copy
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
@@ -303,10 +305,32 @@ def test_assembled_wall_values_are_the_transfer_of_the_iterate(sim1_cset):
     assert np.array_equal(p_wall, sim1_cset.transfer(s))
 
 
+@dataclass(frozen=True)
+class DirichletGhost:
+    pw: float
+    pn: float
+    lam_w: float
+    lam_n: float
+
+
 class CooAssembler(_Assembler):
     """The flood's Jacobian assembly before the fixed pattern: about 20
     COO pieces and one tocsc per call, the upwind slope in the column of
-    the iterate's upwind cell.  assemble is kept as it was."""
+    the iterate's upwind cell, and a separate loop over the walls with one
+    ghost per Dirichlet wall.  assemble is kept as it was."""
+
+    def __init__(self, grid, params, bcs):
+        super().__init__(grid, params, bcs)
+        vg = params.cset.fracture.vg
+        self.ghosts = {}
+        for side, bc in self.bcs.items():
+            if bc.kind == "dirichlet":
+                pc_b = float(con.capillary_pressure(bc.saturation, vg))
+                lw, ln, _ = con.mobilities(bc.saturation, vg,
+                                           params.cset.fluids)
+                self.ghosts[side] = DirichletGhost(
+                    pw=bc.pressure_n - pc_b, pn=bc.pressure_n,
+                    lam_w=float(lw), lam_n=float(ln))
 
     def assemble(self, s, pn, s_old, dt, impl, expl, wall_ref):
         """Residual vector (R_w, R_n), Jacobian and the into-domain
@@ -430,6 +454,23 @@ def flood_cases(draw):
     return grid, bcs, model, draw(st.integers(0, 2 ** 32 - 1))
 
 
+def wall_case(nx, ny, kinds):
+    """A flood case whose walls of the given kinds share cells; walls
+    not named are no-flow."""
+    bcs = {side: BoundarySpec(kind, saturation=0.3, pressure_n=1.05e6,
+                              wetting_rate=2e-6)
+           for side, kind in kinds.items()}
+    return build_grid(nx, ny, lx=6.0, ly=4.0), bcs, "fixed", 20231
+
+
+# the cases where the order in which a cell sums its wall fluxes decides
+# bitwise equality: an inflow and a Dirichlet wall sharing a corner cell,
+# the inflow wall before and after the Dirichlet one in the mesh's wall
+# order, and a column one cell wide, whose cells all lie on both x walls
+@example(wall_case(3, 2, {"xmin": "inflow", "ymin": "dirichlet"}))
+@example(wall_case(3, 2, {"xmin": "dirichlet", "ymin": "inflow"}))
+@example(wall_case(1, 3, {"xmin": "inflow", "xmax": "dirichlet",
+                          "ymax": "dirichlet"}))
 @settings(max_examples=60, deadline=None)
 @given(flood_cases())
 def test_fixed_pattern_jacobian_matches_coo_assembly(sim1_cset, case):

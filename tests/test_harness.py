@@ -182,6 +182,11 @@ def test_run_method_block_methods_need_delta():
         hz.run_method(small_config(), "nlin")
 
 
+def test_run_method_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="^unknown method 'bogus'$"):
+        hz.run_method(small_config(), "bogus", 0.1)
+
+
 def test_run_comparison_key_layout():
     cfg = small_config(methods=("clin", "effective-I"), deltas=(0.1,))
     results = hz.run_comparison(cfg)
@@ -397,6 +402,13 @@ def test_load_flood_config(tmp_path):
         hz.load_flood_config(str(bad))
 
 
+def test_flood_config_built_in_code_rejects_a_nan_length():
+    # the loader rejects a non-finite number before the class sees it; a
+    # configuration built in code meets the class's own check
+    with pytest.raises(ValueError, match="^lx must be a finite number"):
+        hz.FloodConfig(lx=float("nan"))
+
+
 @pytest.mark.parametrize("key, message", [
     ("scenario", "unknown preset 'bogus'; available: "),
     ("source_model", "unknown source model 'bogus'"),
@@ -556,6 +568,15 @@ def test_cli_error_paths_exit_nonzero(tmp_path, capsys):
     junk.write_text("nope\n")
     assert main(["compare", str(junk), str(junk)]) == 1
     assert "dualporo:" in capsys.readouterr().err
+    two = tmp_path / "two.csv"
+    times = np.linspace(0.5, 9.5, 10) * DAY
+    hz.write_exchange_csv(str(two), [
+        series_of(-np.arange(1.0, 11.0), times, method, 0.1)
+        for method in ("clin", "vlin")])
+    assert main(["compare", str(two), str(two)]) == 1
+    assert capsys.readouterr().err == (
+        "dualporo: each file must hold exactly one series; found 2 in "
+        f"{two} and 2 in {two}\n")
     # an empty config path is a given path, not the default flood
     outdir = tmp_path / "out"
     assert main(["effective-run", "", "--outdir", str(outdir)]) == 1
@@ -734,11 +755,13 @@ def test_cli_run_report_errors_leave_no_outdir(tmp_path, capsys, args):
     ({"outlet_saturation": -0.1}, "outlet_saturation"),
     ({"lx": 0.0}, "lx"),
     ({"inflow_rate": -1.5e-6}, "inflow_rate"),
+    ({"nx": True}, "nx"),
 ], ids=["one-row", "nan-rate", "zero-steps", "yaml-one-row",
         "yaml-nonpositive-snapshots", "yaml-s-init-above-one",
         "yaml-s-init-zero", "yaml-s-init-one", "yaml-s-init-below-clamp",
         "yaml-s-init-top-of-clamp", "yaml-outlet-above-one",
-        "yaml-outlet-negative", "yaml-zero-length", "yaml-negative-rate"])
+        "yaml-outlet-negative", "yaml-zero-length", "yaml-negative-rate",
+        "yaml-boolean-cells"])
 def test_cli_flood_config_fails_at_load(tmp_path, capsys, args, field):
     # a one-row flood has k* = 0 and a NaN rate passes the CLI's float
     # parsing; both used to fail only inside the Newton solve, as an
