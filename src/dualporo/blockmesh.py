@@ -27,12 +27,16 @@ reference.
 
 Both solvers' Newton matrices keep one sparsity pattern for a whole run.
 FixedPattern holds that pattern as one CSC matrix and writes each
-iteration's values into it.  The fill-reducing ordering depends on the
-pattern alone, so FixedPattern computes it once, when it is built (the
-LU_OPTIONS ordering of one stand-in matrix), stores the matrix in that
-order, and each factorization of the run reuses it: analyse once,
-refactor many times, as KLU does for circuit Jacobians (Davis and
-Palamadai Natarajan, ACM TOMS 37 (2010) 36).
+iteration's values into it.  How it factors depends on the pattern alone,
+so FixedPattern decides once, when it is built, and stores the matrix in
+the order that route factors: analyse once, refactor many times, as KLU
+does for circuit Jacobians (Davis and Palamadai Natarajan, ACM TOMS 37
+(2010) 36).  A narrow pattern, whose Cuthill-McKee order has
+half-bandwidth kl with n kl^2 < BAND_WORK (Cuthill and McKee, Proc. 24th
+ACM National Conf. (1969) 157), is factored by LAPACK's band LU, dgbtrf:
+the block's corners and floods up to 43 x 43 cells.  A wider one is
+factored by SuperLU in the LU_OPTIONS ordering of one stand-in matrix,
+which stays the reference the band route is tested against.
 """
 from __future__ import annotations
 
@@ -40,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu as _splu
 
 
@@ -117,19 +122,67 @@ def layer_adapted_grid(n_cells: int, delta: float,
 
 _AXES = "xyz"
 
-# SuperLU's ordering of a FixedPattern: minimum degree on the pattern of
-# A^T + A, with diagonal pivots preferred.  The matrices are structurally
-# symmetric, so this ordering keeps less fill than the default COLAMD (a
-# 48 x 48 flood Jacobian: 410 k -> 243 k entries of L + U, half the
-# factorization time).  The block's small matrices gain mostly from the
-# diagonal pivots: 256 corner cells factor in 0.78 ms with COLAMD, 0.73 ms
-# with the ordering alone and 0.55 ms with both (one 2-vCPU x86 host).
-# The ordering is computed once per pattern, from one stand-in matrix;
-# every factorization of the pattern's matrices then takes it as given
-# (NATURAL): a 48 x 48 flood LU takes 13.0 ms instead of 16.1 ms, a
-# 96 x 96 one 81.9 ms instead of 96.5 ms (same host, interleaved).
+# The bound on n kl^2, the band LU's work, below which a FixedPattern of n
+# unknowns and Cuthill-McKee half-bandwidth kl is factored by dgbtrf.  Set
+# from the time whole runs spend in LU and solve, band / SuperLU (median
+# of three to five alternating runs, one 2-vCPU x86 host): floods of
+# 32^2, 40^2, 44^2 and 48^2 cells (n kl^2 8.7e6, 2.1e7, 3.1e7, 4.3e7)
+# 0.63, 0.84, 1.02, 1.09; 2d corners of 64^2 and 80^2 (1.7e7, 4.1e7)
+# 0.74, 0.98; 3d corners of 12^3 .. 14^3 (2.3e7 .. 6.5e7) 0.56 .. 0.65.
+# The bound sits at the flood's crossover, so 3d corners from 13^3 keep
+# SuperLU: the flood's pressure columns are 1e5 times smaller than its
+# saturation columns, and dgbtrf swaps half its saturation rows.
+BAND_WORK = 30_000_000
+
+# SuperLU's ordering of a wider FixedPattern: minimum degree on the pattern
+# of A^T + A, with diagonal pivots preferred.  The matrices are
+# structurally symmetric, so this ordering keeps less fill than the
+# default COLAMD (a 48 x 48 flood Jacobian: 410 k -> 243 k entries of
+# L + U, half the factorization time).  The ordering is computed once per
+# pattern, from one stand-in matrix; every factorization of the pattern's
+# matrices then takes it as given (NATURAL): a 48 x 48 flood LU takes
+# 13.0 ms instead of 16.1 ms, a 96 x 96 one 81.9 ms instead of 96.5 ms
+# (one 2-vCPU x86 host, interleaved).
 LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A",
               "options": {"SymmetricMode": True}}
+
+
+def _band_order(mat: sp.csc_matrix, work: int):
+    """The Cuthill-McKee order of mat's structurally symmetric pattern,
+    or None once its half-bandwidth kl reaches n kl^2 >= work.
+
+    Level by level from a node of least degree: each level holds the
+    unplaced neighbours of the one before, ordered by their earliest
+    placed neighbour, then by degree; a component that runs out restarts
+    at the unplaced node of least degree.  Every entry couples a level to
+    itself or to the next, so the half-bandwidth is the largest distance
+    from a node to its earliest neighbour, and a wide pattern stops
+    within a few levels."""
+    n = mat.shape[0]
+    indptr, indices = mat.indptr, mat.indices
+    degree = np.diff(indptr)
+    rank = np.full(n, -1)
+    placed = 0
+    while placed < n:
+        free = np.flatnonzero(rank < 0)
+        level = free[[np.argmin(degree[free])]]
+        while len(level):
+            rank[level] = np.arange(placed, placed + len(level))
+            placed += len(level)
+            counts = degree[level]
+            ends = np.cumsum(counts)
+            nb = indices[np.repeat(indptr[level] - ends + counts, counts)
+                         + np.arange(ends[-1])]
+            parent = np.repeat(rank[level], counts)
+            new = rank[nb] < 0
+            level, first = np.unique(nb[new], return_index=True)
+            parent = parent[new][first]
+            by = np.lexsort((degree[level], parent))
+            level, parent = level[by], parent[by]
+            kl = (placed + np.arange(len(level)) - parent).max(initial=0)
+            if n * kl ** 2 >= work:
+                return None
+    return np.argsort(rank)
 
 
 def _lu_order(mat: sp.csc_matrix) -> np.ndarray:
@@ -141,6 +194,22 @@ def _lu_order(mat: sp.csc_matrix) -> np.ndarray:
     mat.data[:] = -1.0
     standin = mat + sp.diags(np.diff(mat.indptr) + 1.0)
     return np.argsort(_splu(standin.tocsc(), **LU_OPTIONS).perm_c)
+
+
+class BandLU:
+    """LAPACK's band LU (dgbtrf) of a matrix with kl sub- and ku
+    superdiagonals, given in band storage ab: entry (i, j) in row
+    kl + ku + i - j of column j, the first kl rows free for the fill of
+    row interchanges.  ab is overwritten by the factors."""
+
+    def __init__(self, ab: np.ndarray, kl: int, ku: int):
+        self._lu, self._piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+        if info > 0:
+            raise RuntimeError("Factor is exactly singular")
+        self._kl, self._ku = kl, ku
+
+    def solve(self, b) -> np.ndarray:
+        return dgbtrs(self._lu, self._kl, self._ku, b, self._piv)[0]
 
 
 class OrderedLU:
@@ -159,29 +228,44 @@ class OrderedLU:
 
 class FixedPattern:
     """A square sparse matrix whose nonzero pattern is fixed by a list of
-    slots, stored in its LU ordering.
+    slots, stored in the order its LU takes.
 
     Slot i holds entry (rows[i], cols[i]); slots that share an entry are
     summed.  The pattern is the union of the slots, built once as a CSC
     matrix of the symmetrically permuted unknowns: entry (i, j) of the
     stored matrix is entry (order[i], order[j]) of the slots' matrix.
-    fill writes new slot values into it, and factor is the one way to
-    factor it.
+    order is the pattern's Cuthill-McKee order when that is narrow enough
+    for the band LU (band holds its (kl, ku) then), else SuperLU's
+    LU_OPTIONS order (band is None).  fill writes new slot values into the
+    matrix, and factor is the one way to factor it.
     """
 
     def __init__(self, rows, cols, shape: tuple):
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
-        self.order = _lu_order(sp.csc_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=shape))
+        n = shape[0]
+        pattern = sp.csc_matrix((np.ones(len(rows)), (rows, cols)),
+                                shape=shape)
+        self.order = _band_order(pattern, BAND_WORK)
+        banded = self.order is not None
+        if not banded:
+            self.order = _lu_order(pattern)
         rank = np.argsort(self.order)
-        keys, self._pos = np.unique(rank[cols] * shape[0] + rank[rows],
+        keys, self._pos = np.unique(rank[cols] * n + rank[rows],
                                     return_inverse=True)
         indptr = np.zeros(shape[1] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // shape[0], minlength=shape[1]),
+        np.cumsum(np.bincount(keys // n, minlength=shape[1]),
                   out=indptr[1:])
         self.matrix = sp.csc_matrix(
-            (np.zeros(len(keys)), keys % shape[0], indptr), shape=shape)
+            (np.zeros(len(keys)), keys % n, indptr), shape=shape)
+        self.band = None
+        if banded:
+            i, j = keys % n, keys // n
+            kl, ku = int((i - j).max()), int((j - i).max())
+            self.band = (kl, ku)
+            # each stored entry's place in the C-ordered transpose of the
+            # band storage BandLU takes
+            self._band_index = j * (2 * kl + ku + 1) + kl + ku + i - j
 
     def fill(self, vals) -> sp.csc_matrix:
         """The stored (permuted) matrix with entries summed from one value
@@ -192,11 +276,19 @@ class FixedPattern:
         return mat
 
     def factor(self, mat: sp.csc_matrix, splu) -> OrderedLU:
-        """LU of mat, a matrix of this pattern as fill returns it, made by
-        splu (scipy's, or a caller's wrapper of it) in the stored order;
-        its solve takes and returns vectors of unpermuted unknowns."""
-        return OrderedLU(splu(mat, permc_spec="NATURAL",
-                              options={"SymmetricMode": True}), self.order)
+        """LU of mat, a matrix of this pattern as fill returns it: the
+        band LU on a band pattern, else made by splu (scipy's, or a
+        caller's wrapper of it) in the stored order.  A singular matrix
+        raises RuntimeError on either route; the LU's solve takes and
+        returns vectors of unpermuted unknowns."""
+        if self.band is None:
+            return OrderedLU(splu(mat, permc_spec="NATURAL",
+                                  options={"SymmetricMode": True}),
+                             self.order)
+        kl, ku = self.band
+        ab = np.zeros((mat.shape[1], 2 * kl + ku + 1))
+        ab.reshape(-1)[self._band_index] = mat.data
+        return OrderedLU(BandLU(ab.T, kl, ku), self.order)
 
 
 @dataclass(frozen=True)

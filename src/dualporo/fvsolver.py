@@ -112,6 +112,7 @@ class BoundarySpec:
     "noflow" (default), "dirichlet" with ghost values (saturation,
     pressure_n), or "inflow" with a wetting volumetric rate per unit
     boundary area [m/s], positive into the domain, no nonwetting flux.
+    A flood with an inflow wall needs a dirichlet wall.
     """
 
     kind: str = "noflow"
@@ -192,6 +193,10 @@ class _Assembler:
         self.params = params
         self.bcs = {side: bcs.get(side, BoundarySpec())
                     for side in grid.boundary}
+        kinds = {bc.kind for bc in self.bcs.values()}
+        if "inflow" in kinds and "dirichlet" not in kinds:
+            raise ValueError("an inflow wall needs a dirichlet wall: both "
+                             "fluids are incompressible")
 
         # the faces: the interior ones, then the walls' in grid.boundary
         # order, each from its cell to its own ghost m, m + 1, ...

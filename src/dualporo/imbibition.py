@@ -265,7 +265,8 @@ class BlockStepper:
         return self.pattern.fill(np.concatenate((-kd, acc)))
 
     def factor(self, jac):
-        """LU of a matrix jacobian returned, made by this module's splu."""
+        """LU of a matrix jacobian returned, by the pattern's route (made
+        by this module's splu on SuperLU's)."""
         return self.pattern.factor(jac, splu)
 
     def newton_step(self, s_old, dt: float, g: float, beta, alpha):

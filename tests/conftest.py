@@ -1,6 +1,8 @@
-"""Shared constructors: the default two-media scenario used across tests."""
+"""Shared constructors: the default two-media scenario used across tests,
+and a record of the matrices FixedPattern factors."""
 import pytest
 
+from dualporo import blockmesh as bm
 from dualporo import constitutive as con
 
 
@@ -27,3 +29,19 @@ def sim1_cset(matrix_vg, fracture_vg, fluids):
         fracture=con.MediumProps(porosity=0.2, permeability=1.0e-13,
                                  vg=fracture_vg),
         fluids=fluids)
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """The list of (matrix copy, pattern) that FixedPattern.factor, the
+    one way the package factors, is given during the test, on either LU
+    route."""
+    calls = []
+    factor = bm.FixedPattern.factor
+
+    def recording_factor(pattern, mat, splu):
+        calls.append((mat.copy(), pattern))
+        return factor(pattern, mat, splu)
+
+    monkeypatch.setattr(bm.FixedPattern, "factor", recording_factor)
+    return calls

@@ -60,12 +60,14 @@ def test_settable_values_do_not_grow():
 
 def test_only_blockmesh_chooses_an_lu_ordering():
     # every factorization goes through blockmesh.FixedPattern, whose
-    # ordering is computed once per pattern
+    # ordering and route (SuperLU or LAPACK's band LU) are chosen once per
+    # pattern
     package_dir = pathlib.Path(dualporo.__file__).parent
     for path in sorted(package_dir.glob("*.py")):
         if path.name != "blockmesh.py":
             source = path.read_text(encoding="utf-8")
-            assert not re.search(r"\b(permc_spec|LU_OPTIONS)\b", source), \
+            assert not re.search(
+                r"\b(permc_spec|LU_OPTIONS|lapack)\b|gbtr[fs]", source), \
                 path.name
 
 

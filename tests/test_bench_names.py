@@ -17,6 +17,12 @@ Oracles used here:
     equal the Newton iterations, and none is counted as a flood LU: the
     block's Newton loop factors through imbibition.splu, the module the
     benchmark counts it in.
+
+Both LU counts are checked on SuperLU's route (blockmesh.BAND_WORK set
+to 0): the tracer counts LUs at imbibition.splu and fvsolver.splu, which
+the band LU of these tiny patterns does not call.  On the band route the
+same runs trace no LU at all, pinned by the last test until the
+benchmark counts band LUs too.
 """
 import dataclasses
 import importlib
@@ -24,6 +30,7 @@ import importlib.util
 from pathlib import Path
 
 import dualporo
+from dualporo import blockmesh as bm
 from dualporo import harness as hz
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -44,14 +51,14 @@ def shim_owner(owner_path):
     return getattr(owner, cls_name) if cls_name else owner
 
 
-def test_tracer_shims_and_flood_checks_reach_the_program():
+def test_tracer_shims_and_flood_checks_reach_the_program(monkeypatch):
+    monkeypatch.setattr(bm, "BAND_WORK", 0)
     spans = load_bench_module("spans")
     checks = load_bench_module("checks")
     originals = [(owner_path, attr,
                   getattr(shim_owner(owner_path), attr))
                  for owner_path, attr, _, _ in spans.SHIMS]
-    cfg = hz.FloodConfig(nx=4, ny=4, n_steps=3, t_end_days=1.0,
-                         source_model="warped", snapshot_days=(1.0,))
+    cfg = hz.FloodConfig(**TINY_FLOOD)
     tracer = spans.Tracer("test")
     try:
         tracer.install()
@@ -87,21 +94,48 @@ def test_tracer_shims_and_flood_checks_reach_the_program():
     assert (tally.failed, tally.problems) == (0, [])
 
 
-def test_traced_nlin_counts_block_lus_in_imbibition():
-    spans = load_bench_module("spans")
-    cfg = dataclasses.replace(hz.get_preset("sim1"), methods=("nlin",),
-                              deltas=(0.1,), n_steps=4, mesh_cells=8,
-                              t_end_days=1.0)
+TINY_NLIN = dict(methods=("nlin",), deltas=(0.1,), n_steps=4, mesh_cells=8,
+                 t_end_days=1.0)
+TINY_FLOOD = dict(nx=4, ny=4, n_steps=3, t_end_days=1.0,
+                  source_model="warped", snapshot_days=(1.0,))
+
+
+def traced_metrics(spans, run, cfg):
+    """Per-layer metrics of harness.<run>(cfg), looked up once the tracer
+    has wrapped it."""
     tracer = spans.Tracer("test")
     try:
         tracer.install()
-        hz.run_comparison(cfg)
+        getattr(hz, run)(cfg)
     finally:
         tracer.uninstall()
-    metrics = spans.layer_metrics(tracer, tables_built=0)
+    return spans.layer_metrics(tracer, tables_built=0)
+
+
+def test_traced_nlin_counts_block_lus_in_imbibition(monkeypatch):
+    monkeypatch.setattr(bm, "BAND_WORK", 0)
+    spans = load_bench_module("spans")
+    cfg = dataclasses.replace(hz.get_preset("sim1"), **TINY_NLIN)
+    metrics = traced_metrics(spans, "run_comparison", cfg)
     assert metrics["imbibition.newton_failures"] == 0
     assert metrics["imbibition.newton_steps"] == 4
     assert metrics["imbibition.lu_count"] \
         == metrics["imbibition.newton_iters"] > 0
     assert metrics["fvsolver.lu_count"] == 0
     assert metrics["linearized.lu_count"] == 0
+
+
+def test_tracer_counts_no_band_lu(factored):
+    # the same tiny runs on the band route: Newton corrects, FixedPattern
+    # factors once per correction, and the tracer sees none of it
+    spans = load_bench_module("spans")
+    nlin = dataclasses.replace(hz.get_preset("sim1"), **TINY_NLIN)
+    metrics = traced_metrics(spans, "run_comparison", nlin)
+    assert metrics["imbibition.newton_iters"] == len(factored) > 0
+    assert metrics["imbibition.lu_count"] == 0
+
+    factored.clear()
+    metrics = traced_metrics(spans, "run_flood", hz.FloodConfig(**TINY_FLOOD))
+    assert metrics["fvsolver.newton_iters"] == len(factored) > 0
+    assert metrics["fvsolver.lu_count"] == 0
+    assert all(pattern.band is not None for _, pattern in factored)

@@ -9,12 +9,18 @@ diffusion_matrix @ 1 + boundary_weights = 0 (a constant field has zero
 flux divergence against a matching wall value), on the full cube and on
 its mirror corner, whose operator is checked by hand in 1-D and 2-D.
 
-FixedPattern's one LU ordering is checked against per-call SuperLU with
-LU_OPTIONS, the reference it replaces: on random tensor-mesh patterns of
-one and two unknowns per cell the ordered factorization solves to 1e-12
-of the reference with its L + U fill within 1%, and on a real block and
-a real flood Jacobian the stand-in's order is the one SuperLU computes
-for the Jacobian itself.
+FixedPattern's two LU routes are checked against per-call SuperLU with
+LU_OPTIONS, the reference they replace.  SuperLU's route (taken with
+BAND_WORK set to 0): on random tensor-mesh patterns of one and two
+unknowns per cell the ordered factorization solves to 1e-12 of the
+reference with its L + U fill within 1%, and on a real block and a real
+flood Jacobian the stand-in's order is the one SuperLU computes for the
+Jacobian itself.  The band route: on the same random patterns the band LU
+solves to 1e-12 of the reference; the Cuthill-McKee pass that stops once
+its band exceeds a width decides as the whole pass does; on the real
+Jacobians the band order's half-bandwidth is that of scipy's reverse
+Cuthill-McKee order; and the bound keeps the block corners and small
+floods on the band route and a 48 x 48 flood on SuperLU's.
 """
 import dataclasses
 
@@ -23,6 +29,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from dualporo import blockmesh as bm
@@ -226,15 +233,14 @@ def pattern_cases(draw):
     return mesh, draw(st.sampled_from((1, 2))), draw(st.integers(0, 2**32))
 
 
-@settings(max_examples=60, deadline=None)
-@given(pattern_cases())
-def test_ordered_lu_matches_per_call_superlu(case):
+def pattern_matrix(case):
+    """Slots, values and the reference CSC matrix of a pattern case:
+    values weighted toward the diagonal, off-diagonal slots in (-1, 1),
+    diagonals 0.5 to 2 times their row's off-diagonal sum, either sign."""
     mesh, unknowns, seed = case
     rng = np.random.default_rng(seed)
     rows, cols = tensor_slots(mesh, unknowns)
     n = unknowns * mesh.n_cells
-    # values weighted toward the diagonal: off-diagonal slots in (-1, 1),
-    # diagonals 0.5 to 2 times their row's off-diagonal sum, either sign
     vals = rng.uniform(-1.0, 1.0, len(rows))
     diag = rows == cols
     vals[diag] = 0.0
@@ -242,8 +248,18 @@ def test_ordered_lu_matches_per_call_superlu(case):
     vals[diag] = (off[rows[diag]] + 1.0) * rng.uniform(0.5, 2.0, diag.sum()) \
         * rng.choice((-1.0, 1.0), diag.sum())
     ref = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+    return rows, cols, vals, ref, rng
 
-    pattern = bm.FixedPattern(rows, cols, (n, n))
+
+@settings(max_examples=60, deadline=None)
+@given(pattern_cases())
+def test_ordered_lu_matches_per_call_superlu(case):
+    rows, cols, vals, ref, rng = pattern_matrix(case)
+    n = ref.shape[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bm, "BAND_WORK", 0)
+        pattern = bm.FixedPattern(rows, cols, (n, n))
+    assert pattern.band is None
     order = pattern.order
     mat = pattern.fill(vals)
     assert np.array_equal(mat.toarray(), ref.toarray()[np.ix_(order, order)])
@@ -257,6 +273,49 @@ def test_ordered_lu_matches_per_call_superlu(case):
     assert abs(fill - fill_ref) <= 0.01 * fill_ref
 
 
+def half_bandwidth(mat, order):
+    rank = np.argsort(order)
+    entries = mat.tocoo()
+    return int(np.abs(rank[entries.row] - rank[entries.col]).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(pattern_cases())
+def test_band_lu_matches_per_call_superlu(case):
+    rows, cols, vals, ref, rng = pattern_matrix(case)
+    n = ref.shape[0]
+    pattern = bm.FixedPattern(rows, cols, (n, n))
+    order = pattern.order
+    kl = half_bandwidth(ref, order)
+    assert pattern.band == (kl, kl)
+    assert n * kl ** 2 < bm.BAND_WORK
+    assert np.array_equal(np.sort(order), np.arange(n))
+    mat = pattern.fill(vals)
+    assert np.array_equal(mat.toarray(), ref.toarray()[np.ix_(order, order)])
+    lu = pattern.factor(mat, splu)
+    assert isinstance(lu.lu, bm.BandLU)
+    b = rng.standard_normal(n)
+    x, x_ref = lu.solve(b), splu(ref, **bm.LU_OPTIONS).solve(b)
+    assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(pattern_cases(), st.floats(0.0, 2.0))
+def test_band_order_stops_as_the_whole_pass_decides(case, fraction):
+    # the pass that stops once n kl^2 reaches a bound returns None exactly
+    # when the whole pass's band does, and else the same order
+    _, _, _, ref, _ = pattern_matrix(case)
+    n = ref.shape[0]
+    whole = bm._band_order(ref, n ** 3 + 1)
+    band_work = n * half_bandwidth(ref, whole) ** 2
+    work = round(fraction * band_work)
+    stopped = bm._band_order(ref, work)
+    if band_work >= work:
+        assert stopped is None
+    else:
+        assert np.array_equal(stopped, whole)
+
+
 def superlu_order(mat, order):
     """SuperLU's LU_OPTIONS order of a pattern's matrix, computed on the
     matrix itself, unpermuted."""
@@ -266,12 +325,14 @@ def superlu_order(mat, order):
 
 def test_stand_in_order_is_superlu_order_of_real_jacobians(monkeypatch):
     # the last Jacobian a coarse sim1 nlin run and a 12 x 12 flood factor
+    # on SuperLU's route
     factored = []
 
     def recording_splu(mat, **options):
         factored.append(mat.copy())
         return splu(mat, **options)
 
+    monkeypatch.setattr(bm, "BAND_WORK", 0)
     for module in (imbibition, fvsolver):
         monkeypatch.setattr(module, "splu", recording_splu)
     cfg = dataclasses.replace(hz.get_preset("sim1"), n_steps=8)
@@ -288,3 +349,34 @@ def test_stand_in_order_is_superlu_order_of_real_jacobians(monkeypatch):
     order = solver.assembler.pattern.order
     assert len(order) == 288
     assert np.array_equal(superlu_order(factored[-1], order), order)
+
+
+def test_band_order_of_real_jacobians_and_the_route_bound(factored):
+    # the first Jacobian a coarse sim1 nlin run (16 x 16 corner) and the
+    # last a 12 x 12 flood factor on the band route: the band order's
+    # half-bandwidth is that of scipy's reverse Cuthill-McKee order (16
+    # and 25); 3d corners of 8^3 and 12^3 cells and a 32 x 32 flood are
+    # band patterns too, and a 13^3 corner (n kl^2 = 3.9e7) and a
+    # 48 x 48 flood (4.3e7) are not
+    cfg = dataclasses.replace(hz.get_preset("sim1"), n_steps=8,
+                              mesh_cells=32)
+    imbibition.run_trajectory(cfg.block_problem(0.1))
+    solver, times, _ = hz.build_flood(hz.FloodConfig(
+        nx=12, ny=12, t_end_days=2.0, n_steps=4, snapshot_days=()))
+    solver.run(0.05, 1e6, times)
+    assert factored[0][1].band == (16, 16)
+    assert factored[-1][1].band == (25, 25)
+    for mat, pattern in (factored[0], factored[-1]):
+        rank = np.argsort(pattern.order)
+        natural = mat[rank][:, rank]
+        rcm = reverse_cuthill_mckee(natural.tocsr(), symmetric_mode=True)
+        assert pattern.band[0] == half_bandwidth(natural, rcm)
+
+    for cells, banded in ((16, True), (24, True), (26, False)):
+        mesh = bm.tensor_mesh(bm.layer_adapted_grid(cells, 0.1, 1e-3), 3,
+                              corner=True)
+        pattern = imbibition.BlockStepper(mesh, 0.3, 1.0).pattern
+        assert (pattern.band is not None) == banded
+    for nx, banded in ((32, True), (48, False)):
+        solver, _, _ = hz.build_flood(hz.FloodConfig(nx=nx, ny=nx))
+        assert (solver.assembler.pattern.band is not None) == banded

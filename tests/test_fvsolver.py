@@ -62,10 +62,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
+from dualporo import blockmesh as bm
 from dualporo import constitutive as con
 from dualporo import fvsolver
 from dualporo import harness as hz
@@ -175,11 +176,15 @@ def test_boundary_counter_current_rates(sim1_cset):
 
 
 def test_inflow_contributes_only_to_the_wetting_budget(sim1_cset):
+    # the Dirichlet wall's ghost holds the cells' state, so only the
+    # inflow wall carries flux
     grid = build_grid(3, 2, lx=3.0, ly=2.0)
     rate = 2.5e-6
     solver = FractureFlowSolver(
         grid, make_params(sim1_cset),
-        {"xmin": BoundarySpec("inflow", wetting_rate=rate)})
+        {"xmin": BoundarySpec("inflow", wetting_rate=rate),
+         "xmax": BoundarySpec("dirichlet", saturation=0.3,
+                              pressure_n=1e6)})
     s, zeros = np.full(6, 0.3), np.zeros(6)
     _, _, (rate_w, rate_n), _, _ = solver.assembler.assemble(
         s, np.full(6, 1e6), s, 1.0, zeros, zeros, zeros)
@@ -189,6 +194,18 @@ def test_inflow_contributes_only_to_the_wetting_budget(sim1_cset):
 
 
 # ------------------------------------------------------------ rest states
+
+def test_inflow_without_dirichlet_wall_is_rejected_when_built(sim1_cset):
+    # the water let in has no way out, so no step of the flood can be
+    # solved: it fails when it is built, not after MAX_HALVINGS halvings
+    with pytest.raises(ValueError, match="^an inflow wall needs a "
+                       "dirichlet wall: both fluids are incompressible$"):
+        FractureFlowSolver(
+            build_grid(4, 3, lx=10.0, ly=10.0),
+            make_params(sim1_cset,
+                        SourceSpec("fixed", fixed_constant(sim1_cset))),
+            {"xmin": BoundarySpec("inflow", wetting_rate=1.5e-6)})
+
 
 def test_uniform_no_flow_state_is_stationary(sim1_cset):
     grid = build_grid(4, 3, lx=4.0, ly=3.0)
@@ -450,6 +467,8 @@ def flood_cases(draw):
             kind, saturation=draw(st.floats(0.02, 0.98)),
             pressure_n=draw(st.floats(0.8e6, 1.2e6)),
             wetting_rate=draw(st.floats(0.0, 1e-5)))
+    kinds = {bc.kind for bc in bcs.values()}
+    assume("dirichlet" in kinds or "inflow" not in kinds)   # else rejected
     model = draw(st.sampled_from(["none", "fixed", "warped"]))
     return grid, bcs, model, draw(st.integers(0, 2 ** 32 - 1))
 
@@ -509,29 +528,54 @@ def test_fixed_pattern_jacobian_matches_coo_assembly(sim1_cset, case):
         assert np.abs(dense - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
+def short_flood(cset):
+    """A 12 x 12 flood over two days in four report steps."""
+    grid = build_grid(12, 12, lx=10.0, ly=10.0)
+    bcs = {"xmin": BoundarySpec("inflow", wetting_rate=1.5e-6),
+           "xmax": BoundarySpec("dirichlet", saturation=0.05,
+                                pressure_n=1e6)}
+    source = SourceSpec("fixed", fixed_constant(cset))
+    solver = FractureFlowSolver(grid, make_params(cset, source), bcs)
+    return solver.run(0.05, 1e6, np.linspace(0.0, 2.0 * DAY, 5))
+
+
 def test_lu_ordering_matches_default_ordering(sim1_cset, monkeypatch):
-    # every Jacobian of a short flood, solved with LU_OPTIONS and with
-    # SuperLU's default ordering (COLAMD, which LU_OPTIONS replaced)
+    # every Jacobian of a short flood on SuperLU's route, solved with
+    # LU_OPTIONS and with SuperLU's default ordering (COLAMD, which
+    # LU_OPTIONS replaced)
     jacobians = []
 
     def recording_splu(jac, **options):
         jacobians.append(jac.copy())
         return splu(jac, **options)
 
+    monkeypatch.setattr(bm, "BAND_WORK", 0)
     monkeypatch.setattr(fvsolver, "splu", recording_splu)
-    grid = build_grid(12, 12, lx=10.0, ly=10.0)
-    bcs = {"xmin": BoundarySpec("inflow", wetting_rate=1.5e-6),
-           "xmax": BoundarySpec("dirichlet", saturation=0.05,
-                                pressure_n=1e6)}
-    source = SourceSpec("fixed", fixed_constant(sim1_cset))
-    solver = FractureFlowSolver(grid, make_params(sim1_cset, source), bcs)
-    solver.run(0.05, 1e6, np.linspace(0.0, 2.0 * DAY, 5))
+    short_flood(sim1_cset)
     assert len(jacobians) >= 4
-    m = grid.n_cells
+    m = 12 * 12
     rhs = np.random.default_rng(3).standard_normal(2 * m)
     for jac in jacobians:
         x = splu(jac, **LU_OPTIONS).solve(rhs)
         x_ref = splu(jac).solve(rhs)
+        for part in (slice(0, m), slice(m, 2 * m)):      # S, then P_n
+            assert np.abs(x[part] - x_ref[part]).max() \
+                <= 1e-12 * np.abs(x_ref[part]).max()
+
+
+def test_band_lu_matches_per_call_superlu(sim1_cset, factored):
+    # every Jacobian of the same flood on the band route: one LU per Newton
+    # correction, each solving as per-call SuperLU with LU_OPTIONS does
+    res = short_flood(sim1_cset)
+    jacobians = list(factored)
+    assert len(jacobians) == sum(st.newton_iters for st in res.steps) >= 4
+    m = 12 * 12
+    rhs = np.random.default_rng(3).standard_normal(2 * m)
+    for jac, pattern in jacobians:
+        assert pattern.band == (25, 25)
+        rank = np.argsort(pattern.order)
+        x = pattern.factor(jac, splu).solve(rhs)
+        x_ref = splu(jac[rank][:, rank], **LU_OPTIONS).solve(rhs)
         for part in (slice(0, m), slice(m, 2 * m)):      # S, then P_n
             assert np.abs(x[part] - x_ref[part]).max() \
                 <= 1e-12 * np.abs(x_ref[part]).max()
@@ -954,28 +998,45 @@ def test_failed_step_runs_newton_once(sim1_cset, monkeypatch, t_hist):
         assert np.array_equal(calls[0][0], state.sat_hist[-1])
 
 
-def test_lu_count_covers_the_failed_start(sim1_cset, monkeypatch):
-    # a forced stall on the sixth step of a flood halves that interval;
-    # the LUs factored through fvsolver.splu are the reported
-    # corrections and the stalled start's STALL_ITER
-    lus = []
-
-    def counting_splu(*args, **kwargs):
-        lus.append(1)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(fvsolver, "splu", counting_splu)
+def stalled_flood(cset, monkeypatch):
+    """A 4 x 4 flood whose sixth step is forced to stall, which halves
+    that interval; returns the result."""
     calls = forced_stalls(monkeypatch, {5: 2.0})
-    solver = inflow_solver(sim1_cset, 4, 4,
-                           SourceSpec("fixed", fixed_constant(sim1_cset)))
+    solver = inflow_solver(cset, 4, 4,
+                           SourceSpec("fixed", fixed_constant(cset)))
     times = np.linspace(0.0, 1.0 * DAY, 9)
     res = solver.run(0.05, 1e6, times)
     assert len(res.steps) == 9 and len(calls) == 10
     assert res.steps[5].dt == res.steps[6].dt == (times[6] - times[5]) / 2
     assert [st.newton_iters for st in res.steps] \
         == [c[1] for c in calls[:5] + calls[6:]]
+    return res
+
+
+def test_lu_count_covers_the_failed_start(sim1_cset, monkeypatch):
+    # a forced stall on the sixth step of a flood halves that interval;
+    # on SuperLU's route the LUs factored through fvsolver.splu are the
+    # reported corrections and the stalled start's STALL_ITER
+    lus = []
+
+    def counting_splu(*args, **kwargs):
+        lus.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(bm, "BAND_WORK", 0)
+    monkeypatch.setattr(fvsolver, "splu", counting_splu)
+    res = stalled_flood(sim1_cset, monkeypatch)
     assert sum(st.newton_iters for st in res.steps) \
-        + imbibition.STALL_ITER == len(lus)
+        + imbibition.STALL_ITER == len(lus) > imbibition.STALL_ITER
+
+
+def test_band_lu_count_covers_the_failed_start(sim1_cset, monkeypatch,
+                                               factored):
+    # the same flood on the band route, its LUs counted where it factors
+    res = stalled_flood(sim1_cset, monkeypatch)
+    assert factored[0][1].band is not None
+    assert sum(st.newton_iters for st in res.steps) \
+        + imbibition.STALL_ITER == len(factored) > imbibition.STALL_ITER
 
 
 def test_coarse_flood_takes_whole_steps():

@@ -32,6 +32,9 @@ Oracles used here:
     sparse arithmetic builds, permuted into the pattern's order, entry for
     entry, and the block's matrices
     factored with LU_OPTIONS solve as with SuperLU's default ordering;
+    on the band route every Jacobian of a 2d and a 3d nlin run solves as
+    per-call SuperLU does, one LU per Newton correction, and an exactly
+    zero pivot fails the Newton solve as singular;
   * the variable linearization solved in physical time and through the
     change of time variable are the same linear systems up to scaling,
     so their histories agree to roundoff.
@@ -431,6 +434,24 @@ def test_newton_solve_singular_jacobian_raises():
                                 lambda x, dx: x + dx, splu)
 
 
+def test_newton_solve_singular_band_jacobian_raises():
+    # a band-route pattern (tridiagonal) whose middle column is zero: the
+    # band LU meets an exactly zero pivot
+    rows = np.array([0, 1, 2, 0, 1, 1, 2])
+    cols = np.array([0, 1, 2, 1, 0, 2, 1])
+    pattern = bm.FixedPattern(rows, cols, (3, 3))
+    assert pattern.band == (1, 1)
+    vals = np.array([1.0, 0.0, 1.0, 0.5, 0.0, 0.5, 0.0])
+
+    def linearize(x):
+        return np.ones(3), pattern.fill(vals), 5.0, None
+
+    with pytest.raises(NewtonFailure, match="singular"):
+        imbibition.newton_solve(np.zeros(3), linearize,
+                                lambda x, dx: x + dx,
+                                lambda jac: pattern.factor(jac, splu))
+
+
 def test_newton_solve_nan_correction_raises():
     solve, factored = scripted_newton([5.0] * 3, residual=(np.nan, 1.0))
     with pytest.raises(NewtonFailure, match="non-finite"):
@@ -472,22 +493,16 @@ def test_damping_caps_the_largest_saturation_change():
     assert np.abs(imbibition.damping(ds) * ds).max() == cap
 
 
-def test_failed_block_attempts_stop_early(monkeypatch):
+def test_failed_block_attempts_stop_early(monkeypatch, factored):
     # undamped (MAX_DS lifted), nlin at sim1 in 4 report steps halves the
     # first interval three times; the stall exit ends each failed attempt
-    # after a few LUs
-    lus = []
-
-    def counting_splu(jac, **options):
-        lus.append(jac.shape)
-        return splu(jac, **options)
-
-    monkeypatch.setattr(imbibition, "splu", counting_splu)
+    # after a few LUs, counted where the block factors
+    lus = factored
     monkeypatch.setattr(imbibition, "MAX_DS", float("inf"))
     cfg = dataclasses.replace(get_preset("sim1"), n_steps=4)
     sol = run_trajectory(cfg.block_problem(0.1))
     assert sol.substeps > 4                     # the halvings happen
-    assert len(lus) <= 55
+    assert 0 < len(lus) <= 55
     assert len(lus) - sol.newton_iterations <= len(lus) / 3
 
 
@@ -520,15 +535,16 @@ def test_corner_matches_full_cube(preset):
 
 
 def test_lu_ordering_matches_default_ordering(monkeypatch):
-    # every matrix of a 2d corner run (nlin Jacobians, 256 cells), solved
-    # with LU_OPTIONS and with SuperLU's default ordering (COLAMD, which
-    # LU_OPTIONS replaced)
+    # every matrix of a 2d corner run (nlin Jacobians, 256 cells) on
+    # SuperLU's route, solved with LU_OPTIONS and with SuperLU's default
+    # ordering (COLAMD, which LU_OPTIONS replaced)
     matrices = []
 
     def recording_splu(jac, **options):
         matrices.append(jac.copy())
         return splu(jac, **options)
 
+    monkeypatch.setattr(bm, "BAND_WORK", 0)
     monkeypatch.setattr(imbibition, "splu", recording_splu)
     cfg = dataclasses.replace(get_preset("sim1"), n_steps=16, mesh_cells=32)
     p = cfg.block_problem(0.1)
@@ -538,6 +554,26 @@ def test_lu_ordering_matches_default_ordering(monkeypatch):
     for jac in matrices:
         x = splu(jac, **bm.LU_OPTIONS).solve(rhs)
         x_ref = splu(jac).solve(rhs)
+        assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+
+@pytest.mark.parametrize("dimension, cells", [(2, 32), (3, 16)])
+def test_band_lu_matches_per_call_superlu(factored, dimension, cells):
+    # every Jacobian of a 2d corner run (256 cells, as above) and of a 3d
+    # one (512 cells) on the band route: one LU per Newton correction,
+    # each solving as per-call SuperLU with LU_OPTIONS does
+    cfg = dataclasses.replace(get_preset("sim1"), n_steps=16,
+                              dimension=dimension, mesh_cells=cells)
+    sol = run_trajectory(cfg.block_problem(0.1))
+    jacobians = list(factored)
+    assert len(jacobians) == sol.newton_iterations >= 32
+    rng = np.random.default_rng(5)
+    for jac, pattern in jacobians:
+        assert pattern.band is not None
+        rank = np.argsort(pattern.order)
+        rhs = rng.standard_normal(jac.shape[0])
+        x = pattern.factor(jac, splu).solve(rhs)
+        x_ref = splu(jac[rank][:, rank], **bm.LU_OPTIONS).solve(rhs)
         assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 
 

@@ -182,6 +182,7 @@ def test_linearized_runs_factor_nothing(sim1_cset, monkeypatch):
 
     monkeypatch.setattr(imbibition, "splu", refuse)
     monkeypatch.setattr(bm, "_splu", refuse)
+    monkeypatch.setattr(bm.FixedPattern, "factor", refuse)
     p = ramp_problem(sim1_cset, n_steps=8)
     run_constant_linearized(p)
     run_variable_linearized(p)
