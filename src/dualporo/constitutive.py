@@ -81,9 +81,16 @@ class MediumProps:
             raise ValueError("permeability must be positive")
 
 
+def _clamp(s, lo: float, hi: float):
+    """s as floats clamped to [lo, hi]: np.clip's values, NaN kept (a -0.0
+    comes out +0.0 at lo = 0), without the cost of its wrapper on the
+    small arrays of a flood."""
+    return np.minimum(np.maximum(np.asarray(s, dtype=float), lo), hi)
+
+
 def capillary_pressure(s, vg: VanGenuchtenParams):
     """Pc(s) = p_r * (s**(-1/m) - 1)**(1/n), decreasing, Pc(1) = 0."""
-    s = np.clip(np.asarray(s, dtype=float), SAT_EPS, 1.0)
+    s = _clamp(s, SAT_EPS, 1.0)
     return vg.p_r * (s ** (-1.0 / vg.m) - 1.0) ** (1.0 / vg.n)
 
 
@@ -95,7 +102,7 @@ def capillary_saturation(p, vg: VanGenuchtenParams):
 
 def capillary_slope(s, vg: VanGenuchtenParams):
     """dPc/ds, negative; evaluated with the endpoint clamp."""
-    s = np.clip(np.asarray(s, dtype=float), SAT_EPS, 1.0 - SAT_EPS)
+    s = _clamp(s, SAT_EPS, 1.0 - SAT_EPS)
     si = s ** (-1.0 / vg.m)
     return -vg.p_r / (vg.n * vg.m) * si / s * (si - 1.0) ** (1.0 / vg.n - 1.0)
 
@@ -103,7 +110,7 @@ def capillary_slope(s, vg: VanGenuchtenParams):
 def relative_permeabilities(s, vg: VanGenuchtenParams):
     """Mualem model: k_rw = sqrt(s)*(1-(1-s^(1/m))^m)^2,
     k_rn = sqrt(1-s)*(1-s^(1/m))^(2m).  Returns (k_rw, k_rn)."""
-    s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
+    s = _clamp(s, 0.0, 1.0)
     u = 1.0 - s ** (1.0 / vg.m)
     k_rw = np.sqrt(s) * (1.0 - u ** vg.m) ** 2
     k_rn = np.sqrt(1.0 - s) * u ** (2.0 * vg.m)
@@ -120,7 +127,7 @@ def mobilities(s, vg: VanGenuchtenParams, fluids: FluidPair):
 
 def relative_permeability_slopes(s, vg: VanGenuchtenParams):
     """(dk_rw/ds, dk_rn/ds), endpoint-clamped like the slopes above."""
-    s = np.clip(np.asarray(s, dtype=float), SAT_EPS, 1.0 - SAT_EPS)
+    s = _clamp(s, SAT_EPS, 1.0 - SAT_EPS)
     m = vg.m
     u = 1.0 - s ** (1.0 / m)
     # du/ds = -(1/m) s^(1/m - 1)
@@ -145,7 +152,7 @@ def capillary_diffusivity(s, vg: VanGenuchtenParams, fluids: FluidPair):
     Vanishes at both saturation endpoints (like s^2.5 near 0 for n = 2) and
     is evaluated with the endpoint clamp, so it is finite everywhere.
     """
-    s = np.clip(np.asarray(s, dtype=float), SAT_EPS, 1.0 - SAT_EPS)
+    s = _clamp(s, SAT_EPS, 1.0 - SAT_EPS)
     lam_w, lam_n, lam = mobilities(s, vg, fluids)
     return lam_w * lam_n / lam * np.abs(capillary_slope(s, vg))
 
@@ -263,7 +270,7 @@ class KirchhoffTable:
         self._inner = nodes[1:-1]
 
     def __call__(self, s):
-        x = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
+        x = _clamp(s, 0.0, 1.0)
         i = np.searchsorted(self._inner, x, side="right")
         c0, c1, c2, c3, x0 = np.take(self._pieces, i, axis=1)
         x = x - x0
@@ -290,9 +297,12 @@ def range_diffusivity(s_lo, s_hi, table: KirchhoffTable):
     hi = np.maximum(np.asarray(s_hi, dtype=float), s_lo)
     width = hi - lo
     wide = width > 1.0e-12
-    ratio = (table(hi) - table(lo)) / np.where(wide, width, 1.0)
-    point = capillary_diffusivity(0.5 * (lo + hi), table.vg, table.fluids)
-    out = np.where(wide, ratio, point)
+    out = np.asarray((table(hi) - table(lo)) / np.where(wide, width, 1.0))
+    if not wide.all():
+        narrow = ~wide
+        mid = np.asarray(0.5 * (lo + hi))
+        out[narrow] = capillary_diffusivity(mid[narrow], table.vg,
+                                            table.fluids)
     return out if out.ndim else float(out)
 
 

@@ -17,7 +17,8 @@ Its sparsity pattern does not depend on the iterate: each face's mobility
 slope has a slot in both cells' saturation columns, and the upwind choice
 only decides which one is zero.  So the pattern is built and ordered
 for the LU once per run (blockmesh.FixedPattern), and each Newton
-iteration writes values into it and factors it in that order.
+iteration that is not accepted writes values into it and factors it in
+that order.
 imbibition.newton_solve and imbibition.damping, the block's Newton loop
 and update, solve each step with saturations clamped to [SAT_EPS,
 1 - SAT_EPS], until the residual scaled by phi_f vol / dt is within
@@ -180,9 +181,11 @@ def upwind_phase_mobility(p_left, p_right, lam_left, lam_right):
 class _Assembler:
     """Residuals and analytic Jacobian for one implicit step.
 
-    The Jacobian's slots are listed once, from the faces, the walls'
-    included; every assemble call writes their values, in the same order,
-    into one blockmesh.FixedPattern.
+    assemble evaluates an iterate's residual and keeps what its Jacobian
+    needs, and jacobian builds that Jacobian, so a Newton iterate that is
+    accepted builds none.  The Jacobian's slots are listed once, from the
+    faces, the walls' included; every jacobian call writes their values,
+    in the same order, into one blockmesh.FixedPattern.
     """
 
     def __init__(self, grid: TensorMesh, params: FlowParams, bcs: dict):
@@ -222,13 +225,23 @@ class _Assembler:
             np.concatenate(a) for a in (left, trans, rate))
         self.right = np.concatenate((grid.face_right,
                                      m + np.arange(sum(sizes))))
-        # per wall face: its ghost's (P_w, P_n) and (lam_w, lam_n)
-        ghost = np.repeat(np.reshape(ghosts, (-1, 4)), sizes, axis=0).T
-        self.ghost_pres, self.ghost_lam = ghost[:2], ghost[2:]
         self.n_faces, ends = nf, np.cumsum(sizes)
         self.walls = [slice(e - n, e) for n, e in zip(sizes, ends)]
+        # where assemble sums the fluxes: interior faces' left and right
+        # cells, then the wall faces' cells
+        self._scatter = (self.left[:nf], self.right[:nf], self.left[nf:])
+        self._phi_vol = params.cset.fracture.porosity * grid.volumes
+        # a row per phase (wetting, nonwetting): the cells' pressures and
+        # mobilities, then the wall faces' ghosts'; and Pc' and the
+        # mobility slopes, zero at the ghosts, whose states are fixed.
+        # assemble and jacobian write the cells' part in place
+        ghost = np.repeat(np.reshape(ghosts, (-1, 4)), sizes, axis=0).T
+        self._pres = np.concatenate((np.zeros((2, m)), ghost[:2]), axis=1)
+        self._lam = np.concatenate((np.zeros((2, m)), ghost[2:]), axis=1)
+        self._slopes = np.zeros((3, m + ghost.shape[1]))
+        self._iterate = None
 
-        # slots in the order assemble lists their values: the cells'
+        # slots in the order jacobian lists their values: the cells'
         # accumulation and source; per phase, the interior faces' flux
         # derivatives in the columns (S_l, S_r, P_l, P_r), for the rows of
         # the lower and the higher cell, then the wall faces' in the
@@ -247,86 +260,109 @@ class _Assembler:
                                     np.concatenate(cols), (2 * m, 2 * m))
 
     def assemble(self, s, pn, s_old, dt, impl, expl, wall0):
-        """Residual vector (R_w, R_n), Jacobian, the into-domain boundary
-        rates (wetting, nonwetting), the wall values transfer(s) and the
-        source Q_w at the iterate (s, pn).
+        """Residual vector (R_w, R_n), the into-domain boundary rates
+        (wetting, nonwetting), the wall values transfer(s) and the source
+        Q_w at the iterate (s, pn).
 
         The source is Q_w = -(impl/dt) (transfer(s) - wall0) + expl, all
-        per-cell arrays.  The Jacobian is the assembler's one CSC matrix,
-        its unknowns (S, P_n) permuted by pattern.order; the next call
-        overwrites it.
+        per-cell arrays.  The call keeps the iterate, its upwind choices,
+        pressure differences and face transmissibilities for jacobian;
+        the next call replaces them.
         """
+        m = self.grid.n_cells
         vol = self.grid.volumes
         cset = self.params.cset
         vg = cset.fracture.vg
 
         pc = np.asarray(con.capillary_pressure(s, vg))
-        dpc = np.asarray(con.capillary_slope(s, vg))
-        pw = pn - pc
-        lam_w, lam_n, _ = con.mobilities(s, vg, cset.fluids)
-        dlam_w, dlam_n = con.mobility_slopes(s, vg, cset.fluids)
+        np.subtract(pn, pc, out=self._pres[0, :m])             # P_w
+        self._pres[1, :m] = pn
+        self._lam[0, :m], self._lam[1, :m], _ = con.mobilities(
+            s, vg, cset.fluids)
 
-        # transfer(s) and transfer_slope(s) from the fracture curve above:
-        # the same operations on the same inputs, so bitwise the same
+        # transfer(s) from the fracture curve above: the same operations
+        # on the same inputs, so bitwise the same
         p_wall = np.asarray(con.capillary_saturation(pc, cset.matrix.vg))
-        dp_wall = dpc / np.asarray(con.capillary_slope(p_wall,
-                                                       cset.matrix.vg))
-        q_w = -(impl / dt) * (p_wall - wall0) + expl
-        dq_w = -(impl / dt) * dp_wall
+        impl_dt = impl / dt
+        q_w = -impl_dt * (p_wall - wall0) + expl
 
-        acc = cset.fracture.porosity * vol / dt
-        r_w = acc * (s - s_old) - vol * q_w
-        r_n = -acc * (s - s_old) + vol * q_w
+        acc = self._phi_vol / dt
+        stored, added = acc * (s - s_old), vol * q_w
+        r = np.empty(2 * m)
+        r_w, r_n = r[:m], r[m:]
+        np.subtract(stored, added, out=r_w)
+        np.subtract(added, stored, out=r_n)
 
-        vals = [acc - vol * dq_w, -acc + vol * dq_w]          # dR/dS
-
-        # the ghosts follow the cells; their states are fixed: zero slopes
-        kl, kr, tk, nf = self.left, self.right, self.trans, self.n_faces
-        flat = np.zeros(len(kl) - nf)
-        dpc = np.concatenate((dpc, flat))
-        phases = ((pw, lam_w, dlam_w, r_w, 0, self.wall_rate),
-                  (pn, lam_n, dlam_n, r_n, 1, 0.0))
+        # both phases at once, a row each: wetting, nonwetting
+        kl, kr, nf = self.left, self.right, self.n_faces
+        p_l, p_r = self._pres.take(kl, axis=1), self._pres.take(kr, axis=1)
+        lam_f, from_left = upwind_phase_mobility(
+            p_l, p_r, self._lam.take(kl, axis=1), self._lam.take(kr, axis=1))
+        dp = p_r - p_l
+        t_f = self.trans * lam_f
+        flux = t_f * dp                               # into the left cell
+        inner_l, inner_r, wall_cells = self._scatter
         rates = []                     # into the domain: wetting, nonwetting
-        for pres, lam, dlam, r_ph, k, fixed in phases:
-            pres = np.concatenate((pres, self.ghost_pres[k]))
-            lam = np.concatenate((lam, self.ghost_lam[k]))
-            dlam = np.concatenate((dlam, flat))
-            lam_f, from_left = upwind_phase_mobility(
-                pres[kl], pres[kr], lam[kl], lam[kr])
-            dp = pres[kr] - pres[kl]
-            t_f = tk * lam_f
-            flux = t_f * dp                           # into the left cell
+        for r_ph, f, fixed in zip((r_w, r_n), flux, (self.wall_rate, 0.0)):
             # a cell sums its interior fluxes first, then its walls' in
             # wall order, and the rates sum per wall: that order fixes the
             # rounding of the residual and the rates
-            np.add.at(r_ph, kl[:nf], -flux[:nf])
-            np.add.at(r_ph, kr[:nf], flux[:nf])
-            wall = flux[nf:] + fixed                  # into the domain
-            np.add.at(r_ph, kl[nf:], -wall)
+            np.add.at(r_ph, inner_l, -f[:nf])
+            np.add.at(r_ph, inner_r, f[:nf])
+            wall = f[nf:] + fixed                     # into the domain
+            np.add.at(r_ph, wall_cells, -wall)
             rate = 0.0
             for w in self.walls:
                 rate += float(wall[w].sum())
             rates.append(rate)
-            # d flux / d(S_l, S_r): the upwind cell's mobility, and
-            # dP_w/dS = -Pc' in the wetting phase; dP/dP_n = 1
-            d_sl = np.where(from_left, tk * dlam[kl] * dp, 0.0)
-            d_sr = np.where(from_left, 0.0, tk * dlam[kr] * dp)
-            if k == 0:
-                d_sl += t_f * dpc[kl]
-                d_sr -= t_f * dpc[kr]
-            for d in (d_sl, d_sr, -t_f, t_f):
+        self._iterate = (s, p_wall, acc, impl_dt, from_left, dp, t_f)
+        return r, tuple(rates), p_wall, q_w
+
+    def jacobian(self):
+        """The Jacobian of the residual at the iterate last passed to
+        assemble: the assembler's one CSC matrix, its unknowns (S, P_n)
+        permuted by pattern.order; the next call overwrites it."""
+        s, p_wall, acc, impl_dt, from_left, dp, t_f = self._iterate
+        m = self.grid.n_cells
+        vol = self.grid.volumes
+        cset = self.params.cset
+        vg = cset.fracture.vg
+
+        slopes = self._slopes                       # Pc', lam_w', lam_n'
+        slopes[0, :m] = con.capillary_slope(s, vg)
+        slopes[1, :m], slopes[2, :m] = con.mobility_slopes(s, vg,
+                                                           cset.fluids)
+        # transfer_slope(s) from the fracture slope above
+        dq_w = -impl_dt * (slopes[0, :m] / np.asarray(con.capillary_slope(
+            p_wall, cset.matrix.vg)))
+        vals = [acc - vol * dq_w, -acc + vol * dq_w]          # dR/dS
+
+        # d flux / d(S_l, S_r): the upwind cell's mobility, and dP_w/dS =
+        # -Pc' in the wetting phase; dP/dP_n = 1
+        kl, kr, tk, nf = self.left, self.right, self.trans, self.n_faces
+        dlam, dpc = slopes[1:], slopes[0]
+        d_sl = np.where(from_left, tk * dlam.take(kl, axis=1) * dp, 0.0)
+        d_sr = np.where(from_left, 0.0, tk * dlam.take(kr, axis=1) * dp)
+        d_sl[0] += t_f[0] * dpc[kl]
+        d_sr[0] -= t_f[0] * dpc[kr]
+        for dsl, dsr, tf in zip(d_sl, d_sr, t_f):
+            for d in (dsl, dsr, -tf, tf):
                 vals += [-d[:nf], d[:nf]]
-            vals += [-d_sl[nf:], t_f[nf:]]           # a wall: its cell's row
+            vals += [-dsl[nf:], tf[nf:]]            # a wall: its cell's row
+        return self.pattern.fill(np.concatenate(vals))
 
-        jac = self.pattern.fill(np.concatenate(vals))
-        return np.concatenate((r_w, r_n)), jac, tuple(rates), p_wall, q_w
+    def release(self) -> None:
+        """Drop what assemble kept for jacobian, once Newton has accepted
+        its iterate, so that those arrays are free before the step's
+        histories grow: it lowers the floods' peak RSS."""
+        self._iterate = None
 
 
-def _extrapolation_weights(nodes, t: float) -> np.ndarray:
+def _extrapolation_weights(nodes, t: float) -> list:
     """Lagrange weights w with sum_k w_k f(nodes[k]) the value at t of the
-    polynomial through (nodes[k], f(nodes[k]))."""
-    nodes = np.asarray(nodes, dtype=float)
-    w = np.ones(len(nodes))
+    polynomial through (nodes[k], f(nodes[k])), as Python floats."""
+    nodes = [float(x) for x in nodes]
+    w = [1.0] * len(nodes)
     for k, tk in enumerate(nodes):
         for j, tj in enumerate(nodes):
             if j != k:
@@ -449,10 +485,11 @@ class FractureFlowSolver:
         clamped = False
 
         def linearize(x):
-            r, jac, rates, p_wall, q_w = self.assembler.assemble(
+            r, rates, p_wall, q_w = self.assembler.assemble(
                 *x, s_old, dt, impl, expl, state.wall_hist[0])
             err = max(float(np.abs(r).max()) / scale / NEWTON_RTOL,
                       abs(float(r.sum())) / (m * scale) / VOLUME_RTOL)
+            jac = self.assembler.jacobian() if err > 1.0 else None
             return r, jac, err, (rates, p_wall, q_w)
 
         def update(x, dx):
@@ -470,6 +507,7 @@ class FractureFlowSolver:
         (s, pn), ((rate_w, rate_n), p_wall, q_w), iters = newton_solve(
             (s_start, state.pressure_n.copy()), linearize, update,
             lambda jac: self.assembler.pattern.factor(jac, splu))
+        self.assembler.release()
 
         # accepted: the memory first, since its range check can raise
         if state.memory is not None:

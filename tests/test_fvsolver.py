@@ -16,7 +16,9 @@ Oracles used here:
     decides it), and its pattern does not move when the upwind directions
     do; the analytic Jacobian's finite-difference check permutes it back;
     a flood's Jacobians factored with LU_OPTIONS solve as with SuperLU's
-    default ordering;
+    default ordering; a flood fills the pattern only for the iterates it
+    factors (fills = LUs = corrections, assembles = LUs + attempts, for
+    every source model, and one more fill per stalled attempt);
   * the per-step sources realized by the solver's sum-of-exponentials
     memory must agree with the exact product quadrature
     (oracles.sqrt_kernel_step) applied to the recorded wall and alpha
@@ -169,7 +171,7 @@ def test_boundary_counter_current_rates(sim1_cset):
                               pressure_n=0.995e6)})
     s = np.array([0.5])
     pn = np.array([1.0e6])
-    _, _, (rate_w, rate_n), _, _ = solver.assembler.assemble(
+    _, (rate_w, rate_n), _, _ = solver.assembler.assemble(
         s, pn, s, 1.0, np.zeros(1), np.zeros(1), np.zeros(1))
     assert rate_w > 0.0
     assert rate_n < 0.0
@@ -186,7 +188,7 @@ def test_inflow_contributes_only_to_the_wetting_budget(sim1_cset):
          "xmax": BoundarySpec("dirichlet", saturation=0.3,
                               pressure_n=1e6)})
     s, zeros = np.full(6, 0.3), np.zeros(6)
-    _, _, (rate_w, rate_n), _, _ = solver.assembler.assemble(
+    _, (rate_w, rate_n), _, _ = solver.assembler.assemble(
         s, np.full(6, 1e6), s, 1.0, zeros, zeros, zeros)
     _, _, area = grid.boundary["xmin"]
     assert rate_w == pytest.approx(rate * area.sum(), rel=1e-15)
@@ -288,8 +290,9 @@ def test_jacobian_matches_finite_differences(sim1_cset):
             return solver.assembler.assemble(sv, pv, state.sat_hist[-1],
                                              dt, impl, expl, wall0)[0]
 
-        jac = solver.assembler.assemble(s, pn, state.sat_hist[-1], dt, impl,
-                                        expl, wall0)[1]
+        solver.assembler.assemble(s, pn, state.sat_hist[-1], dt, impl,
+                                  expl, wall0)
+        jac = solver.assembler.jacobian()
         rank = np.argsort(solver.assembler.pattern.order)
         dense = jac.toarray()[np.ix_(rank, rank)]     # unknowns (S, P_n)
         fd = np.zeros_like(dense)
@@ -317,8 +320,8 @@ def test_assembled_wall_values_are_the_transfer_of_the_iterate(sim1_cset):
     m = grid.n_cells
     asm = _Assembler(grid, make_params(sim1_cset), {})
     s = np.concatenate((rng.uniform(0.0, 1.0, m - 2), [0.0, 1.0]))
-    _, _, _, p_wall, _ = asm.assemble(s, np.full(m, 1e6), s, 600.0,
-                                      np.zeros(m), np.zeros(m), np.zeros(m))
+    _, _, p_wall, _ = asm.assemble(s, np.full(m, 1e6), s, 600.0,
+                                   np.zeros(m), np.zeros(m), np.zeros(m))
     assert np.array_equal(p_wall, sim1_cset.transfer(s))
 
 
@@ -512,7 +515,8 @@ def test_fixed_pattern_jacobian_matches_coo_assembly(sim1_cset, case):
         if flip:                     # turn the nonwetting upwind around
             pn = 2e6 - pn
         args = (s, pn, state.sat_hist[-1], dt, impl, expl, wall0)
-        r, jac, rates, p_wall, q_w = solver.assembler.assemble(*args)
+        r, rates, p_wall, q_w = solver.assembler.assemble(*args)
+        jac = solver.assembler.jacobian()
         if pattern is None:
             pattern = (jac.indptr.copy(), jac.indices.copy())
         assert np.array_equal(jac.indptr, pattern[0])
@@ -893,12 +897,13 @@ def test_predicted_saturation_follows_the_history_length(sim1_cset):
         assert pred is not s[n - 1]
 
 
-def forced_stalls(monkeypatch, errors):
-    """Wrap the flood's newton_solve: call k (from 0) reports the constant
-    error errors[k] if k is a key, so it stalls after
-    imbibition.STALL_ITER corrections, one LU each, and raises; other
-    calls run unchanged.  Returns [(start saturation, corrections or
-    None)] per call."""
+def forced_stalls(monkeypatch, errors, solver):
+    """Wrap the flood's newton_solve for solver: call k (from 0) reports
+    the constant error errors[k] if k is a key, so it stalls after
+    imbibition.STALL_ITER corrections, one LU each, and raises (an
+    iterate the solver accepts, and so builds no Jacobian for, gets its
+    Jacobian from solver.assembler); other calls run unchanged.  Returns
+    [(start saturation, corrections or None)] per call."""
     calls = []
     real = fvsolver.newton_solve
 
@@ -908,6 +913,8 @@ def forced_stalls(monkeypatch, errors):
         if err is not None:
             def stuck(y):
                 r, jac, _, out = linearize(y)
+                if jac is None:
+                    jac = solver.assembler.jacobian()
                 return r, jac, err, out
             return real(x, stuck, update, factor)
         out = real(x, linearize, update, factor)
@@ -949,7 +956,7 @@ def test_newton_start_is_the_prediction_damped_from_s_old(sim1_cset, seed,
     dt = 600.0 * gaps[2]
     predicted = fvsolver._predicted_saturation(state, times[-1] + dt)
     with pytest.MonkeyPatch.context() as mp:
-        calls = forced_stalls(mp, {0: 2.0})
+        calls = forced_stalls(mp, {0: 2.0}, solver)
         with pytest.raises(NewtonFailure):
             solver._try_step(state, dt)
     start = calls[0][0]
@@ -973,7 +980,7 @@ def test_failed_start_raises_its_own_failure(sim1_cset, model, monkeypatch):
     state = fabricated_state(np.random.default_rng(5), sim1_cset, 12,
                              solver.params.source)
     before = copy.deepcopy(state)
-    calls = forced_stalls(monkeypatch, {0: 2.0, 1: 3.0})
+    calls = forced_stalls(monkeypatch, {0: 2.0, 1: 3.0}, solver)
     with pytest.raises(NewtonFailure, match=r"^Newton stalled: 3 "
                        r"corrections set no new smallest error "
                        r"\(2\.000e\+00\)$"):
@@ -990,7 +997,7 @@ def test_failed_step_runs_newton_once(sim1_cset, monkeypatch, t_hist):
     solver = inflow_solver(sim1_cset, 4, 3)
     state = fabricated_state(np.random.default_rng(5), sim1_cset, 12,
                              solver.params.source, t_hist=t_hist)
-    calls = forced_stalls(monkeypatch, {0: 2.0, 1: 3.0})
+    calls = forced_stalls(monkeypatch, {0: 2.0, 1: 3.0}, solver)
     with pytest.raises(NewtonFailure, match=r"\(2\.000e\+00\)$"):
         solver._try_step(state, 600.0)
     assert len(calls) == 1
@@ -1001,9 +1008,9 @@ def test_failed_step_runs_newton_once(sim1_cset, monkeypatch, t_hist):
 def stalled_flood(cset, monkeypatch):
     """A 4 x 4 flood whose sixth step is forced to stall, which halves
     that interval; returns the result."""
-    calls = forced_stalls(monkeypatch, {5: 2.0})
     solver = inflow_solver(cset, 4, 4,
                            SourceSpec("fixed", fixed_constant(cset)))
+    calls = forced_stalls(monkeypatch, {5: 2.0}, solver)
     times = np.linspace(0.0, 1.0 * DAY, 9)
     res = solver.run(0.05, 1e6, times)
     assert len(res.steps) == 9 and len(calls) == 10
@@ -1037,6 +1044,44 @@ def test_band_lu_count_covers_the_failed_start(sim1_cset, monkeypatch,
     assert factored[0][1].band is not None
     assert sum(st.newton_iters for st in res.steps) \
         + imbibition.STALL_ITER == len(factored) > imbibition.STALL_ITER
+
+
+def counted(monkeypatch, owner, name):
+    """A list that gets one entry per call of owner.name."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("stall", [False, True], ids=["free", "stalled"])
+@pytest.mark.parametrize("model", ["none", "fixed", "warped"])
+def test_flood_builds_a_jacobian_only_where_it_factors_one(
+        sim1_cset, monkeypatch, factored, model, stall):
+    # assemble runs once per Newton iterate, the accepted one included,
+    # and the pattern is filled only for an iterate Newton corrects: one
+    # fill per LU, and one LU per reported correction.  A forced stall on
+    # the fourth attempt fills one more, for the iterate at which Newton
+    # gives up without factoring
+    constant = {"none": 0.0, "fixed": fixed_constant(sim1_cset),
+                "warped": warped_constant(sim1_cset)}[model]
+    solver = inflow_solver(sim1_cset, 4, 4, SourceSpec(model, constant))
+    calls = forced_stalls(monkeypatch, {3: 2.0} if stall else {}, solver)
+    fills = counted(monkeypatch, bm.FixedPattern, "fill")
+    assembles = counted(monkeypatch, _Assembler, "assemble")
+    res = solver.run(0.05, 1e6, np.linspace(0.0, 1.0 * DAY, 7))
+    failed = sum(c[1] is None for c in calls)
+    assert failed == int(stall)
+    assert len(calls) == len(res.steps) + failed
+    iters = sum(st.newton_iters for st in res.steps)
+    assert len(factored) == iters + failed * imbibition.STALL_ITER
+    assert len(fills) == len(factored) + failed > failed
+    assert len(assembles) == len(factored) + len(calls)
 
 
 def test_coarse_flood_takes_whole_steps():
