@@ -277,6 +277,34 @@ class KirchhoffTable:
         z = x * x
         return c0 + c1 * x + c2 * z + c3 * (z * x)
 
+    def increment(self, lo, hi):
+        """beta(hi) - beta(lo) for lo <= hi, both clamped to [0, 1].
+
+        Where the two lie in one piece, or in two that meet at a node,
+        each piece's part is its sub-width times its cubic's divided
+        difference c1 + c2 (a + b) + c3 (a^2 + a b + b^2), a and b the
+        offsets of the part's ends from the piece's node: the difference
+        of the two values would lose about eps beta to cancellation.  A
+        range over a whole piece, no narrower than the smallest node
+        spacing, loses little to it and takes that difference, evaluated
+        as __call__ does.
+        """
+        lo, hi = _clamp(lo, 0.0, 1.0), _clamp(hi, 0.0, 1.0)
+        i = np.searchsorted(self._inner, lo, side="right")
+        j = np.searchsorted(self._inner, hi, side="right")
+        c0, c1, c2, c3, x0 = np.take(self._pieces, i, axis=1)
+        d0, d1, d2, d3, x1 = np.take(self._pieces, j, axis=1)
+        a, b = lo - x0, hi - x1         # offsets in lo's and hi's pieces
+        za, zb = a * a, b * b
+        far = (d0 + d1 * b + d2 * zb + d3 * (zb * b)) \
+            - (c0 + c1 * a + c2 * za + c3 * (za * a))
+        # lo's piece up to hi, or up to the node x1 where hi's piece starts
+        split = j > i
+        e = np.where(split, x1 - x0, b)
+        near = (e - a) * (c1 + c2 * (a + e) + c3 * (za + a * e + e * e)) \
+            + np.where(split, b * (d1 + d2 * b + d3 * zb), 0.0)
+        return np.where(j > i + 1, far, near)
+
 
 _TABLE_CACHE: dict = {}
 
@@ -291,13 +319,14 @@ def kirchhoff_table(vg: VanGenuchtenParams, fluids: FluidPair) -> KirchhoffTable
 
 def range_diffusivity(s_lo, s_hi, table: KirchhoffTable):
     """Average of alpha over [s_lo, s_hi] in the table's medium:
-    (beta(s_hi) - beta(s_lo)) / (s_hi - s_lo),
-    continued by alpha(midpoint) when the width is 1e-12 or less."""
+    (beta(s_hi) - beta(s_lo)) / (s_hi - s_lo), the increment from
+    KirchhoffTable.increment, continued by alpha(midpoint) when the width
+    is 1e-12 or less."""
     lo = np.minimum(np.asarray(s_lo, dtype=float), s_hi)
     hi = np.maximum(np.asarray(s_hi, dtype=float), s_lo)
     width = hi - lo
     wide = width > 1.0e-12
-    out = np.asarray((table(hi) - table(lo)) / np.where(wide, width, 1.0))
+    out = np.asarray(table.increment(lo, hi) / np.where(wide, width, 1.0))
     if not wide.all():
         narrow = ~wide
         mid = np.asarray(0.5 * (lo + hi))

@@ -334,6 +334,59 @@ def test_range_diffusivity_is_beta_increment(matrix_vg, fluids):
         pytest.approx(expected, rel=1e-13)
 
 
+@example(medium="sim1", s=0.8, log_width=np.log10(1.01e-12))
+@example(medium="sim1", s=0.5, log_width=np.log10(1.01e-12))
+@example(medium="strong-contrast", s=0.05, log_width=-12.0)
+@settings(max_examples=200, deadline=None)
+@given(medium=st.sampled_from(["sim1", "strong-contrast"]),
+       s=st.floats(0.05, 0.95), log_width=st.floats(-12.0, -6.0))
+def test_range_diffusivity_is_exact_on_narrow_ranges(matrix_vg, fluids,
+                                                     medium, s, log_width):
+    # (beta(hi) - beta(lo)) / width lost about eps beta / (alpha width)
+    # to cancellation: 8.1e-6 of alpha at width 1.01e-12 and s = 0.8 on
+    # sim1.  Above the midpoint branch's 1e-12, the mean slope of the
+    # table's interpolant (scipy's spline through its nodes) over so
+    # narrow a range is its slope at the midpoint; either lies within the
+    # table's slope gap to alpha (measured 2.5e-8 of alpha at s = 0.05,
+    # 6.7e-9 from s = 0.08)
+    vg = matrix_vg if medium == "sim1" else \
+        con.VanGenuchtenParams(p_r=1.0e6, n=2.0)
+    table = con.kirchhoff_table(vg, fluids)
+    width = 10.0 ** log_width
+    lo, hi = s - 0.5 * width, s + 0.5 * width
+    mid = 0.5 * (lo + hi)
+    got = float(con.range_diffusivity(lo, hi, table))
+    alpha = float(con.capillary_diffusivity(mid, vg, fluids))
+    if hi - lo > 1e-12:
+        slope = CubicHermiteSpline(table.nodes, table.values,
+                                   capped_alpha_slopes(table)).derivative()
+        assert got == pytest.approx(float(slope(mid)), rel=1e-9)
+    assert got == pytest.approx(alpha, rel=5e-8)
+
+
+@pytest.mark.parametrize("medium", ["sim1", "strong-contrast"])
+def test_range_diffusivity_across_nodes(matrix_vg, fluids, medium):
+    # a narrow range around a node (near s = 0.05, 0.5 and 0.95) sums its
+    # two pieces' divided differences, each weighted by its sub-width: the
+    # interpolant's slope at the midpoint within 1e-9; a range over whole
+    # pieces keeps the difference of the table's values, bit for bit
+    vg = matrix_vg if medium == "sim1" else \
+        con.VanGenuchtenParams(p_r=1.0e6, n=2.0)
+    table = con.kirchhoff_table(vg, fluids)
+    slope = CubicHermiteSpline(table.nodes, table.values,
+                               capped_alpha_slopes(table)).derivative()
+    for k in (257, 1024, 1790):
+        node = float(table.nodes[k])
+        for below, above in ((1e-12, 1e-12), (3e-10, 1e-11), (1e-8, 4e-7)):
+            lo, hi = node - below, node + above
+            got = float(con.range_diffusivity(lo, hi, table))
+            assert got == pytest.approx(float(slope(0.5 * (lo + hi))),
+                                        rel=1e-9)
+        lo, hi = node - 1e-6, float(table.nodes[k + 2]) + 1e-6
+        assert float(con.range_diffusivity(lo, hi, table)) == \
+            (float(table(hi)) - float(table(lo))) / (hi - lo)
+
+
 def test_transfer_saturation_frozen_values(matrix_vg, fracture_vg, fluids):
     assert float(con.transfer_saturation(0.5, matrix_vg, fracture_vg)) == \
         pytest.approx(0.9853292781642932, rel=1e-12)
