@@ -15,7 +15,7 @@ from .linearized import (run_constant_linearized, run_variable_linearized,
 from .effective import (exchange_fixed_kernel, exchange_warped_kernel,
                         running_range_alpha)
 from .fvsolver import (BoundarySpec, FlowParams, FractureFlowSolver,
-                       SourceSpec, build_grid, effective_permeability)
+                       build_grid, effective_permeability)
 from .harness import (DAY, EXCHANGE_METHODS, FloodConfig, PRESETS,
                       ScenarioConfig, compare_series, get_preset,
                       list_presets, load_config, load_flood_config,
@@ -28,8 +28,8 @@ __all__ = [
     "BlockMesh", "BlockProblem", "BlockSolution", "BoundarySpec",
     "ConstitutiveSet", "DAY", "EXCHANGE_METHODS", "ExchangeSeries",
     "FloodConfig", "FlowParams", "FluidPair", "FractureFlowSolver",
-    "MediumProps", "PRESETS", "ScenarioConfig", "SourceSpec",
-    "VanGenuchtenParams", "build_grid", "capillary_diffusivity",
+    "MediumProps", "PRESETS", "ScenarioConfig", "VanGenuchtenParams",
+    "build_grid", "capillary_diffusivity",
     "capillary_pressure", "capillary_saturation", "compare_series",
     "effective_permeability", "exchange_fixed_kernel",
     "exchange_from_flux", "exchange_from_volume",

@@ -344,13 +344,6 @@ def transfer_saturation(s_f, matrix_vg: VanGenuchtenParams,
                                 matrix_vg)
 
 
-def transfer_slope(s_f, matrix_vg: VanGenuchtenParams,
-                   fracture_vg: VanGenuchtenParams):
-    """Derivative of transfer_saturation with respect to s_f (positive)."""
-    s_m = transfer_saturation(s_f, matrix_vg, fracture_vg)
-    return capillary_slope(s_f, fracture_vg) / capillary_slope(s_m, matrix_vg)
-
-
 @dataclass(frozen=True)
 class ConstitutiveSet:
     """Matrix and fracture media sharing one fluid pair."""

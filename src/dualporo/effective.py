@@ -1,24 +1,21 @@
 """Effective matrix-fracture source terms in the thin-fracture limit.
 
 As the relative fracture width goes to zero the block exchange divided by
-that width converges to a convolution source. Two forms are used:
+that width converges to a convolution source, one sqrt kernel on a clock
+tau(t) = int_0^t alpha:
 
-  * fixed kernel ("effective-I"):
+    Q(t) = -C * d/dt int_0^t (p(u) - p(0)) / sqrt(tau(t) - tau(u)) dtau(u),
+    C = 2 d sqrt(phi_m k_m / pi) (kernel_constant),
 
-        Q(t) = -C * d/dt int_0^t (p(u) - p(0)) / sqrt(t - u) du,
-        C = 2 d sqrt(phi_m k_m alpha_bar / pi),
+where p is the wall (matrix-side) saturation trajectory.  The fixed kernel
+("effective-I") runs the clock at alpha_bar, the warped one
+("effective-II") at alpha_hat, the running-range average of the
+diffusivity.  The block's modes (imbibition.BlockMemory) are the other
+memory on the same two clocks, and exchange_series drives either.
 
-    where p is the wall (matrix-side) saturation trajectory;
-
-  * warped kernel ("effective-II"): same structure in the rescaled time
-    tau(t) = int_0^t alpha_hat, with alpha_hat the running-range average
-    of the diffusivity and C = 2 d sqrt(phi_m k_m / pi).
-
-harness.kernel_constant computes C for either form.
-
-Both are one scheme on the clock increments w_l = alpha^l dt^{l-1}
-(alpha = 1 for the fixed kernel), tau_n = sum_{l<=n} w_l, with wall
-data piecewise constant in time.  One step separates the newest term,
+The scheme runs on the clock increments w_l = alpha^l dt^{l-1},
+tau_n = sum_{l<=n} w_l, with wall data piecewise constant in time.  One
+step separates the newest term,
 
     Q^{n+1/2} = -(impl / dt^n) (p^{n+1} - p^0) + expl,
     expl = (1/dt^n) sum_{k=1}^n D^n_k (p^k - p^0),
@@ -66,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constitutive import KirchhoffTable, range_diffusivity
+from .constitutive import ConstitutiveSet, KirchhoffTable, range_diffusivity
 
 
 # Only the tests use QuadratureTable, but the benchmark's tracer wraps
@@ -199,18 +196,23 @@ class MemorySource:
         self._clock = clock
 
 
-def _kernel_series(wall_values, alpha_values, times, constant):
-    """Q^{n+1/2} for every interval, one MemorySource step per n."""
-    p = np.asarray(wall_values, dtype=float)
-    alpha = np.asarray(alpha_values, dtype=float)[1:]
+def kernel_constant(dimension: int, cset: ConstitutiveSet) -> float:
+    """Prefactor C = 2 d sqrt(phi_m k_m / pi) of the sqrt kernel on either
+    clock."""
+    phi_m, k_m = cset.matrix.porosity, cset.matrix.permeability
+    return 2.0 * dimension * np.sqrt(phi_m * k_m / np.pi)
+
+
+def exchange_series(memory, wall, rates, times) -> np.ndarray:
+    """Q^{n+1/2} = -(impl / dt^n) (p^{n+1} - p^0) + expl of every interval
+    n of times: memory stepped at the clock rate rates[n] and committed to
+    p^{n+1} = wall[n + 1].  The one driver of a memory through a wall
+    series; the flood steps its memory inside Newton."""
+    p = np.asarray(wall, dtype=float)
     dts = np.diff(times)
-    if not len(dts):
-        return np.empty(0)
-    w = alpha * dts
-    memory = MemorySource(constant, p[0], w.min(), np.cumsum(w)[-1])
     out = np.empty(len(dts))
     for n, dt in enumerate(dts):
-        impl, expl = memory.step(dt, alpha[n])
+        impl, expl = memory.step(dt, rates[n])
         out[n] = -impl / dt * (p[n + 1] - p[0]) + expl
         memory.commit(p[n + 1])
     return out
@@ -218,17 +220,11 @@ def _kernel_series(wall_values, alpha_values, times, constant):
 
 def exchange_fixed_kernel(wall_values: np.ndarray, times: np.ndarray,
                           constant: float) -> np.ndarray:
-    """Per-interval source values Q^{n+1/2} of the fixed sqrt-kernel model.
-
-    Q^{n+1/2} = -(1/dt^n) [ sum_{k=1}^{n+1} (p^k - p^0) I^{n+1}_k
-                           - sum_{k=1}^{n}   (p^k - p^0) I^n_k ],
-
-    the warped model with alpha = 1, where U^n_k = t_n - t_{k-1}.
-    """
-    times = np.asarray(times, dtype=float)
-    if len(wall_values) != len(times):
-        raise ValueError("wall_values must be sampled on the time grid")
-    return _kernel_series(wall_values, np.ones(len(times)), times, constant)
+    """Per-interval source values Q^{n+1/2} of the sqrt kernel on the unit
+    clock, exchange_warped_kernel with every alpha 1: the fixed kernel,
+    for the constant C sqrt(alpha_bar)."""
+    return exchange_warped_kernel(wall_values, np.ones(len(times)), times,
+                                  constant)
 
 
 def running_range_alpha(wall_values: np.ndarray,
@@ -259,4 +255,11 @@ def exchange_warped_kernel(wall_values: np.ndarray, alpha_values: np.ndarray,
         raise ValueError("wall and alpha values must sit on the time grid")
     if not (alpha > 0.0).all():
         raise ValueError("alpha values must be positive")
-    return _kernel_series(wall_values, alpha, times, constant)
+    rates = alpha[1:]
+    w = rates * np.diff(times)
+    if not len(w):
+        return np.empty(0)
+    # x_hi is the clock as commit sums it, increment by increment
+    memory = MemorySource(constant, wall_values[0], w.min(),
+                          np.cumsum(w)[-1])
+    return exchange_series(memory, wall_values, rates, times)

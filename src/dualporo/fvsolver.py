@@ -52,22 +52,23 @@ and cell, so a step costs the same however long the history):
     Q_w = -(impl / dt) (p(S_new) - p^0) + expl,   impl = 2 C sqrt(alpha dt),
 
 with expl collecting the history: exact for the newest interval, from
-the decaying states for the older ones.  The fixed kernel is the case
-alpha = 1 (one shared clock for all cells); the time-warped kernel uses
-alpha = alpha_hat per cell, frozen at its beginning-of-step value
-(running extrema of the wall history), which keeps the Newton system
-well defined.  _source_terms evaluates the trial step of the memory,
-and _try_step commits it only once Newton converges, so step halving
-stays consistent with the convolution.  Each report interval is covered
-by imbibition.cover_interval, the step controller the block uses too,
-and its end is snapped to the report time.
+the decaying states for the older ones, and C = effective.kernel_constant
+of params.cset and the grid's dimension.  _clock_rate decides the clock
+rate alpha: alpha_bar for the fixed kernel (one shared scalar clock), or
+alpha_hat per cell for the time-warped one, frozen at its
+beginning-of-step value (running extrema of the wall history), which
+keeps the Newton system well defined.  _source_terms evaluates the trial
+step of the memory, and _try_step commits it only once Newton converges,
+so step halving stays consistent with the convolution.  Each report
+interval is covered by imbibition.cover_interval, the step controller
+the block uses too, and its end is snapped to the report time.
 
 The memory's nodes cover the clock range [x_lo, x_hi] of the run: x_lo
 is half the shortest step a report interval can halve to
-(imbibition.MAX_HALVINGS times), x_hi twice the report span.  For the
-warped kernel both ends are scaled by the band alpha_hat can take:
-alpha_hat averages alpha over a range of wall values that contains the
-cell's p^0, so it lies between the extremes over x of
+(imbibition.MAX_HALVINGS times), x_hi twice the report span, both scaled
+by the band the clock rate can take: alpha_bar, or for alpha_hat, which
+averages alpha over a range of wall values that contains the cell's p^0,
+the extremes over x of
 range_diffusivity(min(x, p^0), max(x, p^0)) on the wall values the
 saturation clamp [con.SAT_EPS, 1 - con.SAT_EPS] allows.  A step outside
 the range raises rather than losing accuracy.
@@ -82,7 +83,7 @@ from scipy.sparse.linalg import splu
 from . import constitutive as con
 from .blockmesh import FixedPattern, TensorMesh, product_mesh
 from .constitutive import ConstitutiveSet
-from .effective import MemorySource
+from .effective import MemorySource, kernel_constant
 from .imbibition import (MAX_HALVINGS, NEWTON_RTOL, cover_interval,
                          damping, newton_solve)
 
@@ -127,29 +128,19 @@ class BoundarySpec:
 
 
 @dataclass(frozen=True)
-class SourceSpec:
-    """Matrix-exchange source: "fixed" / "warped" sqrt kernel or "none".
-
-    The constant is the kernel prefactor C; harness.kernel_constant
-    chooses it for a model.
-    """
-
-    model: str = "fixed"
-    constant: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.model not in ("fixed", "warped", "none"):
-            raise ValueError(f"unknown source model {self.model!r}")
-
-
-@dataclass(frozen=True)
 class FlowParams:
-    """Media, effective permeability k* and source of a flood; the
-    fracture porosity phi_f is cset.fracture.porosity."""
+    """Media, effective permeability k* and matrix-exchange source of a
+    flood: the sqrt kernel on the clock alpha_bar ("fixed") or alpha_hat
+    ("warped"), or "none".  The fracture porosity phi_f is
+    cset.fracture.porosity."""
 
     cset: ConstitutiveSet
     k_star: float
-    source: SourceSpec = SourceSpec(model="none")
+    source_model: str = "none"
+
+    def __post_init__(self) -> None:
+        if self.source_model not in ("fixed", "warped", "none"):
+            raise ValueError(f"unknown source model {self.source_model!r}")
 
 
 @dataclass
@@ -332,7 +323,7 @@ class _Assembler:
         slopes[0, :m] = con.capillary_slope(s, vg)
         slopes[1, :m], slopes[2, :m] = con.mobility_slopes(s, vg,
                                                            cset.fluids)
-        # transfer_slope(s) from the fracture slope above
+        # the slope of transfer(s), from the fracture slope above
         dq_w = -impl_dt * (slopes[0, :m] / np.asarray(con.capillary_slope(
             p_wall, cset.matrix.vg)))
         vals = [acc - vol * dq_w, -acc + vol * dq_w]          # dR/dS
@@ -433,22 +424,25 @@ class FractureFlowSolver:
         self.params = params
         self.assembler = _Assembler(grid, params, bcs or {})
 
+    def _clock_rate(self, lo, hi):
+        """The memory's clock rate in a cell whose wall values have spanned
+        [lo, hi]: alpha_hat, the average of alpha over that range, for the
+        warped kernel; alpha_bar for the fixed one, and 1 without source."""
+        par = self.params
+        if par.source_model == "warped":
+            return np.asarray(con.range_diffusivity(
+                lo, hi, par.cset.matrix_table()), dtype=float)
+        return par.cset.alpha_bar() if par.source_model == "fixed" else 1.0
+
     def _source_terms(self, state: FlowState, dt: float):
         """(impl, expl, alpha) such that the step's source is
         Q_w = -(impl/dt) (transfer(S_new) - p^0) + expl: the trial step of
         state.memory, which _try_step commits once Newton converges, on
-        the clock rate alpha (1 but for the warped kernel)."""
-        par = self.params
-        src = par.source
-        if src.model == "none":
+        the clock rate alpha, frozen at the beginning-of-step range."""
+        alpha = self._clock_rate(state.run_min, state.run_max)
+        if state.memory is None:
             zeros = np.zeros(self.grid.n_cells)
-            return zeros, zeros, 1.0
-        alpha = 1.0
-        if src.model == "warped":
-            # freeze alpha-hat at beginning-of-step extrema
-            alpha = np.asarray(con.range_diffusivity(
-                state.run_min, state.run_max, par.cset.matrix_table()),
-                dtype=float)
+            return zeros, zeros, alpha
         impl, expl = state.memory.step(dt, alpha)
         return impl, expl, alpha
 
@@ -456,20 +450,16 @@ class FractureFlowSolver:
         """The run's source memory over the report grid times; see the
         module docstring for its clock range."""
         par = self.params
-        src = par.source
-        if src.model == "none":
+        if par.source_model == "none":
             return None
+        x = np.asarray(par.cset.transfer(np.linspace(
+            con.SAT_EPS, 1.0 - con.SAT_EPS, 513)))
+        p0 = np.unique(wall0)[:, None]
+        band = self._clock_rate(np.minimum(x, p0), np.maximum(x, p0))
         x_lo = 0.5 * np.diff(times).min() / 2 ** MAX_HALVINGS
         x_hi = 2.0 * (times[-1] - times[0])
-        if src.model == "warped":
-            cset = par.cset
-            x = np.asarray(cset.transfer(np.linspace(
-                con.SAT_EPS, 1.0 - con.SAT_EPS, 513)))
-            p0 = np.unique(wall0)[:, None]
-            band = np.asarray(con.range_diffusivity(
-                np.minimum(x, p0), np.maximum(x, p0), cset.matrix_table()))
-            x_lo, x_hi = x_lo * band.min(), x_hi * band.max()
-        return MemorySource(src.constant, wall0, x_lo, x_hi)
+        return MemorySource(kernel_constant(self.grid.dimension, par.cset),
+                            wall0, x_lo * np.min(band), x_hi * np.max(band))
 
     def _try_step(self, state: FlowState, dt: float) -> None:
         """Append one accepted step of length dt to every history of
@@ -549,15 +539,12 @@ class FractureFlowSolver:
                              "at least two")
 
         p_wall = np.asarray(par.cset.transfer(s))
-        # the memory's clock rate: alpha-hat for the warped kernel, else 1
-        a0 = (np.asarray(par.cset.matrix_alpha(p_wall), dtype=float)
-              if par.source.model == "warped" else 1.0)
         state = FlowState(
             pressure_n=pn,
             memory=self._memory(p_wall, times),
             run_min=p_wall.copy(), run_max=p_wall.copy(),
             times_hist=[float(times[0])], sat_hist=[s], wall_hist=[p_wall],
-            alpha_hist=[a0 * np.ones(m)],
+            alpha_hist=[self._clock_rate(p_wall, p_wall) * np.ones(m)],
             source_hist=[] if record_sources else None, steps=[])
 
         snapshots: dict = {}

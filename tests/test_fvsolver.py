@@ -44,8 +44,8 @@ Oracles used here:
     realized grid and to 1e-9 in their fields, and take at most 2.2
     corrections a step; a coarse 24x24 flood takes every report interval
     in one step;
-  * with a degenerate running range the warped source collapses onto the
-    fixed source with matched constant C_fixed = C_warped sqrt(alpha);
+  * with the running range frozen at [0, 1] the warped source collapses
+    onto the fixed source, whose clock runs at alpha_bar;
   * per-step mass bookkeeping closes to Newton tolerance, saturations
     stay in bounds without clamping, and the capillary closure between
     the reported pressures is exact; the Newton stop bounds the volume
@@ -73,28 +73,20 @@ from dualporo import constitutive as con
 from dualporo import fvsolver
 from dualporo import harness as hz
 from dualporo.blockmesh import LU_OPTIONS
-from dualporo.effective import MemorySource
+from dualporo.effective import MemorySource, kernel_constant
 from dualporo.fvsolver import (BoundarySpec, FlowParams, FlowState,
-                               FractureFlowSolver, SourceSpec, _Assembler,
+                               FractureFlowSolver, _Assembler,
                                build_grid, effective_permeability,
                                upwind_phase_mobility)
 from dualporo import imbibition
 from dualporo.imbibition import NewtonFailure
-from oracles import sqrt_kernel_step
+from oracles import sqrt_kernel_step, transfer_slope
 
 DAY = 86400.0
 
 
-def fixed_constant(cset):
-    return hz.kernel_constant("fixed", 2, cset)
-
-
-def warped_constant(cset):
-    return hz.kernel_constant("warped", 2, cset)
-
-
-def make_params(cset, source=SourceSpec(model="none"), k_star=0.5e-13):
-    return FlowParams(cset=cset, k_star=k_star, source=source)
+def make_params(cset, model="none", k_star=0.5e-13):
+    return FlowParams(cset=cset, k_star=k_star, source_model=model)
 
 
 # ------------------------------------------------------------------ grid
@@ -204,15 +196,13 @@ def test_inflow_without_dirichlet_wall_is_rejected_when_built(sim1_cset):
                        "dirichlet wall: both fluids are incompressible$"):
         FractureFlowSolver(
             build_grid(4, 3, lx=10.0, ly=10.0),
-            make_params(sim1_cset,
-                        SourceSpec("fixed", fixed_constant(sim1_cset))),
+            make_params(sim1_cset, "fixed"),
             {"xmin": BoundarySpec("inflow", wetting_rate=1.5e-6)})
 
 
 def test_uniform_no_flow_state_is_stationary(sim1_cset):
     grid = build_grid(4, 3, lx=4.0, ly=3.0)
-    source = SourceSpec("fixed", fixed_constant(sim1_cset))
-    solver = FractureFlowSolver(grid, make_params(sim1_cset, source))
+    solver = FractureFlowSolver(grid, make_params(sim1_cset, "fixed"))
     times = np.linspace(0.0, 2.0 * DAY, 4)
     res = solver.run(0.4, 1e6, times, record_sources=True)
     assert all(st.newton_iters == 0 for st in res.steps)
@@ -222,38 +212,24 @@ def test_uniform_no_flow_state_is_stationary(sim1_cset):
                for st in res.steps)
 
 
-def test_zero_constant_source_matches_source_free_run(sim1_cset):
-    grid = build_grid(4, 3, lx=8.0, ly=6.0)
-    bcs = {"xmax": BoundarySpec("dirichlet", saturation=0.6,
-                                pressure_n=1.1e6)}
-    times = np.linspace(0.0, 1.0 * DAY, 7)
-    runs = []
-    for source in (SourceSpec(model="none"),
-                   SourceSpec(model="fixed", constant=0.0)):
-        solver = FractureFlowSolver(grid, make_params(sim1_cset, source), bcs)
-        runs.append(solver.run(0.05, 1e6, times))
-    assert np.array_equal(runs[0].saturation_history,
-                          runs[1].saturation_history)
-    assert np.array_equal(runs[0].pressure_n, runs[1].pressure_n)
-
-
 # ---------------------------------------------------------------- Jacobian
 
-def fabricated_state(rng, cset, m, source, t_hist=(0.0, 600.0, 1250.0),
+def fabricated_state(rng, cset, m, model, t_hist=(0.0, 600.0, 1250.0),
                      alpha=None):
     """A mid-run state whose source memory is built by committing its
-    random wall history; the warped clock runs at alpha (default: the
-    pointwise diffusivity of each wall value)."""
+    random wall history; the fixed clock runs at alpha_bar, the warped
+    one at alpha (default: the pointwise diffusivity of each wall
+    value)."""
     sats = [rng.uniform(0.2, 0.8, m) for _ in t_hist]
     walls = [np.asarray(cset.transfer(s)) for s in sats]
     alphas = [np.asarray(cset.matrix_alpha(w)) if alpha is None
               else np.full(m, alpha) for w in walls]
     memory = None
-    if source.model != "none":
-        memory = MemorySource(source.constant, walls[0], 1.0, 1e12)
+    if model != "none":
+        memory = MemorySource(kernel_constant(2, cset), walls[0], 1.0, 1e12)
         for k in range(1, len(t_hist)):
             memory.step(t_hist[k] - t_hist[k - 1],
-                        1.0 if source.model == "fixed" else alphas[k])
+                        cset.alpha_bar() if model == "fixed" else alphas[k])
             memory.commit(walls[k])
     sats[-1] = rng.uniform(0.2, 0.8, m)        # the current field
     return FlowState(pressure_n=1e6 + rng.uniform(-1e5, 1e5, m),
@@ -273,13 +249,10 @@ def test_jacobian_matches_finite_differences(sim1_cset):
            "ymax": BoundarySpec("dirichlet", saturation=0.3,
                                 pressure_n=1.2e6)}
     m = grid.n_cells
-    sources = (SourceSpec(model="none"),
-               SourceSpec("fixed", fixed_constant(sim1_cset)),
-               SourceSpec("warped", warped_constant(sim1_cset)))
-    for source in sources:
-        solver = FractureFlowSolver(grid, make_params(sim1_cset, source),
+    for model in ("none", "fixed", "warped"):
+        solver = FractureFlowSolver(grid, make_params(sim1_cset, model),
                                     bcs)
-        state = fabricated_state(rng, sim1_cset, m, source)
+        state = fabricated_state(rng, sim1_cset, m, model)
         dt = 700.0
         impl, expl, _ = solver._source_terms(state, dt)
         wall0 = state.wall_hist[0]
@@ -374,7 +347,7 @@ class CooAssembler(_Assembler):
         dlam_w, dlam_n = con.mobility_slopes(s, vg, cset.fluids)
 
         p_wall = np.asarray(cset.transfer(s))
-        dp_wall = np.asarray(con.transfer_slope(s, cset.matrix.vg, vg))
+        dp_wall = np.asarray(transfer_slope(s, cset.matrix.vg, vg))
         q_w = -(impl / dt) * (p_wall - wall_ref) + expl
         dq_w = -(impl / dt) * dp_wall
 
@@ -498,13 +471,10 @@ def wall_case(nx, ny, kinds):
 def test_fixed_pattern_jacobian_matches_coo_assembly(sim1_cset, case):
     grid, bcs, model, seed = case
     rng = np.random.default_rng(seed)
-    constant = {"none": 0.0, "fixed": fixed_constant(sim1_cset),
-                "warped": warped_constant(sim1_cset)}[model]
-    source = SourceSpec(model, constant)
-    solver = FractureFlowSolver(grid, make_params(sim1_cset, source), bcs)
+    solver = FractureFlowSolver(grid, make_params(sim1_cset, model), bcs)
     reference = CooAssembler(grid, solver.params, bcs)
     m = grid.n_cells
-    state = fabricated_state(rng, sim1_cset, m, source)
+    state = fabricated_state(rng, sim1_cset, m, model)
     dt = float(rng.uniform(60.0, 1e5))
     impl, expl, _ = solver._source_terms(state, dt)
     wall0 = state.wall_hist[0]
@@ -538,8 +508,7 @@ def short_flood(cset):
     bcs = {"xmin": BoundarySpec("inflow", wetting_rate=1.5e-6),
            "xmax": BoundarySpec("dirichlet", saturation=0.05,
                                 pressure_n=1e6)}
-    source = SourceSpec("fixed", fixed_constant(cset))
-    solver = FractureFlowSolver(grid, make_params(cset, source), bcs)
+    solver = FractureFlowSolver(grid, make_params(cset, "fixed"), bcs)
     return solver.run(0.05, 1e6, np.linspace(0.0, 2.0 * DAY, 5))
 
 
@@ -605,10 +574,9 @@ def test_recorded_sources_match_standalone_evaluators(sim1_cset):
     bcs = {"xmax": BoundarySpec("dirichlet", saturation=0.6,
                                 pressure_n=1.1e6)}
     times = np.linspace(0.0, 2.0 * DAY, 16)
-    for model, cval in (("fixed", fixed_constant(sim1_cset)),
-                        ("warped", warped_constant(sim1_cset))):
-        solver = FractureFlowSolver(
-            grid, make_params(sim1_cset, SourceSpec(model, cval)), bcs)
+    cval = kernel_constant(2, sim1_cset)
+    for model in ("fixed", "warped"):
+        solver = FractureFlowSolver(grid, make_params(sim1_cset, model), bcs)
         res = solver.run(0.05, 1e6, times, record_sources=True)
         ref = exact_sources(res.wall_history, res.alpha_history,
                             res.times_hist, cval)
@@ -618,38 +586,35 @@ def test_recorded_sources_match_standalone_evaluators(sim1_cset):
 
 @pytest.mark.parametrize("model", ["none", "fixed"])
 def test_alpha_history_is_the_clock_rate_of_the_memory(sim1_cset, model):
-    # only the warped kernel's clock runs at alpha-hat; the fixed one (and
-    # a flood without source) at 1, which is what the history records
-    constant = fixed_constant(sim1_cset) if model == "fixed" else 0.0
-    solver = inflow_solver(sim1_cset, 4, 4, SourceSpec(model, constant))
+    # the fixed kernel's clock runs at alpha_bar, a flood without source
+    # records 1, and only the warped kernel's clock follows alpha-hat
+    rate = sim1_cset.alpha_bar() if model == "fixed" else 1.0
+    solver = inflow_solver(sim1_cset, 4, 4, model)
     res = solver.run(0.05, 1e6, np.linspace(0.0, 1.0 * DAY, 4))
-    assert np.array_equal(res.alpha_history, np.ones((4, 16)))
+    assert np.array_equal(res.alpha_history, np.full((4, 16), rate))
 
 
 def test_warped_source_with_frozen_range_reduces_to_fixed(sim1_cset):
+    # frozen on the whole range [0, 1], alpha-hat is alpha_bar (bitwise:
+    # the table's alpha_bar is beta(1)), so the warped kernel runs on the
+    # fixed kernel's clock
     grid = build_grid(3, 2, lx=3.0, ly=2.0)
     m = grid.n_cells
-    p_star = np.full(m, 0.55)
-    a = float(np.asarray(sim1_cset.matrix_alpha(0.55)))
-    c_warp = warped_constant(sim1_cset)
-    c_fixed_matched = c_warp * np.sqrt(a)
-
-    warp_source = SourceSpec("warped", c_warp)
-    fixed_source = SourceSpec("fixed", c_fixed_matched)
+    abar = sim1_cset.alpha_bar()
     # the same random history on the two clocks
     states = [fabricated_state(np.random.default_rng(11), sim1_cset, m,
-                               source, alpha=a)
-              for source in (warp_source, fixed_source)]
+                               model, alpha=abar)
+              for model in ("warped", "fixed")]
     for state in states:
-        state.run_min = p_star.copy()
-        state.run_max = p_star.copy()
+        state.run_min = np.zeros(m)
+        state.run_max = np.ones(m)
 
     dt = 700.0
-    warp = FractureFlowSolver(grid, make_params(sim1_cset, warp_source))
-    fixed = FractureFlowSolver(grid, make_params(sim1_cset, fixed_source))
+    warp = FractureFlowSolver(grid, make_params(sim1_cset, "warped"))
+    fixed = FractureFlowSolver(grid, make_params(sim1_cset, "fixed"))
     impl_w, expl_w, a_new = warp._source_terms(states[0], dt)
-    impl_f, expl_f, _ = fixed._source_terms(states[1], dt)
-    assert np.allclose(a_new, a, rtol=1e-14)
+    impl_f, expl_f, a_fixed = fixed._source_terms(states[1], dt)
+    assert np.array_equal(a_new, np.full(m, abar)) and a_fixed == abar
     assert np.allclose(impl_w, impl_f, rtol=1e-13)
     assert np.array_equal(states[0].wall_hist[0], states[1].wall_hist[0])
     assert np.abs(expl_w - expl_f).max() <= 1e-12 * np.abs(expl_f).max()
@@ -659,11 +624,10 @@ def test_warped_source_with_frozen_range_reduces_to_fixed(sim1_cset):
 
 def test_flood_mass_balance_bounds_closure_and_snapshots(sim1_cset):
     grid = build_grid(8, 8, lx=10.0, ly=10.0)
-    source = SourceSpec("fixed", fixed_constant(sim1_cset))
     bcs = {"xmin": BoundarySpec("inflow", wetting_rate=1.5e-6),
            "xmax": BoundarySpec("dirichlet", saturation=0.05,
                                 pressure_n=1e6)}
-    solver = FractureFlowSolver(grid, make_params(sim1_cset, source), bcs)
+    solver = FractureFlowSolver(grid, make_params(sim1_cset, "fixed"), bcs)
     times = np.linspace(0.0, 10.0 * DAY, 21)
     res = solver.run(0.05, 1e6, times, snapshot_times=(5.0 * DAY,))
 
@@ -702,12 +666,11 @@ def test_halved_steps_keep_sources_and_balance(sim1_cset):
     # two halves: 24 accepted steps on a realized grid the sources and
     # the mass balance must follow
     grid = build_grid(6, 4, lx=10.0, ly=10.0)
-    cval = warped_constant(sim1_cset)
+    cval = kernel_constant(2, sim1_cset)
     bcs = {"xmin": BoundarySpec("inflow", wetting_rate=1.5e-6),
            "xmax": BoundarySpec("dirichlet", saturation=0.05,
                                 pressure_n=1e6)}
-    solver = FractureFlowSolver(
-        grid, make_params(sim1_cset, SourceSpec("warped", cval)), bcs)
+    solver = FractureFlowSolver(grid, make_params(sim1_cset, "warped"), bcs)
     times = np.linspace(0.0, 2.0 * DAY, 21)
     dt_report = times[1] - times[0]
     try_step = solver._try_step
@@ -731,12 +694,12 @@ def test_halved_steps_keep_sources_and_balance(sim1_cset):
     assert dv <= 1e-12
 
 
-def inflow_solver(cset, nx, ny, source=SourceSpec(model="none")):
+def inflow_solver(cset, nx, ny, model="none"):
     bcs = {"xmin": BoundarySpec("inflow", wetting_rate=1.5e-6),
            "xmax": BoundarySpec("dirichlet", saturation=0.05,
                                 pressure_n=1e6)}
     return FractureFlowSolver(build_grid(nx, ny, lx=10.0, ly=10.0),
-                              make_params(cset, source), bcs)
+                              make_params(cset, model), bcs)
 
 
 def test_refused_interval_takes_quarters_and_the_next_starts_whole(
@@ -745,7 +708,7 @@ def test_refused_interval_takes_quarters_and_the_next_starts_whole(
     # tried whole, halved twice, and covered in four quarter steps (each
     # success doubles the next try); interval 2 starts again at its span
     solver = inflow_solver(sim1_cset, 4, 4,
-                           SourceSpec("fixed", fixed_constant(sim1_cset)))
+                           "fixed")
     times = np.linspace(0.0, 1.0 * DAY, 5)
     span = times[1] - times[0]
     attempts = []                           # (report interval, dt / span)
@@ -813,11 +776,9 @@ def test_step_attempt_advances_the_state_or_leaves_it(sim1_cset, model,
     # with no Newton iteration allowed the attempt raises, and the fields,
     # every history and the memory's committed state and clock are as
     # they were; with iterations allowed it appends exactly one step
-    constant = {"none": 0.0, "fixed": fixed_constant(sim1_cset),
-                "warped": warped_constant(sim1_cset)}[model]
-    solver = inflow_solver(sim1_cset, 4, 3, SourceSpec(model, constant))
+    solver = inflow_solver(sim1_cset, 4, 3, model)
     state = fabricated_state(np.random.default_rng(5), sim1_cset, 12,
-                             solver.params.source)
+                             solver.params.source_model)
     before = copy.deepcopy(state)
 
     monkeypatch.setattr(imbibition, "NEWTON_MAX_ITER", 0)
@@ -874,7 +835,7 @@ def test_predicted_saturation_follows_the_history_length(sim1_cset):
     # s_old on the first step, linear through two pairs, quadratic
     # through the last three, always clipped to the saturation clamp
     state = fabricated_state(np.random.default_rng(3), sim1_cset, 12,
-                             SourceSpec(model="none"),
+                             "none",
                              t_hist=(0.0, 300.0, 700.0, 1250.0))
     s = state.sat_hist
     for n in (1, 2, 3, 4):
@@ -974,11 +935,9 @@ def test_newton_start_is_the_prediction_damped_from_s_old(sim1_cset, seed,
 def test_failed_start_raises_its_own_failure(sim1_cset, model, monkeypatch):
     # the one Newton run of the step stalls; the step raises that run's
     # failure (its error, 2) and leaves the state as it was
-    constant = {"none": 0.0, "fixed": fixed_constant(sim1_cset),
-                "warped": warped_constant(sim1_cset)}[model]
-    solver = inflow_solver(sim1_cset, 4, 3, SourceSpec(model, constant))
+    solver = inflow_solver(sim1_cset, 4, 3, model)
     state = fabricated_state(np.random.default_rng(5), sim1_cset, 12,
-                             solver.params.source)
+                             solver.params.source_model)
     before = copy.deepcopy(state)
     calls = forced_stalls(monkeypatch, {0: 2.0, 1: 3.0}, solver)
     with pytest.raises(NewtonFailure, match=r"^Newton stalled: 3 "
@@ -996,7 +955,7 @@ def test_failed_step_runs_newton_once(sim1_cset, monkeypatch, t_hist):
     # (where the start is s_old) or later
     solver = inflow_solver(sim1_cset, 4, 3)
     state = fabricated_state(np.random.default_rng(5), sim1_cset, 12,
-                             solver.params.source, t_hist=t_hist)
+                             solver.params.source_model, t_hist=t_hist)
     calls = forced_stalls(monkeypatch, {0: 2.0, 1: 3.0}, solver)
     with pytest.raises(NewtonFailure, match=r"\(2\.000e\+00\)$"):
         solver._try_step(state, 600.0)
@@ -1009,7 +968,7 @@ def stalled_flood(cset, monkeypatch):
     """A 4 x 4 flood whose sixth step is forced to stall, which halves
     that interval; returns the result."""
     solver = inflow_solver(cset, 4, 4,
-                           SourceSpec("fixed", fixed_constant(cset)))
+                           "fixed")
     calls = forced_stalls(monkeypatch, {5: 2.0}, solver)
     times = np.linspace(0.0, 1.0 * DAY, 9)
     res = solver.run(0.05, 1e6, times)
@@ -1068,9 +1027,7 @@ def test_flood_builds_a_jacobian_only_where_it_factors_one(
     # fill per LU, and one LU per reported correction.  A forced stall on
     # the fourth attempt fills one more, for the iterate at which Newton
     # gives up without factoring
-    constant = {"none": 0.0, "fixed": fixed_constant(sim1_cset),
-                "warped": warped_constant(sim1_cset)}[model]
-    solver = inflow_solver(sim1_cset, 4, 4, SourceSpec(model, constant))
+    solver = inflow_solver(sim1_cset, 4, 4, model)
     calls = forced_stalls(monkeypatch, {3: 2.0} if stall else {}, solver)
     fills = counted(monkeypatch, bm.FixedPattern, "fill")
     assembles = counted(monkeypatch, _Assembler, "assemble")
@@ -1122,7 +1079,7 @@ def test_one_dimensional_flood_self_convergence(sim1_cset):
     # ratios 0.58 and 0.66 (near-first-order at a sharp front)
     def flood(nx):
         grid = build_grid(nx, 1, lx=10.0)
-        params = make_params(sim1_cset, SourceSpec(model="none"),
+        params = make_params(sim1_cset, "none",
                              k_star=1e-13)
         bcs = {"xmin": BoundarySpec("inflow", wetting_rate=1.5e-6),
                "xmax": BoundarySpec("dirichlet", saturation=0.05,
@@ -1156,5 +1113,5 @@ def test_solver_validation_errors(sim1_cset):
         solver.run(0.4, 1e6, np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         BoundarySpec("osmosis")
-    with pytest.raises(ValueError):
-        SourceSpec("quadratic")
+    with pytest.raises(ValueError, match="unknown source model"):
+        make_params(sim1_cset, "quadratic")

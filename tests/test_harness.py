@@ -158,23 +158,13 @@ def test_run_method_effective_matches_inline_composition():
     # one vectorized transfer: within one ulp of 1 of the scalar calls
     scalar = np.array([float(cset.transfer(boundary(t))) for t in times])
     assert np.abs(wall - scalar).max() <= np.spacing(1.0)
-    c = 2.0 * cfg.dimension * np.sqrt(cset.matrix.porosity
-                                      * cset.matrix.permeability
-                                      * cset.alpha_bar() / np.pi)
+    # the sqrt kernel on the constant clock alpha_bar
+    c = eff.kernel_constant(cfg.dimension, cset)
+    alpha = np.full(len(times), cset.alpha_bar())
     assert np.array_equal(series.values,
-                          eff.exchange_fixed_kernel(wall, times, c))
+                          eff.exchange_warped_kernel(wall, alpha, times, c))
     assert np.array_equal(series.times, hz.midpoints(times))
     assert series.delta == 0.0 and series.divided_by_delta
-
-
-def test_kernel_constant_picks_the_models_prefactor():
-    cset = hz.get_preset("sim1").cset()
-    phi, k = cset.matrix.porosity, cset.matrix.permeability
-    assert hz.kernel_constant("fixed", 2, cset) == \
-        2.0 * 2 * np.sqrt(phi * k * cset.alpha_bar() / np.pi)
-    for model in ("warped", "none"):
-        assert hz.kernel_constant(model, 3, cset) == \
-            2.0 * 3 * np.sqrt(phi * k / np.pi)
 
 
 def test_run_method_block_methods_need_delta():
@@ -593,7 +583,7 @@ def test_cli_error_paths_exit_nonzero(tmp_path, capsys):
     assert err.count("\n") == 1
     assert not outdir.exists()
     # a flag is checked where its YAML key is: the source model in
-    # FloodConfig, by SourceSpec's check
+    # FloodConfig, by FlowParams' check
     assert main(["effective-run", "--nx", "4", "--ny", "4", "--steps", "2",
                  "--source", "bogus", "--outdir", str(outdir)]) == 1
     assert capsys.readouterr().err == ("dualporo: unknown source model "
