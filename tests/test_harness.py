@@ -167,6 +167,27 @@ def test_run_method_effective_matches_inline_composition():
     assert series.delta == 0.0 and series.divided_by_delta
 
 
+def test_kernel_constant_picks_the_models_prefactor():
+    import dualporo.effective as eff
+    cset = hz.get_preset("sim1").cset()
+    phi, k = cset.matrix.porosity, cset.matrix.permeability
+    # one prefactor for both effective methods, on the time-warped clock
+    for d in (2, 3):
+        assert eff.kernel_constant(d, cset) == 2.0 * d * np.sqrt(phi * k / np.pi)
+    # effective-I is the fixed kernel of the classical prefactor
+    # 2 d sqrt(phi_m k_m alpha_bar / pi) on the unit clock
+    for d in (2, 3):
+        cfg = small_config(dimension=d)
+        times = cfg.times()
+        boundary = cfg.boundary()
+        wall = cset.transfer(np.array([boundary(t) for t in times]))
+        fixed = eff.exchange_fixed_kernel(
+            wall, times, 2.0 * d * np.sqrt(phi * k * cset.alpha_bar() / np.pi))
+        series = hz.run_method(cfg, "effective-I")
+        np.testing.assert_allclose(series.values, fixed, rtol=1e-12,
+                                   atol=1e-12 * np.abs(fixed).max())
+
+
 def test_run_method_block_methods_need_delta():
     with pytest.raises(ValueError, match="delta"):
         hz.run_method(small_config(), "nlin")
