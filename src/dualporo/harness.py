@@ -30,8 +30,8 @@ from . import effective as eff
 from . import fvsolver as fv
 from .blockmesh import TensorMesh
 from .imbibition import (EFFECTIVE_METHODS, EXCHANGE_METHODS, BlockProblem,
-                         ExchangeSeries, exchange_from_flux,
-                         exchange_from_volume, midpoints, run_trajectory)
+                         ExchangeSeries, exchange_from_volume, midpoints,
+                         run_trajectory, wall_series)
 from .linearized import run_constant_linearized, run_variable_linearized
 
 DAY = 86400.0
@@ -306,8 +306,7 @@ def _effective_series(cfg: ScenarioConfig, method: str) -> ExchangeSeries:
     ("effective-II")."""
     cset = cfg.cset()
     times = cfg.times()
-    boundary = cfg.boundary()
-    wall = cset.transfer(np.array([boundary(t) for t in times]))
+    wall = wall_series(cset, cfg.boundary(), times)
     # the two alpha_hat clocks differ by one sample: exchange_warped_kernel
     # runs interval n on alpha_hat through sample n + 1 (its alpha[1:]),
     # while vlin (linearized.variable_coefficients, through
@@ -327,21 +326,19 @@ def run_method(cfg: ScenarioConfig, method: str,
     """Exchange series for one method; block methods need a delta.
 
     nlin's series is the volume form of its exchange (the flux form,
-    imbibition.exchange_from_flux, agrees to solver tolerance); clin's and
-    vlin's is their block memory's own exchange, which run_linear hands
-    over as flux integrals.
+    imbibition.exchange_from_flux, agrees to solver tolerance); clin and
+    vlin return their block memory's own exchange as a series.
     """
     if method in EFFECTIVE_METHODS:
         return _effective_series(cfg, method)
     if delta is None:
         raise ValueError(f"method {method!r} needs a block delta")
-    runners = {"nlin": run_trajectory, "clin": run_constant_linearized,
+    runners = {"nlin": lambda p: exchange_from_volume(run_trajectory(p), p),
+               "clin": run_constant_linearized,
                "vlin": run_variable_linearized}
     if method not in runners:
         raise ValueError(f"unknown method {method!r}")
-    problem = cfg.block_problem(delta)
-    series = exchange_from_volume if method == "nlin" else exchange_from_flux
-    return series(runners[method](problem), problem, method=method)
+    return runners[method](cfg.block_problem(delta))
 
 
 def comparison_keys(cfg: ScenarioConfig) -> list:
@@ -547,8 +544,9 @@ def write_exchange_csv(path: str, series_list) -> None:
 
 def read_exchange_csv(path: str) -> list:
     """Parse an exchange CSV back into ExchangeSeries (one per method,
-    delta pair, in file order). Times, values and deltas must be finite,
-    and times strictly increasing within each series."""
+    delta pair, in file order). Method tags must be known, times, values
+    and deltas finite, and times strictly increasing within each series;
+    a malformed row fails with its file and line."""
     groups: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         if tuple(fh.readline().strip().split(",")) != EXCHANGE_HEADER:
@@ -556,6 +554,8 @@ def read_exchange_csv(path: str) -> list:
         for lineno, line in enumerate(fh, start=2):
             try:
                 t, q, method, delta = line.strip().split(",")
+                if method not in EXCHANGE_METHODS:
+                    raise ValueError(f"unknown method tag {method!r}")
                 key, t, q = (method, float(delta)), float(t) * DAY, float(q)
                 if not np.isfinite(key[1]):     # nan would key every row apart
                     raise ValueError("delta must be finite")

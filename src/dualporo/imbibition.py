@@ -26,9 +26,9 @@ tridiagonal eigenproblem, W^-1/2 D_1 W^-1/2 = Q diag(lambda) Q^T,
 diagonalizes every axis at once (the fast diagonalization method,
 Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185).  With
 S = (W^-1/2 Q) (x) ... (x) (W^-1/2 Q), one factor per axis, the field is
-held as s = h + S a: h the last wall value, uniform, and a the modal
-amplitudes of what is off it.  Each backward-Euler step to the wall
-value g is then a scalar update per mode,
+h + S a: h the last wall value, uniform, and a the modal amplitudes of
+what is off it.  Each backward-Euler step to the wall value g is then a
+scalar update per mode,
 
     a <- (a + (h - g) v_hat) / (1 - tau mu),   h <- g,
     tau = k_eff c_k dt / phi_m,
@@ -43,10 +43,10 @@ d = 1/(1 - tau mu) and V the block volume, the step's exchange is
 a sum with no cancellation (the volume form, -phi_m d(mean)/dt, loses
 up to 1e-10 of it at delta = 0.001).  BlockMemory holds h and a behind
 effective.MemorySource's interface, effective.exchange_series drives it,
-and the cell field is rebuilt once, at the end of the run.
+and run_linear returns that exchange; no cell field is ever formed.
 
-The exchange rate (wetting-phase volume per unit time and bulk volume,
-negative while water imbibes into the block) is computed two ways:
+nlin's exchange rate (wetting-phase volume per unit time and bulk volume,
+negative while water imbibes) is computed two ways from a BlockSolution:
 
   * volume method: -phi_m * d/dt (block-average saturation),
   * flux method:   -(delta^2 k_m / vol) * (two-point wall fluxes of beta),
@@ -200,7 +200,7 @@ class BlockProblem:
 
 @dataclass
 class BlockSolution:
-    """Report-grid history of one block run.
+    """Report-grid history of one nonlinear block run (run_trajectory).
 
     mean_saturation and flux_integrals describe the whole block;
     final_field holds the cells of the mesh the run used (the corner mesh
@@ -369,7 +369,6 @@ class BlockMemory:
         for _ in range(mesh.dimension - 1):
             self.mu = np.add.outer(self.mu, lam).ravel()
             self.v_hat = np.multiply.outer(self.v_hat, v).ravel()
-        self._basis = q * r[:, None]            # W^-1/2 Q
         self.mesh, self.porosity = mesh, porosity
         self._rate = k_eff / porosity
         self.wall0 = float(wall0)
@@ -393,25 +392,19 @@ class BlockMemory:
         self.a = (self.a + (self.h - wall) * self.v_hat) / self._trial
         self.h, self._trial = float(wall), None
 
-    def field(self) -> np.ndarray:
-        """h + S a on the mesh's cells.  Each pass contracts the first axis
-        with W^-1/2 Q and appends the result as the last, so one pass per
-        axis puts them back in order.  Elementwise products and sums, not
-        matmul: BLAS's matrix kernels would page in more library code."""
-        basis, f = self._basis, self.a
-        for _ in range(self.mesh.dimension):
-            f = f.reshape(len(basis), -1)
-            f = np.array([(row[:, None] * f).sum(axis=0) for row in basis]).T
-        return self.h + f.ravel()
+
+def wall_series(cset: ConstitutiveSet, boundary, times) -> np.ndarray:
+    """Wall values of the drive boundary at the report times, by one
+    vectorized transfer: the report-grid form of BlockProblem.wall_value."""
+    return cset.transfer(np.array([boundary(float(t)) for t in times]))
 
 
 def run_linear(problem: BlockProblem, coefficients,
-               mesh: BlockMesh | None = None) -> BlockSolution:
+               mesh: BlockMesh | None = None) -> np.ndarray:
     """Linearized block solve: phi ds/dt = k_eff c_k Lap(s), with scalar
     diffusivity c_k frozen per report step (scalar input broadcasts),
-    one backward-Euler step per report interval by BlockMemory.  The flux
-    integrals carry its exchange, and the means integrate it."""
-    mesh = mesh or problem.build_mesh()
+    one backward-Euler step per report interval by BlockMemory.  Returns
+    the memory's exchange over each report interval."""
     times = problem.times
     n_rep = len(times) - 1
     coeff = np.asarray(coefficients, dtype=float)
@@ -423,30 +416,25 @@ def run_linear(problem: BlockProblem, coefficients,
                          f"{coeff.shape}")
     if not (np.isfinite(coeff).all() and coeff.min() > 0.0):
         raise ValueError("coefficients must be finite and positive")
-    phi = problem.cset.matrix.porosity
-    wall = np.array([problem.wall_value(t) for t in times])
-    memory = BlockMemory(mesh, phi, problem.k_eff, wall[0])
-    dq = exchange_series(memory, wall, coeff, times) * np.diff(times)
-    means = np.concatenate(([wall[0]], wall[0] - np.cumsum(dq) / phi))
-    vol = (1.0 - problem.delta) ** problem.dimension
-    return BlockSolution(times=times.copy(), mean_saturation=means,
-                         flux_integrals=-vol * dq, final_field=memory.field(),
-                         newton_iterations=n_rep, substeps=n_rep)
+    wall = wall_series(problem.cset, problem.boundary, times)
+    memory = BlockMemory(mesh or problem.build_mesh(),
+                         problem.cset.matrix.porosity, problem.k_eff, wall[0])
+    return exchange_series(memory, wall, coeff, times)
 
 
-def exchange_from_volume(solution: BlockSolution, problem: BlockProblem,
-                         method: str = "nlin") -> ExchangeSeries:
+def exchange_from_volume(solution: BlockSolution,
+                         problem: BlockProblem) -> ExchangeSeries:
     """-phi_m * (interval change of the block-average saturation)/dt."""
     t = solution.times
     phi = problem.cset.matrix.porosity
     values = -phi * np.diff(solution.mean_saturation) / np.diff(t)
-    return ExchangeSeries(midpoints(t), values, method, problem.delta)
+    return ExchangeSeries(midpoints(t), values, "nlin", problem.delta)
 
 
-def exchange_from_flux(solution: BlockSolution, problem: BlockProblem,
-                       method: str = "nlin") -> ExchangeSeries:
+def exchange_from_flux(solution: BlockSolution,
+                       problem: BlockProblem) -> ExchangeSeries:
     """-(per-interval average wall beta-flux) / block volume."""
     t = solution.times
     vol = (1.0 - problem.delta) ** problem.dimension
     values = -solution.flux_integrals / np.diff(t) / vol
-    return ExchangeSeries(midpoints(t), values, method, problem.delta)
+    return ExchangeSeries(midpoints(t), values, "nlin", problem.delta)

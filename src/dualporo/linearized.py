@@ -5,7 +5,8 @@ equation. Two linearizations are provided, both imbibition.run_linear:
 the block's modes (imbibition.BlockMemory, the fast diagonalization
 method of Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185) driven by
 effective.exchange_series, the driver of the sqrt kernel too, on a clock
-whose rate is the scalar; neither run factors a matrix:
+whose rate is the scalar.  Neither factors a matrix, and each returns
+the block's ExchangeSeries, not divided by delta:
 
   * constant ("clin"): the saturation average alpha_bar = int_0^1 alpha;
   * variable ("vlin"): a time-dependent scalar, the average of alpha over
@@ -24,26 +25,27 @@ import numpy as np
 
 from .blockmesh import BlockMesh
 from .effective import running_range_alpha
-from .imbibition import BlockProblem, BlockSolution, run_linear
+from .imbibition import (BlockProblem, ExchangeSeries, midpoints, run_linear,
+                         wall_series)
 
 
 def variable_coefficients(problem: BlockProblem) -> np.ndarray:
     """Per-interval scalar diffusivity: average of alpha over the wall-value
     range visited through the interval's start node."""
-    cset = problem.cset
-    wall = cset.transfer(np.array([problem.boundary(float(t))
-                                   for t in problem.times]))
-    return running_range_alpha(wall, cset.matrix_table())[:-1]
+    wall = wall_series(problem.cset, problem.boundary, problem.times)
+    return running_range_alpha(wall, problem.cset.matrix_table())[:-1]
 
 
 def run_constant_linearized(problem: BlockProblem,
-                            mesh: BlockMesh | None = None) -> BlockSolution:
-    """Block solve with alpha replaced by its saturation average."""
-    return run_linear(problem, problem.cset.alpha_bar(), mesh)
+                            mesh: BlockMesh | None = None) -> ExchangeSeries:
+    """Block exchange with alpha replaced by its saturation average."""
+    q = run_linear(problem, problem.cset.alpha_bar(), mesh)
+    return ExchangeSeries(midpoints(problem.times), q, "clin", problem.delta)
 
 
 def run_variable_linearized(problem: BlockProblem,
-                            mesh: BlockMesh | None = None) -> BlockSolution:
-    """Block solve with the range-averaged diffusivity
+                            mesh: BlockMesh | None = None) -> ExchangeSeries:
+    """Block exchange with the range-averaged diffusivity
     (variable_coefficients), frozen per step in physical time."""
-    return run_linear(problem, variable_coefficients(problem), mesh)
+    q = run_linear(problem, variable_coefficients(problem), mesh)
+    return ExchangeSeries(midpoints(problem.times), q, "vlin", problem.delta)

@@ -13,7 +13,7 @@ import re
 
 import dualporo
 
-MAX_SETTABLE = 58
+MAX_SETTABLE = 56
 MAX_EXPORTS = 45
 
 
@@ -97,6 +97,28 @@ def test_only_the_two_drivers_commit_a_memory():
                             and node.func.attr == "commit"}
     assert callers == {("effective.py", "exchange_series"),
                        ("fvsolver.py", "_try_step")}
+
+
+def test_only_the_nonlinear_run_builds_a_block_solution():
+    # a BlockSolution is the record of a Newton run (means, wall-flux
+    # integrals, final field, Newton and step counts); the linear runs
+    # return their exchange series, so run_trajectory alone builds one
+    def builds(node):
+        return isinstance(node, ast.Call) and "BlockSolution" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    package_dir = pathlib.Path(dualporo.__file__).parent
+    found, in_run = set(), set()
+    for path in sorted(package_dir.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {(path.name, node.lineno) for node in ast.walk(tree)
+                  if builds(node)}
+        in_run |= {(path.name, node.lineno) for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef)
+                   and func.name == "run_trajectory"
+                   for node in ast.walk(func) if builds(node)}
+    assert found and found == in_run
+    assert {name for name, _ in found} == {"imbibition.py"}
 
 
 def test_cli_loads_configs_through_the_public_loaders():

@@ -198,6 +198,36 @@ def test_run_method_rejects_an_unknown_method():
         hz.run_method(small_config(), "bogus", 0.1)
 
 
+def test_block_series_are_their_memory_exchange():
+    # the contract perfbench's published references read through
+    # series.values: clin and vlin are their block memory's exchange,
+    # bitwise, raw per block; the effective sources are keyed once, at
+    # delta 0.0, and already per delta
+    import dualporo.effective as eff
+    from dualporo.imbibition import BlockMemory, wall_series
+    from dualporo.linearized import variable_coefficients
+    cfg = small_config(methods=("clin", "vlin", "effective-I",
+                                "effective-II"))
+    (delta,) = cfg.deltas
+    results = hz.run_comparison(cfg)
+    p = cfg.block_problem(delta)
+    wall = wall_series(p.cset, p.boundary, p.times)
+    for method, rates in (("clin", p.cset.alpha_bar()),
+                          ("vlin", variable_coefficients(p))):
+        memory = BlockMemory(p.build_mesh(), p.cset.matrix.porosity,
+                             p.k_eff, wall[0])
+        expected = eff.exchange_series(
+            memory, wall, np.broadcast_to(rates, cfg.n_steps), p.times)
+        series = results[(method, delta)]
+        assert np.array_equal(series.values, expected), method
+        assert (series.method, series.delta, series.divided_by_delta) \
+            == (method, delta, False)
+    for method in ("effective-I", "effective-II"):
+        series = results[(method, 0.0)]
+        assert (series.method, series.delta, series.divided_by_delta) \
+            == (method, 0.0, True)
+
+
 def test_run_comparison_key_layout():
     cfg = small_config(methods=("clin", "effective-I"), deltas=(0.1,))
     results = hz.run_comparison(cfg)
@@ -362,8 +392,10 @@ def test_read_exchange_csv_rejects_other_files(tmp_path):
      "time does not increase within the nlin, delta 0.1 series"),
     ("0.5,-1.0,nlin,nan", "delta must be finite"),
     ("0.5,-1.0,nlin,inf", "delta must be finite"),
+    ("0.5,-1.0,bogus,0.1", "unknown method tag 'bogus'"),
 ], ids=["short-row", "bad-number", "nan-value", "infinite-time",
-        "duplicated-row", "reversed-rows", "nan-delta", "infinite-delta"])
+        "duplicated-row", "reversed-rows", "nan-delta", "infinite-delta",
+        "unknown-method"])
 def test_read_exchange_csv_names_the_malformed_line(tmp_path, capsys, row,
                                                     reason):
     path = tmp_path / "series.csv"

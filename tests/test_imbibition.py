@@ -7,8 +7,8 @@ Oracles used here:
     iterations, exactly constant mean, exactly zero wall flux);
   * summing the discrete equations over the cells ties the volume and
     flux forms of the nonlinear solve's exchange together, to Newton
-    tolerance (the linear solve's flux integrals carry its block
-    memory's exchange, checked in test_linearized);
+    tolerance (the linear solve returns its block memory's exchange,
+    checked in test_linearized);
   * every accepted nlin step meets the block's fixed Newton stop, its
     residual recomputed from the returned field;
   * a monotone wall drive keeps the exchange one-signed and the block
@@ -500,11 +500,6 @@ def test_failed_block_attempts_stop_early(monkeypatch, factored):
 
 @pytest.mark.parametrize("preset", list_presets())
 def test_corner_matches_full_cube(preset):
-    solvers = {
-        "nlin": run_trajectory,
-        "clin": run_constant_linearized,
-        "vlin": run_variable_linearized,
-    }
     for dimension, cells in ((1, 16), (2, 16), (3, 8)):
         for delta in (0.1, 0.001):
             if dimension == 3 and (delta != 0.1 or preset != "sim1"):
@@ -515,15 +510,18 @@ def test_corner_matches_full_cube(preset):
             corner = p.build_mesh()
             assert corner.copies == 2 ** dimension
             full = bm.tensor_mesh(corner.grid, dimension)
-            for method, solve in solvers.items():
-                a, b = solve(p, corner), solve(p, full)
-                assert a.newton_iterations == b.newton_iterations
-                assert a.substeps == b.substeps
-                for make in (exchange_from_volume, exchange_from_flux):
-                    qa = make(a, p, method).values
-                    qb = make(b, p, method).values
-                    err = np.abs(qa - qb).max() / np.abs(qb).max()
-                    assert err <= 1e-9, (method, dimension, delta, err)
+            a, b = run_trajectory(p, corner), run_trajectory(p, full)
+            assert a.newton_iterations == b.newton_iterations
+            assert a.substeps == b.substeps
+            pairs = [(make(a, p), make(b, p))
+                     for make in (exchange_from_volume, exchange_from_flux)]
+            pairs += [(solve(p, corner), solve(p, full))
+                      for solve in (run_constant_linearized,
+                                    run_variable_linearized)]
+            for qa, qb in pairs:
+                err = (np.abs(qa.values - qb.values).max()
+                       / np.abs(qb.values).max())
+                assert err <= 1e-9, (qa.method, dimension, delta, err)
 
 
 def test_lu_ordering_matches_default_ordering(monkeypatch):
