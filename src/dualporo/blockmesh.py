@@ -37,6 +37,16 @@ ACM National Conf. (1969) 157), is factored by LAPACK's band LU, dgbtrf:
 the block's corners and floods up to 43 x 43 cells.  A wider one is
 factored by SuperLU in the LU_OPTIONS ordering of one stand-in matrix,
 which stays the reference the band route is tested against.
+
+FixedPattern.solver gives one Newton solve its factor.  On the band route
+it factors every correction's matrix.  On SuperLU's it factors the first
+and keeps those factors: each later correction is solved by GMRES on the
+new matrix, right-preconditioned by the kept LU (krylov_solve), and only a
+solve that misses KRYLOV_RTOL within KRYLOV_ITER iterations factors its
+matrix, which is kept instead.  Each correction stays an exact Newton
+step to KRYLOV_RTOL, and no two LUs are alive at once (Knoll and Keyes,
+J. Comput. Phys. 193 (2004) 357).  KRYLOV_ITER = 0 factors every
+correction on both routes, the reference path.
 """
 from __future__ import annotations
 
@@ -146,6 +156,14 @@ BAND_WORK = 30_000_000
 LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A",
               "options": {"SymmetricMode": True}}
 
+# GMRES on a Newton solve's kept SuperLU factors: the largest number of
+# iterations a correction may take, and the bound on its true residual
+# relative to the right-hand side (2-norms).  0 iterations factor every
+# correction.  The band route factors every correction whatever the cap:
+# its LU costs a few of its own solves.
+KRYLOV_ITER = 10
+KRYLOV_RTOL = 1.0e-12
+
 
 def _band_order(mat: sp.csc_matrix, work: int):
     """The Cuthill-McKee order of mat's structurally symmetric pattern,
@@ -226,6 +244,81 @@ class OrderedLU:
         return x
 
 
+def krylov_solve(mat, b, lu, max_iter: int):
+    """x with |b - mat x| <= KRYLOV_RTOL |b| by GMRES from x = 0,
+    right-preconditioned by lu.solve (Saad and Schultz, SIAM J. Sci. Stat.
+    Comput. 7 (1986) 856), or None if none of its first max_iter iterates
+    gets there.  The true residual decides; GMRES's least-squares residual
+    only says when to look.  A zero Arnoldi norm (exact breakdown) ends
+    the iteration, its iterate then exact in the Krylov space."""
+    if max_iter == 0:
+        return None
+    norm_b = float(np.linalg.norm(b))
+    if norm_b == 0.0:
+        return np.zeros(len(b))
+    basis = np.empty((max_iter + 1, len(b)))
+    pre = np.empty((max_iter, len(b)))          # lu.solve of each basis vector
+    hess = np.zeros((max_iter + 1, max_iter))
+    rhs = np.zeros(max_iter + 1)
+    basis[0], rhs[0] = b / norm_b, norm_b
+    for j in range(max_iter):
+        pre[j] = lu.solve(basis[j])
+        w = mat @ pre[j]
+        for _ in range(2):                      # Gram-Schmidt, twice
+            c = basis[:j + 1] @ w
+            w -= c @ basis[:j + 1]
+            hess[:j + 1, j] += c
+        hess[j + 1, j] = h = float(np.linalg.norm(w))
+        if not np.isfinite(h):
+            return None
+        y = np.linalg.lstsq(hess[:j + 2, :j + 1], rhs[:j + 2], rcond=None)[0]
+        estimate = np.linalg.norm(hess[:j + 2, :j + 1] @ y - rhs[:j + 2])
+        if h == 0.0 or estimate <= KRYLOV_RTOL * norm_b:
+            x = y @ pre[:j + 1]
+            if np.linalg.norm(b - mat @ x) <= KRYLOV_RTOL * norm_b:
+                return x
+            if h == 0.0:
+                return None
+        basis[j + 1] = w / h
+    return None
+
+
+class KeptFactors:
+    """The factor of one Newton solve on a FixedPattern (its solver):
+    factor(mat) takes the correction's matrix, as fill returns it, and
+    its solve(b) solves it.
+
+    The first correction's matrix is factored.  On SuperLU's route, with
+    KRYLOV_ITER > 0, those factors are kept, and each later correction is
+    solved by krylov_solve in the stored order; one that misses drops
+    them, factors its own matrix and keeps that.  The band route factors
+    every correction.  The kept LU lives as long as this object, one
+    Newton solve."""
+
+    def __init__(self, pattern: "FixedPattern", splu):
+        self._pattern, self._splu = pattern, splu
+        self._kept = self._mat = None
+
+    def __call__(self, mat: sp.csc_matrix) -> "KeptFactors":
+        self._mat = mat
+        return self
+
+    def solve(self, b) -> np.ndarray:
+        pattern = self._pattern
+        if self._kept is not None:
+            x = krylov_solve(self._mat, b[pattern.order], self._kept.lu,
+                             KRYLOV_ITER)
+            if x is not None:
+                out = np.empty(len(b))
+                out[pattern.order] = x
+                return out
+            self._kept = None               # dropped before the next LU
+        lu = pattern.factor(self._mat, self._splu)
+        if pattern.band is None and KRYLOV_ITER:
+            self._kept = lu
+        return lu.solve(b)
+
+
 class FixedPattern:
     """A square sparse matrix whose nonzero pattern is fixed by a list of
     slots, stored in the order its LU takes.
@@ -237,7 +330,8 @@ class FixedPattern:
     order is the pattern's Cuthill-McKee order when that is narrow enough
     for the band LU (band holds its (kl, ku) then), else SuperLU's
     LU_OPTIONS order (band is None).  fill writes new slot values into the
-    matrix, and factor is the one way to factor it.
+    matrix, and factor is the one way to factor it; solver gives a Newton
+    solve its factor.
     """
 
     def __init__(self, rows, cols, shape: tuple):
@@ -289,6 +383,11 @@ class FixedPattern:
         ab = np.zeros((mat.shape[1], 2 * kl + ku + 1))
         ab.reshape(-1)[self._band_index] = mat.data
         return OrderedLU(BandLU(ab.T, kl, ku), self.order)
+
+    def solver(self, splu) -> KeptFactors:
+        """A new factor for one Newton solve on this pattern, factoring
+        with splu as factor does; see KeptFactors."""
+        return KeptFactors(self, splu)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,11 @@ Its sparsity pattern does not depend on the iterate: each face's mobility
 slope has a slot in both cells' saturation columns, and the upwind choice
 only decides which one is zero.  So the pattern is built and ordered
 for the LU once per run (blockmesh.FixedPattern), and each Newton
-iteration that is not accepted writes values into it and factors it in
-that order.
+iteration that is not accepted writes values into it.  The step's
+factor is the pattern's solver: on the band route it factors each
+correction's Jacobian, on SuperLU's it factors the first and solves the
+later corrections by GMRES on those factors, refactoring only where
+GMRES misses.
 imbibition.newton_solve and imbibition.damping, the block's Newton loop
 and update, solve each step with saturations clamped to [SAT_EPS,
 1 - SAT_EPS], until the residual scaled by phi_f vol / dt is within
@@ -30,8 +33,9 @@ itself on the first step, clipped to the clamp, and taken as one damped
 update from the last saturation, so it moves none by more than
 imbibition.MAX_DS; P_n starts from the last step's.  Newton runs once
 per attempt, its failure is the attempt's, and the step's newton_iters
-counts its corrections (one LU each).  So a history that drops old
-saturations (ROADMAP item 4) must keep the last three for the predictor.
+counts its corrections (each an LU or a GMRES solve).  So a history that
+drops old saturations (ROADMAP item 4) must keep the last three for the
+predictor.
 
 build_grid makes the mesh with blockmesh.product_mesh, the builder of
 the matrix block's mesh, so the two problems share one mesh type and one
@@ -384,7 +388,7 @@ class StepReport:
 
     t: float
     dt: float
-    newton_iters: int                   # Newton corrections, one LU each
+    newton_iters: int                   # Newton corrections: LU or GMRES
     clamped: bool
     water_accum: float
     water_source: float
@@ -496,7 +500,7 @@ class FractureFlowSolver:
             s_start = s_old + fac * (s_start - s_old)
         (s, pn), ((rate_w, rate_n), p_wall, q_w), iters = newton_solve(
             (s_start, state.pressure_n.copy()), linearize, update,
-            lambda jac: self.assembler.pattern.factor(jac, splu))
+            self.assembler.pattern.solver(splu))
         self.assembler.release()
 
         # accepted: the memory first, since its range check can raise

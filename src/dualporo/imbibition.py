@@ -13,8 +13,8 @@ mirror-symmetric about the cube's mid-planes: BlockProblem.build_mesh
 returns the corner mesh (one 2^d-th of the cube, no-flux mirror faces),
 and the wall fluxes count all mesh.copies corners.  Every Jacobian of an
 nlin run is written into one precomputed sparse pattern
-(blockmesh.FixedPattern) and factored through it, in the one LU ordering
-it computed for the run.
+(blockmesh.FixedPattern), and each Newton solve takes its factor from the
+pattern's solver, in the one LU ordering it computed for the run.
 
 The linearized runs (run_linear) replace alpha(s) by a scalar c_k frozen
 per report step, the clock rate of their memory, and factor nothing.
@@ -64,6 +64,7 @@ per step: NEWTON_RTOL of a unit saturation change on the largest cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -95,9 +96,11 @@ def newton_solve(x, linearize, update, factor):
 
     linearize(x) gives (r, jac, err, out), err in units of the tolerance:
     x is accepted at err <= 1 (jac may then be None), else x = update(x,
-    dx) with jac dx = -r solved by factor(jac).solve.  Raises
-    NewtonFailure after NEWTON_MAX_ITER corrections, after STALL_ITER in a
-    row with no new smallest error, on a singular LU or non-finite dx."""
+    dx) with jac dx = -r solved by factor(jac).solve: an LU per
+    correction (scipy's splu), or a FixedPattern's solver, which may keep
+    one LU for the whole solve.  Raises NewtonFailure after
+    NEWTON_MAX_ITER corrections, after STALL_ITER in a row with no new
+    smallest error, on a singular LU or non-finite dx."""
     best, stalled = np.inf, 0
     for it in range(NEWTON_MAX_ITER + 1):
         r, jac, err, out = linearize(x)
@@ -187,6 +190,15 @@ class BlockProblem:
         """Matrix saturation imposed on the block walls at time t."""
         return float(self.cset.transfer(self.boundary(float(t))))
 
+    @cached_property
+    def report_walls(self) -> np.ndarray:
+        """The wall values at the report times (wall_series), sampled
+        once per problem and read-only: a vlin run reads them for its
+        coefficients and its memory."""
+        wall = wall_series(self.cset, self.boundary, self.times)
+        wall.flags.writeable = False
+        return wall
+
     def diffusion_scale(self) -> float:
         """Squared diffusion length over the run, for mesh grading."""
         a = self.k_eff * self.cset.alpha_bar() / self.cset.matrix.porosity
@@ -251,7 +263,8 @@ class BlockStepper:
 
     Its Jacobians are built in one blockmesh.FixedPattern, that of the
     diffusion matrix (its diagonal included), computed and ordered once
-    per stepper, and factored through it.
+    per stepper, and solved by its solver (made by this module's splu on
+    SuperLU's route).
     """
 
     def __init__(self, mesh: BlockMesh, porosity: float, k_eff: float):
@@ -271,11 +284,6 @@ class BlockStepper:
         order (cells permuted by its order); the next call overwrites it."""
         kd = self.k_eff * (self._d_vals * alpha[self._d_cols])
         return self.pattern.fill(np.concatenate((-kd, acc)))
-
-    def factor(self, jac):
-        """LU of a matrix jacobian returned, by the pattern's route (made
-        by this module's splu on SuperLU's)."""
-        return self.pattern.factor(jac, splu)
 
     def newton_step(self, s_old, dt: float, g: float, beta, alpha):
         """One implicit step of phi ds/dt = k_eff Lap(beta(s)) by
@@ -299,7 +307,7 @@ class BlockStepper:
         return newton_solve(np.array(s_old, dtype=float), linearize,
                             lambda s, ds: np.clip(s + damping(ds) * ds,
                                                   0.0, 1.0),
-                            self.factor)
+                            self.pattern.solver(splu))
 
     def wall_flux(self, beta_s, beta_g: float) -> float:
         """k_eff * sum of wall two-point fluxes of beta into the block, all
@@ -416,7 +424,7 @@ def run_linear(problem: BlockProblem, coefficients,
                          f"{coeff.shape}")
     if not (np.isfinite(coeff).all() and coeff.min() > 0.0):
         raise ValueError("coefficients must be finite and positive")
-    wall = wall_series(problem.cset, problem.boundary, times)
+    wall = problem.report_walls
     memory = BlockMemory(mesh or problem.build_mesh(),
                          problem.cset.matrix.porosity, problem.k_eff, wall[0])
     return exchange_series(memory, wall, coeff, times)

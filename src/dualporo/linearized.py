@@ -25,15 +25,14 @@ import numpy as np
 
 from .blockmesh import BlockMesh
 from .effective import running_range_alpha
-from .imbibition import (BlockProblem, ExchangeSeries, midpoints, run_linear,
-                         wall_series)
+from .imbibition import BlockProblem, ExchangeSeries, midpoints, run_linear
 
 
 def variable_coefficients(problem: BlockProblem) -> np.ndarray:
     """Per-interval scalar diffusivity: average of alpha over the wall-value
     range visited through the interval's start node."""
-    wall = wall_series(problem.cset, problem.boundary, problem.times)
-    return running_range_alpha(wall, problem.cset.matrix_table())[:-1]
+    return running_range_alpha(problem.report_walls,
+                               problem.cset.matrix_table())[:-1]
 
 
 def run_constant_linearized(problem: BlockProblem,

@@ -1,5 +1,6 @@
 """Shared constructors: the default two-media scenario used across tests,
-and a record of the matrices FixedPattern factors."""
+a record of the matrices FixedPattern factors and one of the corrections
+GMRES solves on a kept LU."""
 import pytest
 
 from dualporo import blockmesh as bm
@@ -45,3 +46,21 @@ def factored(monkeypatch):
 
     monkeypatch.setattr(bm.FixedPattern, "factor", recording_factor)
     return calls
+
+
+@pytest.fixture
+def krylov(monkeypatch):
+    """The list of the corrections blockmesh.krylov_solve solved during
+    the test, on a Newton solve's kept LU; the ones it missed were
+    factored instead and are not in the list."""
+    solved = []
+    solve = bm.krylov_solve
+
+    def recording_solve(*args):
+        x = solve(*args)
+        if x is not None:
+            solved.append(x)
+        return x
+
+    monkeypatch.setattr(bm, "krylov_solve", recording_solve)
+    return solved

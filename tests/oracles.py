@@ -57,10 +57,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from dualporo import constitutive as con
 from dualporo.effective import QuadratureTable
-from dualporo.imbibition import BlockProblem, BlockSolution, BlockStepper
+from dualporo.imbibition import BlockProblem, BlockStepper
 
 
 # ------------------------------------------------- eigenfunction series
@@ -128,10 +129,10 @@ def build_kernel(delta: float, porosity: float, permeability: float,
 
 # ------------------------------------------------ LU linear block step
 
-def run_linear_lu(problem: BlockProblem, coefficients,
-                  mesh=None) -> BlockSolution:
+def run_linear_lu(problem: BlockProblem, coefficients, mesh=None):
     """imbibition.run_linear by one sparse LU per (dt, coefficient), one
-    step per report interval."""
+    step per report interval: (block means at the report times, wall
+    beta-flux integral over each interval)."""
     mesh = mesh or problem.build_mesh()
     times = problem.times
     n_rep = len(times) - 1
@@ -147,16 +148,14 @@ def run_linear_lu(problem: BlockProblem, coefficients,
         dt, c = times[k + 1] - times[k], float(coeff[k])
         g = problem.wall_value(times[k + 1])
         if lu_key != (dt, c):
-            lu = stepper.factor(stepper.jacobian(
-                acc / dt, np.full(mesh.n_cells, c)))
+            lu = stepper.pattern.factor(stepper.jacobian(
+                acc / dt, np.full(mesh.n_cells, c)), splu)
             lu_key = (dt, c)
         s = lu.solve(acc / dt * s + stepper.k_eff * c * mesh.boundary_weights
                      * g)
         flux_int[k] = stepper.wall_flux(c * s, c * g) * dt
         means[k + 1] = np.dot(mesh.volumes, s) / mesh.total_volume
-    return BlockSolution(times=times.copy(), mean_saturation=means,
-                         flux_integrals=flux_int, final_field=s,
-                         newton_iterations=n_rep, substeps=n_rep)
+    return means, flux_int
 
 
 def modal_exchange_longdouble(memory, mesh, problem: BlockProblem,

@@ -71,6 +71,42 @@ def test_only_blockmesh_chooses_an_lu_ordering():
                 path.name
 
 
+# the names through which code runs a Krylov iteration: blockmesh's own
+# GMRES and its constants, and scipy.sparse.linalg's iterative solvers
+KRYLOV_NAMES = {"krylov_solve", "KRYLOV_ITER", "KRYLOV_RTOL", "gmres",
+                "lgmres", "gcrotmk", "bicg", "bicgstab", "cg", "cgs",
+                "minres", "qmr", "tfqmr"}
+
+
+def code_names(source: str) -> set:
+    """The identifiers the code of a module uses (names, attributes and
+    imported names), not the words of its docstrings or comments."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_only_blockmesh_runs_a_krylov_iteration():
+    # a Newton solve's later corrections are solved by GMRES on its kept
+    # LU inside blockmesh.FixedPattern's solver; no other module names a
+    # Krylov solver or its settings, and blockmesh uses none of scipy's
+    package_dir = pathlib.Path(dualporo.__file__).parent
+    for path in sorted(package_dir.glob("*.py")):
+        used = code_names(path.read_text(encoding="utf-8")) & KRYLOV_NAMES
+        if path.name == "blockmesh.py":
+            assert used == {"krylov_solve", "KRYLOV_ITER", "KRYLOV_RTOL"}
+        else:
+            assert not used, path.name
+
+
 def test_only_imbibition_sets_the_newton_damping_cap():
     # the block and the flood damp their Newton corrections by one rule,
     # imbibition.damping, whose cap MAX_DS is set in one place

@@ -20,9 +20,12 @@ Oracles used here:
 
 Both LU counts are checked on SuperLU's route (blockmesh.BAND_WORK set
 to 0): the tracer counts LUs at imbibition.splu and fvsolver.splu, which
-the band LU of these tiny patterns does not call.  On the band route the
-same runs trace no LU at all, pinned by the last test until the
-benchmark counts band LUs too.
+the band LU of these tiny patterns does not call.  The one-LU-per-
+iteration counts hold on the path that factors every correction
+(blockmesh.KRYLOV_ITER set to 0); on the default path the traced LUs and
+the corrections GMRES solved on a Newton solve's kept LU are the Newton
+iterations.  On the band route the same runs trace no LU at all, pinned
+by the last test until the benchmark counts band LUs too.
 """
 import dataclasses
 import importlib
@@ -53,6 +56,7 @@ def shim_owner(owner_path):
 
 def test_tracer_shims_and_flood_checks_reach_the_program(monkeypatch):
     monkeypatch.setattr(bm, "BAND_WORK", 0)
+    monkeypatch.setattr(bm, "KRYLOV_ITER", 0)
     spans = load_bench_module("spans")
     checks = load_bench_module("checks")
     originals = [(owner_path, attr,
@@ -114,6 +118,7 @@ def traced_metrics(spans, run, cfg):
 
 def test_traced_nlin_counts_block_lus_in_imbibition(monkeypatch):
     monkeypatch.setattr(bm, "BAND_WORK", 0)
+    monkeypatch.setattr(bm, "KRYLOV_ITER", 0)
     spans = load_bench_module("spans")
     cfg = dataclasses.replace(hz.get_preset("sim1"), **TINY_NLIN)
     metrics = traced_metrics(spans, "run_comparison", cfg)
@@ -121,6 +126,39 @@ def test_traced_nlin_counts_block_lus_in_imbibition(monkeypatch):
     assert metrics["imbibition.newton_steps"] == 4
     assert metrics["imbibition.lu_count"] \
         == metrics["imbibition.newton_iters"] > 0
+    assert metrics["fvsolver.lu_count"] == 0
+    assert metrics["linearized.lu_count"] == 0
+
+
+def test_traced_flood_lus_and_krylov_solves_are_its_corrections(
+        monkeypatch, krylov):
+    # the tiny flood on the default path: SuperLU factors each Newton
+    # solve's first correction, and the traced LUs with the corrections
+    # GMRES solved on the kept factors are the Newton iterations
+    monkeypatch.setattr(bm, "BAND_WORK", 0)
+    spans = load_bench_module("spans")
+    metrics = traced_metrics(spans, "run_flood", hz.FloodConfig(**TINY_FLOOD))
+    assert metrics["fvsolver.lu_count"] + len(krylov) \
+        == metrics["fvsolver.newton_iters"]
+    assert len(krylov) > 0
+    assert metrics["fvsolver.lu_count"] >= metrics["fvsolver.accepted_steps"]
+    assert metrics["fvsolver.accepted_steps"] == 3
+
+
+def test_traced_nlin_lus_and_krylov_solves_are_its_corrections(
+        monkeypatch, krylov):
+    # the tiny nlin comparison on the default path: the traced block LUs
+    # with the corrections GMRES solved are the Newton iterations, and
+    # none of them is counted as a flood or linear-block LU
+    monkeypatch.setattr(bm, "BAND_WORK", 0)
+    spans = load_bench_module("spans")
+    cfg = dataclasses.replace(hz.get_preset("sim1"), **TINY_NLIN)
+    metrics = traced_metrics(spans, "run_comparison", cfg)
+    assert metrics["imbibition.newton_failures"] == 0
+    assert metrics["imbibition.lu_count"] + len(krylov) \
+        == metrics["imbibition.newton_iters"]
+    assert len(krylov) > 0
+    assert metrics["imbibition.lu_count"] >= metrics["imbibition.newton_steps"]
     assert metrics["fvsolver.lu_count"] == 0
     assert metrics["linearized.lu_count"] == 0
 

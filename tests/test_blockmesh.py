@@ -21,6 +21,14 @@ its band exceeds a width decides as the whole pass does; on the real
 Jacobians the band order's half-bandwidth is that of scipy's reverse
 Cuthill-McKee order; and the bound keeps the block corners and small
 floods on the band route and a 48 x 48 flood on SuperLU's.
+
+GMRES on a kept LU (krylov_solve): on the same random patterns, with the
+values perturbed, it solves within 1e-10 of a fresh SuperLU solve or
+returns None; it returns None at a cap of 0 iterations, zeros for b = 0,
+and solves the factored matrix itself in one iteration, also where the
+Arnoldi norm is exactly zero.  A short 48 x 48 flood and a 2d corner nlin
+run on SuperLU's route agree with the path that factors every correction
+(KRYLOV_ITER = 0) to 1e-12, with equal Newton counts.
 """
 import dataclasses
 
@@ -380,3 +388,103 @@ def test_band_order_of_real_jacobians_and_the_route_bound(factored):
     for nx, banded in ((32, True), (48, False)):
         solver, _, _ = hz.build_flood(hz.FloodConfig(nx=nx, ny=nx))
         assert (solver.assembler.pattern.band is not None) == banded
+
+
+# ------------------------------------------------ GMRES on kept factors
+
+@settings(max_examples=60, deadline=None)
+@given(pattern_cases(), st.floats(1e-6, 0.3))
+def test_krylov_solve_on_a_kept_lu(case, size):
+    # GMRES right-preconditioned by the LU of one matrix of a random
+    # pattern (SuperLU's route), on a matrix whose values are perturbed by
+    # up to `size` relative: its solution is within 1e-10 of a fresh
+    # SuperLU solve, with a true residual within KRYLOV_RTOL, or it returns
+    # None.  A cap of 0 iterations returns None, b = 0 returns zeros, and
+    # the factored matrix itself is solved in one iteration
+    rows, cols, vals, _, rng = pattern_matrix(case)
+    n = rows.max() + 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bm, "BAND_WORK", 0)
+        pattern = bm.FixedPattern(rows, cols, (n, n))
+    kept = pattern.factor(pattern.fill(vals), splu).lu
+    b = rng.standard_normal(n)
+    mat = pattern.fill(vals * (1.0 + size * rng.uniform(-1.0, 1.0,
+                                                        len(vals))))
+    x = bm.krylov_solve(mat, b, kept, bm.KRYLOV_ITER)
+    if x is not None:
+        x_ref = splu(mat, **bm.LU_OPTIONS).solve(b)
+        assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
+        assert np.linalg.norm(b - mat @ x) \
+            <= bm.KRYLOV_RTOL * np.linalg.norm(b)
+    assert bm.krylov_solve(mat, b, kept, 0) is None
+    zero = bm.krylov_solve(mat, np.zeros(n), kept, bm.KRYLOV_ITER)
+    assert np.array_equal(zero, np.zeros(n))
+
+    mat = pattern.fill(vals)
+    x = bm.krylov_solve(mat, b, kept, 1)
+    x_ref = kept.solve(b)
+    assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(pattern_cases())
+def test_krylov_solve_ends_on_an_exact_breakdown(case):
+    # a diagonal matrix of powers of two in the pattern, its own LU and a
+    # scaled unit vector b: the LU solve and the product are exact, so
+    # the first Arnoldi vector's remainder is exactly zero.  GMRES stops
+    # there with the exact solution and divides by no zero norm (a
+    # warning fails the test)
+    rows, cols, _, _, rng = pattern_matrix(case)
+    n = rows.max() + 1
+    diag = rng.choice((-1.0, 1.0), n) * 2.0 ** rng.integers(-4, 5, n)
+    vals = np.where(rows == cols, diag[rows], 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bm, "BAND_WORK", 0)
+        pattern = bm.FixedPattern(rows, cols, (n, n))
+    mat = pattern.fill(vals)
+    kept = pattern.factor(mat, splu).lu
+    b = np.zeros(n)
+    b[rng.integers(n)] = 2.0 ** rng.integers(-4, 5)
+    x = bm.krylov_solve(mat, b, kept, bm.KRYLOV_ITER)
+    assert np.array_equal(x, b / mat.diagonal())
+
+
+def test_kept_lu_flood_agrees_with_one_lu_per_correction(monkeypatch,
+                                                         krylov):
+    # the agreement gate of the kept LU: a short 48 x 48 flood (SuperLU's
+    # route by default) with KRYLOV_ITER 10 and 0 takes the same steps and
+    # Newton corrections, and its fields agree within 1e-12 relative
+    # (measured 6e-16)
+    cfg = hz.FloodConfig(nx=48, ny=48, source_model="fixed", n_steps=4,
+                         t_end_days=1.25, snapshot_days=())
+    res = hz.run_flood(cfg)
+    assert len(krylov) > 0
+    monkeypatch.setattr(bm, "KRYLOV_ITER", 0)
+    ref = hz.run_flood(cfg)
+    assert [st.newton_iters for st in res.steps] \
+        == [st.newton_iters for st in ref.steps]
+    assert np.array_equal(res.times_hist, ref.times_hist)
+    for field in ("saturation", "pressure_n", "pressure_w"):
+        a, b = getattr(res, field), getattr(ref, field)
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), field
+
+
+def test_kept_lu_nlin_agrees_with_one_lu_per_correction(monkeypatch,
+                                                        krylov):
+    # the same gate on a 2d corner nlin run on SuperLU's route: equal
+    # Newton iterations and substeps, and the volume and flux series
+    # within 1e-12 relative (max-norm)
+    monkeypatch.setattr(bm, "BAND_WORK", 0)
+    cfg = dataclasses.replace(hz.get_preset("sim1"), n_steps=16,
+                              mesh_cells=32)
+    problem = cfg.block_problem(0.1)
+    sol = imbibition.run_trajectory(problem)
+    assert len(krylov) > 0
+    monkeypatch.setattr(bm, "KRYLOV_ITER", 0)
+    ref = imbibition.run_trajectory(problem)
+    assert (sol.newton_iterations, sol.substeps) \
+        == (ref.newton_iterations, ref.substeps)
+    for form in (imbibition.exchange_from_volume,
+                 imbibition.exchange_from_flux):
+        a, b = form(sol, problem).values, form(ref, problem).values
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), form

@@ -39,7 +39,9 @@ Oracles used here:
     that moves no saturation by more than MAX_DS (property test); a
     failed start raises its own failure, after one Newton run, and leaves
     the state as it was; a stall halves its interval, and the LUs
-    factored are the reported corrections plus the stall's; 8x8 floods
+    factored are the reported corrections plus the stall's (with the
+    corrections GMRES solved on a Newton solve's kept LU, on the default
+    path of SuperLU's route); 8x8 floods
     agree with the reference start (predictor replaced by s_old) on the
     realized grid and to 1e-9 in their fields, and take at most 2.2
     corrections a step; a coarse 24x24 flood takes every report interval
@@ -990,10 +992,24 @@ def test_lu_count_covers_the_failed_start(sim1_cset, monkeypatch):
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(bm, "BAND_WORK", 0)
+    monkeypatch.setattr(bm, "KRYLOV_ITER", 0)
     monkeypatch.setattr(fvsolver, "splu", counting_splu)
     res = stalled_flood(sim1_cset, monkeypatch)
     assert sum(st.newton_iters for st in res.steps) \
         + imbibition.STALL_ITER == len(lus) > imbibition.STALL_ITER
+
+
+def test_lus_and_krylov_solves_cover_the_failed_start(sim1_cset,
+                                                      monkeypatch, krylov):
+    # the same flood on the default path: the LUs factored through
+    # fvsolver.splu and the corrections GMRES solved on the kept factors
+    # are the reported corrections and the stalled start's STALL_ITER
+    monkeypatch.setattr(bm, "BAND_WORK", 0)
+    lus = counted(monkeypatch, fvsolver, "splu")
+    res = stalled_flood(sim1_cset, monkeypatch)
+    assert sum(st.newton_iters for st in res.steps) \
+        + imbibition.STALL_ITER == len(lus) + len(krylov)
+    assert len(krylov) > 0 and len(lus) >= len(res.steps) + 1
 
 
 def test_band_lu_count_covers_the_failed_start(sim1_cset, monkeypatch,

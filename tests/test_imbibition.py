@@ -33,6 +33,8 @@ Oracles used here:
     sparse arithmetic builds, permuted into the pattern's order, entry for
     entry, and the block's matrices
     factored with LU_OPTIONS solve as with SuperLU's default ordering;
+    on SuperLU's route the LUs and the corrections GMRES solved on a
+    Newton solve's kept LU are the Newton corrections;
     on the band route every Jacobian of a 2d and a 3d nlin run solves as
     per-call SuperLU does, one LU per Newton correction, and an exactly
     zero pivot fails the Newton solve as singular;
@@ -535,6 +537,7 @@ def test_lu_ordering_matches_default_ordering(monkeypatch):
         return splu(jac, **options)
 
     monkeypatch.setattr(bm, "BAND_WORK", 0)
+    monkeypatch.setattr(bm, "KRYLOV_ITER", 0)
     monkeypatch.setattr(imbibition, "splu", recording_splu)
     cfg = dataclasses.replace(get_preset("sim1"), n_steps=16, mesh_cells=32)
     p = cfg.block_problem(0.1)
@@ -545,6 +548,24 @@ def test_lu_ordering_matches_default_ordering(monkeypatch):
         x = splu(jac, **bm.LU_OPTIONS).solve(rhs)
         x_ref = splu(jac).solve(rhs)
         assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+
+def test_lus_and_krylov_solves_are_the_corrections(monkeypatch, krylov):
+    # the same 2d corner run on the default path: SuperLU factors each
+    # Newton solve's first correction and those GMRES misses on the kept
+    # factors; with the ones GMRES solved they are the corrections
+    lus = []
+
+    def counting_splu(*args, **kwargs):
+        lus.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(bm, "BAND_WORK", 0)
+    monkeypatch.setattr(imbibition, "splu", counting_splu)
+    cfg = dataclasses.replace(get_preset("sim1"), n_steps=16, mesh_cells=32)
+    sol = run_trajectory(cfg.block_problem(0.1))
+    assert len(lus) + len(krylov) == sol.newton_iterations >= 32
+    assert len(krylov) > 0 and len(lus) >= sol.substeps
 
 
 @pytest.mark.parametrize("dimension, cells", [(2, 32), (3, 16)])
