@@ -37,16 +37,19 @@ ACM National Conf. (1969) 157), is factored by LAPACK's band LU, dgbtrf:
 the block's corners and floods up to 43 x 43 cells.  A wider one is
 factored by SuperLU in the LU_OPTIONS ordering of one stand-in matrix,
 which stays the reference the band route is tested against.
+FixedPattern.factor returns either route's LU in that stored order.
 
-FixedPattern.solver gives one Newton solve its factor.  On the band route
-it factors every correction's matrix.  On SuperLU's it factors the first
-and keeps those factors: each later correction is solved by GMRES on the
-new matrix, right-preconditioned by the kept LU (krylov_solve), and only a
-solve that misses KRYLOV_RTOL within KRYLOV_ITER iterations factors its
-matrix, which is kept instead.  Each correction stays an exact Newton
-step to KRYLOV_RTOL, and no two LUs are alive at once (Knoll and Keyes,
-J. Comput. Phys. 193 (2004) 357).  KRYLOV_ITER = 0 factors every
-correction on both routes, the reference path.
+FixedPattern.solver gives one Newton solve solve(mat, b) -> x, b and x
+in the unknowns' own order, which it permutes into the stored order and
+back once per call.  On the band route it factors every correction's
+matrix.  On SuperLU's it factors the first and keeps that LU: each later
+correction is solved by GMRES on the new matrix, right-preconditioned by
+the kept LU (krylov_solve), and only a solve that misses KRYLOV_RTOL
+within KRYLOV_ITER iterations drops it and factors its matrix, whose LU
+is kept instead.  Each correction stays an exact Newton step to
+KRYLOV_RTOL, and no two LUs are alive at once (Knoll and Keyes, J.
+Comput. Phys. 193 (2004) 357).  KRYLOV_ITER = 0 factors every correction
+on both routes and keeps no LU, the reference path.
 """
 from __future__ import annotations
 
@@ -230,20 +233,6 @@ class BandLU:
         return dgbtrs(self._lu, self._kl, self._ku, b, self._piv)[0]
 
 
-class OrderedLU:
-    """LU factors of a FixedPattern's matrix, solving in the unknowns'
-    own order."""
-
-    def __init__(self, lu, order: np.ndarray):
-        self.lu = lu
-        self._order = order
-
-    def solve(self, b) -> np.ndarray:
-        x = np.empty(len(b))
-        x[self._order] = self.lu.solve(b[self._order])
-        return x
-
-
 def krylov_solve(mat, b, lu, max_iter: int):
     """x with |b - mat x| <= KRYLOV_RTOL |b| by GMRES from x = 0,
     right-preconditioned by lu.solve (Saad and Schultz, SIAM J. Sci. Stat.
@@ -251,8 +240,6 @@ def krylov_solve(mat, b, lu, max_iter: int):
     gets there.  The true residual decides; GMRES's least-squares residual
     only says when to look.  A zero Arnoldi norm (exact breakdown) ends
     the iteration, its iterate then exact in the Krylov space."""
-    if max_iter == 0:
-        return None
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
         return np.zeros(len(b))
@@ -283,42 +270,6 @@ def krylov_solve(mat, b, lu, max_iter: int):
     return None
 
 
-class KeptFactors:
-    """The factor of one Newton solve on a FixedPattern (its solver):
-    factor(mat) takes the correction's matrix, as fill returns it, and
-    its solve(b) solves it.
-
-    The first correction's matrix is factored.  On SuperLU's route, with
-    KRYLOV_ITER > 0, those factors are kept, and each later correction is
-    solved by krylov_solve in the stored order; one that misses drops
-    them, factors its own matrix and keeps that.  The band route factors
-    every correction.  The kept LU lives as long as this object, one
-    Newton solve."""
-
-    def __init__(self, pattern: "FixedPattern", splu):
-        self._pattern, self._splu = pattern, splu
-        self._kept = self._mat = None
-
-    def __call__(self, mat: sp.csc_matrix) -> "KeptFactors":
-        self._mat = mat
-        return self
-
-    def solve(self, b) -> np.ndarray:
-        pattern = self._pattern
-        if self._kept is not None:
-            x = krylov_solve(self._mat, b[pattern.order], self._kept.lu,
-                             KRYLOV_ITER)
-            if x is not None:
-                out = np.empty(len(b))
-                out[pattern.order] = x
-                return out
-            self._kept = None               # dropped before the next LU
-        lu = pattern.factor(self._mat, self._splu)
-        if pattern.band is None and KRYLOV_ITER:
-            self._kept = lu
-        return lu.solve(b)
-
-
 class FixedPattern:
     """A square sparse matrix whose nonzero pattern is fixed by a list of
     slots, stored in the order its LU takes.
@@ -331,7 +282,7 @@ class FixedPattern:
     for the band LU (band holds its (kl, ku) then), else SuperLU's
     LU_OPTIONS order (band is None).  fill writes new slot values into the
     matrix, and factor is the one way to factor it; solver gives a Newton
-    solve its factor.
+    solve the function that solves its corrections.
     """
 
     def __init__(self, rows, cols, shape: tuple):
@@ -369,25 +320,42 @@ class FixedPattern:
                                   minlength=mat.nnz)
         return mat
 
-    def factor(self, mat: sp.csc_matrix, splu) -> OrderedLU:
-        """LU of mat, a matrix of this pattern as fill returns it: the
-        band LU on a band pattern, else made by splu (scipy's, or a
-        caller's wrapper of it) in the stored order.  A singular matrix
-        raises RuntimeError on either route; the LU's solve takes and
-        returns vectors of unpermuted unknowns."""
+    def factor(self, mat: sp.csc_matrix, splu):
+        """LU of mat, a matrix of this pattern as fill returns it, in the
+        stored order: the BandLU on a band pattern, else the LU splu
+        (scipy's, or a caller's wrapper of it) makes.  A singular matrix
+        raises RuntimeError on either route."""
         if self.band is None:
-            return OrderedLU(splu(mat, permc_spec="NATURAL",
-                                  options={"SymmetricMode": True}),
-                             self.order)
+            return splu(mat, permc_spec="NATURAL",
+                        options={"SymmetricMode": True})
         kl, ku = self.band
         ab = np.zeros((mat.shape[1], 2 * kl + ku + 1))
         ab.reshape(-1)[self._band_index] = mat.data
-        return OrderedLU(BandLU(ab.T, kl, ku), self.order)
+        return BandLU(ab.T, kl, ku)
 
-    def solver(self, splu) -> KeptFactors:
-        """A new factor for one Newton solve on this pattern, factoring
-        with splu as factor does; see KeptFactors."""
-        return KeptFactors(self, splu)
+    def solver(self, splu):
+        """solve(mat, b) -> x for one Newton solve on this pattern, mat as
+        fill returns it, b and x in the unknowns' own order.  It factors
+        by factor with splu and, on SuperLU's route with KRYLOV_ITER > 0,
+        keeps one LU for GMRES as long as it lives (module docstring)."""
+        order, kept = self.order, None
+
+        def solve(mat, b):
+            nonlocal kept
+            b = b[order]
+            x = None if kept is None else krylov_solve(mat, b, kept,
+                                                       KRYLOV_ITER)
+            if x is None:
+                kept = None                 # dropped before the next LU
+                lu = self.factor(mat, splu)
+                if self.band is None and KRYLOV_ITER:
+                    kept = lu
+                x = lu.solve(b)
+            out = np.empty(len(b))
+            out[order] = x
+            return out
+
+        return solve
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,10 @@ slope has a slot in both cells' saturation columns, and the upwind choice
 only decides which one is zero.  So the pattern is built and ordered
 for the LU once per run (blockmesh.FixedPattern), and each Newton
 iteration that is not accepted writes values into it.  The step's
-factor is the pattern's solver: on the band route it factors each
-correction's Jacobian, on SuperLU's it factors the first and solves the
-later corrections by GMRES on those factors, refactoring only where
-GMRES misses.
+corrections are solved by the pattern's solver, solve(jac, -r) in the
+unknowns' own order: on the band route it factors each correction's
+Jacobian, on SuperLU's it factors the first and solves the later
+corrections by GMRES on that LU, refactoring only where GMRES misses.
 imbibition.newton_solve and imbibition.damping, the block's Newton loop
 and update, solve each step with saturations clamped to [SAT_EPS,
 1 - SAT_EPS], until the residual scaled by phi_f vol / dt is within
@@ -315,8 +315,8 @@ class _Assembler:
 
     def jacobian(self):
         """The Jacobian of the residual at the iterate last passed to
-        assemble: the assembler's one CSC matrix, its unknowns (S, P_n)
-        permuted by pattern.order; the next call overwrites it."""
+        assemble: the assembler's one CSC matrix in the pattern's stored
+        order, which its solver takes; the next call overwrites it."""
         s, p_wall, acc, impl_dt, from_left, dp, t_f = self._iterate
         m = self.grid.n_cells
         vol = self.grid.volumes

@@ -13,8 +13,8 @@ mirror-symmetric about the cube's mid-planes: BlockProblem.build_mesh
 returns the corner mesh (one 2^d-th of the cube, no-flux mirror faces),
 and the wall fluxes count all mesh.copies corners.  Every Jacobian of an
 nlin run is written into one precomputed sparse pattern
-(blockmesh.FixedPattern), and each Newton solve takes its factor from the
-pattern's solver, in the one LU ordering it computed for the run.
+(blockmesh.FixedPattern), and each Newton solve solves its corrections
+by the pattern's solver, in the one LU ordering it computed for the run.
 
 The linearized runs (run_linear) replace alpha(s) by a scalar c_k frozen
 per report step, the clock rate of their memory, and factor nothing.
@@ -91,16 +91,16 @@ class NewtonFailure(RuntimeError):
     pass
 
 
-def newton_solve(x, linearize, update, factor):
+def newton_solve(x, linearize, update, solve):
     """Newton's method from x; returns (x, out, corrections).
 
     linearize(x) gives (r, jac, err, out), err in units of the tolerance:
     x is accepted at err <= 1 (jac may then be None), else x = update(x,
-    dx) with jac dx = -r solved by factor(jac).solve: an LU per
-    correction (scipy's splu), or a FixedPattern's solver, which may keep
-    one LU for the whole solve.  Raises NewtonFailure after
-    NEWTON_MAX_ITER corrections, after STALL_ITER in a row with no new
-    smallest error, on a singular LU or non-finite dx."""
+    dx) with jac dx = -r solved as dx = solve(jac, -r): a FixedPattern's
+    solver, which may keep one LU for the whole solve.  Raises
+    NewtonFailure after NEWTON_MAX_ITER corrections, after STALL_ITER in
+    a row with no new smallest error, on a singular LU or non-finite
+    dx."""
     best, stalled = np.inf, 0
     for it in range(NEWTON_MAX_ITER + 1):
         r, jac, err, out = linearize(x)
@@ -114,7 +114,7 @@ def newton_solve(x, linearize, update, factor):
             raise NewtonFailure(f"Newton stalled: {stalled} corrections set "
                                 f"no new smallest error ({best:.3e})")
         try:
-            dx = factor(jac).solve(-r)
+            dx = solve(jac, -r)
         except RuntimeError as exc:        # singular factorization
             raise NewtonFailure(str(exc)) from exc
         if not np.isfinite(dx).all():
@@ -281,7 +281,8 @@ class BlockStepper:
     def jacobian(self, acc, alpha) -> sp.csc_matrix:
         """diag(acc) - k_eff * diffusion_matrix @ diag(alpha), alpha per
         cell, written into the stepper's one CSC matrix in the pattern's
-        order (cells permuted by its order); the next call overwrites it."""
+        stored order, which its solver takes; the next call overwrites
+        it."""
         kd = self.k_eff * (self._d_vals * alpha[self._d_cols])
         return self.pattern.fill(np.concatenate((-kd, acc)))
 

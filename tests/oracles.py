@@ -143,7 +143,7 @@ def run_linear_lu(problem: BlockProblem, coefficients, mesh=None):
     means = np.empty(n_rep + 1)
     flux_int = np.empty(n_rep)
     means[0] = np.dot(mesh.volumes, s) / mesh.total_volume
-    lu_key = None
+    order, lu_key = stepper.pattern.order, None
     for k in range(n_rep):
         dt, c = times[k + 1] - times[k], float(coeff[k])
         g = problem.wall_value(times[k + 1])
@@ -151,8 +151,9 @@ def run_linear_lu(problem: BlockProblem, coefficients, mesh=None):
             lu = stepper.pattern.factor(stepper.jacobian(
                 acc / dt, np.full(mesh.n_cells, c)), splu)
             lu_key = (dt, c)
-        s = lu.solve(acc / dt * s + stepper.k_eff * c * mesh.boundary_weights
-                     * g)
+        rhs = acc / dt * s + stepper.k_eff * c * mesh.boundary_weights * g
+        s = np.empty(mesh.n_cells)      # the LU is in the stored order
+        s[order] = lu.solve(rhs[order])
         flux_int[k] = stepper.wall_flux(c * s, c * g) * dt
         means[k + 1] = np.dot(mesh.volumes, s) / mesh.total_volume
     return means, flux_int

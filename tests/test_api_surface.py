@@ -107,6 +107,16 @@ def test_only_blockmesh_runs_a_krylov_iteration():
             assert not used, path.name
 
 
+def test_only_blockmesh_reads_the_stored_order():
+    # a FixedPattern stores its matrix and LU in the order of its LU route;
+    # its solver takes and returns the unknowns' own order, so no other
+    # module's code reads a pattern's order
+    package_dir = pathlib.Path(dualporo.__file__).parent
+    readers = {path.name for path in sorted(package_dir.glob("*.py"))
+               if "order" in code_names(path.read_text(encoding="utf-8"))}
+    assert readers == {"blockmesh.py"}
+
+
 def test_only_imbibition_sets_the_newton_damping_cap():
     # the block and the flood damp their Newton corrections by one rule,
     # imbibition.damping, whose cap MAX_DS is set in one place

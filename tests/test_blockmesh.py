@@ -26,11 +26,15 @@ GMRES on a kept LU (krylov_solve): on the same random patterns, with the
 values perturbed, it solves within 1e-10 of a fresh SuperLU solve or
 returns None; it returns None at a cap of 0 iterations, zeros for b = 0,
 and solves the factored matrix itself in one iteration, also where the
-Arnoldi norm is exactly zero.  A short 48 x 48 flood and a 2d corner nlin
-run on SuperLU's route agree with the path that factors every correction
-(KRYLOV_ITER = 0) to 1e-12, with equal Newton counts.
+Arnoldi norm is exactly zero.  One Newton solve's solver keeps at most
+one LU: on SuperLU's route every earlier LU is dead when the next
+factorization starts, and on the band route none outlives its call.  A
+short 48 x 48 flood and a 2d corner nlin run on SuperLU's route agree
+with the path that factors every correction (KRYLOV_ITER = 0) to 1e-12,
+with equal Newton counts.
 """
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -261,7 +265,7 @@ def pattern_matrix(case):
 
 @settings(max_examples=60, deadline=None)
 @given(pattern_cases())
-def test_ordered_lu_matches_per_call_superlu(case):
+def test_superlu_route_matches_per_call_superlu(case):
     rows, cols, vals, ref, rng = pattern_matrix(case)
     n = ref.shape[0]
     with pytest.MonkeyPatch.context() as mp:
@@ -274,9 +278,10 @@ def test_ordered_lu_matches_per_call_superlu(case):
     lu = pattern.factor(mat, splu)
     lu_ref = splu(ref, **bm.LU_OPTIONS)
     b = rng.standard_normal(n)
-    x, x_ref = lu.solve(b), lu_ref.solve(b)
+    x, x_ref = np.empty(n), lu_ref.solve(b)
+    x[order] = lu.solve(b[order])          # the LU is in the stored order
     assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
-    fill = lu.lu.L.nnz + lu.lu.U.nnz
+    fill = lu.L.nnz + lu.U.nnz
     fill_ref = lu_ref.L.nnz + lu_ref.U.nnz
     assert abs(fill - fill_ref) <= 0.01 * fill_ref
 
@@ -301,9 +306,10 @@ def test_band_lu_matches_per_call_superlu(case):
     mat = pattern.fill(vals)
     assert np.array_equal(mat.toarray(), ref.toarray()[np.ix_(order, order)])
     lu = pattern.factor(mat, splu)
-    assert isinstance(lu.lu, bm.BandLU)
+    assert isinstance(lu, bm.BandLU)
     b = rng.standard_normal(n)
-    x, x_ref = lu.solve(b), splu(ref, **bm.LU_OPTIONS).solve(b)
+    x, x_ref = np.empty(n), splu(ref, **bm.LU_OPTIONS).solve(b)
+    x[order] = lu.solve(b[order])          # the LU is in the stored order
     assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 
 
@@ -406,7 +412,7 @@ def test_krylov_solve_on_a_kept_lu(case, size):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bm, "BAND_WORK", 0)
         pattern = bm.FixedPattern(rows, cols, (n, n))
-    kept = pattern.factor(pattern.fill(vals), splu).lu
+    kept = pattern.factor(pattern.fill(vals), splu)
     b = rng.standard_normal(n)
     mat = pattern.fill(vals * (1.0 + size * rng.uniform(-1.0, 1.0,
                                                         len(vals))))
@@ -442,11 +448,64 @@ def test_krylov_solve_ends_on_an_exact_breakdown(case):
         mp.setattr(bm, "BAND_WORK", 0)
         pattern = bm.FixedPattern(rows, cols, (n, n))
     mat = pattern.fill(vals)
-    kept = pattern.factor(mat, splu).lu
+    kept = pattern.factor(mat, splu)
     b = np.zeros(n)
     b[rng.integers(n)] = 2.0 ** rng.integers(-4, 5)
     x = bm.krylov_solve(mat, b, kept, bm.KRYLOV_ITER)
     assert np.array_equal(x, b / mat.diagonal())
+
+
+class WeakLU:
+    """An LU behind an object that a weak reference can watch."""
+
+    def __init__(self, lu):
+        self.solve = lu.solve
+
+
+@pytest.mark.parametrize("band_work", [0, bm.BAND_WORK])
+def test_a_newton_solve_keeps_at_most_one_lu(monkeypatch, band_work):
+    # one solver given a matrix, the same matrix again and two far from
+    # it, with one GMRES iteration allowed: on SuperLU's route the second
+    # is solved on the kept LU and the others are factored, each once
+    # every earlier LU is dead, and only the kept LU outlives a call; on
+    # the band route each is factored and no LU outlives its call.  Every
+    # x solves its matrix in the unknowns' own order
+    monkeypatch.setattr(bm, "BAND_WORK", band_work)
+    monkeypatch.setattr(bm, "KRYLOV_ITER", 1)
+    mesh = bm.product_mesh([np.arange(5.0), np.arange(4.0)])
+    rows, cols, vals, _, rng = pattern_matrix((mesh, 2, 7))
+    n = 2 * mesh.n_cells
+    pattern = bm.FixedPattern(rows, cols, (n, n))
+    superlu = pattern.band is None
+    assert superlu == (band_work == 0)
+    lus = []
+
+    def watched(make):
+        def factor(*args, **kwargs):
+            assert all(lu() is None for lu in lus)
+            lu = WeakLU(make(*args, **kwargs))
+            lus.append(weakref.ref(lu))
+            return lu
+        return factor
+
+    if superlu:
+        solve = pattern.solver(watched(splu))
+    else:
+        pattern.factor = watched(pattern.factor)
+        solve = pattern.solver(splu)
+    far = [vals * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, len(vals)))
+           for _ in range(2)]
+    b = rng.standard_normal(n)
+    for v in [vals, vals] + far:
+        x = solve(pattern.fill(v), b)
+        ref = sp.coo_matrix((v, (rows, cols)), shape=(n, n)).tocsc()
+        x_ref = splu(ref, **bm.LU_OPTIONS).solve(b)
+        assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
+        alive = [lu() is not None for lu in lus]
+        assert alive == [False] * (len(lus) - superlu) + [True] * superlu
+    assert len(lus) == (3 if superlu else 4)
+    del solve
+    assert all(lu() is None for lu in lus)
 
 
 def test_kept_lu_flood_agrees_with_one_lu_per_correction(monkeypatch,
