@@ -16,9 +16,9 @@ Jacobian is analytic with the upwind choice held fixed per iteration.
 Its sparsity pattern does not depend on the iterate: each face's mobility
 slope has a slot in both cells' saturation columns, and the upwind choice
 only decides which one is zero.  So the pattern is built and ordered
-for the LU once per run (blockmesh.FixedPattern), and each Newton
-iteration that is not accepted writes values into it.  The step's
-corrections are solved by the pattern's solver, solve(jac, -r) in the
+for the LU once per run (blockmesh.FixedPattern); newton_solve fills it,
+by the callable assemble returns, only for an iterate it corrects, and
+solves the correction by the pattern's solver, solve(jac, -r) in the
 unknowns' own order: on the band route it factors each correction's
 Jacobian, on SuperLU's it factors the first and solves the later
 corrections by GMRES on that LU, refactoring only where GMRES misses.
@@ -176,11 +176,10 @@ def upwind_phase_mobility(p_left, p_right, lam_left, lam_right):
 class _Assembler:
     """Residuals and analytic Jacobian for one implicit step.
 
-    assemble evaluates an iterate's residual and keeps what its Jacobian
-    needs, and jacobian builds that Jacobian, so a Newton iterate that is
-    accepted builds none.  The Jacobian's slots are listed once, from the
-    faces, the walls' included; every jacobian call writes their values,
-    in the same order, into one blockmesh.FixedPattern.
+    assemble evaluates an iterate's residual and returns it with a
+    callable that builds its Jacobian by jacobian; it keeps no iterate.
+    Every jacobian call writes the values of the slots, listed once from
+    the faces and walls, in that order into one blockmesh.FixedPattern.
     """
 
     def __init__(self, grid: TensorMesh, params: FlowParams, bcs: dict):
@@ -234,7 +233,6 @@ class _Assembler:
         self._pres = np.concatenate((np.zeros((2, m)), ghost[:2]), axis=1)
         self._lam = np.concatenate((np.zeros((2, m)), ghost[2:]), axis=1)
         self._slopes = np.zeros((3, m + ghost.shape[1]))
-        self._iterate = None
 
         # slots in the order jacobian lists their values: the cells'
         # accumulation and source; per phase, the interior faces' flux
@@ -256,13 +254,12 @@ class _Assembler:
 
     def assemble(self, s, pn, s_old, dt, impl, expl, wall0):
         """Residual vector (R_w, R_n), the into-domain boundary rates
-        (wetting, nonwetting), the wall values transfer(s) and the source
-        Q_w at the iterate (s, pn).
+        (wetting, nonwetting), the wall values transfer(s), the source
+        Q_w and a callable that builds the Jacobian at the iterate (s, pn).
 
         The source is Q_w = -(impl/dt) (transfer(s) - wall0) + expl, all
-        per-cell arrays.  The call keeps the iterate, its upwind choices,
-        pressure differences and face transmissibilities for jacobian;
-        the next call replaces them.
+        per-cell arrays.  Only the callable holds the iterate, its upwind
+        choices, pressure differences and face transmissibilities.
         """
         m = self.grid.n_cells
         vol = self.grid.volumes
@@ -310,14 +307,13 @@ class _Assembler:
             for w in self.walls:
                 rate += float(wall[w].sum())
             rates.append(rate)
-        self._iterate = (s, p_wall, acc, impl_dt, from_left, dp, t_f)
-        return r, tuple(rates), p_wall, q_w
+        return r, tuple(rates), p_wall, q_w, lambda: self.jacobian(
+            s, p_wall, acc, impl_dt, from_left, dp, t_f)
 
-    def jacobian(self):
-        """The Jacobian of the residual at the iterate last passed to
-        assemble: the assembler's one CSC matrix in the pattern's stored
-        order, which its solver takes; the next call overwrites it."""
-        s, p_wall, acc, impl_dt, from_left, dp, t_f = self._iterate
+    def jacobian(self, s, p_wall, acc, impl_dt, from_left, dp, t_f):
+        """The Jacobian at the iterate s that assemble evaluated into the
+        other arrays: the assembler's one CSC matrix in the pattern's
+        stored order, which its solver takes; the next call overwrites it."""
         m = self.grid.n_cells
         vol = self.grid.volumes
         cset = self.params.cset
@@ -345,12 +341,6 @@ class _Assembler:
                 vals += [-d[:nf], d[:nf]]
             vals += [-dsl[nf:], tf[nf:]]            # a wall: its cell's row
         return self.pattern.fill(np.concatenate(vals))
-
-    def release(self) -> None:
-        """Drop what assemble kept for jacobian, once Newton has accepted
-        its iterate, so that those arrays are free before the step's
-        histories grow: it lowers the floods' peak RSS."""
-        self._iterate = None
 
 
 def _extrapolation_weights(nodes, t: float) -> list:
@@ -479,12 +469,11 @@ class FractureFlowSolver:
         clamped = False
 
         def linearize(x):
-            r, rates, p_wall, q_w = self.assembler.assemble(
+            r, rates, p_wall, q_w, jacobian = self.assembler.assemble(
                 *x, s_old, dt, impl, expl, state.wall_hist[0])
             err = max(float(np.abs(r).max()) / scale / NEWTON_RTOL,
                       abs(float(r.sum())) / (m * scale) / VOLUME_RTOL)
-            jac = self.assembler.jacobian() if err > 1.0 else None
-            return r, jac, err, (rates, p_wall, q_w)
+            return r, err, (rates, p_wall, q_w), jacobian
 
         def update(x, dx):
             nonlocal clamped
@@ -501,7 +490,6 @@ class FractureFlowSolver:
         (s, pn), ((rate_w, rate_n), p_wall, q_w), iters = newton_solve(
             (s_start, state.pressure_n.copy()), linearize, update,
             self.assembler.pattern.solver(splu))
-        self.assembler.release()
 
         # accepted: the memory first, since its range check can raise
         if state.memory is not None:

@@ -58,8 +58,10 @@ cover_interval is the one step controller, newton_solve the one Newton
 loop and damping (no correction moves a saturation by more than MAX_DS)
 the one Newton update of the block and of the flood (fvsolver): every
 report interval is first tried in one step, whatever the interval before
-it needed.  The block's Newton stop (BlockStepper.newton_step) is fixed
-per step: NEWTON_RTOL of a unit saturation change on the largest cell.
+it needed.  newton_solve builds a Jacobian, by the callable linearize
+returns, only for an iterate it corrects.  The block's Newton stop
+(BlockStepper.newton_step) is fixed per step: NEWTON_RTOL of a unit
+saturation change on the largest cell.
 """
 from __future__ import annotations
 
@@ -94,16 +96,16 @@ class NewtonFailure(RuntimeError):
 def newton_solve(x, linearize, update, solve):
     """Newton's method from x; returns (x, out, corrections).
 
-    linearize(x) gives (r, jac, err, out), err in units of the tolerance:
-    x is accepted at err <= 1 (jac may then be None), else x = update(x,
-    dx) with jac dx = -r solved as dx = solve(jac, -r): a FixedPattern's
-    solver, which may keep one LU for the whole solve.  Raises
-    NewtonFailure after NEWTON_MAX_ITER corrections, after STALL_ITER in
-    a row with no new smallest error, on a singular LU or non-finite
-    dx."""
+    linearize(x) gives (r, err, out, jacobian), err in units of the
+    tolerance: x is accepted at err <= 1, else x = update(x, dx), dx =
+    solve(jacobian(), -r) (solve a FixedPattern's solver, which may keep
+    one LU for the whole solve), so only a corrected iterate builds its
+    Jacobian.  Raises NewtonFailure after NEWTON_MAX_ITER corrections,
+    STALL_ITER in a row with no new smallest error, a singular LU or a
+    non-finite dx."""
     best, stalled = np.inf, 0
     for it in range(NEWTON_MAX_ITER + 1):
-        r, jac, err, out = linearize(x)
+        r, err, out, jacobian = linearize(x)
         if err <= 1.0:
             return x, out, it
         best, stalled = (err, 0) if err < best else (best, stalled + 1)
@@ -113,6 +115,7 @@ def newton_solve(x, linearize, update, solve):
         if stalled == STALL_ITER:
             raise NewtonFailure(f"Newton stalled: {stalled} corrections set "
                                 f"no new smallest error ({best:.3e})")
+        jac = jacobian()
         try:
             dx = solve(jac, -r)
         except RuntimeError as exc:        # singular factorization
@@ -301,9 +304,8 @@ class BlockStepper:
             r = acc * (s - s_old) - self.k_eff * (
                 self.mesh.diffusion_matrix @ beta_s
                 + self.mesh.boundary_weights * beta_g)
-            r_max = np.abs(r).max()
-            jac = self.jacobian(acc, alpha(s)) if r_max > tol else None
-            return r, jac, r_max / tol, beta_s
+            return (r, np.abs(r).max() / tol, beta_s,
+                    lambda: self.jacobian(acc, alpha(s)))
 
         return newton_solve(np.array(s_old, dtype=float), linearize,
                             lambda s, ds: np.clip(s + damping(ds) * ds,

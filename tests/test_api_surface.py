@@ -167,6 +167,61 @@ def test_only_the_nonlinear_run_builds_a_block_solution():
     assert {name for name, _ in found} == {"imbibition.py"}
 
 
+def self_bindings(func: ast.AST) -> list:
+    """The attributes of self that func binds, in its nested functions
+    and lambdas too: assignment targets self.<attr>, alone or inside a
+    tuple or list; a write into self.<attr>[...] binds nothing."""
+    def leaves(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for elt in target.elts:
+                yield from leaves(elt)
+        else:
+            yield target
+
+    found = []
+    for node in ast.walk(func):
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(
+                       node, (ast.AugAssign, ast.AnnAssign)) else [])
+        found += [leaf.attr for target in targets for leaf in leaves(target)
+                  if isinstance(leaf, ast.Attribute)
+                  and isinstance(leaf.value, ast.Name)
+                  and leaf.value.id == "self"]
+    return found
+
+
+def test_binding_counter_sees_only_attribute_bindings():
+    source = ("def f(self, x):\n"
+              "    self.a, (self.b[0], y) = x\n"
+              "    self.c[1, :2] = x\n"
+              "    self.d += 1\n")
+    assert self_bindings(ast.parse(source)) == ["a", "d"]
+
+
+def test_a_newton_iterate_leaves_no_state_behind():
+    # an iterate's arrays are held only by the Jacobian callable that its
+    # linearize returns to newton_solve, and die with the Newton solve:
+    # the flood's residual and Jacobian builder and the block's Newton
+    # step bind no attribute of self (they write in place into buffers
+    # preallocated once, self._pres[1, :m] = pn), and nothing calls a
+    # release
+    watched = {("fvsolver.py", "_Assembler", "assemble"),
+               ("fvsolver.py", "_Assembler", "jacobian"),
+               ("imbibition.py", "BlockStepper", "newton_step")}
+    package_dir = pathlib.Path(dualporo.__file__).parent
+    seen = {}
+    for path in sorted(package_dir.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        assert not re.search(r"\brelease\(", source), path.name
+        for cls in ast.parse(source).body:
+            if isinstance(cls, ast.ClassDef):
+                seen |= {(path.name, cls.name, func.name): self_bindings(func)
+                         for func in cls.body
+                         if isinstance(func, ast.FunctionDef)
+                         and (path.name, cls.name, func.name) in watched}
+    assert seen == {key: [] for key in watched}
+
+
 def test_cli_loads_configs_through_the_public_loaders():
     # harness.load_config and load_flood_config are the one way into a
     # configuration, so the CLI reaches no private harness name

@@ -18,7 +18,10 @@ Oracles used here:
     a flood's Jacobians factored with LU_OPTIONS solve as with SuperLU's
     default ordering; a flood fills the pattern only for the iterates it
     factors (fills = LUs = corrections, assembles = LUs + attempts, for
-    every source model, and one more fill per stalled attempt);
+    every source model, and none for the iterate a stalled attempt gives
+    up at), and the Jacobian callables assemble returns, which alone hold
+    their iterates, are all dead once each Newton solve returns or
+    raises;
   * the per-step sources realized by the solver's sum-of-exponentials
     memory must agree with the exact product quadrature
     (oracles.sqrt_kernel_step) applied to the recorded wall and alpha
@@ -60,6 +63,7 @@ Oracles used here:
 """
 import copy
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -165,7 +169,7 @@ def test_boundary_counter_current_rates(sim1_cset):
                               pressure_n=0.995e6)})
     s = np.array([0.5])
     pn = np.array([1.0e6])
-    _, (rate_w, rate_n), _, _ = solver.assembler.assemble(
+    _, (rate_w, rate_n), _, _, _ = solver.assembler.assemble(
         s, pn, s, 1.0, np.zeros(1), np.zeros(1), np.zeros(1))
     assert rate_w > 0.0
     assert rate_n < 0.0
@@ -182,7 +186,7 @@ def test_inflow_contributes_only_to_the_wetting_budget(sim1_cset):
          "xmax": BoundarySpec("dirichlet", saturation=0.3,
                               pressure_n=1e6)})
     s, zeros = np.full(6, 0.3), np.zeros(6)
-    _, (rate_w, rate_n), _, _ = solver.assembler.assemble(
+    _, (rate_w, rate_n), _, _, _ = solver.assembler.assemble(
         s, np.full(6, 1e6), s, 1.0, zeros, zeros, zeros)
     _, _, area = grid.boundary["xmin"]
     assert rate_w == pytest.approx(rate * area.sum(), rel=1e-15)
@@ -265,9 +269,8 @@ def test_jacobian_matches_finite_differences(sim1_cset):
             return solver.assembler.assemble(sv, pv, state.sat_hist[-1],
                                              dt, impl, expl, wall0)[0]
 
-        solver.assembler.assemble(s, pn, state.sat_hist[-1], dt, impl,
-                                  expl, wall0)
-        jac = solver.assembler.jacobian()
+        jac = solver.assembler.assemble(s, pn, state.sat_hist[-1], dt,
+                                        impl, expl, wall0)[4]()
         rank = np.argsort(solver.assembler.pattern.order)
         dense = jac.toarray()[np.ix_(rank, rank)]     # unknowns (S, P_n)
         fd = np.zeros_like(dense)
@@ -295,8 +298,9 @@ def test_assembled_wall_values_are_the_transfer_of_the_iterate(sim1_cset):
     m = grid.n_cells
     asm = _Assembler(grid, make_params(sim1_cset), {})
     s = np.concatenate((rng.uniform(0.0, 1.0, m - 2), [0.0, 1.0]))
-    _, _, p_wall, _ = asm.assemble(s, np.full(m, 1e6), s, 600.0,
-                                   np.zeros(m), np.zeros(m), np.zeros(m))
+    _, _, p_wall, _, _ = asm.assemble(s, np.full(m, 1e6), s, 600.0,
+                                      np.zeros(m), np.zeros(m),
+                                      np.zeros(m))
     assert np.array_equal(p_wall, sim1_cset.transfer(s))
 
 
@@ -487,8 +491,8 @@ def test_fixed_pattern_jacobian_matches_coo_assembly(sim1_cset, case):
         if flip:                     # turn the nonwetting upwind around
             pn = 2e6 - pn
         args = (s, pn, state.sat_hist[-1], dt, impl, expl, wall0)
-        r, rates, p_wall, q_w = solver.assembler.assemble(*args)
-        jac = solver.assembler.jacobian()
+        r, rates, p_wall, q_w, jacobian = solver.assembler.assemble(*args)
+        jac = jacobian()
         if pattern is None:
             pattern = (jac.indptr.copy(), jac.indices.copy())
         assert np.array_equal(jac.indptr, pattern[0])
@@ -864,10 +868,9 @@ def test_predicted_saturation_follows_the_history_length(sim1_cset):
 def forced_stalls(monkeypatch, errors, solver):
     """Wrap the flood's newton_solve for solver: call k (from 0) reports
     the constant error errors[k] if k is a key, so it stalls after
-    imbibition.STALL_ITER corrections, one LU each, and raises (an
-    iterate the solver accepts, and so builds no Jacobian for, gets its
-    Jacobian from solver.assembler); other calls run unchanged.  Returns
-    [(start saturation, corrections or None)] per call."""
+    imbibition.STALL_ITER corrections, one LU each, and raises; other
+    calls run unchanged.  Returns [(start saturation, corrections or
+    None)] per call."""
     calls = []
     real = fvsolver.newton_solve
 
@@ -876,10 +879,8 @@ def forced_stalls(monkeypatch, errors, solver):
         err = errors.get(len(calls) - 1)
         if err is not None:
             def stuck(y):
-                r, jac, _, out = linearize(y)
-                if jac is None:
-                    jac = solver.assembler.jacobian()
-                return r, jac, err, out
+                r, _, out, jacobian = linearize(y)
+                return r, err, out, jacobian
             return real(x, stuck, update, factor)
         out = real(x, linearize, update, factor)
         calls[-1][1] = out[2]
@@ -1042,8 +1043,8 @@ def test_flood_builds_a_jacobian_only_where_it_factors_one(
     # assemble runs once per Newton iterate, the accepted one included,
     # and the pattern is filled only for an iterate Newton corrects: one
     # fill per LU, and one LU per reported correction.  A forced stall on
-    # the fourth attempt fills one more, for the iterate at which Newton
-    # gives up without factoring
+    # the fourth attempt fills none for the iterate at which Newton gives
+    # up
     solver = inflow_solver(sim1_cset, 4, 4, model)
     calls = forced_stalls(monkeypatch, {3: 2.0} if stall else {}, solver)
     fills = counted(monkeypatch, bm.FixedPattern, "fill")
@@ -1054,8 +1055,44 @@ def test_flood_builds_a_jacobian_only_where_it_factors_one(
     assert len(calls) == len(res.steps) + failed
     iters = sum(st.newton_iters for st in res.steps)
     assert len(factored) == iters + failed * imbibition.STALL_ITER
-    assert len(fills) == len(factored) + failed > failed
+    assert len(fills) == len(factored) > failed
     assert len(assembles) == len(factored) + len(calls)
+
+
+def test_no_iterate_outlives_its_newton_solve(sim1_cset, monkeypatch):
+    # each iterate's arrays are held by the Jacobian callable assemble
+    # returns with its residual, and nothing else: every such callable
+    # is dead once the Newton solve that made it returns or raises, also
+    # the ones of a forced stall, so that the step's histories grow with
+    # no iterate alive
+    solver = inflow_solver(sim1_cset, 4, 4, "warped")
+    callables, alive, failed = [], [], []
+    assemble, newton_solve = _Assembler.assemble, fvsolver.newton_solve
+
+    def recording_assemble(self, *args):
+        out = assemble(self, *args)
+        callables.append(weakref.ref(out[-1]))
+        return out
+
+    def watched_newton_solve(*args):
+        try:
+            return newton_solve(*args)
+        except NewtonFailure as exc:
+            # the traceback holds the finished solve's frame; the step
+            # controller drops it with the failure
+            exc.with_traceback(None)
+            failed.append(1)
+            raise
+        finally:
+            alive.append(sum(ref() is not None for ref in callables))
+
+    monkeypatch.setattr(_Assembler, "assemble", recording_assemble)
+    monkeypatch.setattr(fvsolver, "newton_solve", watched_newton_solve)
+    calls = forced_stalls(monkeypatch, {3: 2.0}, solver)
+    res = solver.run(0.05, 1e6, np.linspace(0.0, 1.0 * DAY, 7))
+    assert len(failed) == 1 and len(calls) == len(res.steps) + 1
+    assert alive == [0] * len(calls)
+    assert len(callables) > len(calls)
 
 
 def test_coarse_flood_takes_whole_steps():

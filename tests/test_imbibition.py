@@ -19,11 +19,14 @@ Oracles used here:
     span / 2**MAX_HALVINGS, doubling after success, and a fresh start at
     every report interval;
   * newton_solve on x**2 = a takes Heron's iteration count to the root,
-    and each of its failures (singular Jacobian, NaN correction, stall,
-    iteration cap) raises NewtonFailure after the stated number of
-    factorizations; the stall exit keeps the failed nlin attempts of a
-    coarse, undamped sim1 run to a third of its LUs; a damped correction
-    changes no saturation by more than MAX_DS;
+    builds the Jacobian of only the iterates it corrects, and each of its
+    failures (singular Jacobian, NaN correction, stall, iteration cap)
+    raises NewtonFailure after the stated number of factorizations; an
+    nlin run on either LU route builds one Jacobian per correction (LU or
+    GMRES solve) and evaluates one residual more per step; the stall
+    exit keeps the failed nlin attempts of a coarse, undamped sim1 run to
+    a third of its LUs; a damped correction changes no saturation by more
+    than MAX_DS;
   * under the step drive nlin solves every preset in 1d, 2d and 3d, its
     volume and flux forms agree, and vlin tracks it closer than clin
     does on the monotone presets;
@@ -369,13 +372,16 @@ def test_vlin_tracks_nlin_closer_on_the_step_drive(step_runs):
 def scripted_newton(errors, residual=(1.0, 1.0)):
     """newton_solve on a 2-unknown system whose iterate k reports
     errors[k] and the Jacobian (k + 1) I; x counts corrections.  Returns a
-    call that runs it and the list of the iterates whose Jacobians were
-    factored."""
-    factored = []
+    call that runs it, the list of the iterates whose Jacobians were built
+    and that of the iterates whose Jacobians were factored."""
+    built, factored = [], []
     r = np.array(residual)
 
     def linearize(k):
-        return r, sp.identity(2, format="csc") * (k + 1.0), errors[k], k
+        def jacobian():
+            built.append(k)
+            return sp.identity(2, format="csc") * (k + 1.0)
+        return r, errors[k], k, jacobian
 
     def solve(jac, b):
         factored.append(int(jac[0, 0]) - 1)
@@ -383,7 +389,7 @@ def scripted_newton(errors, residual=(1.0, 1.0)):
 
     return (lambda: imbibition.newton_solve(0, linearize,
                                             lambda k, dx: k + 1, solve),
-            factored)
+            built, factored)
 
 
 def test_newton_solve_converges_on_heron_iteration():
@@ -396,8 +402,8 @@ def test_newton_solve_converges_on_heron_iteration():
 
     def linearize(x):
         r = x * x - a
-        return r, sp.diags(2.0 * x, format="csc"), \
-            np.abs(r).max() / tol, float(np.abs(r).max())
+        return r, np.abs(r).max() / tol, float(np.abs(r).max()), \
+            lambda: sp.diags(2.0 * x, format="csc")
 
     x, out, iters = imbibition.newton_solve(
         np.ones(3), linearize, lambda x, dx: x + dx,
@@ -411,18 +417,20 @@ def test_newton_solve_converges_on_heron_iteration():
 
 
 def test_newton_solve_factors_once_per_correction():
-    # an accepted start costs no factorization; error 1 is accepted; each
-    # correction factors the Jacobian of its own iterate, once
-    solve, factored = scripted_newton([0.5])
-    assert solve() == (0, 0, 0) and factored == []
-    solve, factored = scripted_newton([9.0, 2.0, 1.0])
+    # an accepted start costs no Jacobian and no factorization; error 1 is
+    # accepted; each correction builds and factors the Jacobian of its own
+    # iterate, once, and the accepted iterate builds none
+    solve, built, factored = scripted_newton([0.5])
+    assert solve() == (0, 0, 0) and built == factored == []
+    solve, built, factored = scripted_newton([9.0, 2.0, 1.0])
     assert solve() == (2, 2, 2)
-    assert factored == [0, 1]
+    assert built == factored == [0, 1]
 
 
 def test_newton_solve_singular_jacobian_raises():
     def linearize(x):
-        return np.ones(2), sp.csc_matrix(np.diag([1.0, 0.0])), 5.0, None
+        return np.ones(2), 5.0, None, \
+            lambda: sp.csc_matrix(np.diag([1.0, 0.0]))
 
     with pytest.raises(NewtonFailure, match="singular"):
         imbibition.newton_solve(np.zeros(2), linearize,
@@ -440,7 +448,7 @@ def test_newton_solve_singular_band_jacobian_raises():
     vals = np.array([1.0, 0.0, 1.0, 0.5, 0.0, 0.5, 0.0])
 
     def linearize(x):
-        return np.ones(3), pattern.fill(vals), 5.0, None
+        return np.ones(3), 5.0, None, lambda: pattern.fill(vals)
 
     with pytest.raises(NewtonFailure, match="singular"):
         imbibition.newton_solve(np.zeros(3), linearize,
@@ -448,35 +456,39 @@ def test_newton_solve_singular_band_jacobian_raises():
 
 
 def test_newton_solve_nan_correction_raises():
-    solve, factored = scripted_newton([5.0] * 3, residual=(np.nan, 1.0))
+    solve, built, factored = scripted_newton([5.0] * 3,
+                                             residual=(np.nan, 1.0))
     with pytest.raises(NewtonFailure, match="non-finite"):
         solve()
-    assert len(factored) == 1
+    assert len(factored) == 1 and built == factored
 
 
 def test_newton_solve_stall_exit():
     # three corrections in a row set no new smallest error: the attempt
-    # stops at the fourth iterate, after four factorizations
-    solve, factored = scripted_newton([5.0, 4.0, 6.0, 7.0, 4.0, 0.5])
+    # stops at the fourth iterate, after four factorizations, and builds
+    # no Jacobian for the iterate it gives up at
+    solve, built, factored = scripted_newton([5.0, 4.0, 6.0, 7.0, 4.0,
+                                              0.5])
     with pytest.raises(NewtonFailure,
                        match=r"^Newton stalled: 3 corrections"):
         solve()
-    assert len(factored) == 4
+    assert len(factored) == 4 and built == factored
     # two rises and then a new smallest error go on: the first step of a
     # flood started near the top of the saturation clamp
-    solve, factored = scripted_newton([6.9, 2.7, 5.6, 3.8, 1.8, 0.5])
-    assert solve()[2] == len(factored) == 5
+    solve, built, factored = scripted_newton([6.9, 2.7, 5.6, 3.8, 1.8,
+                                              0.5])
+    assert solve()[2] == len(factored) == 5 and built == factored
 
 
 def test_newton_solve_max_iterations():
     # an error that falls at every correction but never reaches 1
     n = imbibition.NEWTON_MAX_ITER
-    solve, factored = scripted_newton([2.0 + 1.0 / (k + 1)
-                                       for k in range(n + 1)])
+    solve, built, factored = scripted_newton([2.0 + 1.0 / (k + 1)
+                                              for k in range(n + 1)])
     with pytest.raises(NewtonFailure,
                        match=f"^no convergence in {n} Newton iterations"):
         solve()
-    assert len(factored) == n
+    assert len(factored) == n and built == factored
 
 
 def test_damping_caps_the_largest_saturation_change():
@@ -525,6 +537,43 @@ def test_corner_matches_full_cube(preset):
                 err = (np.abs(qa.values - qb.values).max()
                        / np.abs(qb.values).max())
                 assert err <= 1e-9, (qa.method, dimension, delta, err)
+
+
+@pytest.mark.parametrize("band_work", [0, bm.BAND_WORK],
+                         ids=["superlu", "band"])
+def test_nlin_builds_a_jacobian_only_where_it_solves_a_correction(
+        monkeypatch, factored, krylov, band_work):
+    # the block's twin of the flood's test: the residual is evaluated
+    # once per Newton iterate, the accepted one included, and the
+    # Jacobian is built only for an iterate Newton corrects: one build
+    # per LU or GMRES solve, one per reported correction
+    monkeypatch.setattr(bm, "BAND_WORK", band_work)
+    built, residuals, failures = [], [], []
+    jacobian, newton_solve = BlockStepper.jacobian, imbibition.newton_solve
+
+    def counting_jacobian(*args):
+        built.append(1)
+        return jacobian(*args)
+
+    def counting_newton_solve(x, linearize, update, solve):
+        def counting_linearize(s):
+            residuals.append(1)
+            return linearize(s)
+        try:
+            return newton_solve(x, counting_linearize, update, solve)
+        except NewtonFailure:
+            failures.append(1)
+            raise
+
+    monkeypatch.setattr(BlockStepper, "jacobian", counting_jacobian)
+    monkeypatch.setattr(imbibition, "newton_solve", counting_newton_solve)
+    cfg = dataclasses.replace(get_preset("sim1"), n_steps=16, mesh_cells=32)
+    sol = run_trajectory(cfg.block_problem(0.1))
+    assert (factored[0][1].band is None) == (band_work == 0)
+    assert len(built) == len(factored) + len(krylov) \
+        == sol.newton_iterations >= 32
+    assert failures == []
+    assert len(residuals) == sol.newton_iterations + sol.substeps
 
 
 def test_lu_ordering_matches_default_ordering(monkeypatch):
