@@ -21,9 +21,16 @@ The block problem is mirror-symmetric about the cube's mid-planes (uniform
 wall value, uniform initial state), so it can be solved on one corner: the
 product of the left half of the 1D grid, which ends exactly at L/2.  The
 corner mesh keeps only the "min" walls as Dirichlet walls; its "max" faces
-are no-flux mirror planes, and BlockMesh.copies = 2^d counts the corners
-that make up the cube.  The full cube (corner=False) stays as the
-reference.
+are no-flux mirror planes.  The corner is the d-fold product of one 1D
+grid, so its solution is also symmetric under every permutation of the
+axes (Bossavit, Comput. Methods Appl. Mech. Engrg. 56 (1986) 167), and
+wedge_mesh keeps one cell per orbit, the cells i >= j (>= k): 136 of 256
+on a 16^2 corner, 816 of 4,096 on a 16^3 one.  Each kept cell carries the
+corner's own equation, its neighbours read through their orbits'
+representatives.  BlockMesh.copies is a per-cell multiplicity, the number
+of the cube's cells that a cell stands for: 1 on the full cube, 2^d on
+the corner, 2^d times the orbit size on the wedge.  The full cube and the
+corner (tensor_mesh) stay as the references.
 
 Both solvers' Newton matrices keep one sparsity pattern for a whole run.
 FixedPattern holds that pattern as one CSC matrix and writes each
@@ -34,7 +41,8 @@ does for circuit Jacobians (Davis and Palamadai Natarajan, ACM TOMS 37
 (2010) 36).  A narrow pattern, whose Cuthill-McKee order has
 half-bandwidth kl with n kl^2 < BAND_WORK (Cuthill and McKee, Proc. 24th
 ACM National Conf. (1969) 157), is factored by LAPACK's band LU, dgbtrf:
-the block's corners and floods up to 43 x 43 cells.  A wider one is
+the block's wedges (in 3d through 52 cells per axis), its corners and
+floods up to 43 x 43 cells.  A wider one is
 factored by SuperLU in the LU_OPTIONS ordering of one stand-in matrix,
 which stays the reference the band route is tested against.
 FixedPattern.factor returns either route's LU in that stored order.
@@ -144,7 +152,10 @@ _AXES = "xyz"
 # 0.74, 0.98; 3d corners of 12^3 .. 14^3 (2.3e7 .. 6.5e7) 0.56 .. 0.65.
 # The bound sits at the flood's crossover, so 3d corners from 13^3 keep
 # SuperLU: the flood's pressure columns are 1e5 times smaller than its
-# saturation columns, and dgbtrf swaps half its saturation rows.
+# saturation columns, and dgbtrf swaps half its saturation rows.  The 3d
+# wedges that build_mesh solves stay on the band route through 52 cells
+# per axis (48 cells: 2,600 wedge cells, kl = 82; 52: kl = 95), and
+# SuperLU starts at 54 (3,654 wedge cells).
 BAND_WORK = 30_000_000
 
 # SuperLU's ordering of a wider FixedPattern: minimum degree on the pattern
@@ -462,14 +473,21 @@ class BlockMesh(_Cells):
     boundary_weights holds those T_b, so the discrete flux divergence of a
     cell field v with uniform wall value g is
         diffusion_matrix @ v + boundary_weights * g.
-    copies is the number of such meshes that tile the cube: 1 for the
-    full cube, 2^d for the corner.
+    copies holds, per cell, the number of the cube's cells it stands for:
+    1 on the full cube, 2^d on the corner, 2^d times the orbit size on
+    the wedge.  Block means, volumes and wall fluxes count every cell
+    copies times.
     """
 
     grid: GradedGrid1D
     diffusion_matrix: sp.csr_matrix
     boundary_weights: np.ndarray
-    copies: int
+    copies: np.ndarray
+
+    def mean(self, field) -> float:
+        """Volume average of a cell field over the whole cube."""
+        weights = self.copies * self.volumes
+        return float(np.dot(weights, field) / weights.sum())
 
 
 def tensor_mesh(grid: GradedGrid1D, dimension: int,
@@ -513,4 +531,35 @@ def tensor_mesh(grid: GradedGrid1D, dimension: int,
     return BlockMesh(dimension=dimension, volumes=mesh.volumes,
                      centers=mesh.centers, grid=grid, diffusion_matrix=mat,
                      boundary_weights=bweights,
-                     copies=2 ** dimension if corner else 1)
+                     copies=np.full(m, 2 ** dimension if corner else 1))
+
+
+def permutation_orbits(n: int, dimension: int):
+    """The orbits of the index tuples (i_1, .., i_d), 0 <= i < n, numbered
+    in C order, under the permutations of the axes: (reps, orbit), reps the
+    increasing numbers of the tuples with i_1 >= .. >= i_d, one per orbit,
+    and orbit[c] the position in reps of tuple c's representative."""
+    shape = (n,) * dimension
+    tuples = np.indices(shape).reshape(dimension, -1)
+    rep = np.ravel_multi_index(np.sort(tuples, axis=0)[::-1], shape)
+    reps = np.flatnonzero(rep == np.arange(rep.size))
+    return reps, np.searchsorted(reps, rep)
+
+
+def wedge_mesh(grid: GradedGrid1D, dimension: int) -> BlockMesh:
+    """The corner mesh of tensor_mesh(grid, dimension, corner=True) reduced
+    to its permutation wedge, one cell per orbit of its cells (module
+    docstring).  Each kept cell keeps its volume, wall weight and row of
+    the corner's diffusion matrix, whose columns are summed by orbit:
+    D_w = D[reps] C, C mapping each corner cell to its orbit.  In 1d it
+    is the corner."""
+    corner = tensor_mesh(grid, dimension, corner=True)
+    reps, orbit = permutation_orbits(grid.n_cells // 2, dimension)
+    d = corner.diffusion_matrix[reps].tocoo()
+    mat = sp.csr_matrix((d.data, (d.row, orbit[d.col])),
+                        shape=(len(reps), len(reps)))
+    return BlockMesh(dimension=dimension, volumes=corner.volumes[reps],
+                     centers=corner.centers[reps], grid=grid,
+                     diffusion_matrix=mat,
+                     boundary_weights=corner.boundary_weights[reps],
+                     copies=corner.copies[reps] * np.bincount(orbit))

@@ -9,12 +9,18 @@ equilibrium with the fracture saturation at the wall. The block solves
 backward Euler in time, two-point flux in space on a wall-layer-graded
 tensor mesh, Newton with the analytic Jacobian d(beta)/ds = alpha.  The
 wall drive and the initial state are uniform, so the solution is
-mirror-symmetric about the cube's mid-planes: BlockProblem.build_mesh
-returns the corner mesh (one 2^d-th of the cube, no-flux mirror faces),
-and the wall fluxes count all mesh.copies corners.  Every Jacobian of an
-nlin run is written into one precomputed sparse pattern
-(blockmesh.FixedPattern), and each Newton solve solves its corrections
-by the pattern's solver, in the one LU ordering it computed for the run.
+mirror-symmetric about the cube's mid-planes, and the mesh is the d-fold
+product of one 1D grid, so it is symmetric under every permutation of
+the axes too.  BlockProblem.build_mesh returns the corner's permutation
+wedge (blockmesh.wedge_mesh): one cell per orbit of the corner's cells,
+each with the corner's own residual, so Newton takes the corner's
+iterates on n(n+1)/2 cells in 2d and n(n+1)(n+2)/6 in 3d instead of n^d.
+The means and the wall fluxes count each cell mesh.copies times.  The
+corner and the full cube, passed in as meshes, stay as the references.
+Every Jacobian of an nlin run is written into one precomputed sparse
+pattern (blockmesh.FixedPattern), and each Newton solve solves its
+corrections by the pattern's solver, in the one LU ordering it computed
+for the run.
 
 The linearized runs (run_linear) replace alpha(s) by a scalar c_k frozen
 per report step, the clock rate of their memory, and factor nothing.
@@ -27,18 +33,22 @@ diagonalizes every axis at once (the fast diagonalization method,
 Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185).  With
 S = (W^-1/2 Q) (x) ... (x) (W^-1/2 Q), one factor per axis, the field is
 h + S a: h the last wall value, uniform, and a the modal amplitudes of
-what is off it.  Each backward-Euler step to the wall value g is then a
-scalar update per mode,
+what is off it.  The modes m and pi(m), pi a permutation of the axes,
+share mu and v_hat below, so their amplitudes stay equal from a zero
+start; BlockMemory keeps one mode per class, m_1 >= .. >= m_d, and
+counts it w times, w the class size.  Each backward-Euler step to the
+wall value g is then a scalar update per mode,
 
     a <- (a + (h - g) v_hat) / (1 - tau mu),   h <- g,
     tau = k_eff c_k dt / phi_m,
 
 whatever the coefficient sequence; mu holds the d-fold sums of the
 eigenvalues and v_hat the modal amplitudes of the unit field.  With
-d = 1/(1 - tau mu) and V the block volume, the step's exchange is
+d = 1/(1 - tau mu) and V the volume of the mesh the modes live on, the
+step's exchange is
 
-    Q = -(phi_m/dt) (K (g - h) + sum v_hat a tau mu d / V),
-    K = 1 - sum v_hat^2 d / V,
+    Q = -(phi_m/dt) (K (g - h) + sum w v_hat a tau mu d / V),
+    K = 1 - sum w v_hat^2 d / V,
 
 a sum with no cancellation (the volume form, -phi_m d(mean)/dt, loses
 up to 1e-10 of it at delta = 0.001).  BlockMemory holds h and a behind
@@ -75,7 +85,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import splu
 
 from .blockmesh import (BlockMesh, FixedPattern, layer_adapted_grid,
-                        tensor_mesh)
+                        permutation_orbits, tensor_mesh, wedge_mesh)
 from .constitutive import ConstitutiveSet
 from .effective import exchange_series
 
@@ -208,9 +218,11 @@ class BlockProblem:
         return a * float(self.times[-1] - self.times[0])
 
     def build_mesh(self) -> BlockMesh:
+        """The permutation wedge of the block's corner (module
+        docstring)."""
         grid = layer_adapted_grid(self.mesh_cells, self.delta,
                                   self.diffusion_scale())
-        return tensor_mesh(grid, self.dimension, corner=True)
+        return wedge_mesh(grid, self.dimension)
 
 
 @dataclass
@@ -218,8 +230,9 @@ class BlockSolution:
     """Report-grid history of one nonlinear block run (run_trajectory).
 
     mean_saturation and flux_integrals describe the whole block;
-    final_field holds the cells of the mesh the run used (the corner mesh
-    of build_mesh unless a mesh is passed in).
+    final_field holds the cells of the mesh the run used: the wedge cells
+    of build_mesh, one per orbit of the corner's cells, unless a mesh is
+    passed in.
     """
 
     times: np.ndarray
@@ -274,6 +287,7 @@ class BlockStepper:
         self.mesh = mesh
         self.k_eff = k_eff
         self._acc = porosity * mesh.volumes
+        self._wall_weights = mesh.copies * mesh.boundary_weights
         d = mesh.diffusion_matrix.tocoo()
         self._d_vals, self._d_cols = d.data, d.col
         cells = np.arange(mesh.n_cells)
@@ -313,10 +327,10 @@ class BlockStepper:
                             self.pattern.solver(splu))
 
     def wall_flux(self, beta_s, beta_g: float) -> float:
-        """k_eff * sum of wall two-point fluxes of beta into the block, all
-        mesh.copies corners counted."""
-        return self.mesh.copies * self.k_eff * float(
-            np.dot(self.mesh.boundary_weights, beta_g - beta_s))
+        """k_eff * sum of wall two-point fluxes of beta into the block,
+        each cell counted mesh.copies times."""
+        return self.k_eff * float(np.dot(self._wall_weights,
+                                         beta_g - beta_s))
 
 
 def run_trajectory(problem: BlockProblem,
@@ -333,7 +347,7 @@ def run_trajectory(problem: BlockProblem,
     s = np.full(mesh.n_cells, problem.s_init, dtype=float)
     means = np.empty(n_rep + 1)
     flux_int = np.zeros(n_rep)
-    means[0] = float(np.dot(mesh.volumes, s) / mesh.total_volume)
+    means[0] = mesh.mean(s)
     iters_total = 0
     substeps_total = 0
 
@@ -347,7 +361,7 @@ def run_trajectory(problem: BlockProblem,
 
     for k in range(n_rep):
         cover_interval(float(times[k]), float(times[k + 1]), attempt)
-        means[k + 1] = float(np.dot(mesh.volumes, s) / mesh.total_volume)
+        means[k + 1] = mesh.mean(s)
 
     return BlockSolution(times=times.copy(), mean_saturation=means,
                          flux_integrals=flux_int, final_field=s,
@@ -365,8 +379,9 @@ class BlockMemory:
     def __init__(self, mesh: BlockMesh, porosity: float, k_eff: float,
                  wall0: float):
         # D_1 is tensor_mesh's 1D operator on the mesh's grid, corner
-        # (copies > 1) or full; v_hat is also S^T of the cell volumes
-        line = tensor_mesh(mesh.grid, 1, corner=mesh.copies > 1)
+        # (wedge or corner, copies > 1) or full; v_hat is also S^T of the
+        # cell volumes
+        line = tensor_mesh(mesh.grid, 1, corner=mesh.copies.min() > 1)
         d_1 = line.diffusion_matrix
         r = 1.0 / np.sqrt(line.volumes)
         # MRRR keeps the slow modes accurate relative to their own size on
@@ -376,11 +391,15 @@ class BlockMemory:
                                   d_1.diagonal(1) * r[:-1] * r[1:],
                                   lapack_driver="stemr")
         v = (q / r[:, None]).sum(axis=0)
-        self.mu, self.v_hat = lam, v
-        for _ in range(mesh.dimension - 1):
-            self.mu = np.add.outer(self.mu, lam).ravel()
-            self.v_hat = np.multiply.outer(self.v_hat, v).ravel()
-        self.mesh, self.porosity = mesh, porosity
+        # one mode per class m_1 >= .. >= m_d, w times
+        reps, orbit = permutation_orbits(len(lam), mesh.dimension)
+        modes = np.unravel_index(reps, (len(lam),) * mesh.dimension)
+        self.mu, self.v_hat = lam[modes[0]], v[modes[0]]
+        for m in modes[1:]:
+            self.mu, self.v_hat = self.mu + lam[m], self.v_hat * v[m]
+        self.w = np.bincount(orbit).astype(float)
+        self.volume = line.total_volume ** mesh.dimension
+        self.porosity = porosity
         self._rate = k_eff / porosity
         self.wall0 = float(wall0)
         self.h, self.a = self.wall0, np.zeros(len(self.mu))
@@ -390,9 +409,9 @@ class BlockMemory:
         """(impl, expl) of the trial step of length dt at diffusivity c."""
         tau_mu = self._rate * c * dt * self.mu
         self._trial = den = 1.0 - tau_mu
-        d, vol = 1.0 / den, self.mesh.total_volume
-        k = 1.0 - np.dot(self.v_hat * self.v_hat, d) / vol
-        e = np.dot(self.v_hat * self.a, tau_mu * d) / vol
+        d, wv = 1.0 / den, self.w * self.v_hat
+        k = 1.0 - np.dot(wv * self.v_hat, d) / self.volume
+        e = np.dot(wv * self.a, tau_mu * d) / self.volume
         return (self.porosity * k,
                 -self.porosity / dt * (k * (self.wall0 - self.h) + e))
 

@@ -41,12 +41,15 @@ step of imbibition.run_linear as the sparse system it is,
     (phi M/dt - k_eff c_k D) s_new = phi M/dt s + k_eff c_k b g,
 
 with the nlin stepper's jacobian(acc/dt, c) (c in every cell), factored
-through its FixedPattern and kept while (dt, c) repeats.  Linear steps
-never fail, so it drives them with its own loop, one step per report
-interval, and needs no step controller.  It is the reference of the modal
-solve.  modal_exchange_longdouble runs the modal recursion itself in
-np.longdouble, the reference of the rounding of the block memory's
-exchange.
+through its FixedPattern and kept while (dt, c) repeats, on any block
+mesh (full cube, corner or wedge), its means counting each cell
+mesh.copies times.  Linear steps never fail, so it drives them with its
+own loop, one step per report interval, and needs no step controller.
+It is the reference of the modal solve.  modal_exchange_longdouble runs
+the modal recursion itself in np.longdouble, the reference of the
+rounding of the block memory's exchange, and all_modes_memory is a block
+memory that keeps every mode of the d-fold product once, the reference
+of its grouping into permutation classes.
 
 blocked_geometric_times builds the quasi-geometric grids on which these
 references are checked near t = 0, and transfer_slope is the derivative
@@ -60,8 +63,9 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from dualporo import constitutive as con
+from dualporo.blockmesh import tensor_mesh
 from dualporo.effective import QuadratureTable
-from dualporo.imbibition import BlockProblem, BlockStepper
+from dualporo.imbibition import BlockMemory, BlockProblem, BlockStepper
 
 
 # ------------------------------------------------- eigenfunction series
@@ -142,7 +146,7 @@ def run_linear_lu(problem: BlockProblem, coefficients, mesh=None):
     s = np.full(mesh.n_cells, problem.s_init)
     means = np.empty(n_rep + 1)
     flux_int = np.empty(n_rep)
-    means[0] = np.dot(mesh.volumes, s) / mesh.total_volume
+    means[0] = mesh.mean(s)
     order, lu_key = stepper.pattern.order, None
     for k in range(n_rep):
         dt, c = times[k + 1] - times[k], float(coeff[k])
@@ -155,19 +159,21 @@ def run_linear_lu(problem: BlockProblem, coefficients, mesh=None):
         s = np.empty(mesh.n_cells)      # the LU is in the stored order
         s[order] = lu.solve(rhs[order])
         flux_int[k] = stepper.wall_flux(c * s, c * g) * dt
-        means[k + 1] = np.dot(mesh.volumes, s) / mesh.total_volume
+        means[k + 1] = mesh.mean(s)
     return means, flux_int
 
 
-def modal_exchange_longdouble(memory, mesh, problem: BlockProblem,
+def modal_exchange_longdouble(memory, problem: BlockProblem,
                               coefficients) -> np.ndarray:
     """The exchange of the block's modal recursion run in np.longdouble:
     a <- (a + (h - g) v_hat) / (1 - tau mu), h <- g, and
-    -phi (mean' - mean) / dt with mean = h + v_hat . a / V, on the modes
-    of memory (an imbibition.BlockMemory of mesh)."""
+    -phi (mean' - mean) / dt with mean = h + (w v_hat) . a / V, on the
+    modes of memory (an imbibition.BlockMemory), mode classes counted w
+    times."""
     ld = np.longdouble
     mu, v = memory.mu.astype(ld), memory.v_hat.astype(ld)
-    volume = ld(mesh.total_volume)
+    wv = memory.w.astype(ld) * v
+    volume = ld(memory.volume)
     phi = ld(problem.cset.matrix.porosity)
     rate = ld(problem.k_eff) / phi
     t = problem.times.astype(ld)
@@ -177,10 +183,28 @@ def modal_exchange_longdouble(memory, mesh, problem: BlockProblem,
         dt, g = t[k + 1] - t[k], ld(problem.wall_value(problem.times[k + 1]))
         a = (a + (h - g) * v) / (1 - rate * ld(c) * dt * mu)
         h = g
-        new = h + np.dot(v, a) / volume
+        new = h + np.dot(wv, a) / volume
         out.append(-phi * (new - mean) / dt)
         mean = new
     return np.array(out, dtype=ld)
+
+
+def all_modes_memory(mesh, porosity: float, k_eff: float,
+                     wall0: float) -> BlockMemory:
+    """A BlockMemory of mesh that keeps every mode of the d-fold product
+    once (w = 1), not one per permutation class: its mu and v_hat are the
+    outer sum and product of those of the memory of the mesh's line."""
+    memory = BlockMemory(mesh, porosity, k_eff, wall0)
+    line = BlockMemory(tensor_mesh(mesh.grid, 1,
+                                   corner=mesh.copies.min() > 1),
+                       porosity, k_eff, wall0)
+    mu, v = line.mu, line.v_hat
+    for _ in range(mesh.dimension - 1):
+        mu = np.add.outer(mu, line.mu).ravel()
+        v = np.multiply.outer(v, line.v_hat).ravel()
+    memory.mu, memory.v_hat, memory.w = mu, v, np.ones(len(mu))
+    memory.a = np.zeros(len(mu))
+    return memory
 
 
 # ------------------------------------------------------------ time grid

@@ -6,8 +6,11 @@ hand-computed transmissibilities, and the two-point flux structure of the
 block's tensor mesh:
 symmetry of the interior couplings and the discrete conservation identity
 diffusion_matrix @ 1 + boundary_weights = 0 (a constant field has zero
-flux divergence against a matching wall value), on the full cube and on
-its mirror corner, whose operator is checked by hand in 1-D and 2-D.
+flux divergence against a matching wall value), on the full cube, on
+its mirror corner, whose operator is checked by hand in 1-D and 2-D, and
+on the corner's permutation wedge, whose orbits, multiplicities and
+folded operator are checked by hand in 2-D and against the corner on
+symmetric fields in 2-D and 3-D.
 
 FixedPattern's two LU routes are checked against per-call SuperLU with
 LU_OPTIONS, the reference they replace.  SuperLU's route (taken with
@@ -29,7 +32,7 @@ and solves the factored matrix itself in one iteration, also where the
 Arnoldi norm is exactly zero.  One Newton solve's solver keeps at most
 one LU: on SuperLU's route every earlier LU is dead when the next
 factorization starts, and on the band route none outlives its call.  A
-short 48 x 48 flood and a 2d corner nlin run on SuperLU's route agree
+short 48 x 48 flood and a 2d wedge nlin run on SuperLU's route agree
 with the path that factors every correction (KRYLOV_ITER = 0) to 1e-12,
 with equal Newton counts.
 """
@@ -147,7 +150,7 @@ def test_corner_mesh_walls_and_copies():
     # width 1/4; interior faces couple by 1/(1/4) = 4, the wall by 8
     grid = bm.GradedGrid1D(np.linspace(0.0, 1.0, 5), 1.0, 0.25)
     line = bm.tensor_mesh(grid, 1, corner=True)
-    assert line.copies == 2 and line.n_cells == 2
+    assert np.array_equal(line.copies, [2, 2]) and line.n_cells == 2
     assert np.array_equal(line.volumes, [0.25, 0.25])
     assert np.array_equal(line.diffusion_matrix.toarray(),
                           [[-12.0, 4.0], [4.0, -4.0]])
@@ -155,18 +158,18 @@ def test_corner_mesh_walls_and_copies():
     # 2 x 2 corner cells (y fastest): faces of area 1/4 couple by 1, the
     # xmin wall (cells 0, 1) and the ymin wall (cells 0, 2) by 2
     square = bm.tensor_mesh(grid, 2, corner=True)
-    assert square.copies == 4 and square.n_cells == 4
+    assert np.array_equal(square.copies, [4] * 4) and square.n_cells == 4
     assert np.array_equal(square.diffusion_matrix.toarray(),
                           [[-6.0, 1.0, 1.0, 0.0], [1.0, -4.0, 0.0, 1.0],
                            [1.0, 0.0, -4.0, 1.0], [0.0, 1.0, 1.0, -2.0]])
     assert np.array_equal(square.boundary_weights, [4.0, 2.0, 2.0, 0.0])
-    assert bm.tensor_mesh(grid, 2).copies == 1
+    assert np.array_equal(bm.tensor_mesh(grid, 2).copies, [1] * 16)
 
     delta = 0.05
     graded = bm.layer_adapted_grid(8, delta, 1e-3)
     for dimension in (1, 2, 3):
         mesh = bm.tensor_mesh(graded, dimension, corner=True)
-        assert mesh.copies == 2 ** dimension
+        assert (mesh.copies == 2 ** dimension).all()
         assert mesh.n_cells == 4 ** dimension
         assert mesh.total_volume == pytest.approx(
             ((1.0 - delta) / 2.0) ** dimension, rel=1e-13)
@@ -176,6 +179,59 @@ def test_corner_mesh_walls_and_copies():
         ones = np.ones(mesh.n_cells)
         div = mesh.diffusion_matrix @ ones + mesh.boundary_weights
         assert np.abs(div).max() <= 1e-12 * mesh.boundary_weights.max()
+
+
+def test_wedge_mesh_orbits_copies_and_operator():
+    # the 2 x 2 corner of the uniform 4-cell grid above: cells (1, 0) and
+    # (0, 1) form one orbit, kept as cell 2 of the corner; the wedge's
+    # rows are the corner's rows of cells 0, 2 and 3, columns summed by
+    # orbit
+    grid = bm.GradedGrid1D(np.linspace(0.0, 1.0, 5), 1.0, 0.25)
+    reps, orbit = bm.permutation_orbits(2, 2)
+    assert np.array_equal(reps, [0, 2, 3])
+    assert np.array_equal(orbit, [0, 1, 1, 2])
+    wedge = bm.wedge_mesh(grid, 2)
+    assert np.array_equal(wedge.copies, [4, 8, 4])
+    assert np.array_equal(wedge.diffusion_matrix.toarray(),
+                          [[-6.0, 2.0, 0.0], [1.0, -4.0, 1.0],
+                           [0.0, 2.0, -2.0]])
+    assert np.array_equal(wedge.boundary_weights, [4.0, 2.0, 0.0])
+    assert wedge.mean(np.ones(3)) == 1.0
+    # 3 cells per axis in 3d: 10 orbits of sizes 1, 3 and 6
+    reps, orbit = bm.permutation_orbits(3, 3)
+    assert len(reps) == 10
+    assert sorted(np.bincount(orbit)) == [1] * 3 + [3] * 6 + [6]
+    assert all(i >= j >= k for i, j, k in zip(*np.unravel_index(
+        reps, (3, 3, 3))))
+    # in 1d the wedge is the corner
+    line = bm.wedge_mesh(grid, 1)
+    corner = bm.tensor_mesh(grid, 1, corner=True)
+    assert np.array_equal(line.diffusion_matrix.toarray(),
+                          corner.diffusion_matrix.toarray())
+    assert np.array_equal(line.copies, corner.copies)
+
+    # on a graded grid, a field symmetric under the axis permutations:
+    # the wedge's operator, means and wall weights are the corner's
+    delta = 0.05
+    graded = bm.layer_adapted_grid(12, delta, 1e-3)
+    rng = np.random.default_rng(3)
+    for dimension in (2, 3):
+        wedge = bm.wedge_mesh(graded, dimension)
+        corner = bm.tensor_mesh(graded, dimension, corner=True)
+        reps, orbit = bm.permutation_orbits(6, dimension)
+        assert wedge.n_cells == len(reps) == (21, 56)[dimension - 2]
+        assert wedge.copies.sum() == 12 ** dimension
+        assert np.dot(wedge.copies, wedge.volumes) == pytest.approx(
+            (1.0 - delta) ** dimension, rel=1e-13)
+        u = rng.uniform(0.0, 1.0, wedge.n_cells)
+        v = u[orbit]
+        flux = corner.diffusion_matrix @ v
+        assert np.abs(wedge.diffusion_matrix @ u - flux[reps]).max() \
+            <= 1e-13 * np.abs(flux).max()
+        assert wedge.mean(u) == pytest.approx(corner.mean(v), rel=1e-14)
+        assert np.dot(wedge.copies * wedge.boundary_weights, u) \
+            == pytest.approx(np.dot(corner.copies * corner.boundary_weights,
+                                    v), rel=1e-14)
 
 
 def test_product_mesh_faces_and_walls():
@@ -366,11 +422,13 @@ def test_stand_in_order_is_superlu_order_of_real_jacobians(monkeypatch):
 
 
 def test_band_order_of_real_jacobians_and_the_route_bound(factored):
-    # the first Jacobian a coarse sim1 nlin run (16 x 16 corner) and the
-    # last a 12 x 12 flood factor on the band route: the band order's
-    # half-bandwidth is that of scipy's reverse Cuthill-McKee order (16
-    # and 25); 3d corners of 8^3 and 12^3 cells and a 32 x 32 flood are
-    # band patterns too, and a 13^3 corner (n kl^2 = 3.9e7) and a
+    # the first Jacobian a coarse sim1 nlin run (the 136-cell wedge of a
+    # 16 x 16 corner) and the last a 12 x 12 flood factor on the band
+    # route: the band order's half-bandwidth is that of scipy's reverse
+    # Cuthill-McKee order (9 and 25); 3d corners of 8^3 and 12^3 cells,
+    # the wedges of 3d corners up to 26^3 (52 cells per axis, 3,276 wedge
+    # cells, kl = 95) and a 32 x 32 flood are band patterns too, and a
+    # 13^3 corner (n kl^2 = 3.9e7), the wedge of a 27^3 corner and a
     # 48 x 48 flood (4.3e7) are not
     cfg = dataclasses.replace(hz.get_preset("sim1"), n_steps=8,
                               mesh_cells=32)
@@ -378,7 +436,7 @@ def test_band_order_of_real_jacobians_and_the_route_bound(factored):
     solver, times, _ = hz.build_flood(hz.FloodConfig(
         nx=12, ny=12, t_end_days=2.0, n_steps=4, snapshot_days=()))
     solver.run(0.05, 1e6, times)
-    assert factored[0][1].band == (16, 16)
+    assert factored[0][1].band == (9, 9)
     assert factored[-1][1].band == (25, 25)
     for mat, pattern in (factored[0], factored[-1]):
         rank = np.argsort(pattern.order)
@@ -389,6 +447,10 @@ def test_band_order_of_real_jacobians_and_the_route_bound(factored):
     for cells, banded in ((16, True), (24, True), (26, False)):
         mesh = bm.tensor_mesh(bm.layer_adapted_grid(cells, 0.1, 1e-3), 3,
                               corner=True)
+        pattern = imbibition.BlockStepper(mesh, 0.3, 1.0).pattern
+        assert (pattern.band is not None) == banded
+    for cells, banded in ((48, True), (52, True), (54, False)):
+        mesh = bm.wedge_mesh(bm.layer_adapted_grid(cells, 0.1, 1e-3), 3)
         pattern = imbibition.BlockStepper(mesh, 0.3, 1.0).pattern
         assert (pattern.band is not None) == banded
     for nx, banded in ((32, True), (48, False)):
@@ -530,7 +592,7 @@ def test_kept_lu_flood_agrees_with_one_lu_per_correction(monkeypatch,
 
 def test_kept_lu_nlin_agrees_with_one_lu_per_correction(monkeypatch,
                                                         krylov):
-    # the same gate on a 2d corner nlin run on SuperLU's route: equal
+    # the same gate on a 2d wedge nlin run on SuperLU's route: equal
     # Newton iterations and substeps, and the volume and flux series
     # within 1e-12 relative (max-norm)
     monkeypatch.setattr(bm, "BAND_WORK", 0)

@@ -31,7 +31,10 @@ Oracles used here:
     volume and flux forms agree, and vlin tracks it closer than clin
     does on the monotone presets;
   * the block solved on its mirror corner equals the full-cube solve to
-    roundoff, with the same Newton iterations and substeps, and the
+    roundoff, and on the corner's permutation wedge (build_mesh's mesh)
+    the corner's solve to 1e-11, with the same Newton iterations and
+    substeps on all three; the corner's field is permutation-symmetric
+    to rounding, the wedge's premise; and the
     Jacobian filled into the stepper's fixed pattern equals the one
     sparse arithmetic builds, permuted into the pattern's order, entry for
     entry, and the block's matrices
@@ -46,6 +49,7 @@ Oracles used here:
     so their histories agree to roundoff.
 """
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -513,8 +517,27 @@ def test_failed_block_attempts_stop_early(monkeypatch, factored):
     assert len(lus) - sol.newton_iterations <= len(lus) / 3
 
 
+def relative_gaps(p, a, b, mesh_a, mesh_b):
+    """Max-norm gaps, relative to b's, of the nlin runs a and b (volume
+    and flux form) and of clin and vlin on mesh_a and mesh_b."""
+    pairs = [(make(a, p), make(b, p))
+             for make in (exchange_from_volume, exchange_from_flux)]
+    pairs += [(solve(p, mesh_a), solve(p, mesh_b))
+              for solve in (run_constant_linearized, run_variable_linearized)]
+    return [np.abs(qa.values - qb.values).max() / np.abs(qb.values).max()
+            for qa, qb in pairs]
+
+
 @pytest.mark.parametrize("preset", list_presets())
 def test_corner_matches_full_cube(preset):
+    # the chain full cube <-> corner <-> wedge: equal Newton corrections
+    # and substeps on all three, the corner within 1e-9 of the full cube
+    # and the wedge within 1e-11 of the corner, its field the corner's on
+    # every orbit; run_trajectory with no mesh solves the wedge, n(n+1)/2
+    # cells in 2d and n(n+1)(n+2)/6 in 3d, n the corner's cells per axis.
+    # The wedge's volume form is held by the means it differences, to
+    # 2e-15 (8.9e-16 measured): at delta 0.001 an ulp of two means moves
+    # it by up to 2.6e-11 relative (strong-contrast)
     for dimension, cells in ((1, 16), (2, 16), (3, 8)):
         for delta in (0.1, 0.001):
             if dimension == 3 and (delta != 0.1 or preset != "sim1"):
@@ -522,21 +545,51 @@ def test_corner_matches_full_cube(preset):
             cfg = dataclasses.replace(get_preset(preset), n_steps=24,
                                       dimension=dimension, mesh_cells=cells)
             p = cfg.block_problem(delta)
-            corner = p.build_mesh()
-            assert corner.copies == 2 ** dimension
-            full = bm.tensor_mesh(corner.grid, dimension)
-            a, b = run_trajectory(p, corner), run_trajectory(p, full)
-            assert a.newton_iterations == b.newton_iterations
-            assert a.substeps == b.substeps
-            pairs = [(make(a, p), make(b, p))
-                     for make in (exchange_from_volume, exchange_from_flux)]
-            pairs += [(solve(p, corner), solve(p, full))
-                      for solve in (run_constant_linearized,
-                                    run_variable_linearized)]
-            for qa, qb in pairs:
-                err = (np.abs(qa.values - qb.values).max()
-                       / np.abs(qb.values).max())
-                assert err <= 1e-9, (qa.method, dimension, delta, err)
+            n = cells // 2
+            wedge = p.build_mesh()
+            assert wedge.n_cells == (n, n * (n + 1) // 2,
+                                     n * (n + 1) * (n + 2) // 6)[
+                                         dimension - 1]
+            corner = bm.tensor_mesh(wedge.grid, dimension, corner=True)
+            full = bm.tensor_mesh(wedge.grid, dimension)
+            assert (corner.copies == 2 ** dimension).all()
+            assert wedge.copies.sum() == full.n_cells
+            w = run_trajectory(p)
+            c, f = run_trajectory(p, corner), run_trajectory(p, full)
+            assert len(w.final_field) == wedge.n_cells
+            assert w.newton_iterations == c.newton_iterations \
+                == f.newton_iterations
+            assert w.substeps == c.substeps == f.substeps
+            _, orbit = bm.permutation_orbits(n, dimension)
+            assert np.abs(w.final_field[orbit]
+                          - c.final_field).max() <= 1e-13
+            for gap in relative_gaps(p, c, f, corner, full):
+                assert gap <= 1e-9, (dimension, delta, gap)
+            assert np.abs(w.mean_saturation
+                          - c.mean_saturation).max() <= 2e-15
+            volume_gap, *gaps = relative_gaps(p, w, c, wedge, corner)
+            assert volume_gap <= 1e-9, (dimension, delta, volume_gap)
+            for gap in gaps:
+                assert gap <= 1e-11, (dimension, delta, gap)
+
+
+@pytest.mark.parametrize("preset", ["sim1", "nonmonotone"])
+def test_corner_field_is_permutation_symmetric(preset):
+    # the wedge's premise: on the corner, nlin's final field is symmetric
+    # under every permutation of the axes to rounding (measured 2.6e-14 at
+    # worst of a saturation range up to 0.55)
+    for dimension in (2, 3):
+        for delta in (0.1, 0.001):
+            cfg = dataclasses.replace(get_preset(preset), n_steps=24,
+                                      dimension=dimension, mesh_cells=16)
+            p = cfg.block_problem(delta)
+            corner = bm.tensor_mesh(p.build_mesh().grid, dimension,
+                                    corner=True)
+            field = run_trajectory(p, corner).final_field.reshape(
+                (8,) * dimension)
+            assert np.ptp(field) > 0.1
+            for axes in itertools.permutations(range(dimension)):
+                assert np.abs(field - field.transpose(axes)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("band_work", [0, bm.BAND_WORK],
@@ -577,7 +630,7 @@ def test_nlin_builds_a_jacobian_only_where_it_solves_a_correction(
 
 
 def test_lu_ordering_matches_default_ordering(monkeypatch):
-    # every matrix of a 2d corner run (nlin Jacobians, 256 cells) on
+    # every matrix of a 2d nlin run (Jacobians of the 136-cell wedge) on
     # SuperLU's route, solved with LU_OPTIONS and with SuperLU's default
     # ordering (COLAMD, which LU_OPTIONS replaced)
     matrices = []
@@ -601,7 +654,7 @@ def test_lu_ordering_matches_default_ordering(monkeypatch):
 
 
 def test_lus_and_krylov_solves_are_the_corrections(monkeypatch, krylov):
-    # the same 2d corner run on the default path: SuperLU factors each
+    # the same 2d wedge run on the default path: SuperLU factors each
     # Newton solve's first correction and those GMRES misses on the kept
     # factors; with the ones GMRES solved they are the corrections
     lus = []
@@ -620,8 +673,8 @@ def test_lus_and_krylov_solves_are_the_corrections(monkeypatch, krylov):
 
 @pytest.mark.parametrize("dimension, cells", [(2, 32), (3, 16)])
 def test_band_lu_matches_per_call_superlu(factored, dimension, cells):
-    # every Jacobian of a 2d corner run (256 cells, as above) and of a 3d
-    # one (512 cells) on the band route: one LU per Newton correction,
+    # every Jacobian of a 2d wedge run (136 cells, as above) and of a 3d
+    # one (120 cells) on the band route: one LU per Newton correction,
     # each solving as per-call SuperLU with LU_OPTIONS does
     cfg = dataclasses.replace(get_preset("sim1"), n_steps=16,
                               dimension=dimension, mesh_cells=cells)
@@ -645,7 +698,9 @@ def jacobian_cases(draw):
     cells = draw(st.sampled_from((4, 6) if dimension == 3 else (4, 8, 12)))
     grid = bm.layer_adapted_grid(cells, draw(st.floats(0.001, 0.5)),
                                  draw(st.floats(1e-8, 1.0)))
-    mesh = bm.tensor_mesh(grid, dimension, corner=draw(st.booleans()))
+    shape = draw(st.sampled_from(("wedge", "corner", "full")))
+    mesh = (bm.wedge_mesh(grid, dimension) if shape == "wedge" else
+            bm.tensor_mesh(grid, dimension, corner=shape == "corner"))
     positive = st.floats(1e-12, 1e3)
     m = mesh.n_cells
     alpha = np.array(draw(st.lists(positive, min_size=m, max_size=m)))
